@@ -49,18 +49,15 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Newton iteration on integers, seeded from the float estimate.
-    x = int(n ** (1.0 / k)) + 1
+    # Integer Newton from above: n < 2^bits, so 2^ceil(bits/k) exceeds
+    # the root. Each step stays at or above the floor (AM-GM) and falls
+    # strictly while x^k > n, so the first non-decrease is the floor.
+    x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
 
 
 def perfect_power(n: int) -> tuple[int, int] | None:

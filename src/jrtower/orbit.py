@@ -121,17 +121,25 @@ def iterate_poly(nu: int, n: int) -> list[int]:
 def orbit_mod_p(nu: int, p: int) -> int | None:
     """Least n with p | c_n, or None if the orbit mod p never hits 0.
 
-    The orbit is eventually periodic with at most p distinct states, so
-    p steps decide the question. p must be prime.
+    The orbit is eventually periodic: a tail, then a cycle. Brent's
+    (1980) cycle detection saves the state at each power-of-two step
+    and stops when the walk returns to it; by then the tail and one
+    full cycle have been visited, so the walk takes O(tail + cycle)
+    steps, not p. p must be prime.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    x = nu % p
-    for n in range(1, p + 1):
-        if x == 0:
-            return n
+    x = saved = nu % p
+    n, power, steps = 1, 1, 0
+    while x:
+        if steps == power:
+            saved, power, steps = x, 2 * power, 0
         x = (x * x - nu) % p
-    return None
+        n += 1
+        steps += 1
+        if x == saved:
+            return None
+    return n
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from math import prod
 
 from .errors import InvariantFailure
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
+from .intmath import v2
 from .orbit import TowerParams, constant_terms, tower_params
 
 INDEPENDENT = "independent"
@@ -50,9 +51,6 @@ class SquareClassVector:
     def kernel(self) -> int:
         k = prod(sorted(self.odd_primes))
         return -k if self.negative else k
-
-    def coords(self) -> dict[int, int]:
-        return {p: 1 for p in sorted(self.odd_primes)}
 
 
 def square_class_vector(
@@ -288,7 +286,8 @@ class Sqrt2Certificate:
     2-adic valuation, so no kernel equals 2 at any level. certified is
     False with a reason when the shape conditions fail.
     mu_not_squarefree flags the one configuration whose consequences
-    are undecided; it never blocks the certificate.
+    are undecided; it never blocks the certificate. spot_checked_depth
+    is the level up to which v2(c_n) = v2(nu) was checked.
     """
 
     nu: int
@@ -305,11 +304,14 @@ def sqrt2_free_certificate(
 ) -> Sqrt2Certificate:
     """Certify that sqrt(2) lies in no level of the tower.
 
-    The shape conditions are checked exactly; as a guard against
-    regressions the certificate also spot-checks that the computed
-    lattice up to spot_check_depth never lists kernel 2 (a "present"
-    there would contradict the proof and raises InvariantFailure;
-    "unknown" entries are acceptable).
+    The shape conditions are checked exactly. The proof is 2-adic: with
+    v = v2(nu) >= 1, v2(c_{n+1}) = v2(c_n^2 - nu) = v because
+    v2(c_n^2) = 2v > v, so every c_n has valuation v. For even v every
+    subset product of c's then has even 2-adic valuation, and its
+    square-free kernel is odd, never 2. As a guard the certificate
+    checks v2(c_n) = v for n <= spot_check_depth, exactly and without
+    factoring; a mismatch contradicts the proof and raises
+    InvariantFailure.
     """
     if isinstance(params, int):
         params = tower_params(params)
@@ -329,11 +331,11 @@ def sqrt2_free_certificate(
     f = factorize_cached(params.mu, effort)
     if f.complete:
         mu_kernel = all(e == 1 for e in f.factors.values())
-    membership = contains_sqrt(params.nu, spot_check_depth, 2, effort)
-    if membership.status == PRESENT:
-        raise InvariantFailure(
-            f"kernel 2 appeared in the lattice of nu = {params.nu} despite "
-            f"the certificate conditions (subset {sorted(membership.subset)})"
-        )
+    for n, cn in enumerate(constant_terms(params.nu, spot_check_depth).c, 1):
+        if v2(cn) != v:
+            raise InvariantFailure(
+                f"v2(c_{n}) = {v2(cn)} differs from v2(nu) = {v} at "
+                f"nu = {params.nu}, so kernel 2 is no longer ruled out"
+            )
     not_squarefree = None if mu_kernel is None else not mu_kernel
     return Sqrt2Certificate(params.nu, True, None, not_squarefree, spot_check_depth)

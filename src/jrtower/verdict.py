@@ -316,8 +316,8 @@ def _cos_minpoly_pow2(e: int) -> list[int]:
 # Nested radicals s_1 = sqrt(2), s_k = sqrt(2 + s_{k-1})
 
 
-def _tower_ring_mul(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
-    """Multiply in Z[s_1..s_top] / (s_1^2 - 2, s_k^2 - 2 - s_{k-1}).
+def _tower_ring_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Multiply in Z[s_1, s_2, ...] / (s_1^2 - 2, s_k^2 - 2 - s_{k-1}).
 
     Elements are maps {exponent bitmask -> coefficient}; bit i-1 set
     means a factor s_i. Squares reduce downward, so recursion on the
@@ -350,11 +350,10 @@ def _mul_basis(m1: int, m2: int) -> dict[int, int]:
 
 def _radical_symbolic_check(poly: list[int], d: int) -> bool:
     """Evaluate poly at s_{d-1} in the exact tower ring; True iff zero."""
-    top = d - 1
-    y = {1 << (top - 1): 1}
+    y = {1 << (d - 2): 1}
     acc: dict[int, int] = {}
     for coeff in reversed(poly):
-        acc = _tower_ring_mul(acc, y, top) if acc else {}
+        acc = _tower_ring_mul(acc, y) if acc else {}
         if coeff:
             acc[0] = acc.get(0, 0) + coeff
             acc = {m: c for m, c in acc.items() if c}

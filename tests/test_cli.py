@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,23 @@ def test_scan_workers_deterministic(tmp_path, capsys):
     run(capsys, "scan", "4", "20", "--effort", "quick", "--workers", "3",
         "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the scan CSV, recorded while the verdict path still factored
+# c_1..c_n and walked whole orbits mod p: a speed-up must not change a byte.
+GOLDEN_SCANS = [
+    (("scan", "2", "1000", "--effort", "quick"),
+     "0c8a94821652e5407f99c959b2a0d535d3f0f20b8ae5075efaa9363e13aac509"),
+    (("scan", "2", "200"),
+     "a22b3929beff8f42e2ebca20aae9ae0f20268684354417259d9c4e18e7ad3b1c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_SCANS, ids=["quick-2-1000", "default-2-200"])
+def test_scan_csv_matches_golden_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan_json_mode(capsys):

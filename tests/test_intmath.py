@@ -61,6 +61,20 @@ def test_iroot_floor_property():
     assert iroot(1, 5) == 1
 
 
+def test_iroot_floor_property_up_to_2000_digits():
+    """Exact floor for huge n and k up to 39: no float seed, no slow walk."""
+    rng = random.Random(1005)
+    for _ in range(3000):
+        n = rng.randrange(1, 10 ** rng.randrange(1, 2001))
+        k = rng.randrange(2, 40)
+        x = iroot(n, k)
+        assert x**k <= n < (x + 1) ** k, (n, k)
+    # Just above a perfect cube, where a Newton seed taken below the root
+    # would leave a walk up of one step at a time.
+    assert iroot((10**30 + 7) ** 3 + 5, 3) == 10**30 + 7
+    assert iroot((10**30 + 7) ** 3 - 1, 3) == 10**30 + 6
+
+
 def test_perfect_power_detects_maximal_exponent():
     assert perfect_power(8) == (2, 3)
     assert perfect_power(64) == (2, 6)
@@ -71,6 +85,13 @@ def test_perfect_power_detects_maximal_exponent():
     # maximal k, not just any k
     assert perfect_power(2**30) == (2, 30)
     assert perfect_power(3**12) == (3, 12)
+
+
+def test_perfect_power_beyond_float_range():
+    # A float estimate n ** (1.0 / k) overflows above about 1e308.
+    assert perfect_power(3**700 + 2) is None
+    assert perfect_power(3**700) == (3, 700)
+    assert perfect_power((10**30 + 7) ** 3) == (10**30 + 7, 3)
 
 
 def test_is_prime_against_sieve():

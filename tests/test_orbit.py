@@ -104,12 +104,21 @@ def test_iterate_cap_enforced():
         iterate_poly(12, ITERATE_CAP + 1)
 
 
+def plain_orbit_walk(nu: int, p: int) -> int | None:
+    """Oracle: smallest n <= p with p | c_n, by p steps of the recursion."""
+    c = nu % p
+    for n in range(1, p + 1):
+        if c == 0:
+            return n
+        c = (c * c - nu) % p
+    return None
+
+
 def test_orbit_mod_p_first_hit():
     assert orbit_mod_p(12, 3) == 1
     assert orbit_mod_p(12, 11) == 2
     assert orbit_mod_p(12, 13) == 4
     assert orbit_mod_p(12, 5) is None
-    # brute check: smallest n <= p with p | c_n, via the plain recursion
     rng = random.Random(3001)
     from jrtower.intmath import prime_sieve
 
@@ -117,14 +126,30 @@ def test_orbit_mod_p_first_hit():
     for _ in range(40):
         nu = rng.randrange(2, 300)
         p = primes[rng.randrange(1, len(primes))]
-        hit = None
-        c = nu % p
-        for n in range(1, p + 1):
-            if c == 0:
-                hit = n
-                break
-            c = (c * c - nu) % p
-        assert orbit_mod_p(nu, p) == hit
+        assert orbit_mod_p(nu, p) == plain_orbit_walk(nu, p)
+
+
+def test_orbit_mod_p_matches_plain_walk_on_every_residue():
+    """Every nu in 2..2p+1 covers each residue class mod p at least twice."""
+    from jrtower.intmath import prime_sieve
+
+    for p in prime_sieve(100) + (257,):
+        for nu in range(2, 2 * p + 2):
+            assert orbit_mod_p(nu, p) == plain_orbit_walk(nu, p), (nu, p)
+
+
+def test_orbit_mod_p_matches_plain_walk_mod_65537():
+    # Only 295 residues mod 65537 ever reach 0, so seeded nu almost all
+    # miss; the fixed ones hit at n = 1, 2, 662, 631 and 608.
+    rng = random.Random(3002)
+    nus = [rng.randrange(2, 10**6) for _ in range(40)]
+    nus += [3 * 65537, 65537 + 1, 3279, 28664, 11089]
+    outcomes = set()
+    for nu in nus:
+        expected = plain_orbit_walk(nu, 65537)
+        outcomes.add(expected)
+        assert orbit_mod_p(nu, 65537) == expected, nu
+    assert {None, 1, 2, 608, 631, 662} <= outcomes
 
 
 def test_valuation_profile_support_shape():

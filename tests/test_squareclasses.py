@@ -4,8 +4,9 @@ from math import prod
 
 import pytest
 
+from jrtower.errors import InvariantFailure
 from jrtower.factor import EFFORT_QUICK, squarefree_kernel
-from jrtower.intmath import is_square
+from jrtower.intmath import is_square, split_two_part, v2
 from jrtower.orbit import constant_terms
 from jrtower.squareclasses import (
     ABSENT,
@@ -184,3 +185,43 @@ def test_sqrt2_free_certificate_refusals():
     assert not cert.certified  # odd part is 1
     for nu in (8, 3, 36, 4):
         assert sqrt2_free_certificate(nu).reason
+
+
+def certificate_shape_nus(limit: int) -> list[int]:
+    """nu <= limit with even v2(nu) >= 2, odd part >= 3, nu not a square."""
+    out = []
+    for nu in range(4, limit + 1):
+        v, mu = split_two_part(nu)
+        if v >= 2 and v % 2 == 0 and mu >= 3 and not is_square(nu):
+            out.append(nu)
+    return out
+
+
+def test_sqrt2_certificate_agrees_with_the_lattice():
+    """The lattice never lists kernel 2 where the 2-adic check certifies."""
+    nus = certificate_shape_nus(300)
+    assert len(nus) == 42
+    for nu in nus:
+        assert sqrt2_free_certificate(nu, EFFORT_QUICK, 8).certified
+        v = v2(nu)
+        assert all(v2(c) == v for c in constant_terms(nu, 8).c), nu
+        for n in range(1, 5):
+            status = contains_sqrt(nu, n, 2, EFFORT_QUICK).status
+            assert status != PRESENT, (nu, n)
+
+
+def test_sqrt2_certificate_reports_its_checked_depth():
+    for depth in (1, 5, 12):
+        cert = sqrt2_free_certificate(48, EFFORT_QUICK, depth)
+        assert cert.certified
+        assert cert.spot_checked_depth == depth
+
+
+def test_sqrt2_certificate_guard_fires_when_the_pattern_breaks(monkeypatch):
+    real_v2 = v2
+    # Shift the valuation of every c_n except c_1 = nu = 12.
+    monkeypatch.setattr(
+        "jrtower.squareclasses.v2", lambda n: real_v2(n) + (n != 12)
+    )
+    with pytest.raises(InvariantFailure, match="c_2"):
+        sqrt2_free_certificate(12)
