@@ -466,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tower depth for verdicts (default 5)")
     common.add_argument("--effort", choices=sorted(EFFORT_PRESETS), default="default",
                         help="factorization budget preset")
-    common.add_argument("--seedless", action="store_true", default=True,
-                        help="deterministic mode (always on; flag kept for scripts)")
     common.add_argument("--out", help="output file (scan: CSV with resume journal)")
     common.add_argument("--workers", type=int, default=1,
                         help="worker threads for scan (default 1)")

@@ -9,9 +9,11 @@ starting points instead of random ones.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from types import MappingProxyType
 
 from .intmath import is_prime, perfect_power, prime_sieve
 
@@ -47,16 +49,19 @@ PARTIAL = "partial"
 class Factorization:
     """Outcome of factorize(); immutable.
 
-    factors maps prime -> exponent. cofactor is None when the
-    factorization is complete, otherwise the remaining composite part
-    (guaranteed composite, coprime to all primes <= the trial bound).
+    factors maps prime -> exponent, as a read-only view of a private
+    copy, so a caller cannot alter a cached result. cofactor is None
+    when the factorization is complete, otherwise the remaining
+    composite part (guaranteed composite, coprime to all primes <= the
+    trial bound).
     """
 
     n: int
-    factors: dict[int, int]
+    factors: Mapping[int, int]
     cofactor: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
         rebuilt = prod(p**e for p, e in self.factors.items()) * (self.cofactor or 1)
         if rebuilt != self.n:
             raise ValueError(f"inconsistent factorization of {self.n}")
@@ -127,7 +132,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
                     break
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 spent += steps
                 g = gcd(q, n)
                 k += steps
@@ -137,7 +142,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if 1 < g < n:
             return g, spent
         c += 2

@@ -61,13 +61,18 @@ def iroot(n: int, k: int) -> int:
 
 
 def perfect_power(n: int) -> tuple[int, int] | None:
-    """Return (b, k) with n = b^k and k >= 2 maximal, or None."""
+    """Return (b, k) with n = b^k and k >= 2 maximal, or None.
+
+    Only prime exponents are tried: if n = b^p for a prime p, then the
+    maximal exponent of n is p times that of b, found by recursing on b.
+    """
     if n < 4:
         return None
-    for k in range(n.bit_length(), 1, -1):
-        b = iroot(n, k)
-        if b >= 2 and b ** k == n:
-            return b, k
+    for p in prime_sieve(n.bit_length()):
+        b = iroot(n, p)
+        if b ** p == n:
+            inner = perfect_power(b)
+            return (b, p) if inner is None else (inner[0], inner[1] * p)
     return None
 
 

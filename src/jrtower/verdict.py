@@ -301,15 +301,27 @@ def cos_minpoly(m: int) -> list[int]:
 def _cos_minpoly_pow2(e: int) -> list[int]:
     """Minimal polynomial of 2cos(2*pi/2^e) for e >= 2, uncapped.
 
-    Phi_{2^e} = x^(2^(e-1)) + 1 is built directly, skipping the
-    divisor ladder and the public cap.
+    Phi_{2^e} = x^(2h) + 1 with h = 2^(e-2), and x^-h Phi_{2^e} =
+    x^h + x^-h = V_h(x + 1/x), whose coefficients have a closed form:
+
+        V_h(y) = sum_k (-1)^k * h/(h-k) * C(h-k, k) * y^(h-2k).
+
+    Successive coefficients differ by the factor
+    -(h-2k)(h-2k-1) / ((k+1)(h-k-1)), and each division is exact, so
+    this takes O(h) integer steps. It skips the divisor ladder, the
+    public cap and the O(h^2) Chebyshev recurrence of
+    _palindrome_to_cos.
     """
     if e < 2:
         raise ValueError("e must be >= 2")
-    half_deg = 2 ** (e - 1)
-    coeffs = [0] * (half_deg + 1)
-    coeffs[0] = coeffs[half_deg] = 1
-    return _palindrome_to_cos(coeffs)
+    h = 2 ** (e - 2)
+    out = [0] * (h + 1)
+    a = 1
+    for k in range(h // 2):
+        out[h - 2 * k] = a
+        a = -a * (h - 2 * k) * (h - 2 * k - 1) // ((k + 1) * (h - k - 1))
+    out[h % 2] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +338,30 @@ def _tower_ring_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            for mask, coeff in _mul_basis(m1, m2).items():
+            for mask, coeff in _mul_basis(m1, m2):
                 out[mask] = out.get(mask, 0) + c1 * c2 * coeff
     return {m: c for m, c in out.items() if c}
 
 
 @lru_cache(maxsize=4096)
-def _mul_basis(m1: int, m2: int) -> dict[int, int]:
+def _mul_basis(m1: int, m2: int) -> tuple[tuple[int, int], ...]:
+    """Product of two basis monomials as (mask, coefficient) pairs.
+
+    A tuple, not a dict, so a caller cannot alter the cached value.
+    """
     shared = m1 & m2
     if shared == 0:
-        return {m1 | m2: 1}
+        return ((m1 | m2, 1),)
     i = shared.bit_length()  # highest shared variable s_i
     bit = 1 << (i - 1)
     rest = _mul_basis(m1 ^ bit, m2 ^ bit)
-    square = {0: 2} if i == 1 else {0: 2, 1 << (i - 2): 1}  # s_i^2
+    square = ((0, 2),) if i == 1 else ((0, 2), (1 << (i - 2), 1))  # s_i^2
     out: dict[int, int] = {}
-    for mr, cr in rest.items():
-        for ms, cs in square.items():
-            for mask, coeff in _mul_basis(mr, ms).items():
+    for mr, cr in rest:
+        for ms, cs in square:
+            for mask, coeff in _mul_basis(mr, ms):
                 out[mask] = out.get(mask, 0) + cr * cs * coeff
-    return {m: c for m, c in out.items() if c}
+    return tuple((m, c) for m, c in out.items() if c)
 
 
 def _radical_symbolic_check(poly: list[int], d: int) -> bool:
@@ -365,8 +381,11 @@ def _radical_numeric_check(poly: list[int], d: int) -> bool:
     # |p| evaluated near s < 2 is bounded by (deg+1) * max|c| * 2^deg;
     # enough working bits beyond that bound makes cancellation to
     # 2^-100 a proof-strength signal for these exact inputs.
+    # Rungs below that are skipped: a cancellation seen there proves
+    # nothing.
     needed = max(abs(c).bit_length() for c in poly) + len(poly) + 160
-    for prec in (256, 1024, 4096, max(16384, needed)):
+    ladder = [p for p in (256, 1024, 4096) if p >= needed]
+    for prec in ladder + [max(16384, needed)]:
         with mpmath.workprec(prec):
             s = mpmath.sqrt(2)
             for _ in range(d - 2):

@@ -161,13 +161,6 @@ def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def _closure_perms(gens: list[tuple[int, ...]], leaves: int) -> set[tuple[int, ...]]:
     ident = tuple(range(leaves))
     seen = {ident}
@@ -185,7 +178,17 @@ def _closure_perms(gens: list[tuple[int, ...]], leaves: int) -> set[tuple[int, .
 
 
 def closure_order(generators: list[TreeAutomorphism]) -> int:
-    """Order of the subgroup generated by the given automorphisms."""
+    """Order of the subgroup H generated by the given automorphisms.
+
+    Let pi: H -> W_{n-1} be the action on the 2^(n-1) parents of the
+    leaves. Its kernel K only swaps sibling leaves, so K lies in the
+    elementary abelian (C_2)^(2^(n-1)) and |H| = |pi(H)| * 2^(rank K).
+    A breadth-first walk of pi(H) keeps one lift r_y per parent action
+    y; by Schreier's lemma the elements r_{y'}^-1 g r_y (g a generator,
+    y' the action of g r_y) generate K. Each is read off as the bit
+    vector of the sibling pairs it swaps and reduced over F_2, so no
+    more than |pi(H)| * len(generators) products are formed.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     depth = generators[0].depth
@@ -194,7 +197,40 @@ def closure_order(generators: list[TreeAutomorphism]) -> int:
     if depth > DEPTH_CAP:
         raise ResourceLimitError(f"depth capped at {DEPTH_CAP}")
     perms = [leaf_permutation(g) for g in generators]
-    return len(_closure_perms(perms, 1 << depth))
+    leaves = 1 << depth
+
+    def parent_action(p: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(p[x] >> 1 for x in range(0, leaves, 2))
+
+    ident = tuple(range(leaves))
+    reps = {parent_action(ident): ident}
+    frontier = [ident]
+    pivots: dict[int, int] = {}
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for g in perms:
+                q = _compose_perm(g, r)
+                key = parent_action(q)
+                lift = reps.get(key)
+                if lift is None:
+                    reps[key] = q
+                    nxt.append(q)
+                    continue
+                # lift and q send each sibling pair to the same pair, so
+                # lift^-1 q swaps pair x exactly where the two differ.
+                v = 0
+                for x in range(0, leaves, 2):
+                    if q[x] != lift[x]:
+                        v |= 1 << (x >> 1)
+                while v:
+                    top = v.bit_length()
+                    if top not in pivots:
+                        pivots[top] = v
+                        break
+                    v ^= pivots[top]
+        frontier = nxt
+    return len(reps) << len(pivots)
 
 
 @lru_cache(maxsize=DEPTH_CAP)
@@ -231,26 +267,16 @@ def _subgroup_closure(
 
 @lru_cache(maxsize=DEPTH_CAP)
 def _agemo_subgroup(depth: int) -> frozenset[tuple[int, ...]]:
-    """V = subgroup generated by all squares plus generator commutators.
+    """V = G^2 [G, G], generated by the squares of G alone.
 
-    Squares of every element already generate a subgroup containing
-    the whole commutator subgroup (the quotient by it has exponent 2,
-    hence is abelian); commutators of the minimal generators against
-    every element are thrown in anyway, cheaply keeping the definition
-    V = G^2 [G, G] recognizable.
+    Every commutator is a product of squares,
+
+        [x, y] = x y x^-1 y^-1 = x^2 (x^-1 y)^2 y^-2,
+
+    so the squares already generate G^2 [G, G].
     """
-    group = _full_group(depth)
-    leaves = 1 << depth
-    seeds = {_compose_perm(p, p) for p in group}
-    gen_perms = [leaf_permutation(x) for x in minimal_generators(depth)]
-    gen_invs = [_invert_perm(g) for g in gen_perms]
-    for h in group:
-        h_inv = _invert_perm(h)
-        for g, g_inv in zip(gen_perms, gen_invs):
-            seeds.add(
-                _compose_perm(_compose_perm(g, h), _compose_perm(g_inv, h_inv))
-            )
-    return frozenset(_subgroup_closure(seeds, leaves))
+    seeds = {_compose_perm(p, p) for p in _full_group(depth)}
+    return frozenset(_subgroup_closure(seeds, 1 << depth))
 
 
 def agemo_rank(depth: int) -> int:

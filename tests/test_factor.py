@@ -124,6 +124,19 @@ def test_factorize_cached_stable():
     assert prod == 303177732
 
 
+def test_factorization_factors_are_read_only():
+    source = {2: 2, 3: 1}
+    f = Factorization(12, source)
+    source[5] = 1  # the caller's dict is copied, not kept
+    assert f.factors == {2: 2, 3: 1}
+    cached = factorize_cached(303177732, EFFORT_DEFAULT)
+    with pytest.raises(TypeError):
+        cached.factors[2] = 7
+    with pytest.raises(TypeError):
+        del cached.factors[2]
+    assert factorize_cached(303177732, EFFORT_DEFAULT).factors == factorize(303177732).factors
+
+
 def test_factorize_domain_edges():
     one = factorize(1)
     assert one.complete and one.factors == {}

@@ -94,6 +94,23 @@ def test_perfect_power_beyond_float_range():
     assert perfect_power((10**30 + 7) ** 3) == (10**30 + 7, 3)
 
 
+def test_perfect_power_against_sympy():
+    """Seeded b^k and b^k +- 1 against sympy's maximal-exponent answer."""
+    sympy_perfect_power = pytest.importorskip("sympy").perfect_power
+    rng = random.Random(1006)
+    bases = [10**399 + 3]  # (10^399 + 3)^5 has 1996 digits
+    exponents = [5]
+    for _ in range(150):
+        k = rng.randrange(2, 13)
+        digits = int(10 ** rng.uniform(0, 2.7))
+        bases.append(rng.randrange(2, 10 ** max(1, digits // k) + 2))
+        exponents.append(k)
+    for b, k in zip(bases, exponents):
+        for n in (b**k - 1, b**k, b**k + 1):
+            expected = sympy_perfect_power(n) if n > 1 else False
+            assert perfect_power(n) == (expected or None), n
+
+
 def test_is_prime_against_sieve():
     primes = set(prime_sieve(2000))
     for n in range(2, 2000):

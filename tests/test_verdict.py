@@ -23,6 +23,12 @@ from jrtower.verdict import (
     reduce_m,
     window_elements_deg2,
 )
+from jrtower.verdict import (
+    _cos_minpoly_pow2,
+    _mul_basis,
+    _palindrome_to_cos,
+    _radical_numeric_check,
+)
 
 
 def totient(m: int) -> int:
@@ -186,6 +192,38 @@ def test_nested_radical_full_domain():
         nested_radical_check(1)
     with pytest.raises(ResourceLimitError):
         nested_radical_check(NESTED_RADICAL_CAP + 1)
+
+
+def test_cos_minpoly_pow2_closed_form_matches_chebyshev_route():
+    for e in range(2, 14):
+        half_deg = 2 ** (e - 1)
+        phi = [1] + [0] * (half_deg - 1) + [1]  # x^(2^(e-1)) + 1
+        assert _cos_minpoly_pow2(e) == _palindrome_to_cos(phi), e
+
+
+def test_radical_numeric_check_never_accepts_below_proof_precision(monkeypatch):
+    used = []
+    workprec = mpmath.workprec
+
+    def recording(prec):
+        used.append(prec)
+        return workprec(prec)
+
+    monkeypatch.setattr(mpmath, "workprec", recording)
+    for d in range(2, NESTED_RADICAL_CAP + 1):
+        poly = _cos_minpoly_pow2(d + 1)
+        needed = max(abs(c).bit_length() for c in poly) + len(poly) + 160
+        used.clear()
+        assert _radical_numeric_check(poly, d)
+        assert used and min(used) >= needed, (d, used)
+
+
+def test_mul_basis_cache_cannot_be_altered():
+    product = _mul_basis(3, 3)  # (s_1 s_2)^2 = 2 (2 + s_1) = 4 + 2 s_1
+    assert product == ((0, 4), (1, 2))
+    with pytest.raises(TypeError):
+        product[0] = (0, 5)
+    assert _mul_basis(3, 3) == ((0, 4), (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from jrtower import wreath
 from jrtower.errors import ResourceLimitError
 from jrtower.wreath import (
     DEPTH_CAP,
@@ -17,6 +18,7 @@ from jrtower.wreath import (
     minimal_generators,
     node_image,
 )
+from jrtower.wreath import _agemo_subgroup, _closure_perms, _full_group
 
 
 def random_element(rng: random.Random, depth: int) -> TreeAutomorphism:
@@ -86,7 +88,7 @@ def test_compose_is_associative():
 
 
 def test_minimal_generators_generate_everything():
-    for depth in range(1, 4):
+    for depth in range(1, 5):
         gens = minimal_generators(depth)
         assert len(gens) == depth
         assert closure_order(gens) == 2 ** (2**depth - 1)
@@ -98,6 +100,73 @@ def test_closure_order_of_subgroups():
     assert closure_order([g[0]]) == 2
     with pytest.raises(ValueError):
         closure_order([])
+
+
+def random_generating_set(rng: random.Random, depth: int) -> list[TreeAutomorphism]:
+    """1-4 random portraits, some levels held at zero in all of them.
+
+    The portraits with every bit of a level zero form a subgroup, so a
+    held level keeps the generated group proper.
+    """
+    held = {level for level in range(depth) if rng.random() < 0.3}
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        bits = tuple(
+            0 if (v + 1).bit_length() - 1 in held else rng.randrange(2)
+            for v in range(2**depth - 1)
+        )
+        gens.append(TreeAutomorphism(depth, bits))
+    return gens
+
+
+def test_closure_order_matches_enumeration_and_sympy():
+    """Schreier's-lemma order = full breadth-first closure = sympy's order."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(7005)
+    orders = set()
+    for depth in range(1, 5):
+        for _ in range(50):
+            perms = [leaf_permutation(g) for g in random_generating_set(rng, depth)]
+            order = closure_order([from_leaf_permutation(p, depth) for p in perms])
+            assert order == len(_closure_perms(perms, 1 << depth))
+            group = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(p)) for p in perms]
+            )
+            assert order == group.order()
+            orders.add((depth, order == 2 ** (2**depth - 1)))
+    # every depth saw both the whole group and a proper subgroup
+    assert orders == {(d, full) for d in range(1, 5) for full in (True, False)}
+
+
+def test_closure_order_forms_few_products(monkeypatch):
+    """At most |pi(G)| * generators products: 2^7 * 4 at depth 4, with slack 2."""
+    calls = 0
+    compose_perm = wreath._compose_perm
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose_perm(p, q)
+
+    monkeypatch.setattr(wreath, "_compose_perm", counting)
+    assert closure_order(minimal_generators(4)) == 2**15
+    assert calls <= 2 * 128 * 4
+
+
+def test_agemo_subgroup_contains_the_commutators():
+    """The squares alone generate G^2[G,G]: no commutator lies outside."""
+    for depth in range(1, 4):
+        v = _agemo_subgroup(depth)
+        group = _full_group(depth)
+        inverse = {p: q for p in group for q in group
+                   if compose_perms(p, q) == tuple(range(1 << depth))}
+        for g in minimal_generators(depth):
+            g = leaf_permutation(g)
+            for h in group:
+                commutator = compose_perms(
+                    compose_perms(g, h), compose_perms(inverse[g], inverse[h])
+                )
+                assert commutator in v
 
 
 def test_agemo_rank_matches_depth():
