@@ -4,8 +4,8 @@ Exit codes: 0 = success / conclusive, 2 = completed but inconclusive,
 1 = usage or input error. JSON output follows a fixed envelope
 {"schema": 1, "command": ..., "input": ..., "result": ...} with every
 integer serialized as a decimal string (values routinely exceed 64-bit
-ranges). Scan output is a pure function of (lo, hi, effort): identical
-bytes across reruns and worker counts.
+ranges). Scan output is a pure function of (lo, hi, depth, effort):
+identical bytes across reruns and worker counts.
 """
 
 from __future__ import annotations
@@ -184,6 +184,36 @@ def _record_to_csv(rec: dict) -> str:
     )
 
 
+def _journal_header(lo: int, hi: int, depth: int, effort: str) -> dict:
+    """First journal entry: the inputs its records were computed for."""
+    return {"lo": lo, "hi": hi, "depth": depth, "effort": effort,
+            "schema": SCHEMA_VERSION}
+
+
+def _read_journal(path: str, header: dict) -> dict[int, dict]:
+    """Records of a resume journal, or none unless it opens with header."""
+    done: dict[int, dict] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    # A journal for other inputs (or from before journals had a header)
+    # holds records of another scan: start over rather than mix them in.
+    try:
+        if not lines or json.loads(lines[0]) != {"header": header}:
+            return done
+    except ValueError:
+        return done
+    for line in lines[1:]:
+        # A crash mid-write can truncate the final line; skip anything
+        # that does not parse as a complete entry.
+        try:
+            rec = json.loads(line)["record"]
+            rec["nu"] = int(rec["nu"])
+        except (ValueError, KeyError, TypeError):
+            continue
+        done[rec["nu"]] = rec
+    return done
+
+
 def _cmd_scan(args) -> int:
     lo, hi = args.lo, args.hi
     if lo < 2 or hi < lo:
@@ -194,22 +224,13 @@ def _cmd_scan(args) -> int:
     journal = None
     if args.out:
         journal_path = args.out + ".partial"
+        header = _journal_header(lo, hi, args.depth, args.effort)
         if os.path.exists(journal_path):
-            with open(journal_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    # A crash mid-write can truncate the final line; skip
-                    # anything that does not parse as a complete entry.
-                    try:
-                        entry = json.loads(line)
-                        rec = entry["record"]
-                        rec["nu"] = int(rec["nu"])
-                    except (ValueError, KeyError, TypeError):
-                        continue
-                    done[rec["nu"]] = rec
-        journal = open(journal_path, "a", encoding="utf-8")
+            done = _read_journal(journal_path, header)
+        journal = open(journal_path, "a" if done else "w", encoding="utf-8")
+        if not done:
+            journal.write(json.dumps({"header": header}) + "\n")
+            journal.flush()
 
     todo = [nu for nu in range(lo, hi + 1) if nu not in done]
     try:

@@ -49,10 +49,19 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Integer Newton from above: n < 2^bits, so 2^ceil(bits/k) exceeds
-    # the root. Each step stays at or above the floor (AM-GM) and falls
-    # strictly while x^k > n, so the first non-decrease is the floor.
-    x = 1 << -(-n.bit_length() // k)
+    bits = n.bit_length()
+    if bits <= k:
+        return 1
+    # Seed from the top bits: with r the floor root of n >> (k*m),
+    # n >> (k*m) < (r + 1)^k, so n < ((r + 1) << m)^k and the seed lies
+    # above the root, by a factor 1 + 1/r. Taking m as half the root's
+    # bits gives r the other half, and the recursion halves the bits at
+    # each level, as in isqrt.
+    m = -(-bits // k) // 2
+    x = (iroot(n >> (k * m), k) + 1) << m
+    # Integer Newton from above: each step stays at or above the floor
+    # (AM-GM) and falls strictly while x^k > n, so the first
+    # non-decrease is the floor.
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

@@ -129,6 +129,11 @@ def orbit_mod_p(nu: int, p: int) -> int | None:
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    return _orbit_walk(nu, p)
+
+
+def _orbit_walk(nu: int, p: int) -> int | None:
+    """orbit_mod_p for a p the caller has already proved prime."""
     x = saved = nu % p
     n, power, steps = 1, 1, 0
     while x:

@@ -38,9 +38,10 @@ from .factor import EFFORT_DEFAULT, Effort, factorize_cached
 from .intmath import is_square, isqrt
 from .orbit import (
     SEQUENCE_CAP,
+    Strictness,
     TowerParams,
+    _orbit_walk,
     constant_terms,
-    orbit_mod_p,
     tower_params,
     tower_strict,
 )
@@ -472,7 +473,16 @@ def fermat_obstruction(nu: int, p: int, depth: int = 5) -> FermatObstruction:
     """
     if p not in known_fermat_primes() or p == 3:
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
-    strict = tower_strict(nu, min(depth, SEQUENCE_CAP))
+    return _obstruction_chain(tower_strict(nu, min(depth, SEQUENCE_CAP)), p)
+
+
+def _obstruction_chain(strict: Strictness, p: int) -> FermatObstruction:
+    """fermat_obstruction for a Pepin-certified p > 3, given strictness.
+
+    p comes from known_fermat_primes(), so the orbit walk does not
+    re-prove it prime.
+    """
+    nu = strict.nu
     if not strict:
         raise PreconditionError(
             f"tower over nu = {nu} is not strict: c_{strict.witness} is a square"
@@ -486,7 +496,7 @@ def fermat_obstruction(nu: int, p: int, depth: int = 5) -> FermatObstruction:
         return FermatObstruction(
             nu, p, INCONCLUSIVE, (), f"nu is a quadratic residue mod {p}"
         )
-    if orbit_mod_p(nu, p) is not None:
+    if _orbit_walk(nu, p) is not None:
         raise InvariantFailure(
             f"non-residue nu = {nu} has a vanishing orbit mod {p}"
         )
@@ -642,7 +652,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     sqrt2 = sqrt2_free_certificate(hypothesis.params, effort, depth)
     if strictness.strict:
         obstructions = tuple(
-            fermat_obstruction(nu, p, depth)
+            _obstruction_chain(strictness, p)
             for p in known_fermat_primes()
             if p > 3
         )

@@ -10,9 +10,12 @@ on the left: (a * b) means "apply b, then a", giving the portrait rule
 
 where b(v) is the node v lands on under b.
 
-For bulk work (closures, subgroup generation) elements are converted
-to permutations of the 2^n leaves, where composition is a single tuple
-gather; portraits remain the canonical public form.
+For bulk work elements are converted to permutations of the 2^n
+leaves, where composition is a single tuple gather; portraits remain
+the canonical public form. Subgroup orders, the Frattini subgroup's
+included, are counted by Schreier's lemma on the bottom level, so no
+subgroup is listed element by element; only the depth <= 2 brute-force
+check of the index-2 count lists the whole group.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from itertools import combinations
 
 from .errors import InvariantFailure, ResourceLimitError
 
-# Depth 4 already has |G| = 2^15 = 32768 elements; depth 5 would be
-# 2^31 and is out of desk range for explicit closures.
+# Depth 4 already has |G| = 2^15 = 32768 elements; at depth 5 the
+# Schreier walk would keep a lift for each of the 2^15 elements of the
+# level-4 quotient, out of desk range.
 DEPTH_CAP = 4
 
 
@@ -177,27 +181,18 @@ def _closure_perms(gens: list[tuple[int, ...]], leaves: int) -> set[tuple[int, .
     return seen
 
 
-def closure_order(generators: list[TreeAutomorphism]) -> int:
-    """Order of the subgroup H generated by the given automorphisms.
+def _schreier_order(perms: list[tuple[int, ...]], leaves: int) -> int:
+    """Order of the subgroup H generated by leaf permutations.
 
-    Let pi: H -> W_{n-1} be the action on the 2^(n-1) parents of the
-    leaves. Its kernel K only swaps sibling leaves, so K lies in the
-    elementary abelian (C_2)^(2^(n-1)) and |H| = |pi(H)| * 2^(rank K).
-    A breadth-first walk of pi(H) keeps one lift r_y per parent action
+    Let pi: H -> W_{n-1} be the action on the leaves' parents. Its
+    kernel K only swaps sibling leaves, so K lies in the elementary
+    abelian (C_2)^(leaves/2) and |H| = |pi(H)| * 2^(rank K). A
+    breadth-first walk of pi(H) keeps one lift r_y per parent action
     y; by Schreier's lemma the elements r_{y'}^-1 g r_y (g a generator,
     y' the action of g r_y) generate K. Each is read off as the bit
     vector of the sibling pairs it swaps and reduced over F_2, so no
-    more than |pi(H)| * len(generators) products are formed.
+    more than |pi(H)| * len(perms) products are formed.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    depth = generators[0].depth
-    if any(g.depth != depth for g in generators):
-        raise ValueError("depth mismatch among generators")
-    if depth > DEPTH_CAP:
-        raise ResourceLimitError(f"depth capped at {DEPTH_CAP}")
-    perms = [leaf_permutation(g) for g in generators]
-    leaves = 1 << depth
 
     def parent_action(p: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(p[x] >> 1 for x in range(0, leaves, 2))
@@ -233,8 +228,25 @@ def closure_order(generators: list[TreeAutomorphism]) -> int:
     return len(reps) << len(pivots)
 
 
-@lru_cache(maxsize=DEPTH_CAP)
+def closure_order(generators: list[TreeAutomorphism]) -> int:
+    """Order of the subgroup generated by the given automorphisms.
+
+    Counted by Schreier's lemma on the bottom level (_schreier_order),
+    never by listing the subgroup.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    depth = generators[0].depth
+    if any(g.depth != depth for g in generators):
+        raise ValueError("depth mismatch among generators")
+    if depth > DEPTH_CAP:
+        raise ResourceLimitError(f"depth capped at {DEPTH_CAP}")
+    return _schreier_order([leaf_permutation(g) for g in generators], 1 << depth)
+
+
+@lru_cache(maxsize=2)
 def _full_group(depth: int) -> frozenset[tuple[int, ...]]:
+    """Every element of G, listed; only the depth <= 2 brute-force check uses it."""
     gens = [leaf_permutation(g) for g in minimal_generators(depth)]
     group = _closure_perms(gens, 1 << depth)
     if len(group) != 2 ** (2**depth - 1):
@@ -244,53 +256,79 @@ def _full_group(depth: int) -> frozenset[tuple[int, ...]]:
     return frozenset(group)
 
 
-def _subgroup_closure(
-    elements: set[tuple[int, ...]], leaves: int
-) -> set[tuple[int, ...]]:
-    """Subgroup generated by the elements, adopting generators incrementally.
+def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(p)
+    for x, y in enumerate(p):
+        inverse[y] = x
+    return tuple(inverse)
 
-    Finite group, so closure under composition suffices. Candidate
-    generators already inside the partial subgroup are skipped; at most
-    log2 of the final order are ever adopted, keeping the breadth-first
-    passes small. Candidates are sorted for determinism.
+
+def _normal_closure_order(
+    gens: list[tuple[int, ...]], seeds: list[tuple[int, ...]], leaves: int
+) -> int:
+    """Order of the normal closure of the seeds in the group <gens>.
+
+    The seeds are grown by the conjugates g s g^-1 of the newest
+    elements s under each generator g. Once a round leaves the
+    Schreier count unchanged, the new conjugates already lie in the
+    subgroup, which every generator (of a finite group) therefore maps
+    onto itself: it is normal, and it is the normal closure.
     """
     ident = tuple(range(leaves))
-    sub: set[tuple[int, ...]] = {ident}
-    adopted: list[tuple[int, ...]] = []
-    for cand in sorted(elements):
-        if cand in sub:
-            continue
-        adopted.append(cand)
-        sub = _closure_perms(adopted, leaves)
-    return sub
+    invs = [_invert_perm(g) for g in gens]
+    elements = list(dict.fromkeys(s for s in seeds if s != ident))
+    order = _schreier_order(elements, leaves) if elements else 1
+    known, newest = set(elements), list(elements)
+    while newest:
+        conjugates = []
+        for g, g_inv in zip(gens, invs):
+            for s in newest:
+                c = _compose_perm(_compose_perm(g, s), g_inv)
+                if c not in known:
+                    known.add(c)
+                    conjugates.append(c)
+        if not conjugates:
+            break
+        elements.extend(conjugates)
+        grown = _schreier_order(elements, leaves)
+        if grown == order:
+            break
+        order, newest = grown, conjugates
+    return order
 
 
 @lru_cache(maxsize=DEPTH_CAP)
-def _agemo_subgroup(depth: int) -> frozenset[tuple[int, ...]]:
-    """V = G^2 [G, G], generated by the squares of G alone.
+def _frattini_order(depth: int) -> int:
+    """|Phi(G)| for G = [C_2]^depth, as the normal closure of a few elements.
 
-    Every commutator is a product of squares,
-
-        [x, y] = x y x^-1 y^-1 = x^2 (x^-1 y)^2 y^-2,
-
-    so the squares already generate G^2 [G, G].
+    Phi(G) = G^2 [G, G] is normal, and modulo the normal closure N of
+    the squares g_i^2 and commutators [g_i, g_j] of the generators, G
+    is generated by commuting involutions; so G / N is elementary
+    abelian and N = Phi(G).
     """
-    seeds = {_compose_perm(p, p) for p in _full_group(depth)}
-    return frozenset(_subgroup_closure(seeds, 1 << depth))
+    gens = [leaf_permutation(g) for g in minimal_generators(depth)]
+    seeds = [_compose_perm(g, g) for g in gens]
+    for g, h in combinations(gens, 2):
+        seeds.append(_compose_perm(
+            _compose_perm(g, h), _compose_perm(_invert_perm(g), _invert_perm(h))
+        ))
+    return _normal_closure_order(gens, seeds, 1 << depth)
 
 
 def agemo_rank(depth: int) -> int:
     """Rank d of G / (G^2 [G,G]) as an F_2 vector space; equals the depth.
 
-    G^2 [G,G] is the Frattini subgroup here, so d is also the size of
-    every minimal generating set.
+    G^2 [G,G] is the Frattini subgroup Phi(G), so d is also the size of
+    every minimal generating set. Its order comes from _frattini_order,
+    the normal closure of the generators' squares and commutators
+    counted by Schreier's lemma, so no element list of G is formed.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEPTH_CAP:
         raise ResourceLimitError(f"depth capped at {DEPTH_CAP}")
     group_order = 2 ** (2**depth - 1)
-    v_order = len(_agemo_subgroup(depth))
+    v_order = _frattini_order(depth)
     quotient = group_order // v_order
     if v_order * quotient != group_order or quotient & (quotient - 1):
         raise InvariantFailure("quotient by the agemo subgroup is not a 2-power")

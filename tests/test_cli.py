@@ -107,7 +107,7 @@ def test_scan_out_file_and_journal_cleanup(tmp_path, capsys):
 
 
 def test_scan_resume_from_partial_journal(tmp_path, capsys):
-    from jrtower.cli import _scan_record
+    from jrtower.cli import _journal_header, _scan_record
 
     fresh = tmp_path / "fresh.csv"
     code, _, _ = run(capsys, "scan", "4", "12", "--effort", "quick",
@@ -117,6 +117,7 @@ def test_scan_resume_from_partial_journal(tmp_path, capsys):
     resumed = tmp_path / "resumed.csv"
     journal = tmp_path / "resumed.csv.partial"
     with journal.open("w") as fh:
+        fh.write(json.dumps({"header": _journal_header(4, 12, 5, "quick")}) + "\n")
         for nu in (4, 5, 6):
             rec = _scan_record(nu, 5, EFFORT_QUICK)
             fh.write(json.dumps({"record": rec, "ts": 0.0}) + "\n")
@@ -125,6 +126,53 @@ def test_scan_resume_from_partial_journal(tmp_path, capsys):
                      "--out", str(resumed))
     assert code == 0
     assert resumed.read_bytes() == fresh.read_bytes()
+    assert not journal.exists()
+
+
+def _journal_with_marked_record(path, header):
+    """A journal whose one record for nu = 4 no verdict can produce;
+    header None leaves the header entry out."""
+    from jrtower.cli import _scan_record
+
+    rec = dict(_scan_record(4, 5, EFFORT_QUICK), conclusion="from-the-journal")
+    with path.open("w") as fh:
+        if header is not None:
+            fh.write(json.dumps({"header": header}) + "\n")
+        fh.write(json.dumps({"record": rec, "ts": 0.0}) + "\n")
+
+
+def test_scan_resume_keeps_records_of_a_matching_journal(tmp_path, capsys):
+    from jrtower.cli import _journal_header
+
+    out_file = tmp_path / "scan.csv"
+    _journal_with_marked_record(tmp_path / "scan.csv.partial",
+                                _journal_header(4, 8, 5, "quick"))
+    code, _, _ = run(capsys, "scan", "4", "8", "--effort", "quick",
+                     "--out", str(out_file))
+    assert code == 0
+    assert "4,from-the-journal," in out_file.read_text()
+
+
+@pytest.mark.parametrize("stale", [
+    {"lo": 4, "hi": 8, "depth": 1, "effort": "quick"},
+    {"lo": 4, "hi": 8, "depth": 5, "effort": "default"},
+    {"lo": 2, "hi": 8, "depth": 5, "effort": "quick"},
+    {"lo": 4, "hi": 8, "depth": 5, "effort": "quick", "schema": 0},
+    None,
+], ids=["depth", "effort", "range", "schema", "no-header"])
+def test_scan_discards_a_journal_for_other_inputs(tmp_path, capsys, stale):
+    from jrtower.cli import _journal_header
+
+    fresh = tmp_path / "fresh.csv"
+    run(capsys, "scan", "4", "8", "--effort", "quick", "--out", str(fresh))
+    out_file = tmp_path / "scan.csv"
+    journal = tmp_path / "scan.csv.partial"
+    header = None if stale is None else dict(_journal_header(4, 8, 5, "quick"), **stale)
+    _journal_with_marked_record(journal, header)
+    code, _, _ = run(capsys, "scan", "4", "8", "--effort", "quick",
+                     "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == fresh.read_bytes()
     assert not journal.exists()
 
 
@@ -152,6 +200,27 @@ def test_scan_csv_matches_golden_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the concatenated JSON outputs, recorded while the Frattini
+# subgroup was still found by listing the whole depth-4 group.
+GOLDEN_ALGEBRA = [
+    ("group", range(1, 5),
+     "4de36e9a88e33b76c0bff93bb44abcf86ba080b3229e3a3a394366501d5080d0"),
+    ("radical", range(2, 13),
+     "d715816eda02460bd39afcdfc54f6419438a4bc2fe1e021580928211c25b531a"),
+]
+
+
+@pytest.mark.parametrize("command,args,digest", GOLDEN_ALGEBRA,
+                         ids=["group-1-4", "radical-2-12"])
+def test_algebra_json_matches_golden_digest(capsys, command, args, digest):
+    outputs = []
+    for arg in args:
+        code, out, _ = run(capsys, command, str(arg), "--json")
+        assert code == 0
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
 
 def test_scan_json_mode(capsys):

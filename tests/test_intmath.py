@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from jrtower import intmath
 from jrtower.intmath import (
     is_prime,
     is_square,
@@ -73,6 +74,35 @@ def test_iroot_floor_property_up_to_2000_digits():
     # would leave a walk up of one step at a time.
     assert iroot((10**30 + 7) ** 3 + 5, 3) == 10**30 + 7
     assert iroot((10**30 + 7) ** 3 - 1, 3) == 10**30 + 6
+
+
+def test_iroot_takes_few_newton_steps_at_large_k(monkeypatch):
+    """The top-bits seed keeps Newton short where a power-of-two seed
+    fell by a factor of only about 1 - 1/k a step (273 steps at k = 503).
+
+    Each Newton step divides n once; n is wrapped at every level of the
+    recursion in an int that counts its floor divisions.
+    """
+    steps = 0
+
+    class Counted(int):
+        def __floordiv__(self, other):
+            nonlocal steps
+            steps += 1
+            return int(self) // other
+
+    plain = intmath.iroot
+    monkeypatch.setattr(intmath, "iroot", lambda n, k: plain(Counted(n), k))
+    n = 10**2000 + 7
+    worst = 0
+    for k in prime_sieve(n.bit_length()):
+        steps = 0
+        x = intmath.iroot(n, k)
+        assert x**k <= n < (x + 1) ** k, k
+        worst = max(worst, steps)
+        if k == 503:
+            assert x == 9465 and steps <= 30
+    assert 0 < worst <= 50
 
 
 def test_perfect_power_detects_maximal_exponent():

@@ -260,6 +260,31 @@ def test_fermat_obstruction_domain():
         fermat_obstruction(4, 5)
 
 
+def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
+    """One tower_strict per verdict, shared by the four obstruction
+    chains, whose orbit walks do not re-prove the Fermat primes."""
+    from jrtower import orbit, verdict
+
+    calls = 0
+    strict = verdict.tower_strict
+
+    def counting(nu, N):
+        nonlocal calls
+        calls += 1
+        return strict(nu, N)
+
+    def forbidden(n):
+        raise AssertionError("a Fermat prime was proved prime again")
+
+    expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
+    monkeypatch.setattr(verdict, "tower_strict", counting)
+    monkeypatch.setattr(orbit, "is_prime", forbidden)
+    report = jr_verdict(12, 5)
+    assert calls == 1
+    assert list(report.obstructions) == expected
+    assert report.conclusion == THEOREM_APPLIES
+
+
 def test_hypothesis_check_bundle():
     hyp = hypothesis_check(12)
     assert hyp.passed

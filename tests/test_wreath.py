@@ -18,7 +18,7 @@ from jrtower.wreath import (
     minimal_generators,
     node_image,
 )
-from jrtower.wreath import _agemo_subgroup, _closure_perms, _full_group
+from jrtower.wreath import _closure_perms, _frattini_order, _normal_closure_order
 
 
 def random_element(rng: random.Random, depth: int) -> TreeAutomorphism:
@@ -29,6 +29,10 @@ def random_element(rng: random.Random, depth: int) -> TreeAutomorphism:
 def compose_perms(p, q):
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
+
+
+def invert_perms(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def test_identity_fixes_everything():
@@ -153,29 +157,73 @@ def test_closure_order_forms_few_products(monkeypatch):
     assert calls <= 2 * 128 * 4
 
 
-def test_agemo_subgroup_contains_the_commutators():
-    """The squares alone generate G^2[G,G]: no commutator lies outside."""
-    for depth in range(1, 4):
-        v = _agemo_subgroup(depth)
-        group = _full_group(depth)
-        inverse = {p: q for p in group for q in group
-                   if compose_perms(p, q) == tuple(range(1 << depth))}
-        for g in minimal_generators(depth):
-            g = leaf_permutation(g)
-            for h in group:
-                commutator = compose_perms(
-                    compose_perms(g, h), compose_perms(inverse[g], inverse[h])
-                )
-                assert commutator in v
+def test_frattini_order_matches_the_squares_of_every_element():
+    """Normal-closure order = |<x^2 : x in G>|, G listed in full.
+
+    The squares of all of G generate G^2[G,G], since
+    [x, y] = x^2 (x^-1 y)^2 y^-2; the subgroup they generate is
+    closed here breadth-first, adopting a square only when it is new.
+    """
+    for depth in range(1, 5):
+        leaves = 1 << depth
+        gens = [leaf_permutation(g) for g in minimal_generators(depth)]
+        squares = sorted({compose_perms(p, p) for p in _closure_perms(gens, leaves)})
+        adopted, subgroup = [], {tuple(range(leaves))}
+        for square in squares:
+            if square not in subgroup:
+                adopted.append(square)
+                subgroup = _closure_perms(adopted, leaves)
+        assert _frattini_order(depth) == len(subgroup)
+
+
+def test_normal_closure_order_matches_conjugates_under_every_element():
+    """Growing by generator conjugates = closing every conjugate h s h^-1."""
+    rng = random.Random(7006)
+    grew = False
+    for depth in (2, 3):
+        leaves = 1 << depth
+        gens = [leaf_permutation(g) for g in minimal_generators(depth)]
+        group = sorted(_closure_perms(gens, leaves))
+        for _ in range(25):
+            seeds = rng.sample(group, rng.randint(1, 2))
+            conjugates = {
+                compose_perms(compose_perms(h, s), invert_perms(h))
+                for h in group for s in seeds
+            }
+            order = _normal_closure_order(gens, seeds, leaves)
+            assert order == len(_closure_perms(sorted(conjugates), leaves))
+            grew |= order > len(_closure_perms(seeds, leaves))
+    # some seed sets were not normal, so the conjugation rounds mattered
+    assert grew
+
+
+def test_agemo_rank_lists_no_group(monkeypatch):
+    """agemo_rank(4) never enumerates a group and forms few products."""
+    calls = 0
+    compose_perm = wreath._compose_perm
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose_perm(p, q)
+
+    def forbidden(*args):
+        raise AssertionError("agemo_rank listed a group")
+
+    monkeypatch.setattr(wreath, "_compose_perm", counting)
+    monkeypatch.setattr(wreath, "_closure_perms", forbidden)
+    _frattini_order.cache_clear()
+    assert agemo_rank(4) == 4
+    assert 0 < calls <= 1000
 
 
 def test_agemo_rank_matches_depth():
-    for depth in range(1, 4):
+    for depth in range(1, 5):
         assert agemo_rank(depth) == depth
 
 
 def test_count_index2_subgroups_small():
-    for depth in range(1, 4):
+    for depth in range(1, 5):
         assert count_index2_subgroups(depth) == 2**depth - 1
 
 
