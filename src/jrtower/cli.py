@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import verdict as verdict_mod
@@ -119,7 +120,7 @@ def _render_verdict(report) -> str:
         "  sqrt(2) exclusion: "
         + ("certified" if report.sqrt2.certified else f"not certified ({report.sqrt2.reason})")
     )
-    if report.sqrt2.mu_not_squarefree:
+    if report.sqrt2.certified and report.hypothesis.mu_not_squarefree:
         lines.append("  note: odd part of nu is not square-free (uncharted territory flag)")
     for ob in report.obstructions:
         detail = "" if ob.status == "excluded" else f" ({ob.reason})"
@@ -162,7 +163,7 @@ def _scan_record(nu: int, depth: int, effort: Effort) -> dict:
     flags = []
     if report.finite_scope_caveat:
         flags.append("finite-scope-caveat")
-    if report.sqrt2.certified and report.sqrt2.mu_not_squarefree:
+    if report.sqrt2.certified and report.hypothesis.mu_not_squarefree:
         flags.append("mu-not-squarefree")
     if report.conclusion != THEOREM_APPLIES:
         flags.extend(
@@ -233,20 +234,13 @@ def _cmd_scan(args) -> int:
             journal.flush()
 
     todo = [nu for nu in range(lo, hi + 1) if nu not in done]
+    workers = ThreadPoolExecutor(args.workers) if args.workers > 1 else nullcontext()
     try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                for nu, rec in zip(todo, pool.map(
-                    lambda v: _scan_record(v, args.depth, effort), todo
-                )):
-                    done[nu] = rec
-                    if journal:
-                        journal.write(json.dumps(
-                            {"record": rec, "ts": time.time()}) + "\n")
-                        journal.flush()
-        else:
-            for nu in todo:
-                rec = _scan_record(nu, args.depth, effort)
+        with workers as pool:
+            results = (pool.map if pool else map)(
+                lambda nu: _scan_record(nu, args.depth, effort), todo
+            )
+            for nu, rec in zip(todo, results):
                 done[nu] = rec
                 if journal:
                     journal.write(json.dumps({"record": rec, "ts": time.time()}) + "\n")
@@ -256,29 +250,18 @@ def _cmd_scan(args) -> int:
             journal.close()
 
     records = [done[nu] for nu in sorted(done) if lo <= nu <= hi]
-    csv_lines = [CSV_HEADER] + [_record_to_csv(r) for r in records]
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_text = "\n".join([CSV_HEADER] + [_record_to_csv(r) for r in records])
 
     if args.out:
         tmp = args.out + ".tmp"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+            fh.write(csv_text + "\n")
         os.replace(tmp, args.out)
         os.remove(args.out + ".partial")
 
-    if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "scan",
-            "input": _stringify({"lo": lo, "hi": hi, "depth": args.depth,
-                                 "effort": args.effort}),
-            "result": _stringify({"records": records}),
-        }
-        print(canonical_json(doc))
-    elif not args.out:
-        sys.stdout.write(csv_text)
-    else:
-        print(f"wrote {len(records)} records to {args.out}")
+    human = f"wrote {len(records)} records to {args.out}" if args.out else csv_text
+    _emit(args, "scan", {"lo": lo, "hi": hi, "depth": args.depth, "effort": args.effort},
+          {"records": records}, human)
     return 0
 
 
@@ -433,8 +416,7 @@ def _cmd_explore7(args) -> int:
     lines.append(f"  {report.disclaimer}")
     _emit(args, "explore7", {"depth": args.depth}, result, "\n".join(lines))
     has_unknown = (
-        report.independence == "unknown"
-        or report.sqrt2_status == "unknown"
+        report.sqrt2_status == "unknown"
         or any(st != "complete" for st in report.factor_status)
     )
     return 2 if has_unknown else 0
@@ -481,68 +463,58 @@ def _cmd_radical(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jrtower", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--depth", type=int, default=5,
-                        help="tower depth for verdicts (default 5)")
-    common.add_argument("--effort", choices=sorted(EFFORT_PRESETS), default="default",
-                        help="factorization budget preset")
-    common.add_argument("--out", help="output file (scan: CSV with resume journal)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for scan (default 1)")
-
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="canonical JSON output")
+    depth_opt = argparse.ArgumentParser(add_help=False)
+    depth_opt.add_argument("--depth", type=int, default=5,
+                           help="tower depth (default 5)")
+    effort_opt = argparse.ArgumentParser(add_help=False)
+    effort_opt.add_argument("--effort", choices=sorted(EFFORT_PRESETS), default="default",
+                            help="factorization budget preset")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="full JR verdict for one nu")
-    p.add_argument("nu", type=int)
-    p.set_defaults(func=_cmd_verify)
+    def command(name, func, help, *options):
+        p = sub.add_parser(name, parents=[json_opt, *options], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("scan", parents=[common], help="verdict records for a range")
+    p = command("verify", _cmd_verify, "full JR verdict for one nu", depth_opt, effort_opt)
+    p.add_argument("nu", type=int)
+
+    p = command("scan", _cmd_scan, "verdict records for a range", depth_opt, effort_opt)
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.set_defaults(func=_cmd_scan)
+    p.add_argument("--out", help="CSV output file, with a resume journal")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker threads (default 1)")
 
-    p = sub.add_parser("disc", parents=[common],
-                       help="discriminant with oracle and norm ladder")
+    p = command("disc", _cmd_disc, "discriminant with oracle and norm ladder")
     p.add_argument("nu", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_disc)
 
-    p = sub.add_parser("orbit", parents=[common],
-                       help="orbit constants, strictness, valuation profiles")
+    p = command("orbit", _cmd_orbit, "orbit constants, strictness, valuation profiles")
     p.add_argument("nu", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("group", parents=[common],
-                       help="wreath product order, rank, subgroup count")
+    p = command("group", _cmd_group, "wreath product order, rank, subgroup count")
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_group)
 
-    p = sub.add_parser("fermat", parents=[common],
-                       help="Pepin table and non-residue checks")
-    p.set_defaults(func=_cmd_fermat)
+    command("fermat", _cmd_fermat, "Pepin table and non-residue checks")
 
-    p = sub.add_parser("cos", parents=[common],
-                       help="cosine minimal polynomial and constructibility")
+    p = command("cos", _cmd_cos, "cosine minimal polynomial and constructibility",
+                effort_opt)
     p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_cos)
 
-    p = sub.add_parser("explore7", parents=[common],
-                       help="square-class evidence for the open case nu = 7")
-    p.set_defaults(func=_cmd_explore7)
+    command("explore7", _cmd_explore7, "square-class evidence for the open case nu = 7",
+            depth_opt, effort_opt)
 
-    p = sub.add_parser("window", parents=[common],
-                       help="degree <= 2 totally positive elements under t")
+    p = command("window", _cmd_window, "degree <= 2 totally positive elements under t")
     p.add_argument("nu", type=int)
     p.add_argument("t", help="window bound (integer or fraction like 15/2)")
     p.add_argument("height", type=int, help="bound on the sqrt coefficient")
-    p.set_defaults(func=_cmd_window)
 
-    p = sub.add_parser("radical", parents=[common],
-                       help="verify the nested-radical cosine identity")
+    p = command("radical", _cmd_radical, "verify the nested-radical cosine identity")
     p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_radical)
 
     return parser
 

@@ -102,12 +102,13 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Strong probable-prime test to fixed bases.
 
-    Proven-correct for n < 3.317e24 (fixed witness set); above that it
-    uses the first 50 prime bases, which has no known counterexample.
-    Inputs in this package stay far below even the proven bound's use
-    cases for certificates (Pepin handles the Fermat numbers).
+    Below 3.317e24 the 13 primes 2..41 make it a proof (Sorenson and
+    Webster, Math. Comp. 86 (2017)). Above, as for the 50-100 digit
+    cofactors of c_7, the first 50 primes give a proof only of a False:
+    composites that are strong pseudoprimes to every prime base below
+    307 exist (Arnault, 1995), so a True there is probable, not proved.
     """
     if n < 2:
         return False

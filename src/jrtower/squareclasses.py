@@ -8,18 +8,19 @@ product, and the level then contains exactly 2^n - 1 quadratic
 subfields Q(sqrt d), one per nonempty subset of {1..n}, with d the
 square-free kernel of the subset product.
 
-All subset arithmetic happens on exponent-parity vectors; the subset
-products themselves are never multiplied out.
+Every decision runs on exponent-parity rows over a coprime base of the
+values (see _coprime_base), found with gcds alone, so no decision waits
+on a factorization. Factoring only names the kernels for display.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from .errors import InvariantFailure
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
-from .intmath import v2
+from .intmath import is_square, v2
 from .orbit import TowerParams, constant_terms, tower_params
 
 INDEPENDENT = "independent"
@@ -56,7 +57,8 @@ class SquareClassVector:
 def square_class_vector(
     value: int, effort: Effort = EFFORT_DEFAULT
 ) -> SquareClassVector | None:
-    """Parity vector of value, or None when its factorization stays partial."""
+    """Parity vector of value, or None when its factorization stays
+    partial. It names kernels; no decision uses it."""
     if value == 0:
         raise ValueError("0 has no square class")
     f = factorize_cached(abs(value), effort)
@@ -66,13 +68,83 @@ def square_class_vector(
     return SquareClassVector(value, odd, value < 0)
 
 
+def _coprime_base(values) -> list[int]:
+    """Pairwise-coprime integers > 1 whose powers give every value.
+
+    The quadratic gcd refinement; Bernstein, "Factoring into coprimes in
+    essentially linear time", J. Algorithms 54 (2005), is faster but a
+    dozen orbit constants do not need it. Splitting b and x with
+    g = gcd(b, x) > 1 into g, b/g and x/g divides the product of all
+    pending numbers by g, so the loop ends.
+    """
+    base: list[int] = []
+    pending = [abs(v) for v in values if abs(v) > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                pending += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _square_class_rows(values) -> list[int]:
+    """Class of each nonzero value in Q*/(Q*)^2 as an F_2 bitmask row.
+
+    Over pairwise-coprime parts b, a product is a square iff every b^e
+    in it is, that is iff e is even or b is a square. So a row holds the
+    exponent parities on the non-square parts, and a sign bit on top.
+    """
+    if 0 in values:
+        raise ValueError("0 has no square class")
+    parts = [b for b in _coprime_base(values) if not is_square(b)]
+    rows = []
+    for value in values:
+        rest, row = abs(value), 0
+        for i, b in enumerate(parts):
+            while rest % b == 0:
+                rest //= b
+                row ^= 1 << i
+        rows.append(row | (value < 0) << len(parts))
+    return rows
+
+
+def _echelon(rows: list[int]) -> tuple[int, list[int]]:
+    """F_2 elimination in input order: (rank, square-product subsets).
+
+    Each row carries provenance bits (bit i = input position i), so a
+    row that vanishes names a subset whose product is a square; those
+    subsets, in order of vanishing, are a basis of all such subsets.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for pos, row in enumerate(rows):
+        prov = 1 << pos
+        while row and (row & -row) in pivots:
+            pivot_row, pivot_prov = pivots[row & -row]
+            row, prov = row ^ pivot_row, prov ^ pivot_prov
+        if row:
+            pivots[row & -row] = (row, prov)
+        else:
+            kernel.append(prov)
+    return len(pivots), kernel
+
+
+def _positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @dataclass(frozen=True)
 class TwoIndependence:
     """Outcome of the F_2 rank computation over square classes.
 
     witness (only for status "dependent") is a tuple of 0-based
     positions into the input list whose product is a perfect square.
-    status "unknown" means some needed factorization stayed partial.
     rank is reported for the independent case (= number of inputs).
     """
 
@@ -84,46 +156,18 @@ class TwoIndependence:
         return self.status == INDEPENDENT
 
 
-def two_independent(
-    values: list[int] | tuple[int, ...], effort: Effort = EFFORT_DEFAULT
-) -> TwoIndependence:
+def two_independent(values: list[int] | tuple[int, ...]) -> TwoIndependence:
     """Decide 2-independence of nonzero integers by Gaussian elimination.
 
+    Exact: the rows come from a coprime base, not from factorizations.
     Deterministic: rows are processed in input order, so the reported
     dependency ends at the earliest position where the classes become
     linearly dependent over F_2.
     """
-    vectors = []
-    for value in values:
-        vec = square_class_vector(value, effort)
-        if vec is None:
-            return TwoIndependence(UNKNOWN, None, None)
-        vectors.append(vec)
-
-    primes = sorted({p for v in vectors for p in v.odd_primes})
-    index = {p: i for i, p in enumerate(primes)}
-    sign_bit = len(primes)
-
-    # Bitmask rows over the primes plus a sign coordinate, augmented
-    # with provenance bits so a vanished row names its subset.
-    pivot_by_low: dict[int, tuple[int, int]] = {}
-    for pos, vec in enumerate(vectors):
-        row = sum(1 << index[p] for p in vec.odd_primes)
-        if vec.negative:
-            row |= 1 << sign_bit
-        prov = 1 << pos
-        while row:
-            low = row & -row
-            hit = pivot_by_low.get(low)
-            if hit is None:
-                break
-            row ^= hit[0]
-            prov ^= hit[1]
-        if row == 0:
-            witness = tuple(i for i in range(pos + 1) if prov >> i & 1)
-            return TwoIndependence(DEPENDENT, None, witness)
-        pivot_by_low[row & -row] = (row, prov)
-    return TwoIndependence(INDEPENDENT, len(pivot_by_low), None)
+    rank, kernel = _echelon(_square_class_rows(values))
+    if kernel:
+        return TwoIndependence(DEPENDENT, None, tuple(_positions(kernel[0])))
+    return TwoIndependence(INDEPENDENT, rank, None)
 
 
 @dataclass(frozen=True)
@@ -134,8 +178,7 @@ class GaloisCheck:
     not a perfect square (no 2-independence computation needed);
     "full(by-rank)" certifies via the computed rank of c_1..c_n;
     "not-full" carries a witness set of 1-based indices whose product
-    of c's is a perfect square; "unknown" means a factorization ran out
-    of budget before the rank was decided.
+    of c's is a perfect square.
     """
 
     nu: int
@@ -147,25 +190,24 @@ class GaloisCheck:
         return self.status in (FULL_BY_RULE, FULL_BY_RANK)
 
 
-def galois_full_check(nu: int, n: int, effort: Effort = EFFORT_DEFAULT) -> GaloisCheck:
+def galois_full_check(nu: int, n: int) -> GaloisCheck:
     """Certify fullness of the level-n Galois group.
 
-    The rule route needs no factorizations: 4 | nu and nu non-square
-    force c_1..c_n to be 2-independent at every level. Otherwise the
-    rank of the square classes decides.
+    The rule route needs no square classes. It is Stoll's criterion for
+    x^2 + a with 4 | a and -a not a square, here a = -nu (Stoll, "Galois
+    groups over Q of some iterated polynomials", Arch. Math. 59 (1992)):
+    c_1..c_n are then 2-independent at every level. Otherwise the rank
+    of the square classes decides.
     """
     params = tower_params(nu)
     if n < 1:
         raise ValueError("n must be >= 1")
     if params.nu % 4 == 0 and not params.is_square:
         return GaloisCheck(nu, n, FULL_BY_RULE)
-    indep = two_independent(list(constant_terms(nu, n).c), effort)
-    if indep.status == INDEPENDENT:
+    indep = two_independent(constant_terms(nu, n).c)
+    if indep:
         return GaloisCheck(nu, n, FULL_BY_RANK)
-    if indep.status == DEPENDENT:
-        witness = frozenset(i + 1 for i in indep.witness)
-        return GaloisCheck(nu, n, NOT_FULL, witness)
-    return GaloisCheck(nu, n, UNKNOWN)
+    return GaloisCheck(nu, n, NOT_FULL, frozenset(i + 1 for i in indep.witness))
 
 
 @dataclass(frozen=True)
@@ -174,16 +216,16 @@ class SubfieldLattice:
 
     kernels maps each nonempty frozenset S of 1-based indices to the
     square-free kernel of prod(c_i for i in S), or to None when some
-    factorization stayed partial. rank is the F_2 rank of the classes
-    (None when unknown); complete means every kernel is known; galois
-    is the fullness status, and the lattice lists ALL quadratic
-    subfields exactly when the group is full.
+    factorization stayed partial. rank is the F_2 rank of the classes,
+    always decided; complete means every kernel is named; galois is the
+    fullness status, and the lattice lists ALL quadratic subfields
+    exactly when the group is full.
     """
 
     nu: int
     n: int
     kernels: dict[frozenset[int], int | None]
-    rank: int | None
+    rank: int
     complete: bool
     galois: str
 
@@ -194,7 +236,10 @@ class SubfieldLattice:
 def quadratic_subfields(
     nu: int, n: int, effort: Effort = EFFORT_DEFAULT
 ) -> SubfieldLattice:
-    """Kernel of every nonempty subset product of c_1..c_n, by parity XOR."""
+    """Kernel of every nonempty subset product of c_1..c_n, by parity XOR.
+
+    The kernels need factorizations, under effort; rank and galois do not.
+    """
     seq = constant_terms(nu, n)
     vectors = [square_class_vector(c, effort) for c in seq.c]
 
@@ -203,30 +248,15 @@ def quadratic_subfields(
     kernels: dict[frozenset[int], int | None] = {}
     for mask in range(1, 1 << n):
         low = mask & -mask
-        i = low.bit_length() - 1
-        rest = parities[mask ^ low]
-        vec = vectors[i]
-        if rest is None or vec is None:
-            parities[mask] = None
-        else:
-            parities[mask] = rest ^ vec.odd_primes
-        subset = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-        par = parities[mask]
+        rest, vec = parities[mask ^ low], vectors[low.bit_length() - 1]
+        par = None if rest is None or vec is None else rest ^ vec.odd_primes
+        parities[mask] = par
+        subset = frozenset(i + 1 for i in _positions(mask))
         kernels[subset] = None if par is None else prod(sorted(par))
 
-    indep = two_independent(list(seq.c), effort)
-    rank = indep.rank if indep.status == INDEPENDENT else None
-    if indep.status == DEPENDENT:
-        # Dependent classes still have a well-defined rank; recover it
-        # by counting distinct kernels when they are all known.
-        known = [k for k in kernels.values() if k is not None]
-        if len(known) == len(kernels):
-            distinct = len(set(known) | {1})
-            rank = distinct.bit_length() - 1
-            if 1 << rank != distinct:
-                raise InvariantFailure("subset kernels do not span a subspace")
+    rank = _echelon(_square_class_rows(seq.c))[0]
     complete = all(k is not None for k in kernels.values())
-    galois = galois_full_check(nu, n, effort).status
+    galois = galois_full_check(nu, n).status
     return SubfieldLattice(nu, n, kernels, rank, complete, galois)
 
 
@@ -236,8 +266,8 @@ class SqrtMembership:
 
     status "present" comes with the canonical witness subset (smallest
     size, then lexicographic); "absent" is only issued with a full
-    Galois certificate and a complete lattice, which together list
-    every quadratic subfield; anything less is "unknown".
+    Galois group, whose quadratic subfields are exactly the Q(sqrt c_S);
+    without one it is "unknown".
     """
 
     nu: int
@@ -256,7 +286,10 @@ def contains_sqrt(
     """Decide whether sqrt(d) lies in level n of the tower over nu.
 
     d must be a square-free integer >= 2 (membership of rational
-    square roots is trivial and not handled here).
+    square roots is trivial and not handled here); effort bounds only
+    the factorization that checks this. One elimination of
+    [c_1..c_n, d] finds the subsets S with d * c_S a square, and the
+    rank of c_1..c_n alone, which says whether the group is full.
     """
     if d < 2:
         raise ValueError("d must be a square-free integer >= 2")
@@ -266,13 +299,16 @@ def contains_sqrt(
     if any(e > 1 for e in fd.factors.values()):
         raise ValueError(f"d = {d} is not square-free")
 
-    lattice = quadratic_subfields(nu, n, effort)
-    matches = [s for s, k in lattice.kernels.items() if k == d]
-    if matches:
-        subset = min(matches, key=lambda s: (len(s), sorted(s)))
-        return SqrtMembership(nu, n, d, PRESENT, subset)
-    full = lattice.galois in (FULL_BY_RULE, FULL_BY_RANK)
-    if full and lattice.complete:
+    rank, kernel = _echelon(_square_class_rows((*constant_terms(nu, n).c, d)))
+    if kernel and kernel[-1] >> n:
+        # d's row vanished: the subsets S with d * c_S a square form the
+        # coset of this one by the square-product subsets of c_1..c_n.
+        coset = [kernel.pop() ^ 1 << n]
+        for k in kernel:
+            coset += [s ^ k for s in coset]
+        best = min(coset, key=lambda s: (s.bit_count(), _positions(s)))
+        return SqrtMembership(nu, n, d, PRESENT, frozenset(i + 1 for i in _positions(best)))
+    if rank == n + 1:
         return SqrtMembership(nu, n, d, ABSENT)
     return SqrtMembership(nu, n, d, UNKNOWN)
 
@@ -285,22 +321,18 @@ class Sqrt2Certificate:
     not a perfect square: then every subset product of c's has even
     2-adic valuation, so no kernel equals 2 at any level. certified is
     False with a reason when the shape conditions fail.
-    mu_not_squarefree flags the one configuration whose consequences
-    are undecided; it never blocks the certificate. spot_checked_depth
-    is the level up to which v2(c_n) = v2(nu) was checked.
+    spot_checked_depth is the level up to which v2(c_n) = v2(nu) was
+    checked.
     """
 
     nu: int
     certified: bool
     reason: str | None
-    mu_not_squarefree: bool | None
     spot_checked_depth: int | None
 
 
 def sqrt2_free_certificate(
-    params: TowerParams | int,
-    effort: Effort = EFFORT_DEFAULT,
-    spot_check_depth: int = 5,
+    params: TowerParams | int, spot_check_depth: int = 5
 ) -> Sqrt2Certificate:
     """Certify that sqrt(2) lies in no level of the tower.
 
@@ -317,25 +349,18 @@ def sqrt2_free_certificate(
         params = tower_params(params)
     v = params.two_adic_valuation
     if v == 0:
-        return Sqrt2Certificate(params.nu, False, "4 does not divide nu", None, None)
+        return Sqrt2Certificate(params.nu, False, "4 does not divide nu", None)
     if v % 2 == 1:
-        return Sqrt2Certificate(
-            params.nu, False, "2-adic valuation of nu is odd", None, None
-        )
+        return Sqrt2Certificate(params.nu, False, "2-adic valuation of nu is odd", None)
     if params.mu < 3:
-        return Sqrt2Certificate(params.nu, False, "odd part of nu is 1", None, None)
+        return Sqrt2Certificate(params.nu, False, "odd part of nu is 1", None)
     if params.is_square:
-        return Sqrt2Certificate(params.nu, False, "nu is a perfect square", None, None)
+        return Sqrt2Certificate(params.nu, False, "nu is a perfect square", None)
 
-    mu_kernel = None
-    f = factorize_cached(params.mu, effort)
-    if f.complete:
-        mu_kernel = all(e == 1 for e in f.factors.values())
     for n, cn in enumerate(constant_terms(params.nu, spot_check_depth).c, 1):
         if v2(cn) != v:
             raise InvariantFailure(
                 f"v2(c_{n}) = {v2(cn)} differs from v2(nu) = {v} at "
                 f"nu = {params.nu}, so kernel 2 is no longer ruled out"
             )
-    not_squarefree = None if mu_kernel is None else not mu_kernel
-    return Sqrt2Certificate(params.nu, True, None, not_squarefree, spot_check_depth)
+    return Sqrt2Certificate(params.nu, True, None, spot_check_depth)

@@ -649,7 +649,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
     hypothesis = hypothesis_check(nu, effort)
     strictness = tower_strict(nu, depth)
-    sqrt2 = sqrt2_free_certificate(hypothesis.params, effort, depth)
+    sqrt2 = sqrt2_free_certificate(hypothesis.params, depth)
     if strictness.strict:
         obstructions = tuple(
             _obstruction_chain(strictness, p)
@@ -769,13 +769,13 @@ class Nu7Report:
 def nu7_exploration(depth: int, effort: Effort = EFFORT_DEFAULT) -> Nu7Report:
     """Collect square-class evidence about the tower over nu = 7.
 
-    7 is odd, so the even-valuation machinery is silent; this explores
-    whether the constants look 2-independent and whether sqrt(2) shows
+    7 is odd, so the even-valuation machinery is silent; this decides
+    whether the constants are 2-independent and whether sqrt(2) shows
     up, without claiming anything beyond the examined depth.
     """
     seq = constant_terms(7, depth)
     facts = tuple(factorize_cached(c, effort).status for c in seq.c)
-    indep = two_independent(list(seq.c), effort)
+    indep = two_independent(seq.c)
     membership = contains_sqrt(7, depth, 2, effort)
     return Nu7Report(
         depth=depth,

@@ -47,7 +47,6 @@ from jrtower.verdict import (
     jr_verdict,
     nested_radical_check,
 )
-from jrtower.factor import EFFORT_QUICK
 
 
 def test_criterion_01_depth2_lattice_nu12():
@@ -175,7 +174,7 @@ def test_criterion_08_two_independence_oracle_equivalence():
             for r in range(1, len(vals) + 1)
             for combo in combinations(range(len(vals)), r)
         )
-        got = two_independent(vals, EFFORT_QUICK)
+        got = two_independent(vals)
         assert (got.status == DEPENDENT) == brute, vals
 
 

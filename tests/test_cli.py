@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from jrtower.cli import CSV_HEADER, canonical_json, main
+from jrtower.cli import CSV_HEADER, build_parser, canonical_json, main
 from jrtower.factor import EFFORT_QUICK
 
 
@@ -223,6 +224,64 @@ def test_algebra_json_matches_golden_digest(capsys, command, args, digest):
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
 
+# sha256 of the concatenated `explore7 --depth D --json` for D = 1..6,
+# recorded while independence and sqrt(2) membership were still decided
+# by factoring every c_n.
+GOLDEN_EXPLORE7 = "39b00968448d6dcd55dcb11a35e6218c7d5bc0a18baea644bbaf32394f8a74a6"
+
+
+def test_explore7_json_matches_golden_digest(capsys):
+    outputs = []
+    for depth in range(1, 7):
+        code, out, _ = run(capsys, "explore7", "--depth", str(depth), "--json")
+        assert code == 0
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GOLDEN_EXPLORE7
+
+
+def test_explore7_decides_past_the_factoring_budget(capsys):
+    """At depth 8 rho cannot finish c_7 and c_8, yet every class is decided."""
+    code, out, _ = run(capsys, "explore7", "--depth", "8", "--effort", "quick", "--json")
+    result = json.loads(out)["result"]
+    assert result["factor_status"][-1] == "partial"
+    assert (result["independence"], result["rank"], result["sqrt2_status"]) == (
+        "independent", "8", "absent")
+    assert code == 2  # a partial factor status still marks the report
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {
+        name: sorted(
+            a.option_strings[0] for a in sub._actions
+            if a.option_strings and a.dest != "help"
+        )
+        for name, sub in subcommands.items()
+    }
+    assert options == {
+        "verify": ["--depth", "--effort", "--json"],
+        "scan": ["--depth", "--effort", "--json", "--out", "--workers"],
+        "disc": ["--json"],
+        "orbit": ["--json"],
+        "group": ["--json"],
+        "fermat": ["--json"],
+        "cos": ["--effort", "--json"],
+        "explore7": ["--depth", "--effort", "--json"],
+        "window": ["--json"],
+        "radical": ["--json"],
+    }
+    assert sum(map(len, options.values())) == 19
+
+
+def test_an_ignored_option_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "group", "2", "--effort", "quick")
+    assert code == 1
+    assert "--effort" in err
+
+
 def test_scan_json_mode(capsys):
     code, out, _ = run(capsys, "scan", "4", "6", "--effort", "quick", "--json")
     assert code == 0
@@ -308,3 +367,14 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "disc", "4", "2")
     assert code == 1
+
+
+def test_mu_not_squarefree_note_is_gated_on_the_sqrt2_certificate(capsys):
+    note = "odd part of nu is not square-free"
+    _, out, _ = run(capsys, "verify", "180")  # 4 * 45, certified
+    assert note in out
+    _, out, _ = run(capsys, "verify", "18")  # 2 * 9, odd valuation, not certified
+    assert "sqrt(2) exclusion: not certified" in out
+    assert note not in out
+    _, out, _ = run(capsys, "verify", "12")
+    assert note not in out

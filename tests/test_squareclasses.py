@@ -1,6 +1,9 @@
 import random
+from functools import reduce
 from itertools import combinations
-from math import prod
+from operator import xor
+from types import SimpleNamespace
+from math import gcd, prod
 
 import pytest
 
@@ -10,6 +13,7 @@ from jrtower.intmath import is_square, split_two_part, v2
 from jrtower.orbit import constant_terms
 from jrtower.squareclasses import (
     ABSENT,
+    UNKNOWN,
     DEPENDENT,
     FULL_BY_RANK,
     FULL_BY_RULE,
@@ -22,6 +26,9 @@ from jrtower.squareclasses import (
     sqrt2_free_certificate,
     square_class_vector,
     two_independent,
+    _coprime_base,
+    _echelon,
+    _square_class_rows,
 )
 
 
@@ -74,7 +81,7 @@ def test_two_independent_witness_is_a_square_product():
     rng = random.Random(6001)
     for _ in range(120):
         vals = [rng.randrange(1, 10**4) for _ in range(rng.randrange(1, 6))]
-        r = two_independent(vals, EFFORT_QUICK)
+        r = two_independent(vals)
         dependent = brute_dependent(vals)
         assert (r.status == DEPENDENT) == dependent
         if r.status == DEPENDENT:
@@ -202,7 +209,7 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
     nus = certificate_shape_nus(300)
     assert len(nus) == 42
     for nu in nus:
-        assert sqrt2_free_certificate(nu, EFFORT_QUICK, 8).certified
+        assert sqrt2_free_certificate(nu, 8).certified
         v = v2(nu)
         assert all(v2(c) == v for c in constant_terms(nu, 8).c), nu
         for n in range(1, 5):
@@ -212,7 +219,7 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
 
 def test_sqrt2_certificate_reports_its_checked_depth():
     for depth in (1, 5, 12):
-        cert = sqrt2_free_certificate(48, EFFORT_QUICK, depth)
+        cert = sqrt2_free_certificate(48, depth)
         assert cert.certified
         assert cert.spot_checked_depth == depth
 
@@ -225,3 +232,176 @@ def test_sqrt2_certificate_guard_fires_when_the_pattern_breaks(monkeypatch):
     )
     with pytest.raises(InvariantFailure, match="c_2"):
         sqrt2_free_certificate(12)
+
+
+def random_square_class_values(rng) -> list[int]:
+    """Signed products of small primes, some with square or odd-power parts."""
+    vals = []
+    for _ in range(rng.randrange(1, 7)):
+        if rng.random() < 0.2:
+            vals.append(rng.choice((8 * 27, 45 * 20, -45 * 20, 4, -1, 72, -50)))
+            continue
+        v = 1
+        for p in rng.sample((2, 3, 5, 7, 11, 13, 101, 65537), rng.randrange(0, 4)):
+            v *= p ** rng.randrange(1, 5)
+        vals.append(v * rng.choice((1, 1, -1)) * rng.choice((1, 1, 4, 9, 36)))
+    return vals
+
+
+def factored_first_dependency(vals):
+    """First dependency in input order from the factored class vectors.
+
+    Classes are sets of (prime | sign) marks; a subset product is a square
+    when their symmetric difference is empty. Returns (witness, rank).
+    """
+    vecs = []
+    for v in vals:
+        vec = square_class_vector(v)
+        vecs.append(vec.odd_primes | ({"sign"} if vec.negative else set()))
+
+    def span(k):
+        out = {frozenset(): ()}
+        for i in range(k):
+            out.update({cls ^ vecs[i]: sub + (i,) for cls, sub in list(out.items())})
+        return out
+
+    for pos in range(len(vals)):
+        prefix = span(pos)
+        if vecs[pos] in prefix:
+            return prefix[vecs[pos]] + (pos,), None
+    return None, len(vals)
+
+
+def test_two_independent_matches_factoring_and_brute_force():
+    rng = random.Random(7029)
+    dependent_seen = 0
+    for _ in range(400):
+        vals = random_square_class_values(rng)
+        r = two_independent(vals)
+        witness, rank = factored_first_dependency(vals)
+        assert (r.status == DEPENDENT) == brute_dependent(vals) == (witness is not None), vals
+        assert (r.witness, r.rank) == (witness, rank), vals
+        if witness is not None:
+            dependent_seen += 1
+            assert is_square(prod(vals[i] for i in witness))
+    assert 50 < dependent_seen < 350
+
+
+def test_square_class_rank_matches_distinct_factored_classes():
+    rng = random.Random(7030)
+    for _ in range(200):
+        vals = random_square_class_values(rng)
+        classes = {(frozenset(), False)}
+        for v in vals:
+            vec = square_class_vector(v)
+            classes |= {(c ^ vec.odd_primes, s != vec.negative) for c, s in classes}
+        rank, kernel = _echelon(_square_class_rows(vals))
+        assert 1 << rank == len(classes), vals
+        assert rank + len(kernel) == len(vals)
+        for subset in kernel:
+            assert is_square(prod(v for i, v in enumerate(vals) if subset >> i & 1))
+
+
+def test_coprime_base_is_pairwise_coprime_and_generates_the_values():
+    rng = random.Random(7031)
+    for _ in range(200):
+        vals = random_square_class_values(rng)
+        base = _coprime_base(vals)
+        assert all(b > 1 for b in base)
+        assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+        for v in vals:
+            rest = abs(v)
+            for b in base:
+                while rest % b == 0:
+                    rest //= b
+            assert rest == 1, (vals, base)
+
+
+def test_two_independent_rejects_zero():
+    with pytest.raises(ValueError):
+        two_independent([3, 0])
+
+
+def test_nu7_constants_independent_through_the_sequence_cap():
+    c = constant_terms(7, 12).c
+    assert len(str(c[-1])) == 1662
+    r = two_independent(c)
+    assert r.status == INDEPENDENT
+    assert r.rank == 12
+    assert galois_full_check(7, 12).status == FULL_BY_RANK
+    assert contains_sqrt(7, 12, 2).status == ABSENT
+
+
+def test_contains_sqrt_factors_only_d(monkeypatch):
+    """nu = 240 is decided absent at default effort without factoring any c_n."""
+    import jrtower.factor
+    import jrtower.squareclasses
+
+    seen = []
+    for module, name in ((jrtower.squareclasses, "factorize_cached"),
+                         (jrtower.factor, "factorize")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda n, *a, _real=real: seen.append(n) or _real(n, *a))
+    m = contains_sqrt(240, 5, 2)
+    assert m.status == ABSENT
+    assert m.subset is None
+    assert 2 in seen
+    assert not set(seen) & set(constant_terms(240, 5).c)
+    assert set(seen) == {2}
+
+
+def test_sqrt2_free_certificate_factors_nothing(monkeypatch):
+    import jrtower.factor
+
+    def refuse(*args):
+        raise AssertionError("sqrt2_free_certificate factored")
+
+    monkeypatch.setattr(jrtower.factor, "factorize", refuse)
+    monkeypatch.setattr(jrtower.factor, "_factorize_cached", refuse)
+    for nu in (12, 180, 240, 588, 8, 36):
+        sqrt2_free_certificate(nu, 12)
+
+
+def test_contains_sqrt_matches_brute_force_subset_search():
+    """Against the first subset, by size then lexicographically, with d * c_S
+    a square; the d's include every factored kernel of the level."""
+    non_full = 0
+    for nu in range(2, 61):
+        for n in range(1, 5):
+            c = constant_terms(nu, n).c
+            odd = [square_class_vector(x).odd_primes for x in c]
+            ds = {2, 3, 5, 6, 7}
+            for r in range(1, n + 1):
+                for combo in combinations(range(n), r):
+                    ds.add(prod(reduce(xor, (odd[i] for i in combo))))
+            full = bool(galois_full_check(nu, n))
+            non_full += not full
+            for d in ds - {1}:
+                want = next(
+                    (frozenset(i + 1 for i in combo)
+                     for r in range(1, n + 1)
+                     for combo in combinations(range(n), r)
+                     if is_square(d * prod(c[i] for i in combo))),
+                    None,
+                )
+                m = contains_sqrt(nu, n, d)
+                if want is not None:
+                    assert (m.status, m.subset) == (PRESENT, want), (nu, n, d)
+                else:
+                    assert m.status == (ABSENT if full else UNKNOWN), (nu, n, d)
+    assert non_full > 20
+
+
+def test_contains_sqrt_searches_the_whole_solution_coset(monkeypatch):
+    """With c = (3, 5, 60), d = 15 has the solutions {1, 2} and {3}. The
+    elimination meets {1, 2} first; the canonical witness is the smaller {3}.
+    No tower up to nu = 3000 and depth 5 shows such a level, so the c's are
+    stand-ins."""
+    monkeypatch.setattr(
+        "jrtower.squareclasses.constant_terms",
+        lambda nu, n: SimpleNamespace(c=(3, 5, 60)[:n]),
+    )
+    m = contains_sqrt(3, 3, 15)
+    assert (m.status, m.subset) == (PRESENT, frozenset({3}))
+    assert (contains_sqrt(3, 2, 15).status, contains_sqrt(3, 2, 15).subset) == (
+        PRESENT, frozenset({1, 2}))
