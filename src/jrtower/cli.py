@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -234,7 +233,13 @@ def _cmd_scan(args) -> int:
             journal.flush()
 
     todo = [nu for nu in range(lo, hi + 1) if nu not in done]
-    workers = ThreadPoolExecutor(args.workers) if args.workers > 1 else nullcontext()
+    workers = nullcontext()
+    if args.workers > 1:
+        # Imported here: concurrent.futures costs more start-up time than
+        # a single-worker scan of a short range.
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = ThreadPoolExecutor(args.workers)
     try:
         with workers as pool:
             results = (pool.map if pool else map)(

@@ -54,10 +54,21 @@ def iroot(n: int, k: int) -> int:
         return 1
     # Seed from the top bits: with r the floor root of n >> (k*m),
     # n >> (k*m) < (r + 1)^k, so n < ((r + 1) << m)^k and the seed lies
-    # above the root, by a factor 1 + 1/r. Taking m as half the root's
-    # bits gives r the other half, and the recursion halves the bits at
-    # each level, as in isqrt.
-    m = -(-bits // k) // 2
+    # above the root, by a factor 1 + 1/r. The root has exactly
+    # R = ceil(bits/k) bits; taking m = (R - bits(k)) // 2 leaves r
+    # with at least bits(k) + 1 bits, so r > k, the seed's relative
+    # error is below 1/k and Newton is quadratic from its first step.
+    # The recursion about halves the root's bits at each level, as in
+    # isqrt, down to roots of at most bits(k) + 1 bits, which are found
+    # one bit at a time.
+    root_bits = -(-bits // k)
+    m = (root_bits - k.bit_length()) // 2
+    if m < 1:
+        x = 0
+        for b in range(root_bits - 1, -1, -1):
+            if (x | 1 << b) ** k <= n:
+                x |= 1 << b
+        return x
     x = (iroot(n >> (k * m), k) + 1) << m
     # Integer Newton from above: each step stays at or above the floor
     # (AM-GM) and falls strictly while x^k > n, so the first

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .errors import (
     CertificateFailure,
     InvariantFailure,
@@ -35,7 +33,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
-from .intmath import is_square, isqrt
+from .intmath import is_square, isqrt, prime_sieve
 from .orbit import (
     SEQUENCE_CAP,
     Strictness,
@@ -218,39 +216,54 @@ def constructible_order(m: int, effort: Effort = EFFORT_DEFAULT) -> Constructibi
     return ConstructibilityDecomposition(m, two_exp, odd, ok)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(m: int) -> tuple[int, ...]:
+def _cyclotomic(m: int) -> list[int]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
 
-    x^m - 1 divided exactly by the cyclotomic polynomials of the
-    proper divisors; integer arithmetic throughout.
+    Phi_m(x) = Phi_r(x^(m/r)) with r the radical of m, and
+    Phi_r = prod_{d | r} (x^d - 1)^mu(r/d) (Arnold and Monagan, Math.
+    Comp. 80 (2011)): multiply by the binomials with mu = +1, then
+    divide exactly by those with mu = -1, each step O(deg) in integers.
     """
-    poly = [0] * (m + 1)
-    poly[0], poly[m] = -1, 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_divexact(poly, list(_cyclotomic(d)))
-    return tuple(poly)
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact polynomial division (ascending coefficients)."""
-    num = num[:]
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    lead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        coeff = num[k + dn]
-        if coeff % lead:
-            raise InvariantFailure("inexact polynomial division")
-        coeff //= lead
-        out[k] = coeff
-        if coeff:
-            for i, c in enumerate(den):
-                num[k + i] -= coeff * c
-    if any(num[:dn]):
-        raise InvariantFailure("nonzero remainder in exact polynomial division")
+    divisors = [(1, 1)]  # (d, mu(d)) over the squarefree divisors of m
+    for p in prime_sieve(m):
+        if m % p == 0:
+            divisors += [(d * p, -mu) for d, mu in divisors]
+    r = divisors[-1][0]
+    mu_r = divisors[-1][1]  # mu(r/d) = mu(r) * mu(d) for squarefree r
+    poly = [1]
+    for d, mu in divisors:
+        if mu == mu_r:
+            poly = _times_binomial(poly, d)
+    for d, mu in divisors:
+        if mu != mu_r:
+            poly = _over_binomial(poly, d)
+    stride = m // r
+    out = [0] * (stride * (len(poly) - 1) + 1)
+    out[::stride] = poly
     return out
+
+
+def _times_binomial(poly: list[int], d: int) -> list[int]:
+    """poly * (x^d - 1), ascending coefficients."""
+    out = [0] * d + poly
+    for i, c in enumerate(poly):
+        out[i] -= c
+    return out
+
+
+def _over_binomial(poly: list[int], d: int) -> list[int]:
+    """poly / (x^d - 1), exactly; a nonzero remainder raises.
+
+    The quotient q satisfies q_j = q_(j-d) - poly_j; running that
+    recurrence past the quotient's degree must give zeros.
+    """
+    q = [-c for c in poly]
+    for j in range(d, len(q)):
+        q[j] += q[j - d]
+    n = len(poly) - d
+    if n < 1 or any(q[n:]):
+        raise InvariantFailure(f"x^{d} - 1 does not divide the cyclotomic product")
+    return q[:n]
 
 
 def _palindrome_to_cos(coeffs: list[int]) -> list[int]:
@@ -292,9 +305,9 @@ def cos_minpoly(m: int) -> list[int]:
         raise ValueError("m must be >= 3")
     if m > COS_M_CAP:
         raise ResourceLimitError(f"m capped at {COS_M_CAP}")
-    out = _palindrome_to_cos(list(_cyclotomic(m)))
-    phi = len(_cyclotomic(m)) - 1
-    if len(out) - 1 != phi // 2:
+    phi = _cyclotomic(m)
+    out = _palindrome_to_cos(phi)
+    if len(out) - 1 != (len(phi) - 1) // 2:
         raise InvariantFailure("cosine polynomial has the wrong degree")
     return out
 
@@ -378,25 +391,40 @@ def _radical_symbolic_check(poly: list[int], d: int) -> bool:
 
 
 def _radical_numeric_check(poly: list[int], d: int) -> bool:
-    """High-precision floating check that poly annihilates s_{d-1}."""
-    # |p| evaluated near s < 2 is bounded by (deg+1) * max|c| * 2^deg;
-    # enough working bits beyond that bound makes cancellation to
-    # 2^-100 a proof-strength signal for these exact inputs.
-    # Rungs below that are skipped: a cancellation seen there proves
-    # nothing.
+    """Fixed-point check that poly annihilates s_{d-1}.
+
+    Runs at needed = bits(max|c|) + len(poly) + 160 fractional bits
+    and accepts iff the value is below 2^-100. The error bound: each
+    s_k = sqrt(2 + s_(k-1)) is floored, and the square root more than
+    halves the error carried in, so s is within 2 ulp; t = s^2 is then within
+    2 * 2 * 2 + 1 = 9 ulp; and Horner in t over at most deg/2 + 1
+    coefficients, with |t| < 4, stays within deg * max|c| * 4^(deg/2)
+    * 9 ulp. With deg <= 2^11 that is below 2^-140, far under the
+    acceptance threshold.
+    """
     needed = max(abs(c).bit_length() for c in poly) + len(poly) + 160
-    ladder = [p for p in (256, 1024, 4096) if p >= needed]
-    for prec in ladder + [max(16384, needed)]:
-        with mpmath.workprec(prec):
-            s = mpmath.sqrt(2)
-            for _ in range(d - 2):
-                s = mpmath.sqrt(2 + s)
-            value = mpmath.mpf(0)
-            for coeff in reversed(poly):
-                value = value * s + coeff
-            if abs(value) < mpmath.mpf(2) ** (-100):
-                return True
-    return False
+    return abs(_radical_value(poly, d, needed)) < 1 << (needed - 100)
+
+
+def _radical_value(poly: list[int], d: int, prec: int) -> int:
+    """poly(s_{d-1}) * 2^prec, in integer fixed point.
+
+    s_0 = 0 and s_k = sqrt(2 + s_(k-1)) come from isqrt, rounded
+    down; the even and the odd coefficients are each run through
+    Horner in t = s^2, so poly = E(t) + s * O(t) takes deg/2 steps.
+    """
+    s = 0
+    for _ in range(d - 1):
+        s = isqrt(((2 << prec) + s) << prec)
+    t = s * s >> prec
+
+    def horner(coeffs: list[int]) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * t >> prec) + (c << prec)
+        return acc
+
+    return horner(poly[0::2]) + (s * horner(poly[1::2]) >> prec)
 
 
 def nested_radical_check(d: int) -> bool:
@@ -404,9 +432,9 @@ def nested_radical_check(d: int) -> bool:
 
     The minimal polynomial of the cosine is built exactly; for d <= 5
     the radical is plugged in symbolically (exact tower-ring
-    arithmetic), and for every d a high-precision numeric evaluation
-    must vanish. Failure of either raises InvariantFailure, since the
-    identity is a theorem.
+    arithmetic), and for every d a fixed-point evaluation at proof
+    precision must vanish. Failure of either raises InvariantFailure,
+    since the identity is a theorem.
     """
     if d < 2:
         raise ValueError("d must be >= 2")

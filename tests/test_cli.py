@@ -1,9 +1,13 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jrtower
 from jrtower.cli import CSV_HEADER, build_parser, canonical_json, main
 from jrtower.factor import EFFORT_QUICK
 
@@ -210,11 +214,14 @@ GOLDEN_ALGEBRA = [
      "4de36e9a88e33b76c0bff93bb44abcf86ba080b3229e3a3a394366501d5080d0"),
     ("radical", range(2, 13),
      "d715816eda02460bd39afcdfc54f6419438a4bc2fe1e021580928211c25b531a"),
+    # recorded while Phi_m was still divided by every divisor's Phi_d
+    ("cos", range(3, 201),
+     "b0671cc551407b45257c00c50646f75d5757fa82fffb29d6f548c00cda8696b9"),
 ]
 
 
 @pytest.mark.parametrize("command,args,digest", GOLDEN_ALGEBRA,
-                         ids=["group-1-4", "radical-2-12"])
+                         ids=["group-1-4", "radical-2-12", "cos-3-200"])
 def test_algebra_json_matches_golden_digest(capsys, command, args, digest):
     outputs = []
     for arg in args:
@@ -378,3 +385,16 @@ def test_mu_not_squarefree_note_is_gated_on_the_sqrt2_certificate(capsys):
     assert note not in out
     _, out, _ = run(capsys, "verify", "12")
     assert note not in out
+
+
+def test_import_loads_neither_mpmath_nor_concurrent_futures():
+    """A CLI start pays for neither: mpmath is a test oracle only, and the
+    thread pool is imported when --workers asks for one."""
+    src = os.path.dirname(os.path.dirname(jrtower.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("jrtower", "jrtower.cli"):
+        probe = (f"import sys, {module}; "
+                 "print(sorted({'mpmath', 'concurrent.futures'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]", (module, out)

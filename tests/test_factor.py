@@ -41,6 +41,21 @@ def test_factorize_random_against_trial_division():
         assert f.cofactor is None
 
 
+def test_factorize_against_sympy():
+    """Seeded products of primes of 1 to 9 digits, some to a power, are
+    factored completely at default effort, as sympy's factorint does."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2002)
+    for _ in range(200):
+        n = 1
+        for _ in range(rng.randrange(1, 5)):
+            p = sympy.nextprime(rng.randrange(1, 10 ** rng.randrange(1, 10)))
+            n *= p ** rng.choice((1, 1, 1, 2, 3))
+        f = factorize(n, EFFORT_DEFAULT)
+        assert f.complete, n
+        assert dict(f.factors) == sympy.factorint(n), n
+
+
 def test_factorize_known_values():
     f = factorize(17412)
     assert f.factors == {2: 2, 3: 1, 1451: 1}

@@ -77,11 +77,14 @@ def test_iroot_floor_property_up_to_2000_digits():
 
 
 def test_iroot_takes_few_newton_steps_at_large_k(monkeypatch):
-    """The top-bits seed keeps Newton short where a power-of-two seed
-    fell by a factor of only about 1 - 1/k a step (273 steps at k = 503).
+    """The top root keeps bits(k) more bits than half the root, so the
+    seed is within 1/k and Newton is quadratic at once, where a seed
+    from half the root's bits fell by a factor of only about 1 - 1/k a
+    step (44 Newton steps at k = 738; 273 from a power of two at k = 503).
 
-    Each Newton step divides n once; n is wrapped at every level of the
-    recursion in an int that counts its floor divisions.
+    Each Newton step divides n once and each bit of a small root
+    compares a power with n; n is wrapped at every level of the
+    recursion in an int that counts both.
     """
     steps = 0
 
@@ -90,6 +93,11 @@ def test_iroot_takes_few_newton_steps_at_large_k(monkeypatch):
             nonlocal steps
             steps += 1
             return int(self) // other
+
+        def __ge__(self, other):  # reflected from `x ** k <= n`
+            nonlocal steps
+            steps += 1
+            return int(self) >= other
 
     plain = intmath.iroot
     monkeypatch.setattr(intmath, "iroot", lambda n, k: plain(Counted(n), k))
@@ -101,8 +109,8 @@ def test_iroot_takes_few_newton_steps_at_large_k(monkeypatch):
         assert x**k <= n < (x + 1) ** k, k
         worst = max(worst, steps)
         if k == 503:
-            assert x == 9465 and steps <= 30
-    assert 0 < worst <= 50
+            assert x == 9465 and steps <= 20
+    assert 0 < worst <= 30
 
 
 def test_perfect_power_detects_maximal_exponent():
@@ -155,6 +163,32 @@ def test_is_prime_known_large_values():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(10**18 + 9)
     assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_is_prime_against_sympy():
+    """Seeded inputs of every size, strong pseudoprimes to many bases,
+    and primes and composites on both sides of the proof bound 3.317e24
+    (itself a strong pseudoprime to the 13 bases below it)."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1006)
+    limit = intmath._MR_SMALL_LIMIT
+    cases = [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        318665857834031151167461,  # strong pseudoprime to bases 2..37
+        limit,  # strong pseudoprime to bases 2..41
+        sympy.prevprime(limit),
+        sympy.nextprime(limit),
+    ]
+    for digits in (6, 12, 18, 24, 25, 40):
+        cases += [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(100)]
+    for _ in range(100):
+        cases.append(limit + rng.randrange(-(10**20), 10**20))
+        p = sympy.nextprime(rng.randrange(10**11, 10**13))
+        q = sympy.nextprime(limit // p + rng.randrange(-(10**6), 10**6))
+        cases += [p * q, p]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_prime_sieve_contents():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from jrtower.errors import PreconditionError, ResourceLimitError
+from jrtower import verdict
+from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
 from jrtower.verdict import (
     EXCLUDED,
     INCONCLUSIVE,
@@ -25,6 +26,7 @@ from jrtower.verdict import (
 )
 from jrtower.verdict import (
     _cos_minpoly_pow2,
+    _cyclotomic,
     _mul_basis,
     _palindrome_to_cos,
     _radical_numeric_check,
@@ -201,21 +203,95 @@ def test_cos_minpoly_pow2_closed_form_matches_chebyshev_route():
         assert _cos_minpoly_pow2(e) == _palindrome_to_cos(phi), e
 
 
-def test_radical_numeric_check_never_accepts_below_proof_precision(monkeypatch):
+def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
+    """One fixed-point pass at exactly `needed` bits, accepting d = 2..12,
+    rejecting a +-1 change to the constant term and to an odd
+    coefficient, and rejecting both neighbouring depths' polynomials;
+    mpmath at the same precision, as an oracle, agrees with the value.
+    """
     used = []
-    workprec = mpmath.workprec
+    value = verdict._radical_value
 
-    def recording(prec):
+    def recording(poly, d, prec):
         used.append(prec)
-        return workprec(prec)
+        return value(poly, d, prec)
 
-    monkeypatch.setattr(mpmath, "workprec", recording)
+    def proof_bits(poly):
+        return max(abs(c).bit_length() for c in poly) + len(poly) + 160
+
+    monkeypatch.setattr(verdict, "_radical_value", recording)
     for d in range(2, NESTED_RADICAL_CAP + 1):
         poly = _cos_minpoly_pow2(d + 1)
-        needed = max(abs(c).bit_length() for c in poly) + len(poly) + 160
         used.clear()
         assert _radical_numeric_check(poly, d)
-        assert used and min(used) >= needed, (d, used)
+        assert used == [proof_bits(poly)], (d, used)
+        wrong = [_cos_minpoly_pow2(d), _cos_minpoly_pow2(d + 2)]
+        for i in (0, 1):
+            for delta in (1, -1):
+                changed = poly[:]
+                changed[i] += delta
+                wrong.append(changed)
+        for other in wrong:
+            assert not _radical_numeric_check(other, d), (d, other)
+        for candidate in [poly] + wrong:
+            prec = proof_bits(candidate)
+            with mpmath.workprec(prec):
+                s = mpmath.sqrt(2)
+                for _ in range(d - 2):
+                    s = mpmath.sqrt(2 + s)
+                exact = mpmath.polyval(candidate[::-1], s)
+                fixed = mpmath.mpf(value(candidate, d, prec)) / 2**prec
+                assert abs(fixed - exact) < mpmath.mpf(2) ** -130, (d, candidate)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 401):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert _cyclotomic(m) == expected, m
+
+
+def test_cyclotomic_inexact_binomial_division_raises(monkeypatch):
+    # Phi_7 = (x^7 - 1) / (x - 1). Multiplying by x^7 alone leaves a
+    # remainder; skipping the product leaves a dividend of lower degree.
+    for times in (lambda poly, d: [0] * d + poly, lambda poly, d: poly):
+        monkeypatch.setattr(verdict, "_times_binomial", times)
+        with pytest.raises(InvariantFailure):
+            _cyclotomic(7)
+        with pytest.raises(InvariantFailure):
+            cos_minpoly(7)
+
+
+@pytest.mark.parametrize("name,fake,m", [
+    ("_cyclotomic", lambda m: [1, 2, 0, 1], 5),  # not palindromic
+    ("_cyclotomic", lambda m: [1, 0, 1, 1], 5),  # not palindromic
+    ("_cyclotomic", lambda m: [1, 1, 1, 1], 5),  # odd degree
+    ("_cyclotomic", lambda m: [2, 0, 2], 5),  # not monic
+    ("_palindrome_to_cos", lambda coeffs: [1, 1], 16),  # wrong degree
+])
+def test_cos_minpoly_invariant_failures_fire(monkeypatch, name, fake, m):
+    monkeypatch.setattr(verdict, name, fake)
+    with pytest.raises(InvariantFailure):
+        cos_minpoly(m)
+
+
+def test_nested_radical_invariant_failures_fire(monkeypatch):
+    pow2 = _cos_minpoly_pow2
+
+    def off_by_one(e):
+        poly = pow2(e)
+        poly[0] += 1
+        return poly
+
+    monkeypatch.setattr(verdict, "_cos_minpoly_pow2", off_by_one)
+    for d in (2, 5, 12):
+        with pytest.raises(InvariantFailure, match="numeric"):
+            nested_radical_check(d)
+    monkeypatch.setattr(verdict, "_radical_numeric_check", lambda poly, d: True)
+    for d in (2, 5):
+        with pytest.raises(InvariantFailure, match="symbolic"):
+            nested_radical_check(d)
 
 
 def test_mul_basis_cache_cannot_be_altered():
