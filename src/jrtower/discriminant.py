@@ -7,9 +7,11 @@ The production route is the recursion
 
 valid while the tower is strict (no c_k a perfect square, so each P_n
 is the minimal polynomial of x_n, of degree 2^n). The independent
-oracle recomputes disc(P_n) = (-1)^(d(d-1)/2) Res(P_n, P_n') from the
-Sylvester matrix with fraction-free (Bareiss) elimination; P_n is
-monic, so no leading-coefficient division is needed.
+oracle recomputes disc(P_n) = (-1)^(d(d-1)/2) Res(P_n, P_n') by the
+subresultant polynomial remainder sequence (Collins 1967, Brown and
+Traub 1971; Cohen, GTM 138, Alg. 3.3.7): O(d^2) exact integer steps,
+every division checked to leave no remainder. P_n is monic, so no
+leading-coefficient division is needed at the end.
 
 The norm ladder N_k interleaves both: N_0 = 4 nu and
 N_k = 2^(2^(k+1)) * c_{k+1}, so disc(x_n) = disc(x_{n-1})^2 * N_{n-1}.
@@ -23,9 +25,9 @@ from .errors import InvariantFailure, PreconditionError, ResourceLimitError
 from .intmath import is_prime
 from .orbit import SEQUENCE_CAP, constant_terms, iterate_poly, orbit_mod_p, tower_strict
 
-# The Sylvester matrix at level n is (2^(n+1) - 1) square; level 4
-# gives 31 x 31, a comfortable desk size. Level 5 would be 63 x 63
-# with thousand-digit entries: past the point of an oracle.
+# P_n has degree 2^n; level 4 gives a 15-step remainder sequence whose
+# coefficients reach about 400 digits for nu below 10^4. Level 5 would
+# take 31 steps past a thousand digits: beyond the point of an oracle.
 RESULTANT_CAP = 4
 
 
@@ -57,19 +59,72 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def _sylvester(p: list[int], q: list[int]) -> list[list[int]]:
-    """Sylvester matrix of p and q (ascending coefficient lists)."""
-    dp = len(p) - 1
-    dq = len(q) - 1
-    size = dp + dq
-    rows = []
-    p_desc = p[::-1]
-    q_desc = q[::-1]
-    for shift in range(dq):
-        rows.append([0] * shift + p_desc + [0] * (size - dp - 1 - shift))
-    for shift in range(dp):
-        rows.append([0] * shift + q_desc + [0] * (size - dq - 1 - shift))
-    return rows
+def _exact_quotient(a: int, b: int) -> int:
+    """a / b, which the subresultant theory says is exact; a remainder raises."""
+    q, r = divmod(a, b)
+    if r:
+        raise InvariantFailure("a subresultant division leaves a remainder")
+    return q
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, with no division.
+
+    Ascending coefficient lists, deg a >= deg b >= 1; the result is
+    trimmed, [] for zero.
+    """
+    lead = b[-1]
+    db = len(b) - 1
+    r = a[:]
+    spare = len(a) - len(b) + 1  # factors of lc(b) still owed
+    while len(r) > db:
+        top = r.pop()
+        shift = len(r) - db
+        r = [lead * c for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= top * c
+        spare -= 1
+        while r and r[-1] == 0:
+            r.pop()
+    scale = lead**spare
+    return [scale * c for c in r]
+
+
+def resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of integer polynomials (ascending coefficients).
+
+    The subresultant PRS (Cohen, GTM 138, Alg. 3.3.7, without the
+    content split): each step replaces (A, B) by
+    (B, prem(A, B) / (g h^delta)), delta = deg A - deg B, then sets
+    g = lc(B) and h = g^delta / h^(delta - 1). Every division goes
+    through _exact_quotient.
+    """
+    a = a[:]
+    b = b[:]
+    for p in (a, b):
+        while p and p[-1] == 0:
+            p.pop()
+    if not a or not b:
+        return 0
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        divisor = g * h**delta
+        a, b = b, [_exact_quotient(c, divisor) for c in r]
+        g = a[-1]
+        h = _exact_quotient(g**delta, h ** (delta - 1)) if delta else h
+    da = len(a) - 1
+    return sign * _exact_quotient(b[0] ** da, h ** (da - 1)) if da else sign
 
 
 def disc_resultant_oracle(nu: int, n: int) -> int:
@@ -78,12 +133,9 @@ def disc_resultant_oracle(nu: int, n: int) -> int:
         raise ResourceLimitError(f"resultant oracle capped at n = {RESULTANT_CAP}")
     poly = iterate_poly(nu, n)
     deriv = [k * poly[k] for k in range(1, len(poly))]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
-    resultant = bareiss_determinant(_sylvester(poly, deriv))
     d = len(poly) - 1
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant
+    return sign * resultant(poly, deriv)
 
 
 def disc_xn(nu: int, n: int) -> int:

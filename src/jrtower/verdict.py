@@ -266,30 +266,53 @@ def _over_binomial(poly: list[int], d: int) -> list[int]:
     return q[:n]
 
 
+def _slot_bits(half: int, weight: int) -> int:
+    """Kronecker slot width W for _palindrome_to_cos: the least multiple
+    of 8 with W >= half + bits(weight) + 2, weight = sum |a_k|."""
+    return (half + weight.bit_length() + 9) // 8 * 8
+
+
 def _palindrome_to_cos(coeffs: list[int]) -> list[int]:
     """Convert a palindromic Phi_m into the minimal polynomial of 2cos(2*pi/m).
 
     With x^d * Phi evaluated at x + 1/x, the substitution y = x + 1/x
     turns x^k + x^-k into the Chebyshev-like basis V_k(y), V_0 = 2,
-    V_1 = y, V_k = y V_{k-1} - V_{k-2}. The result is monic of degree
-    deg(Phi)/2.
+    V_1 = y, V_k = y V_{k-1} - V_{k-2}, and the result
+    a_0 + sum_k a_k V_k, a_k = coeffs[half + k], is monic of degree
+    half = deg(Phi)/2.
+
+    The basis change runs on packed ints (Kronecker substitution): a
+    polynomial sum b_j y^j is held as its value at y = 2^W, so the
+    recurrence is one shift and one subtraction and each accumulation
+    one product. The coefficient sizes of V_k sum to the Lucas number
+    L_k <= 2^k (k >= 1), so every output coefficient has
+    |b_j| <= 2^half * sum |a_k| < 2^(W-2) with W from _slot_bits.
+    Adding 2^(W-1) to every slot makes each a nonnegative W-bit field,
+    and one to_bytes call decodes them all; a biased total outside
+    [0, 2^((half+1) W)) has overflowed its slots and raises.
     """
     degree = len(coeffs) - 1
     if degree % 2 or coeffs != coeffs[::-1]:
         raise InvariantFailure("expected a palindromic polynomial of even degree")
     half = degree // 2
-    out = [0] * (half + 1)
-    out[0] = coeffs[half]
-    v_prev = [2]  # V_0
-    v_cur = [0, 1]  # V_1
-    for k in range(1, half + 1):
-        if k > 1:
-            nxt = [0] + v_cur  # y * V_{k-1}
-            for i, c in enumerate(v_prev):
-                nxt[i] -= c
-            v_prev, v_cur = v_cur, nxt
-        for i, c in enumerate(v_cur):
-            out[i] += coeffs[half + k] * c
+    a = coeffs[half:]
+    width = _slot_bits(half, sum(map(abs, a)))
+    acc = a[0]
+    v_prev, v = 2, 1 << width  # V_0, V_1
+    for c in a[1:]:
+        acc += c * v
+        v_prev, v = v, (v << width) - v_prev
+    size = width // 8
+    fields = half + 1
+    biased = acc + int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
+    if biased < 0 or biased.bit_length() > fields * width:
+        raise InvariantFailure("cosine coefficients overflow their Kronecker slots")
+    raw = biased.to_bytes(fields * size, "little")
+    offset = 1 << (width - 1)
+    out = [
+        int.from_bytes(raw[i : i + size], "little") - offset
+        for i in range(0, fields * size, size)
+    ]
     if out[-1] != 1:
         raise InvariantFailure("cosine polynomial is not monic")
     return out
@@ -323,7 +346,7 @@ def _cos_minpoly_pow2(e: int) -> list[int]:
     Successive coefficients differ by the factor
     -(h-2k)(h-2k-1) / ((k+1)(h-k-1)), and each division is exact, so
     this takes O(h) integer steps. It skips the divisor ladder, the
-    public cap and the O(h^2) Chebyshev recurrence of
+    public cap and the h-step packed Chebyshev recurrence of
     _palindrome_to_cos.
     """
     if e < 2:

@@ -11,7 +11,11 @@ on the left: (a * b) means "apply b, then a", giving the portrait rule
 where b(v) is the node v lands on under b.
 
 For bulk work elements are converted to permutations of the 2^n
-leaves, where composition is a single tuple gather; portraits remain
+leaves, held inside this module as byte tables (byte i is the image of
+leaf i), so composition is one bytes.translate and the other inner
+steps are bytes slices and int.from_bytes, all run in C. A byte holds
+a leaf index only while there are at most 256 leaves, depth <= 8;
+DEPTH_CAP = 4 gives 16. Portraits and leaf_permutation's tuples remain
 the canonical public form. Subgroup orders, the Frattini subgroup's
 included, are counted by Schreier's lemma on the bottom level, so no
 subgroup is listed element by element; only the depth <= 2 brute-force
@@ -160,13 +164,23 @@ def minimal_generators(depth: int) -> list[TreeAutomorphism]:
     return gens
 
 
-def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation of 'apply q, then p'."""
-    return tuple(p[x] for x in q)
+def _leaf_table(a: TreeAutomorphism) -> bytes:
+    """leaf_permutation(a) as a byte table, the form the group loops use."""
+    return bytes(leaf_permutation(a))
 
 
-def _closure_perms(gens: list[tuple[int, ...]], leaves: int) -> set[tuple[int, ...]]:
-    ident = tuple(range(leaves))
+def _compose_perm(p: bytes, q: bytes) -> bytes:
+    """Permutation of 'apply q, then p': byte i of the result is p[q[i]]."""
+    return q.translate(p.ljust(256, b"\0"))
+
+
+# _HALVE maps a leaf to its parent, so q[::2].translate(_HALVE) is the
+# action of q on the leaves' parents.
+_HALVE = bytes(x >> 1 for x in range(256))
+
+
+def _closure_perms(gens: list[bytes], leaves: int) -> set[bytes]:
+    ident = bytes(range(leaves))
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -181,7 +195,7 @@ def _closure_perms(gens: list[tuple[int, ...]], leaves: int) -> set[tuple[int, .
     return seen
 
 
-def _schreier_order(perms: list[tuple[int, ...]], leaves: int) -> int:
+def _schreier_order(perms: list[bytes], leaves: int) -> int:
     """Order of the subgroup H generated by leaf permutations.
 
     Let pi: H -> W_{n-1} be the action on the leaves' parents. Its
@@ -193,12 +207,8 @@ def _schreier_order(perms: list[tuple[int, ...]], leaves: int) -> int:
     vector of the sibling pairs it swaps and reduced over F_2, so no
     more than |pi(H)| * len(perms) products are formed.
     """
-
-    def parent_action(p: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p[x] >> 1 for x in range(0, leaves, 2))
-
-    ident = tuple(range(leaves))
-    reps = {parent_action(ident): ident}
+    ident = bytes(range(leaves))
+    reps = {ident[::2].translate(_HALVE): ident}
     frontier = [ident]
     pivots: dict[int, int] = {}
     while frontier:
@@ -206,18 +216,18 @@ def _schreier_order(perms: list[tuple[int, ...]], leaves: int) -> int:
         for r in frontier:
             for g in perms:
                 q = _compose_perm(g, r)
-                key = parent_action(q)
+                key = q[::2].translate(_HALVE)
                 lift = reps.get(key)
                 if lift is None:
                     reps[key] = q
                     nxt.append(q)
                     continue
                 # lift and q send each sibling pair to the same pair, so
-                # lift^-1 q swaps pair x exactly where the two differ.
-                v = 0
-                for x in range(0, leaves, 2):
-                    if q[x] != lift[x]:
-                        v |= 1 << (x >> 1)
+                # their images of a pair's left leaf differ at most in
+                # the low bit, and lift^-1 q swaps pair x exactly where
+                # they differ. XOR leaves a byte 0 or 1 per pair: an
+                # F_2 vector with one bit in each byte.
+                v = int.from_bytes(q[::2], "big") ^ int.from_bytes(lift[::2], "big")
                 while v:
                     top = v.bit_length()
                     if top not in pivots:
@@ -241,13 +251,13 @@ def closure_order(generators: list[TreeAutomorphism]) -> int:
         raise ValueError("depth mismatch among generators")
     if depth > DEPTH_CAP:
         raise ResourceLimitError(f"depth capped at {DEPTH_CAP}")
-    return _schreier_order([leaf_permutation(g) for g in generators], 1 << depth)
+    return _schreier_order([_leaf_table(g) for g in generators], 1 << depth)
 
 
 @lru_cache(maxsize=2)
-def _full_group(depth: int) -> frozenset[tuple[int, ...]]:
+def _full_group(depth: int) -> frozenset[bytes]:
     """Every element of G, listed; only the depth <= 2 brute-force check uses it."""
-    gens = [leaf_permutation(g) for g in minimal_generators(depth)]
+    gens = [_leaf_table(g) for g in minimal_generators(depth)]
     group = _closure_perms(gens, 1 << depth)
     if len(group) != 2 ** (2**depth - 1):
         raise InvariantFailure(
@@ -256,16 +266,14 @@ def _full_group(depth: int) -> frozenset[tuple[int, ...]]:
     return frozenset(group)
 
 
-def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = [0] * len(p)
+def _invert_perm(p: bytes) -> bytes:
+    inverse = bytearray(len(p))
     for x, y in enumerate(p):
         inverse[y] = x
-    return tuple(inverse)
+    return bytes(inverse)
 
 
-def _normal_closure_order(
-    gens: list[tuple[int, ...]], seeds: list[tuple[int, ...]], leaves: int
-) -> int:
+def _normal_closure_order(gens: list[bytes], seeds: list[bytes], leaves: int) -> int:
     """Order of the normal closure of the seeds in the group <gens>.
 
     The seeds are grown by the conjugates g s g^-1 of the newest
@@ -274,7 +282,7 @@ def _normal_closure_order(
     subgroup, which every generator (of a finite group) therefore maps
     onto itself: it is normal, and it is the normal closure.
     """
-    ident = tuple(range(leaves))
+    ident = bytes(range(leaves))
     invs = [_invert_perm(g) for g in gens]
     elements = list(dict.fromkeys(s for s in seeds if s != ident))
     order = _schreier_order(elements, leaves) if elements else 1
@@ -306,7 +314,7 @@ def _frattini_order(depth: int) -> int:
     is generated by commuting involutions; so G / N is elementary
     abelian and N = Phi(G).
     """
-    gens = [leaf_permutation(g) for g in minimal_generators(depth)]
+    gens = [_leaf_table(g) for g in minimal_generators(depth)]
     seeds = [_compose_perm(g, g) for g in gens]
     for g, h in combinations(gens, 2):
         seeds.append(_compose_perm(
@@ -344,7 +352,7 @@ def _index2_subgroup_count_exhaustive(depth: int) -> int:
     """Count index-2 subgroups by brute force (depth <= 2 only)."""
     group = sorted(_full_group(depth))
     half = len(group) // 2
-    ident = tuple(range(1 << depth))
+    ident = bytes(range(1 << depth))
     count = 0
     rest = [p for p in group if p != ident]
     for combo in combinations(rest, half - 1):

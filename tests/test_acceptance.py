@@ -60,7 +60,7 @@ def test_criterion_01_depth2_lattice_nu12():
 
 
 def test_criterion_02_discriminant_recursion_vs_resultant():
-    """Recursion equals the Sylvester-resultant oracle, plus a closed form."""
+    """Recursion equals the subresultant-PRS oracle, plus a closed form."""
     start = time.monotonic()
     for nu in (5, 7, 12, 28):
         for n in range(1, 5):

@@ -208,24 +208,28 @@ def test_scan_csv_matches_golden_digest(capsys, argv, digest):
 
 
 # sha256 of the concatenated JSON outputs, recorded while the Frattini
-# subgroup was still found by listing the whole depth-4 group.
+# subgroup was still found by listing the whole depth-4 group. Each
+# call's positional arguments are one tuple.
 GOLDEN_ALGEBRA = [
-    ("group", range(1, 5),
+    ("group", [(d,) for d in range(1, 5)],
      "4de36e9a88e33b76c0bff93bb44abcf86ba080b3229e3a3a394366501d5080d0"),
-    ("radical", range(2, 13),
+    ("radical", [(d,) for d in range(2, 13)],
      "d715816eda02460bd39afcdfc54f6419438a4bc2fe1e021580928211c25b531a"),
     # recorded while Phi_m was still divided by every divisor's Phi_d
-    ("cos", range(3, 201),
+    ("cos", [(m,) for m in range(3, 201)],
      "b0671cc551407b45257c00c50646f75d5757fa82fffb29d6f548c00cda8696b9"),
+    # recorded while the oracle was still Bareiss on the Sylvester matrix
+    ("disc", [(nu, n) for nu in (2, 3, 5, 6, 7, 12, 48, 240, 8756) for n in range(1, 5)],
+     "cb4ae6728127b5f6fce6de491f8eac800b8d0cd9c661b2b653cd01e48f4adfa6"),
 ]
 
 
-@pytest.mark.parametrize("command,args,digest", GOLDEN_ALGEBRA,
-                         ids=["group-1-4", "radical-2-12", "cos-3-200"])
-def test_algebra_json_matches_golden_digest(capsys, command, args, digest):
+@pytest.mark.parametrize("command,calls,digest", GOLDEN_ALGEBRA,
+                         ids=["group-1-4", "radical-2-12", "cos-3-200", "disc-1-4"])
+def test_algebra_json_matches_golden_digest(capsys, command, calls, digest):
     outputs = []
-    for arg in args:
-        code, out, _ = run(capsys, command, str(arg), "--json")
+    for args in calls:
+        code, out, _ = run(capsys, command, *map(str, args), "--json")
         assert code == 0
         outputs.append(out)
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest

@@ -2,18 +2,21 @@ import random
 
 import pytest
 
+from jrtower import discriminant
 from jrtower.discriminant import (
     RESULTANT_CAP,
     DiscriminantReport,
+    _exact_quotient,
     bareiss_determinant,
     disc_resultant_oracle,
     disc_xn,
     discriminant_report,
     norm_sequence,
     odd_prime_disc_support,
+    resultant,
 )
-from jrtower.errors import PreconditionError, ResourceLimitError
-from jrtower.orbit import constant_terms
+from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
+from jrtower.orbit import constant_terms, iterate_poly, tower_strict
 
 
 def cofactor_det(m: list[list[int]]) -> int:
@@ -136,3 +139,172 @@ def test_odd_prime_disc_support():
         odd_prime_disc_support(12, 2, 4)
     with pytest.raises(ValueError):
         odd_prime_disc_support(12, 9, 4)
+
+
+# ---------------------------------------------------------------------------
+# the subresultant resultant against the Sylvester matrix and sympy
+
+
+def sylvester(p: list[int], q: list[int]) -> list[list[int]]:
+    """Sylvester matrix of p and q (ascending coefficient lists)."""
+    dp = len(p) - 1
+    dq = len(q) - 1
+    size = dp + dq
+    p_desc = p[::-1]
+    q_desc = q[::-1]
+    rows = [[0] * i + p_desc + [0] * (size - dp - 1 - i) for i in range(dq)]
+    rows += [[0] * i + q_desc + [0] * (size - dq - 1 - i) for i in range(dp)]
+    return rows
+
+
+def sylvester_resultant(p: list[int], q: list[int]) -> int:
+    return bareiss_determinant(sylvester(p, q))
+
+
+def random_poly(rng: random.Random, degree: int, bound: int = 9) -> list[int]:
+    """Random coefficients in [-bound, bound], leading coefficient nonzero."""
+    poly = [rng.randint(-bound, bound) for _ in range(degree)]
+    return poly + [rng.choice([-1, 1]) * rng.randint(1, bound)]
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def spread(poly: list[int]) -> list[int]:
+    """poly(x^2): every remainder of two such polynomials is even too, so
+    the sequence drops by two or more degrees a step."""
+    out = [0] * (2 * len(poly) - 1)
+    out[::2] = poly
+    return out
+
+
+def resultant_cases():
+    rng = random.Random(5101)
+    cases = []
+    for _ in range(60):  # non-monic, either degree larger
+        cases.append((random_poly(rng, rng.randint(1, 8)), random_poly(rng, rng.randint(1, 8))))
+    for _ in range(20):  # first step delta >= 2
+        da = rng.randint(3, 9)
+        cases.append((random_poly(rng, da), random_poly(rng, rng.randint(1, da - 2))))
+    for _ in range(20):  # delta >= 2 at every step
+        cases.append((spread(random_poly(rng, rng.randint(2, 5))),
+                      spread(random_poly(rng, rng.randint(1, 4)))))
+    for _ in range(20):  # a shared factor: the resultant is 0
+        common = random_poly(rng, rng.randint(1, 3))
+        cases.append((poly_mul(random_poly(rng, rng.randint(0, 4)), common),
+                      poly_mul(random_poly(rng, rng.randint(0, 4)), common)))
+    for _ in range(10):  # a constant on either side
+        const = [rng.choice([-1, 1]) * rng.randint(1, 30)]
+        poly = random_poly(rng, rng.randint(1, 6))
+        cases += [(poly, const), (const, poly)]
+    for _ in range(10):  # large coefficients
+        cases.append((random_poly(rng, rng.randint(2, 6), 2**80),
+                       random_poly(rng, rng.randint(1, 6), 2**80)))
+    return cases
+
+
+def test_resultant_matches_sylvester_bareiss():
+    zeros = 0
+    for a, b in resultant_cases():
+        expected = sylvester_resultant(a, b)
+        assert resultant(a, b) == expected, (a, b)
+        zeros += expected == 0
+    assert zeros >= 20  # every shared-factor case, at least
+
+
+def test_resultant_matches_sympy():
+    """sympy is asked with the larger degree first: sympy 1.14's resultant
+    of x + 1 and x^3 is 1, where lc^3 * (x^3 at -1) = -1, so for
+    deg a < deg b both odd it returns Res(b, a), the other sign."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for a, b in resultant_cases():
+        swapped = len(a) < len(b)
+        big, small = (b, a) if swapped else (a, b)
+        expected = sympy.resultant(sympy.Poly(big[::-1], x), sympy.Poly(small[::-1], x))
+        if swapped and (len(a) - 1) * (len(b) - 1) % 2:
+            expected = -expected
+        assert resultant(a, b) == expected, (a, b)
+
+
+def test_resultant_small_cases():
+    assert resultant([1, 0, 1], [0, 2]) == 4  # (2i)(-2i)
+    assert resultant([-2, 0, 3], [5]) == 25
+    assert resultant([5], [-2, 0, 3]) == 25
+    assert resultant([3], [4]) == 1
+    assert resultant([], [1, 1]) == 0
+    assert resultant([1, 1, 0, 0], [0, 0]) == 0  # zero polynomial, trailing zeros
+    assert resultant([-1, 1], [-1, 0, 1]) == 0  # shared root x = 1
+
+
+def test_resultant_sequence_takes_multi_degree_steps(monkeypatch):
+    """The even cases reach the h update with delta >= 2 after the first step."""
+    steps = []
+    pseudo_remainder = discriminant._pseudo_remainder
+
+    def recording(a, b):
+        steps.append(len(a) - len(b))
+        return pseudo_remainder(a, b)
+
+    monkeypatch.setattr(discriminant, "_pseudo_remainder", recording)
+    late_gaps = 0
+    for a, b in resultant_cases():
+        steps.clear()
+        assert resultant(a, b) == sylvester_resultant(a, b)
+        late_gaps += any(delta >= 2 for delta in steps[1:])
+    assert late_gaps >= 10
+
+
+def test_exact_quotient_rejects_a_remainder():
+    assert _exact_quotient(-12, 4) == -3
+    assert _exact_quotient(0, -7) == 0
+    with pytest.raises(InvariantFailure, match="remainder"):
+        _exact_quotient(7, 2)
+    with pytest.raises(InvariantFailure, match="remainder"):
+        _exact_quotient(-7, 2)
+
+
+def test_inexact_subresultant_division_raises(monkeypatch):
+    """A pseudo-remainder off by one in its constant term no longer
+    divides by g h^delta, and the oracle and the report both raise."""
+    pseudo_remainder = discriminant._pseudo_remainder
+
+    def off_by_one(a, b):
+        r = pseudo_remainder(a, b)
+        return [r[0] + 1] + r[1:]
+
+    monkeypatch.setattr(discriminant, "_pseudo_remainder", off_by_one)
+    for nu, n in ((12, 2), (12, 3), (5, 4)):
+        with pytest.raises(InvariantFailure, match="remainder"):
+            disc_resultant_oracle(nu, n)
+    with pytest.raises(InvariantFailure):
+        discriminant_report(12, 3)
+
+
+def test_disc_recursion_matches_oracles_for_random_nu():
+    """Recursion = subresultant oracle = Sylvester/Bareiss = sympy.discriminant,
+    for seeded random nu with a strict tower."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(5102)
+    nus = []
+    while len(nus) < 8:
+        nu = rng.randrange(2, 10**6)
+        if tower_strict(nu, RESULTANT_CAP):
+            nus.append(nu)
+    for nu in nus:
+        for n in range(1, RESULTANT_CAP + 1):
+            poly = iterate_poly(nu, n)
+            expected = disc_xn(nu, n)
+            assert disc_resultant_oracle(nu, n) == expected, (nu, n)
+            assert sympy.discriminant(sympy.Poly(poly[::-1], x)) == expected, (nu, n)
+            if n <= 3:
+                d = len(poly) - 1
+                deriv = [k * poly[k] for k in range(1, d + 1)]
+                sign = -1 if d * (d - 1) // 2 % 2 else 1
+                assert sign * sylvester_resultant(poly, deriv) == expected, (nu, n)

@@ -198,3 +198,46 @@ def test_tower_strict_detects_square_terms():
     assert not s.strict and s.witness == 1
     assert bool(tower_strict(12, 5)) is True
     assert bool(tower_strict(16, 2)) is False
+
+
+def test_valuation_profile_pattern_and_congruence_for_random_nu_and_p():
+    """Seeded random nu, with p a prime factor of a random early c_k or a
+    small prime: valuations, the pattern v_p(c_n) = e exactly when
+    first_index | n, and the congruence o_(q m + r) = o_r (mod c_m^2) for
+    the orbit o of 0 under t^2 - nu, all computed directly."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3101)
+    N = 10
+    supported = 0
+    for _ in range(40):
+        nu = rng.randrange(2, 10**4)
+        c = reference_orbit(nu, N)
+        if rng.random() < 0.75:
+            p = rng.choice(sympy.primefactors(c[rng.randrange(3)]))
+        else:
+            p = sympy.prime(rng.randint(1, 30))
+        prof = valuation_profile(nu, p, N)
+        vals = []
+        for cn in c:
+            v = 0
+            while cn % p == 0:
+                v += 1
+                cn //= p
+            vals.append(v)
+        assert prof.valuations == tuple(vals), (nu, p)
+        first = next((n for n in range(1, N + 1) if vals[n - 1]), None)
+        assert prof.first_index == first, (nu, p)
+        if first is None:
+            assert prof.e == 0
+            continue
+        supported += 1
+        assert prof.e == vals[first - 1] > 0
+        for n in range(1, N + 1):
+            assert vals[n - 1] == (prof.e if n % first == 0 else 0), (nu, p, n)
+        orbit = [0]
+        for _ in range(N):
+            orbit.append(orbit[-1] ** 2 - nu)
+        modulus = c[first - 1] ** 2
+        for n in range(first + 1, N + 1):
+            assert (orbit[n] - orbit[n - first]) % modulus == 0, (nu, p, n)
+    assert supported >= 25

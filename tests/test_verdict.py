@@ -203,6 +203,61 @@ def test_cos_minpoly_pow2_closed_form_matches_chebyshev_route():
         assert _cos_minpoly_pow2(e) == _palindrome_to_cos(phi), e
 
 
+def chebyshev_basis_change(coeffs: list[int]) -> list[int]:
+    """a_0 + sum_k a_k V_k(y) coefficient by coefficient, O(h^2): the oracle
+    for the packed basis change in _palindrome_to_cos."""
+    half = (len(coeffs) - 1) // 2
+    out = [0] * (half + 1)
+    out[0] = coeffs[half]
+    v_prev, v_cur = [2], [0, 1]  # V_0, V_1
+    for k in range(1, half + 1):
+        if k > 1:
+            nxt = [0] + v_cur
+            for i, c in enumerate(v_prev):
+                nxt[i] -= c
+            v_prev, v_cur = v_cur, nxt
+        for i, c in enumerate(v_cur):
+            out[i] += coeffs[half + k] * c
+    return out
+
+
+def test_packed_basis_change_matches_the_recurrence():
+    for m in range(3, 201):
+        phi = _cyclotomic(m)
+        assert _palindrome_to_cos(phi) == chebyshev_basis_change(phi), m
+    for e in range(2, 14):
+        phi = [1] + [0] * (2 ** (e - 1) - 1) + [1]  # x^(2^(e-1)) + 1
+        assert _palindrome_to_cos(phi) == chebyshev_basis_change(phi), e
+    assert _palindrome_to_cos([1]) == [1]
+
+
+def test_packed_basis_change_on_random_palindromes():
+    """Monic palindromes with signed coefficients up to 2^200, some with
+    every coefficient at the bound's size; a non-monic one still raises."""
+    rng = random.Random(8101)
+    for trial in range(120):
+        half = rng.randint(1, 40)
+        bits = rng.choice([1, 8, 64, 200])
+        inner = [rng.randint(-(2**bits), 2**bits) for _ in range(half)]
+        if trial % 4 == 0:
+            inner = [rng.choice([-1, 1]) * 2**bits for _ in range(half)]
+        coeffs = [1] + inner[1:] + inner[:1] + inner[1:][::-1] + [1]
+        assert coeffs == coeffs[::-1]
+        assert _palindrome_to_cos(coeffs) == chebyshev_basis_change(coeffs)
+        coeffs[0] = coeffs[-1] = 3
+        with pytest.raises(InvariantFailure, match="monic"):
+            _palindrome_to_cos(coeffs)
+
+
+def test_packed_basis_change_overflow_guard_fires(monkeypatch):
+    """Slots of 8 bits cannot hold a 2^200 coefficient: the biased total
+    runs past (half + 1) * W bits, or below zero for a negative one."""
+    monkeypatch.setattr(verdict, "_slot_bits", lambda half, weight: 8)
+    for middle in (2**200, -(2**200)):
+        with pytest.raises(InvariantFailure, match="overflow"):
+            _palindrome_to_cos([1, middle, 1])
+
+
 def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
     """One fixed-point pass at exactly `needed` bits, accepting d = 2..12,
     rejecting a +-1 change to the constant term and to an odd
