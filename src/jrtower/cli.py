@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from fractions import Fraction
 
 from . import verdict as verdict_mod
 from .discriminant import RESULTANT_CAP, discriminant_report, norm_sequence
@@ -428,6 +427,8 @@ def _cmd_explore7(args) -> int:
 
 
 def _cmd_window(args) -> int:
+    from fractions import Fraction
+
     try:
         t = Fraction(args.t)
     except (ValueError, ZeroDivisionError):

@@ -19,8 +19,8 @@ N_k = 2^(2^(k+1)) * c_{k+1}, so disc(x_n) = disc(x_{n-1})^2 * N_{n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InvariantFailure, PreconditionError, ResourceLimitError
 from .intmath import is_prime
 from .orbit import SEQUENCE_CAP, constant_terms, iterate_poly, orbit_mod_p, tower_strict
@@ -179,8 +179,7 @@ def norm_sequence(nu: int, n: int) -> list[int]:
     return norms
 
 
-@dataclass(frozen=True)
-class DiscSupport:
+class DiscSupport(Record):
     """Does the odd prime p divide any disc(x_n)?
 
     For odd p, p | disc(x_n) iff p | c_k for some k <= n. scope_all_n
@@ -218,8 +217,7 @@ def odd_prime_disc_support(nu: int, p: int, N: int) -> DiscSupport:
     return DiscSupport(nu, p, False, None, False)
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(Record):
     """Recursion value, oracle value (when run), and the norm ladder."""
 
     nu: int

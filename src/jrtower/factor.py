@@ -10,16 +10,15 @@ starting points instead of random ones.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from types import MappingProxyType
 
+from ._record import Record
 from .intmath import is_prime, perfect_power, prime_sieve
 
 
-@dataclass(frozen=True)
-class Effort:
+class Effort(Record):
     """Work budget for one factorize() call.
 
     trial_bound: primes up to this bound are removed by sieved trial
@@ -45,8 +44,7 @@ COMPLETE = "complete"
 PARTIAL = "partial"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Outcome of factorize(); immutable.
 
     factors maps prime -> exponent, as a read-only view of a private

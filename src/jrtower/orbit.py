@@ -14,8 +14,8 @@ ell_1 = nu^2, ell_n = (ell_{n-1} - nu)^2 and satisfies ell_n = c_n^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InvariantFailure, ResourceLimitError
 from .intmath import is_prime, is_square, split_two_part
 
@@ -26,8 +26,7 @@ ITERATE_CAP = 6
 SEQUENCE_CAP = 12
 
 
-@dataclass(frozen=True)
-class TowerParams:
+class TowerParams(Record):
     """2-adic decomposition nu = 2^v * mu with mu odd."""
 
     nu: int
@@ -55,8 +54,7 @@ def tower_params(nu: int) -> TowerParams:
     return TowerParams(nu, v, mu, is_square(nu))
 
 
-@dataclass(frozen=True)
-class OrbitSequence:
+class OrbitSequence(Record):
     """First N orbit constants c_n and companions ell_n, exact."""
 
     nu: int
@@ -147,8 +145,7 @@ def _orbit_walk(nu: int, p: int) -> int | None:
     return n
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(Record):
     """p-adic valuations of c_1..c_N.
 
     first_index is the least n with p | c_n (None when no term is
@@ -206,8 +203,7 @@ def valuation_profile(nu: int, p: int, N: int) -> ValuationProfile:
     return ValuationProfile(nu, p, first, e, tuple(vals))
 
 
-@dataclass(frozen=True)
-class Strictness:
+class Strictness(Record):
     """Whether no c_n with n <= N is a perfect square.
 
     A square c_n collapses the tower degree at level n; witness is the

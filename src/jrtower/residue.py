@@ -8,9 +8,9 @@ whole tower. This module certifies the non-residue inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import CertificateFailure, InvariantFailure, ResourceLimitError
 from .factor import EFFORT_DEFAULT, Effort, squarefree_kernel
 from .intmath import is_square
@@ -28,8 +28,7 @@ UNTESTED = "untested"
 _KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 
-@dataclass(frozen=True)
-class FermatNumber:
+class FermatNumber(Record):
     index: int
     value: int
     primality: str
@@ -130,8 +129,7 @@ def nonresidue_37_check(p: int) -> tuple[bool, bool]:
     return j3 == -1, j7 == -1
 
 
-@dataclass(frozen=True)
-class ResidueCertificate:
+class ResidueCertificate(Record):
     """Certified: nu is a quadratic non-residue modulo Fermat primes.
 
     scope "universal" covers every Fermat prime > 3 (known or not):

@@ -15,9 +15,9 @@ on a factorization. Factoring only names the kernels for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
+from ._record import Record
 from .errors import InvariantFailure
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
 from .intmath import is_square, v2
@@ -35,8 +35,7 @@ FULL_BY_RANK = "full(by-rank)"
 NOT_FULL = "not-full"
 
 
-@dataclass(frozen=True)
-class SquareClassVector:
+class SquareClassVector(Record):
     """Class of a nonzero integer in Q*/(Q*)^2.
 
     odd_primes holds the primes with odd exponent; negative is the sign
@@ -139,8 +138,7 @@ def _positions(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-@dataclass(frozen=True)
-class TwoIndependence:
+class TwoIndependence(Record):
     """Outcome of the F_2 rank computation over square classes.
 
     witness (only for status "dependent") is a tuple of 0-based
@@ -170,8 +168,7 @@ def two_independent(values: list[int] | tuple[int, ...]) -> TwoIndependence:
     return TwoIndependence(INDEPENDENT, rank, None)
 
 
-@dataclass(frozen=True)
-class GaloisCheck:
+class GaloisCheck(Record):
     """Is the level-n Galois group the full iterated wreath product?
 
     status "full(by-rule)" uses the sufficient criterion 4 | nu with nu
@@ -210,8 +207,7 @@ def galois_full_check(nu: int, n: int) -> GaloisCheck:
     return GaloisCheck(nu, n, NOT_FULL, frozenset(i + 1 for i in indep.witness))
 
 
-@dataclass(frozen=True)
-class SubfieldLattice:
+class SubfieldLattice(Record):
     """Quadratic subfields of level n, indexed by subsets of {1..n}.
 
     kernels maps each nonempty frozenset S of 1-based indices to the
@@ -260,8 +256,7 @@ def quadratic_subfields(
     return SubfieldLattice(nu, n, kernels, rank, complete, galois)
 
 
-@dataclass(frozen=True)
-class SqrtMembership:
+class SqrtMembership(Record):
     """Whether sqrt(d) lies in tower level n.
 
     status "present" comes with the canonical witness subset (smallest
@@ -313,8 +308,7 @@ def contains_sqrt(
     return SqrtMembership(nu, n, d, UNKNOWN)
 
 
-@dataclass(frozen=True)
-class Sqrt2Certificate:
+class Sqrt2Certificate(Record):
     """Certificate that sqrt(2) never enters the tower over nu.
 
     Applicable when nu = 2^(2m) * mu with m >= 1, mu odd >= 3, and nu

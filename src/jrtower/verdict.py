@@ -22,10 +22,10 @@ sqrt(2) exclusion certificate, and per-Fermat-prime obstruction chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
+from ._record import Record
 from .errors import (
     CertificateFailure,
     InvariantFailure,
@@ -68,8 +68,7 @@ THEOREM_APPLIES = "theorem-applies"
 # Exact quadratic surds
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(Record):
     """(a + b * sqrt(D)) / q with integer a, b, q > 0, D >= 0.
 
     Exact: floor, ceiling, and comparisons are integer arithmetic;
@@ -94,6 +93,8 @@ class QuadraticSurd:
         return self.b == 0 or is_square(self.D)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational:
             raise ValueError("irrational surd")
         return Fraction(self.a + self.b * isqrt(self.D), self.q)
@@ -107,8 +108,7 @@ class QuadraticSurd:
 
     def ceil(self) -> int:
         if self.is_rational:
-            value = self.as_fraction()
-            return -((-value.numerator) // value.denominator)
+            return -(-(self.a + self.b * isqrt(self.D)) // self.q)
         return self.floor() + 1
 
     def shifted(self, k: int) -> "QuadraticSurd":
@@ -143,8 +143,10 @@ class QuadraticSurd:
 
     def __str__(self) -> str:
         if self.is_rational:
-            f = self.as_fraction()
-            return str(f)
+            # The bytes of str(Fraction): reduced, "n" or "n/d", d > 0.
+            n = self.a + self.b * isqrt(self.D)
+            g = gcd(n, self.q)
+            return str(n // g) if g == self.q else f"{n // g}/{self.q // g}"
         core = f"{self.a}+{self.b}*sqrt({self.D})" if self.b != 1 else f"{self.a}+sqrt({self.D})"
         return f"({core})/{self.q}" if self.q != 1 else f"({core})"
 
@@ -174,8 +176,7 @@ def jr_upper_surd(nu: int) -> QuadraticSurd:
 # Constructible orders and cosine minimal polynomials
 
 
-@dataclass(frozen=True)
-class ConstructibilityDecomposition:
+class ConstructibilityDecomposition(Record):
     """m = 2^a * (odd prime powers), with the constructibility verdict.
 
     constructible is None when m's factorization stayed partial.
@@ -495,8 +496,7 @@ def reduce_m(m: int, effort: Effort = EFFORT_DEFAULT) -> list[int] | None:
 # Per-prime obstruction chains
 
 
-@dataclass(frozen=True)
-class FermatObstruction:
+class FermatObstruction(Record):
     """Exclusion chain for one Fermat prime p > 3 against the tower of nu.
 
     status "excluded" certifies 2cos(2*pi/p) (hence the p-th component
@@ -572,8 +572,7 @@ def _obstruction_chain(strict: Strictness, p: int) -> FermatObstruction:
 # Hypothesis bundle and the verdict
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """Clause-by-clause check of the theorem's shape hypotheses on nu."""
 
     nu: int
@@ -626,8 +625,7 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     )
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(Record):
     """Fan-in of every check feeding the JR classification for one nu."""
 
     nu: int
@@ -782,6 +780,8 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
         raise ValueError("H must be >= 0")
     if H > 10**6:
         raise ResourceLimitError("H capped at 10^6")
+    from fractions import Fraction
+
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
@@ -804,8 +804,7 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Nu7Report:
+class Nu7Report(Record):
     """Numerical evidence for the open case nu = 7 (no theorem applies)."""
 
     depth: int

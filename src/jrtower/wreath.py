@@ -24,10 +24,10 @@ check of the index-2 count lists the whole group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from ._record import Record
 from .errors import InvariantFailure, ResourceLimitError
 
 # Depth 4 already has |G| = 2^15 = 32768 elements; at depth 5 the
@@ -36,8 +36,7 @@ from .errors import InvariantFailure, ResourceLimitError
 DEPTH_CAP = 4
 
 
-@dataclass(frozen=True)
-class TreeAutomorphism:
+class TreeAutomorphism(Record):
     """Portrait of an automorphism of the depth-n binary tree."""
 
     depth: int

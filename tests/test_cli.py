@@ -392,13 +392,19 @@ def test_mu_not_squarefree_note_is_gated_on_the_sqrt2_certificate(capsys):
 
 
 def test_import_loads_neither_mpmath_nor_concurrent_futures():
-    """A CLI start pays for neither: mpmath is a test oracle only, and the
-    thread pool is imported when --workers asks for one."""
+    """A CLI start pays for none of these: mpmath is a test oracle only,
+    the thread pool is imported when --workers asks for one, records
+    are built without dataclasses, and Fraction is imported by the calls
+    that take or return one. A rational alpha (nu = 12, 56) is rendered
+    in integers, so verdicts leave fractions unloaded too."""
     src = os.path.dirname(os.path.dirname(jrtower.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for module in ("jrtower", "jrtower.cli"):
-        probe = (f"import sys, {module}; "
-                 "print(sorted({'mpmath', 'concurrent.futures'} & set(sys.modules)))")
+    unwanted = "{'mpmath', 'concurrent.futures', 'dataclasses', 'fractions'}"
+    probes = [f"import sys, {module}" for module in ("jrtower", "jrtower.cli")]
+    probes.append("import sys; from jrtower import jr_verdict, hypothesis_check; "
+                  "str(jr_verdict(12, 6).alpha); hypothesis_check(56)")
+    for probe in probes:
+        probe += f"; print(sorted({unwanted} & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "[]", (module, out)
+        assert out.strip() == "[]", (probe, out)

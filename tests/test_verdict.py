@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -66,6 +67,30 @@ def test_surd_floor_ceil_against_mpmath():
             assert f <= v < f + 1 or abs(v - f) < mpmath.mpf(10) ** -55
             c = s.ceil()
             assert c - 1 < v <= c or abs(v - c) < mpmath.mpf(10) ** -55
+    # alpha is rational exactly when nu = k^2 + k, then alpha = k + 1.
+    for nu in (2, 6, 12, 20, 56, 72, 132, 156):
+        s = alpha_surd(nu)
+        assert s.is_rational
+        k = math.isqrt(nu)
+        assert s.floor() == s.ceil() == k + 1
+        assert jr_upper_surd(nu).ceil() == 2 * k + 2
+
+
+def test_rational_surd_ceil_and_str_match_fraction():
+    rng = random.Random(8003)
+    for _ in range(300):
+        a = rng.randrange(-50, 51)
+        b = rng.randrange(0, 20)
+        D = rng.randrange(0, 30) ** 2
+        q = rng.randrange(1, 12)
+        s = QuadraticSurd(a, b, D, q)
+        value = Fraction(a + b * math.isqrt(D), q)
+        assert s.ceil() == math.ceil(value)
+        assert str(s) == str(value)
+    assert str(alpha_surd(12)) == "4"
+    assert str(QuadraticSurd(3, 0, 5, 2)) == "3/2"
+    assert str(QuadraticSurd(-3, 0, 5, 6)) == "-1/2"
+    assert str(QuadraticSurd(-4, 1, 16, 5)) == "0"
 
 
 def test_surd_compare_int_exact():
