@@ -23,7 +23,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import InvariantFailure, PreconditionError, ResourceLimitError
 from .intmath import is_prime
-from .orbit import SEQUENCE_CAP, constant_terms, iterate_poly, orbit_mod_p, tower_strict
+from .orbit import SEQUENCE_CAP, _orbit_walk, constant_terms, iterate_poly, tower_strict
 
 # P_n has degree 2^n; level 4 gives a 15-step remainder sequence whose
 # coefficients reach about 400 digits for nu below 10^4. Level 5 would
@@ -209,7 +209,7 @@ def odd_prime_disc_support(nu: int, p: int, N: int) -> DiscSupport:
         raise ValueError(f"p = {p} is not prime")
     if N < 1:
         raise ValueError("N must be >= 1")
-    first = orbit_mod_p(nu, p)
+    first = _orbit_walk(nu, p)
     if first is None:
         return DiscSupport(nu, p, False, None, True)
     if first <= N:

@@ -90,21 +90,27 @@ def _prime_blocks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _trial_divide(n: int, bound: int, out: dict[int, int]) -> int:
+    """Divide the sieved primes up to bound out of n, recording them in out.
+
+    Returns 1 when n is split completely, else the rest, which has no
+    prime factor up to bound. Once no prime up to p divides n and
+    p * p > n, n is 1 or prime: it is recorded without a primality test.
+    """
     for chunk, block_prod in _prime_blocks(bound):
-        if n == 1:
+        if gcd(n, block_prod) > 1:
+            for p in chunk:
+                if p * p > n:
+                    break
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+        if chunk[-1] * chunk[-1] > n:
             break
-        if gcd(n, block_prod) == 1:
-            continue
-        for p in chunk:
-            if p * p > n:
-                break
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        if 1 < n and is_prime(n):
-            out[n] = out.get(n, 0) + 1
-            return 1
-    return n
+    else:
+        return n
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return 1
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:

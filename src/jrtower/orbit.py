@@ -24,6 +24,10 @@ ITERATE_CAP = 6
 # Orbit constants square in size each step; c_12 of a two-digit nu
 # already has a few thousand digits.
 SEQUENCE_CAP = 12
+# Brent's walk mod p takes O(sqrt p) steps for a typical nu and at most
+# about 3p; mod a Fermat prime that is below 2^18, so no verdict comes
+# near this cap, while a huge p stops instead of running for ever.
+ORBIT_STEP_CAP = 2**24
 
 
 class TowerParams(Record):
@@ -123,7 +127,8 @@ def orbit_mod_p(nu: int, p: int) -> int | None:
     (1980) cycle detection saves the state at each power-of-two step
     and stops when the walk returns to it; by then the tail and one
     full cycle have been visited, so the walk takes O(tail + cycle)
-    steps, not p. p must be prime.
+    steps, not p. p must be prime. A walk longer than ORBIT_STEP_CAP
+    steps raises ResourceLimitError.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -131,18 +136,29 @@ def orbit_mod_p(nu: int, p: int) -> int | None:
 
 
 def _orbit_walk(nu: int, p: int) -> int | None:
-    """orbit_mod_p for a p the caller has already proved prime."""
+    """orbit_mod_p for a p the caller has already proved prime.
+
+    Block k takes 2^k steps from the state saved before it, so a
+    return to that state shows up within the block after the walk
+    enters the cycle. The step cap is checked between blocks only.
+    """
     x = saved = nu % p
-    n, power, steps = 1, 1, 0
-    while x:
-        if steps == power:
-            saved, power, steps = x, 2 * power, 0
-        x = (x * x - nu) % p
-        n += 1
-        steps += 1
-        if x == saved:
-            return None
-    return n
+    if not x:
+        return 1
+    n, power = 1, 1
+    while n < ORBIT_STEP_CAP:
+        for k in range(1, power + 1):
+            x = (x * x - nu) % p
+            if not x:
+                return n + k
+            if x == saved:
+                return None
+        saved = x
+        n += power
+        power *= 2
+    raise ResourceLimitError(
+        f"the orbit of {nu} modulo {p} ran past {ORBIT_STEP_CAP} steps"
+    )
 
 
 class ValuationProfile(Record):

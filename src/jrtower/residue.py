@@ -13,7 +13,7 @@ from functools import lru_cache
 from ._record import Record
 from .errors import CertificateFailure, InvariantFailure, ResourceLimitError
 from .factor import EFFORT_DEFAULT, Effort, squarefree_kernel
-from .intmath import is_square
+from .intmath import is_square, split_two_part
 
 # F_9 has 155 digits and Pepin on it is a few hundred modular
 # squarings; above that nothing in this package needs the value.
@@ -121,7 +121,7 @@ def nonresidue_37_check(p: int) -> tuple[bool, bool]:
     identities (3|p)(p|3) = 1 and (7|p)(p|7) = 1, which hold because
     p = 1 (mod 4); a violation raises InvariantFailure.
     """
-    if p not in known_fermat_primes() or p == 3:
+    if p not in _fermat_primes_above_3():
         raise ValueError(f"{p} is not a known Fermat prime greater than 3")
     j3, j7 = jacobi(3, p), jacobi(7, p)
     if jacobi(p, 3) * j3 != 1 or jacobi(p, 7) * j7 != 1:
@@ -153,6 +153,12 @@ class ResidueCertificate(Record):
                 raise InvariantFailure("kernel does not divide nu into a square")
 
 
+@lru_cache(maxsize=1)
+def _fermat_primes_above_3() -> tuple[int, ...]:
+    """The known Fermat primes p > 3: those the certificate checks."""
+    return tuple(p for p in known_fermat_primes() if p > 3)
+
+
 def residue_certificate(nu: int, effort: Effort = EFFORT_DEFAULT) -> ResidueCertificate:
     """Certify jacobi(nu, p) = -1 for Fermat primes p > 3.
 
@@ -164,12 +170,42 @@ def residue_certificate(nu: int, effort: Effort = EFFORT_DEFAULT) -> ResidueCert
     """
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
-    primes = tuple(p for p in known_fermat_primes() if p > 3)
-    for p in primes:
-        j = jacobi(nu, p)
-        if j != -1:
-            raise CertificateFailure(nu, p, j)
-    kernel = squarefree_kernel(nu, effort)
+    symbols = tuple(jacobi(nu, p) for p in _fermat_primes_above_3())
+    return _residue_certificate(nu, symbols, effort)
+
+
+def _residue_certificate(
+    nu: int, symbols: tuple[int, ...], effort: Effort
+) -> ResidueCertificate:
+    """residue_certificate for nu >= 2, given symbols[i] = jacobi(nu, p)
+    for the i-th prime p of _fermat_primes_above_3()."""
+    failure = _first_failure(symbols)
+    if failure is not None:
+        raise CertificateFailure(nu, *failure)
+    primes = _fermat_primes_above_3()
+    kernel = _kernel_by_odd_part(nu, effort)
     if kernel in (3, 7):
         return ResidueCertificate(nu, "universal", primes, kernel)
     return ResidueCertificate(nu, "finite", primes, None)
+
+
+def _first_failure(symbols: tuple[int, ...]) -> tuple[int, int] | None:
+    """(p, symbol) at the least prime p of _fermat_primes_above_3() whose
+    symbol is not -1, or None when nu is a non-residue modulo all."""
+    for p, j in zip(_fermat_primes_above_3(), symbols):
+        if j != -1:
+            return p, j
+    return None
+
+
+def _kernel_by_odd_part(nu: int, effort: Effort) -> int | None:
+    """squarefree_kernel(nu, effort), found by factoring the odd part mu.
+
+    nu = 2^v * mu has kernel kernel(mu) * 2^(v mod 2). Trial division
+    takes the 2s out first, so mu leaves the same cofactor and rho
+    budget as nu: one is partial exactly when the other is. The verdict
+    factors mu anyway, so this factorization is a cache hit there.
+    """
+    v, mu = split_two_part(nu)
+    kernel = squarefree_kernel(mu, effort)
+    return None if kernel is None else kernel << (v & 1)

@@ -27,7 +27,6 @@ from math import gcd
 
 from ._record import Record
 from .errors import (
-    CertificateFailure,
     InvariantFailure,
     PreconditionError,
     ResourceLimitError,
@@ -45,9 +44,11 @@ from .orbit import (
 )
 from .residue import (
     ResidueCertificate,
+    _fermat_primes_above_3,
+    _first_failure,
+    _residue_certificate,
     jacobi,
     known_fermat_primes,
-    residue_certificate,
 )
 from .squareclasses import (
     Sqrt2Certificate,
@@ -522,13 +523,15 @@ def fermat_obstruction(nu: int, p: int, depth: int = 5) -> FermatObstruction:
     chain hinges on jacobi(nu, p) = -1; the orbit consequence is
     re-verified directly rather than trusted.
     """
-    if p not in known_fermat_primes() or p == 3:
+    if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
-    return _obstruction_chain(tower_strict(nu, min(depth, SEQUENCE_CAP)), p)
+    strict = tower_strict(nu, min(depth, SEQUENCE_CAP))
+    return _obstruction_chain(strict, p, jacobi(nu, p))
 
 
-def _obstruction_chain(strict: Strictness, p: int) -> FermatObstruction:
-    """fermat_obstruction for a Pepin-certified p > 3, given strictness.
+def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
+    """fermat_obstruction for a Pepin-certified p > 3, given strictness
+    and j = jacobi(nu, p).
 
     p comes from known_fermat_primes(), so the orbit walk does not
     re-prove it prime.
@@ -538,7 +541,6 @@ def _obstruction_chain(strict: Strictness, p: int) -> FermatObstruction:
         raise PreconditionError(
             f"tower over nu = {nu} is not strict: c_{strict.witness} is a square"
         )
-    j = jacobi(nu, p)
     if j == 0:
         return FermatObstruction(
             nu, p, INCONCLUSIVE, (), f"p = {p} divides nu"
@@ -555,6 +557,14 @@ def _obstruction_chain(strict: Strictness, p: int) -> FermatObstruction:
         f"jacobi({nu}, {p}) = -1: nu is not a square modulo {p}",
         f"the orbit of 0 under t^2 - {nu} modulo {p} never vanishes, "
         f"so {p} divides no c_n",
+    ) + _chain_tail(p)
+    return FermatObstruction(nu, p, EXCLUDED, chain)
+
+
+@lru_cache(maxsize=8)
+def _chain_tail(p: int) -> tuple[str, ...]:
+    """The steps of an exclusion chain that depend on p alone."""
+    return (
         f"an odd prime divides disc(x_n) only through some c_k, "
         f"so {p} divides no disc(x_n)",
         f"the field discriminant at level n divides disc(x_n), "
@@ -565,7 +575,6 @@ def _obstruction_chain(strict: Strictness, p: int) -> FermatObstruction:
         f"the field of 2cos(2*pi/{p}) contains sqrt({p}): the cosine and "
         f"its p-power relatives stay outside the tower ring",
     )
-    return FermatObstruction(nu, p, EXCLUDED, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +590,9 @@ class HypothesisReport(Record):
     residue: ResidueCertificate | None
     failed_prime: int | None
     mu_not_squarefree: bool | None
+    # jacobi(nu, p) for the known Fermat primes p > 3, in order; the
+    # obstruction chains reuse them.
+    symbols: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
@@ -608,20 +620,20 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
         ("odd part at least 3", params.mu >= 3),
         ("nu is not a perfect square", not params.is_square),
     ]
-    residue = None
-    failed_prime = None
-    try:
-        residue = residue_certificate(nu, effort)
-        clauses.append(("Fermat-prime non-residue certificate", True))
-    except CertificateFailure as fail:
-        failed_prime = fail.prime
-        clauses.append(("Fermat-prime non-residue certificate", False))
+    symbols = tuple(jacobi(nu, p) for p in _fermat_primes_above_3())
+    failure = _first_failure(symbols)
+    if failure is None:
+        residue, failed_prime = _residue_certificate(nu, symbols, effort), None
+    else:
+        residue, failed_prime = None, failure[0]
+    clauses.append(("Fermat-prime non-residue certificate", failure is None))
     mu_not_squarefree = None
     f = factorize_cached(params.mu, effort)
     if f.complete:
         mu_not_squarefree = any(e > 1 for e in f.factors.values())
     return HypothesisReport(
-        nu, params, tuple(clauses), residue, failed_prime, mu_not_squarefree
+        nu, params, tuple(clauses), residue, failed_prime, mu_not_squarefree,
+        symbols,
     )
 
 
@@ -701,9 +713,8 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     sqrt2 = sqrt2_free_certificate(hypothesis.params, depth)
     if strictness.strict:
         obstructions = tuple(
-            _obstruction_chain(strictness, p)
-            for p in known_fermat_primes()
-            if p > 3
+            _obstruction_chain(strictness, p, j)
+            for p, j in zip(_fermat_primes_above_3(), hypothesis.symbols)
         )
     else:
         obstructions = ()
@@ -735,12 +746,13 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
             if finite_scope
             else ""
         )
+        bound = upper.decimal(6)
         statements = (
             "the set of totally positive window bounds is not {+inf}: "
-            f"infinitely many n + alpha lie below {upper.decimal(6)}",
+            f"infinitely many n + alpha lie below {bound}",
             "the window set is not [4, +inf): all but finitely many "
             "constructible cosines are excluded from the ring" + scope_note,
-            f"the JR number lies in [4, {upper.decimal(6)}]",
+            f"the JR number lies in [4, {bound}]",
             "if the JR number equals 4 it is not attained as a minimum; "
             + _KRONECKER_NOTE,
         )

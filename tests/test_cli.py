@@ -9,7 +9,8 @@ import pytest
 
 import jrtower
 from jrtower.cli import CSV_HEADER, build_parser, canonical_json, main
-from jrtower.factor import EFFORT_QUICK
+from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
+from jrtower.verdict import jr_verdict
 
 
 def run(capsys, *argv):
@@ -248,6 +249,28 @@ def test_explore7_json_matches_golden_digest(capsys):
         assert code == 0
         outputs.append(out)
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GOLDEN_EXPLORE7
+
+
+# sha256 of the concatenated json.dumps(jr_verdict(nu, 5, effort).to_json(),
+# sort_keys=True), recorded while an even nu was still factored whole and
+# every obstruction chain recomputed its Jacobi symbol. Unlike the scan
+# CSV, these cover the chain text, the statements and the hypothesis
+# fields.
+GOLDEN_VERDICTS = [
+    (range(2, 2001), EFFORT_QUICK,
+     "2e8c6290a8070ffe94bc899cb018768db28373c88de99ce2335901746f15b579"),
+    (range(2, 301), EFFORT_DEFAULT,
+     "dc18c90850c234e8d34c65ed7c48e88a3f2d3ddbd4cc454017f97eec6fc69a67"),
+]
+
+
+@pytest.mark.parametrize("nus,effort,digest", GOLDEN_VERDICTS,
+                         ids=["quick-2-2000", "default-2-300"])
+def test_verdict_json_matches_golden_digest(nus, effort, digest):
+    h = hashlib.sha256()
+    for nu in nus:
+        h.update(json.dumps(jr_verdict(nu, 5, effort).to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 def test_explore7_decides_past_the_factoring_budget(capsys):

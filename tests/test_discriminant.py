@@ -141,6 +141,25 @@ def test_odd_prime_disc_support():
         odd_prime_disc_support(12, 9, 4)
 
 
+def test_odd_prime_disc_support_proves_p_prime_once(monkeypatch):
+    from jrtower import orbit
+
+    proofs = []
+    is_prime = discriminant.is_prime
+
+    def counting(n):
+        proofs.append(n)
+        return is_prime(n)
+
+    def forbidden(n):
+        raise AssertionError("the orbit walk proved p prime again")
+
+    monkeypatch.setattr(discriminant, "is_prime", counting)
+    monkeypatch.setattr(orbit, "is_prime", forbidden)
+    assert odd_prime_disc_support(12, 13, 6).witness == 4
+    assert proofs == [13]
+
+
 # ---------------------------------------------------------------------------
 # the subresultant resultant against the Sylvester matrix and sympy
 

@@ -93,6 +93,30 @@ def test_factorize_partial_on_hard_semiprime():
     assert squarefree_kernel(p * q, EFFORT_QUICK) is None
 
 
+def test_factorize_below_the_sieve_square_needs_no_primality_test(monkeypatch):
+    """Below P^2, P the largest sieved prime, trial division proves
+    what it leaves prime: p^2 > n once no prime below p divides n."""
+    from jrtower import factor
+
+    def forbidden(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(factor, "is_prime", forbidden)
+    top = prime_sieve(EFFORT_QUICK.trial_bound)[-1]  # 9973
+    rng = random.Random(2003)
+    cases = [1, 2, 3, 4, top, top + 1, 10007, 10007 * 9901, 9967 * top,
+             top * top - 1, top * top - 2]
+    cases += [rng.randrange(2, top * top) for _ in range(200)]
+    for n in cases:
+        assert n < top * top
+        f = factorize(n, EFFORT_QUICK)
+        assert f.complete, n
+        assert f.factors == brute_factor(n), n
+    top = prime_sieve(EFFORT_DEFAULT.trial_bound)[-1]
+    assert factorize(top * 999979, EFFORT_DEFAULT).factors == {999979: 1, top: 1}
+    assert factorize(10**6 + 3, EFFORT_DEFAULT).factors == {10**6 + 3: 1}
+
+
 def test_factorization_consistency_enforced():
     with pytest.raises(ValueError):
         Factorization(n=10, factors={2: 1}, cofactor=1)

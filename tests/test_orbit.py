@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jrtower import orbit
 from jrtower.errors import ResourceLimitError
 from jrtower.orbit import (
     ITERATE_CAP,
@@ -14,6 +15,7 @@ from jrtower.orbit import (
     tower_strict,
     valuation_profile,
 )
+from jrtower.orbit import _orbit_walk
 
 
 def reference_orbit(nu: int, N: int) -> list[int]:
@@ -150,6 +152,43 @@ def test_orbit_mod_p_matches_plain_walk_mod_65537():
         outcomes.add(expected)
         assert orbit_mod_p(nu, 65537) == expected, nu
     assert {None, 1, 2, 608, 631, 662} <= outcomes
+
+
+def first_repeat_walk(nu: int, p: int) -> int | None:
+    """Oracle: walk c_n mod p, remembering every value, until it is 0
+    (return n) or repeats (None): the first repeat closes the cycle."""
+    seen = set()
+    c, n = nu % p, 1
+    while c not in seen:
+        if c == 0:
+            return n
+        seen.add(c)
+        c = (c * c - nu) % p
+        n += 1
+    return None
+
+
+def test_orbit_walk_matches_first_repeat_oracle():
+    rng = random.Random(3003)
+    for nu in (rng.randrange(2, 10**12) for _ in range(2000)):
+        assert _orbit_walk(nu, 65537) == first_repeat_walk(nu, 65537), nu
+    for p in (5, 17, 257):
+        for nu in range(p, 2 * p):
+            assert _orbit_walk(nu, p) == first_repeat_walk(nu, p), (nu, p)
+
+
+def test_orbit_walk_step_cap(monkeypatch):
+    # mod 65537 the orbit of 12 never vanishes and Brent's walk takes
+    # more than 64 steps to see it return
+    assert first_repeat_walk(12, 65537) is None
+    monkeypatch.setattr(orbit, "ORBIT_STEP_CAP", 64)
+    with pytest.raises(ResourceLimitError):
+        orbit_mod_p(12, 65537)
+    assert orbit_mod_p(12, 13) == 4
+    assert orbit_mod_p(12, 5) is None
+    monkeypatch.undo()
+    # Brent's walk takes under 3p steps: no verdict reaches the cap
+    assert 3 * 65537 < orbit.ORBIT_STEP_CAP
 
 
 def test_valuation_profile_support_shape():

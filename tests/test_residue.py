@@ -3,7 +3,7 @@ import random
 import pytest
 
 from jrtower.errors import CertificateFailure, ResourceLimitError
-from jrtower.factor import EFFORT_QUICK
+from jrtower.factor import EFFORT_QUICK, squarefree_kernel
 from jrtower.intmath import prime_sieve
 from jrtower.residue import (
     PEPIN_CAP,
@@ -19,6 +19,7 @@ from jrtower.residue import (
     pepin_test,
     residue_certificate,
 )
+from jrtower.residue import _kernel_by_odd_part
 
 
 def euler_symbol(a: int, p: int) -> int:
@@ -150,3 +151,32 @@ def test_residue_certificate_validates_claims():
 def test_residue_certificate_effort_passthrough():
     cert = residue_certificate(12, EFFORT_QUICK)
     assert cert.scope == "universal"
+
+
+def test_kernel_by_odd_part_matches_kernel_of_nu():
+    """The certificate reads nu's kernel off its odd part mu; the kernel
+    of the whole nu = 2^v * mu is the oracle, None (partial) included,
+    and so is the scope it decides."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2004)
+    big = [sympy.nextprime(rng.randrange(10**11, 10**13)) for _ in range(6)]
+    hard = [big[0] * big[1], 3 * (big[2] * big[3]) ** 2, 7 * (big[4] * big[5]) ** 2]
+    odd_parts = [1, 3, 7, 21, 3 * 11**2, 7 * 5**4, 3 * big[0] ** 2] + hard
+    odd_parts += [2 * rng.randrange(1, 10**9) + 1 for _ in range(20)]
+    partial, seen = 0, set()
+    for m in odd_parts:
+        for v in range(7):
+            nu = m << v
+            if nu < 2:
+                continue
+            kernel = squarefree_kernel(nu, EFFORT_QUICK)
+            assert _kernel_by_odd_part(nu, EFFORT_QUICK) == kernel, nu
+            partial += kernel is None
+            try:
+                cert = residue_certificate(nu, EFFORT_QUICK)
+            except CertificateFailure:
+                continue
+            assert cert.scope == ("universal" if kernel in (3, 7) else "finite"), nu
+            seen.add((cert.scope, kernel is None))
+    assert partial >= 3 * 7
+    assert seen == {("universal", False), ("finite", False), ("finite", True)}

@@ -7,6 +7,7 @@ import pytest
 
 from jrtower import verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
+from jrtower.factor import EFFORT_QUICK
 from jrtower.verdict import (
     EXCLUDED,
     INCONCLUSIVE,
@@ -439,6 +440,47 @@ def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
     assert calls == 1
     assert list(report.obstructions) == expected
     assert report.conclusion == THEOREM_APPLIES
+
+
+def spy_everywhere(monkeypatch, module, name):
+    """Replace module.name at every jrtower module that imported it;
+    return the list of argument tuples the calls record."""
+    import sys
+
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("jrtower"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def test_jr_verdict_factors_only_the_odd_part(monkeypatch):
+    from jrtower import factor
+
+    calls = spy_everywhere(monkeypatch, factor, "factorize")
+    factor._factorize_cached.cache_clear()
+    for nu in range(2, 401):
+        jr_verdict(nu, 5, EFFORT_QUICK)
+    assert calls
+    assert all(n % 2 == 1 for n, _ in calls)
+
+
+def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
+    from jrtower import residue
+
+    calls = spy_everywhere(monkeypatch, residue, "jacobi")
+    for nu in range(2, 401):
+        del calls[:]
+        jr_verdict(nu, 5, EFFORT_QUICK)
+        assert len(calls) == 4, nu
 
 
 def test_hypothesis_check_bundle():
