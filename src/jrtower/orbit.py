@@ -25,8 +25,9 @@ ITERATE_CAP = 6
 # already has a few thousand digits.
 SEQUENCE_CAP = 12
 # Brent's walk mod p takes O(sqrt p) steps for a typical nu and at most
-# about 3p; mod a Fermat prime that is below 2^18, so no verdict comes
-# near this cap, while a huge p stops instead of running for ever.
+# about 3p, under 2^18 mod a Fermat prime. No verdict walks (its
+# obstruction chains use Euler's criterion); the cap stops orbit_mod_p
+# and the discriminant support on a huge p instead of running for ever.
 ORBIT_STEP_CAP = 2**24
 
 
@@ -237,8 +238,12 @@ class Strictness(Record):
 
 def tower_strict(nu: int, N: int) -> Strictness:
     """Check c_1..c_N for perfect squares."""
-    seq = constant_terms(nu, N)
+    return _tower_strict(constant_terms(nu, N))
+
+
+def _tower_strict(seq: OrbitSequence) -> Strictness:
+    """tower_strict on orbit constants the caller has already built."""
     for i, cn in enumerate(seq.c):
         if is_square(cn):
-            return Strictness(nu, N, False, i + 1)
-    return Strictness(nu, N, True, None)
+            return Strictness(seq.nu, len(seq.c), False, i + 1)
+    return Strictness(seq.nu, len(seq.c), True, None)

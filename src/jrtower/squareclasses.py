@@ -21,7 +21,7 @@ from ._record import Record
 from .errors import InvariantFailure
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
 from .intmath import is_square, v2
-from .orbit import TowerParams, constant_terms, tower_params
+from .orbit import OrbitSequence, TowerParams, constant_terms, tower_params
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -341,6 +341,15 @@ def sqrt2_free_certificate(
     """
     if isinstance(params, int):
         params = tower_params(params)
+    return _sqrt2_free_certificate(params, spot_check_depth, None)
+
+
+def _sqrt2_free_certificate(
+    params: TowerParams, spot_check_depth: int, seq: OrbitSequence | None
+) -> Sqrt2Certificate:
+    """sqrt2_free_certificate, whose guard reads c_1..c_spot_check_depth
+    from seq when the caller has built them; with seq None they are
+    built here, once the shape conditions hold."""
     v = params.two_adic_valuation
     if v == 0:
         return Sqrt2Certificate(params.nu, False, "4 does not divide nu", None)
@@ -351,7 +360,9 @@ def sqrt2_free_certificate(
     if params.is_square:
         return Sqrt2Certificate(params.nu, False, "nu is a perfect square", None)
 
-    for n, cn in enumerate(constant_terms(params.nu, spot_check_depth).c, 1):
+    if seq is None:
+        seq = constant_terms(params.nu, spot_check_depth)
+    for n, cn in enumerate(seq.c, 1):
         if v2(cn) != v:
             raise InvariantFailure(
                 f"v2(c_{n}) = {v2(cn)} differs from v2(nu) = {v} at "

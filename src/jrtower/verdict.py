@@ -37,7 +37,7 @@ from .orbit import (
     SEQUENCE_CAP,
     Strictness,
     TowerParams,
-    _orbit_walk,
+    _tower_strict,
     constant_terms,
     tower_params,
     tower_strict,
@@ -52,8 +52,8 @@ from .residue import (
 )
 from .squareclasses import (
     Sqrt2Certificate,
+    _sqrt2_free_certificate,
     contains_sqrt,
-    sqrt2_free_certificate,
     two_independent,
 )
 
@@ -520,8 +520,10 @@ def fermat_obstruction(nu: int, p: int, depth: int = 5) -> FermatObstruction:
     """Run the exclusion chain for the Fermat prime p > 3.
 
     Requires tower strictness, verified through the given depth. The
-    chain hinges on jacobi(nu, p) = -1; the orbit consequence is
-    re-verified directly rather than trusted.
+    chain hinges on jacobi(nu, p) = -1, from which p divides no c_n:
+    p | c_1 = nu would make the symbol 0, and p | c_n with n >= 2 would
+    give c_{n-1}^2 = nu (mod p), so nu would be a square mod p. The
+    symbol is checked again by Euler's criterion (see _obstruction_chain).
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
@@ -533,8 +535,13 @@ def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
     """fermat_obstruction for a Pepin-certified p > 3, given strictness
     and j = jacobi(nu, p).
 
-    p comes from known_fermat_primes(), so the orbit walk does not
-    re-prove it prime.
+    An exclusion rests on j = -1 alone (see fermat_obstruction), so
+    that is what the guard re-checks: nu^((p-1)/2) = -1 (mod p), Euler's
+    criterion, a modular power computed apart from the reciprocity
+    steps of jacobi. It fails on every wrong -1, so it is stronger than
+    walking the orbit mod p, which fails only on a wrong -1 whose orbit
+    happens to reach 0 (13 is a square mod 17, yet its orbit never
+    vanishes there). p comes from known_fermat_primes(), so it is prime.
     """
     nu = strict.nu
     if not strict:
@@ -549,9 +556,9 @@ def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
         return FermatObstruction(
             nu, p, INCONCLUSIVE, (), f"nu is a quadratic residue mod {p}"
         )
-    if _orbit_walk(nu, p) is not None:
+    if pow(nu, (p - 1) // 2, p) != p - 1:
         raise InvariantFailure(
-            f"non-residue nu = {nu} has a vanishing orbit mod {p}"
+            f"Euler's criterion disagrees with jacobi({nu}, {p}) = -1"
         )
     chain = (
         f"jacobi({nu}, {p}) = -1: nu is not a square modulo {p}",
@@ -709,8 +716,9 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
     hypothesis = hypothesis_check(nu, effort)
-    strictness = tower_strict(nu, depth)
-    sqrt2 = sqrt2_free_certificate(hypothesis.params, depth)
+    seq = constant_terms(nu, depth)
+    strictness = _tower_strict(seq)
+    sqrt2 = _sqrt2_free_certificate(hypothesis.params, depth, seq)
     if strictness.strict:
         obstructions = tuple(
             _obstruction_chain(strictness, p, j)

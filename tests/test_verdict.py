@@ -8,6 +8,9 @@ import pytest
 from jrtower import verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
 from jrtower.factor import EFFORT_QUICK
+from jrtower.intmath import v2
+from jrtower.orbit import orbit_mod_p, tower_strict
+from jrtower.residue import jacobi
 from jrtower.verdict import (
     EXCLUDED,
     INCONCLUSIVE,
@@ -418,28 +421,84 @@ def test_fermat_obstruction_domain():
 
 
 def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
-    """One tower_strict per verdict, shared by the four obstruction
-    chains, whose orbit walks do not re-prove the Fermat primes."""
+    """One strictness check per verdict, shared by the four obstruction
+    chains, which do not re-prove the Fermat primes."""
     from jrtower import orbit, verdict
 
     calls = 0
-    strict = verdict.tower_strict
+    strict = verdict._tower_strict
 
-    def counting(nu, N):
+    def counting(seq):
         nonlocal calls
         calls += 1
-        return strict(nu, N)
+        return strict(seq)
 
     def forbidden(n):
         raise AssertionError("a Fermat prime was proved prime again")
 
     expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
-    monkeypatch.setattr(verdict, "tower_strict", counting)
+    monkeypatch.setattr(verdict, "_tower_strict", counting)
     monkeypatch.setattr(orbit, "is_prime", forbidden)
     report = jr_verdict(12, 5)
     assert calls == 1
     assert list(report.obstructions) == expected
     assert report.conclusion == THEOREM_APPLIES
+
+
+@pytest.mark.parametrize(
+    "nus, depth",
+    [(range(2, 402), 5), (range(4, 169, 4), 6)],
+    ids=["scan-window", "deep-set"],
+)
+def test_jr_verdict_builds_the_orbit_once_and_walks_none(monkeypatch, nus, depth):
+    """Work counts, not time: one constant_terms per verdict, read by both
+    the strictness check and the sqrt(2) guard, and no orbit walk."""
+    from jrtower import orbit
+
+    built = spy_everywhere(monkeypatch, orbit, "constant_terms")
+    walks = spy_everywhere(monkeypatch, orbit, "_orbit_walk")
+    certified = 0
+    for nu in nus:
+        del built[:]
+        report = jr_verdict(nu, depth, EFFORT_QUICK)
+        assert built == [(nu, depth)], nu
+        certified += report.sqrt2.certified
+    assert walks == []
+    assert certified > 0
+
+
+@pytest.mark.parametrize("nu, first_zero", [(13, None), (8, 3)])
+def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
+    """nu = 13 and 8 are squares mod 17; claiming jacobi = -1 must raise,
+    whether or not the orbit mod 17 reaches 0."""
+    assert orbit_mod_p(nu, 17) == first_zero
+    strict = tower_strict(nu, 5)
+    assert strict.strict
+    with pytest.raises(InvariantFailure, match="Euler's criterion"):
+        verdict._obstruction_chain(strict, 17, -1)
+
+
+def test_jr_verdict_sqrt2_guard_reads_the_shared_orbit(monkeypatch):
+    """The v2(c_n) = v2(nu) guard still fires inside the verdict, where it
+    reads the constants the strictness check was given."""
+    monkeypatch.setattr("jrtower.squareclasses.v2", lambda n: v2(n) + (n != 12))
+    with pytest.raises(InvariantFailure, match="c_2"):
+        jr_verdict(12, 5)
+
+
+def test_euler_criterion_and_orbit_walk_agree_with_exclusions():
+    """The orbit walk kept as an oracle: jacobi = -1 exactly when
+    Euler's criterion gives -1, and no excluded prime divides a c_n."""
+    primes = (5, 17, 257, 65537)
+    excluded = 0
+    for nu in range(2, 2001):
+        for p in primes:
+            assert (jacobi(nu, p) == -1) == (pow(nu, (p - 1) // 2, p) == p - 1), (nu, p)
+        for ob in jr_verdict(nu, 5, EFFORT_QUICK).obstructions:
+            if ob.status == EXCLUDED:
+                excluded += 1
+                assert orbit_mod_p(nu, ob.p) is None, (nu, ob.p)
+    assert excluded > 1000
 
 
 def spy_everywhere(monkeypatch, module, name):
