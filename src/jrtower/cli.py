@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 
 from . import verdict as verdict_mod
 from .discriminant import RESULTANT_CAP, discriminant_report, norm_sequence
@@ -231,24 +230,14 @@ def _cmd_scan(args) -> int:
             journal.write(json.dumps({"header": header}) + "\n")
             journal.flush()
 
-    todo = [nu for nu in range(lo, hi + 1) if nu not in done]
-    workers = nullcontext()
-    if args.workers > 1:
-        # Imported here: concurrent.futures costs more start-up time than
-        # a single-worker scan of a short range.
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = ThreadPoolExecutor(args.workers)
     try:
-        with workers as pool:
-            results = (pool.map if pool else map)(
-                lambda nu: _scan_record(nu, args.depth, effort), todo
-            )
-            for nu, rec in zip(todo, results):
-                done[nu] = rec
-                if journal:
-                    journal.write(json.dumps({"record": rec, "ts": time.time()}) + "\n")
-                    journal.flush()
+        for nu in range(lo, hi + 1):
+            if nu in done:
+                continue
+            rec = done[nu] = _scan_record(nu, args.depth, effort)
+            if journal:
+                journal.write(json.dumps({"record": rec, "ts": time.time()}) + "\n")
+                journal.flush()
     finally:
         if journal:
             journal.close()
@@ -293,7 +282,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_orbit(args) -> int:
     seq = constant_terms(args.nu, args.n)
-    strict = tower_strict(args.nu, args.n)
+    strict = tower_strict(seq)
     profiles = {}
     for p in (2, 3, 5, 7, 11, 13):
         prof = valuation_profile(args.nu, p, args.n)
@@ -492,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hi", type=int)
     p.add_argument("--out", help="CSV output file, with a resume journal")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (default 1)")
+                   help="accepted and ignored: a scan runs serially")
 
     p = command("disc", _cmd_disc, "discriminant with oracle and norm ladder")
     p.add_argument("nu", type=int)

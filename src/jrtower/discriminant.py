@@ -144,13 +144,13 @@ def disc_xn(nu: int, n: int) -> int:
     Requires the tower to be strict through level n; otherwise P_n is
     not the minimal polynomial and the recursion is meaningless.
     """
-    strict = tower_strict(nu, n)
+    seq = constant_terms(nu, n)
+    strict = tower_strict(seq)
     if not strict:
         raise PreconditionError(
             f"tower over nu = {nu} is not strict: c_{strict.witness} is a "
             "perfect square"
         )
-    seq = constant_terms(nu, n)
     d = 4 * nu
     for k in range(2, n + 1):
         d = d * d * 2 ** (2**k) * seq.c[k - 1]
@@ -234,17 +234,10 @@ class DiscriminantReport(Record):
             )
 
 
-def discriminant_report(nu: int, n: int, with_oracle: bool | None = None) -> DiscriminantReport:
-    """Assemble disc(x_n) with its norm ladder and (for n <= 4) the oracle.
-
-    with_oracle = None runs the oracle whenever n is within its cap;
-    True forces it (raising past the cap); False skips it.
-    """
+def discriminant_report(nu: int, n: int) -> DiscriminantReport:
+    """Assemble disc(x_n) with its norm ladder and, for n <= RESULTANT_CAP,
+    the resultant oracle."""
     disc = disc_xn(nu, n)
     norms = tuple(norm_sequence(nu, n - 1))
-    oracle = None
-    if with_oracle is None:
-        with_oracle = n <= RESULTANT_CAP
-    if with_oracle:
-        oracle = disc_resultant_oracle(nu, n)
+    oracle = disc_resultant_oracle(nu, n) if n <= RESULTANT_CAP else None
     return DiscriminantReport(nu, n, disc, oracle, norms)

@@ -45,12 +45,6 @@ class TowerParams(Record):
         if 2**self.two_adic_valuation * self.mu != self.nu or self.mu % 2 == 0:
             raise InvariantFailure("broken 2-adic decomposition")
 
-    @property
-    def half_valuation(self) -> int | None:
-        """m with v2(nu) = 2m when the valuation is even, else None."""
-        v = self.two_adic_valuation
-        return v // 2 if v % 2 == 0 else None
-
 
 def tower_params(nu: int) -> TowerParams:
     if nu < 2:
@@ -236,13 +230,8 @@ class Strictness(Record):
         return self.strict
 
 
-def tower_strict(nu: int, N: int) -> Strictness:
-    """Check c_1..c_N for perfect squares."""
-    return _tower_strict(constant_terms(nu, N))
-
-
-def _tower_strict(seq: OrbitSequence) -> Strictness:
-    """tower_strict on orbit constants the caller has already built."""
+def tower_strict(seq: OrbitSequence) -> Strictness:
+    """Check the orbit constants c_1..c_N of seq for perfect squares."""
     for i, cn in enumerate(seq.c):
         if is_square(cn):
             return Strictness(seq.nu, len(seq.c), False, i + 1)

@@ -3,7 +3,10 @@
 A Fermat prime p = 2^(2^k) + 1 > 3 satisfies p = 1 (mod 4), so Q(zeta_p)
 contains Q(sqrt p); if nu is a quadratic non-residue mod p, the orbit of
 0 under t -> t^2 - nu never vanishes mod p and sqrt(p) stays out of the
-whole tower. This module certifies the non-residue inputs.
+whole tower. This module certifies the non-residue inputs: by one
+Jacobi symbol for each known Fermat prime, and for every Fermat prime
+at once when nu = q * s^2 with q in {3, 7}, which two exact tests
+decide (q | nu, and nu / q is a perfect square), with no factoring.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import CertificateFailure, InvariantFailure, ResourceLimitError
-from .factor import EFFORT_DEFAULT, Effort, squarefree_kernel
-from .intmath import is_square, split_two_part
+from .intmath import is_square
 
 # F_9 has 155 digits and Pepin on it is a few hundred modular
 # squarings; above that nothing in this package needs the value.
@@ -135,8 +137,10 @@ class ResidueCertificate(Record):
     scope "universal" covers every Fermat prime > 3 (known or not):
     nu = s^2 * q with q in {3, 7}, both of which are non-residues mod
     every Fermat prime > 3, and no Fermat prime divides s (the known
-    ones are checked; unknown ones exceed 2^(2^33) > nu). scope
-    "finite" covers exactly the checked primes.
+    ones are checked; unknown ones exceed 2^(2^33) > nu). The rule is
+    two exact tests, q | nu and nu / q a perfect square, so no budget
+    can leave it undecided; kernel_basis is that q. scope "finite"
+    covers exactly the checked primes.
     """
 
     nu: int
@@ -159,33 +163,31 @@ def _fermat_primes_above_3() -> tuple[int, ...]:
     return tuple(p for p in known_fermat_primes() if p > 3)
 
 
-def residue_certificate(nu: int, effort: Effort = EFFORT_DEFAULT) -> ResidueCertificate:
+def residue_certificate(nu: int) -> ResidueCertificate:
     """Certify jacobi(nu, p) = -1 for Fermat primes p > 3.
 
-    Universal scope when the square-free kernel of nu is 3 or 7 and no
-    known Fermat prime divides nu; otherwise each known prime is checked
-    individually (finite scope). Any failure raises CertificateFailure
-    naming the smallest violating prime: a Jacobi value of 0 (p divides
-    nu) counts as failure, since nu = 0 is a square mod p.
+    Universal scope when nu = q * s^2 with q in {3, 7}; otherwise each
+    known prime is checked individually (finite scope). Any failure
+    raises CertificateFailure naming the smallest violating prime: a
+    Jacobi value of 0 (p divides nu) counts as failure, since nu = 0 is
+    a square mod p.
     """
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
-    symbols = tuple(jacobi(nu, p) for p in _fermat_primes_above_3())
-    return _residue_certificate(nu, symbols, effort)
-
-
-def _residue_certificate(
-    nu: int, symbols: tuple[int, ...], effort: Effort
-) -> ResidueCertificate:
-    """residue_certificate for nu >= 2, given symbols[i] = jacobi(nu, p)
-    for the i-th prime p of _fermat_primes_above_3()."""
-    failure = _first_failure(symbols)
+    failure = _first_failure(tuple(jacobi(nu, p) for p in _fermat_primes_above_3()))
     if failure is not None:
         raise CertificateFailure(nu, *failure)
+    return _residue_certificate(nu)
+
+
+def _residue_certificate(nu: int) -> ResidueCertificate:
+    """residue_certificate for a nu >= 2 whose symbols at every known
+    Fermat prime p > 3 the caller has found to be -1."""
     primes = _fermat_primes_above_3()
-    kernel = _kernel_by_odd_part(nu, effort)
-    if kernel in (3, 7):
-        return ResidueCertificate(nu, "universal", primes, kernel)
+    for q in (3, 7):
+        quotient, rem = divmod(nu, q)
+        if rem == 0 and is_square(quotient):
+            return ResidueCertificate(nu, "universal", primes, q)
     return ResidueCertificate(nu, "finite", primes, None)
 
 
@@ -196,16 +198,3 @@ def _first_failure(symbols: tuple[int, ...]) -> tuple[int, int] | None:
         if j != -1:
             return p, j
     return None
-
-
-def _kernel_by_odd_part(nu: int, effort: Effort) -> int | None:
-    """squarefree_kernel(nu, effort), found by factoring the odd part mu.
-
-    nu = 2^v * mu has kernel kernel(mu) * 2^(v mod 2). Trial division
-    takes the 2s out first, so mu leaves the same cofactor and rho
-    budget as nu: one is partial exactly when the other is. The verdict
-    factors mu anyway, so this factorization is a cache hit there.
-    """
-    v, mu = split_two_part(nu)
-    kernel = squarefree_kernel(mu, effort)
-    return None if kernel is None else kernel << (v & 1)

@@ -325,9 +325,7 @@ class Sqrt2Certificate(Record):
     spot_checked_depth: int | None
 
 
-def sqrt2_free_certificate(
-    params: TowerParams | int, spot_check_depth: int = 5
-) -> Sqrt2Certificate:
+def sqrt2_free_certificate(params: TowerParams, seq: OrbitSequence) -> Sqrt2Certificate:
     """Certify that sqrt(2) lies in no level of the tower.
 
     The shape conditions are checked exactly. The proof is 2-adic: with
@@ -335,21 +333,12 @@ def sqrt2_free_certificate(
     v2(c_n^2) = 2v > v, so every c_n has valuation v. For even v every
     subset product of c's then has even 2-adic valuation, and its
     square-free kernel is odd, never 2. As a guard the certificate
-    checks v2(c_n) = v for n <= spot_check_depth, exactly and without
-    factoring; a mismatch contradicts the proof and raises
+    checks v2(c_n) = v for the orbit constants c_1..c_N of seq, exactly
+    and without factoring; a mismatch contradicts the proof and raises
     InvariantFailure.
     """
-    if isinstance(params, int):
-        params = tower_params(params)
-    return _sqrt2_free_certificate(params, spot_check_depth, None)
-
-
-def _sqrt2_free_certificate(
-    params: TowerParams, spot_check_depth: int, seq: OrbitSequence | None
-) -> Sqrt2Certificate:
-    """sqrt2_free_certificate, whose guard reads c_1..c_spot_check_depth
-    from seq when the caller has built them; with seq None they are
-    built here, once the shape conditions hold."""
+    if seq.nu != params.nu:
+        raise ValueError("orbit constants and 2-adic data are for different nu")
     v = params.two_adic_valuation
     if v == 0:
         return Sqrt2Certificate(params.nu, False, "4 does not divide nu", None)
@@ -360,12 +349,10 @@ def _sqrt2_free_certificate(
     if params.is_square:
         return Sqrt2Certificate(params.nu, False, "nu is a perfect square", None)
 
-    if seq is None:
-        seq = constant_terms(params.nu, spot_check_depth)
     for n, cn in enumerate(seq.c, 1):
         if v2(cn) != v:
             raise InvariantFailure(
                 f"v2(c_{n}) = {v2(cn)} differs from v2(nu) = {v} at "
                 f"nu = {params.nu}, so kernel 2 is no longer ruled out"
             )
-    return Sqrt2Certificate(params.nu, True, None, spot_check_depth)
+    return Sqrt2Certificate(params.nu, True, None, len(seq.c))

@@ -37,7 +37,6 @@ from .orbit import (
     SEQUENCE_CAP,
     Strictness,
     TowerParams,
-    _tower_strict,
     constant_terms,
     tower_params,
     tower_strict,
@@ -52,8 +51,8 @@ from .residue import (
 )
 from .squareclasses import (
     Sqrt2Certificate,
-    _sqrt2_free_certificate,
     contains_sqrt,
+    sqrt2_free_certificate,
     two_independent,
 )
 
@@ -527,7 +526,7 @@ def fermat_obstruction(nu: int, p: int, depth: int = 5) -> FermatObstruction:
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
-    strict = tower_strict(nu, min(depth, SEQUENCE_CAP))
+    strict = tower_strict(constant_terms(nu, min(depth, SEQUENCE_CAP)))
     return _obstruction_chain(strict, p, jacobi(nu, p))
 
 
@@ -618,7 +617,8 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     the Fermat-prime residue certificate.
 
     Certificate failure is folded into a failed clause (with the
-    smallest violating prime recorded), not an exception.
+    smallest violating prime recorded), not an exception. effort bounds
+    only the factorization of mu behind the mu_not_squarefree flag.
     """
     params = tower_params(nu)
     v = params.two_adic_valuation
@@ -630,7 +630,7 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     symbols = tuple(jacobi(nu, p) for p in _fermat_primes_above_3())
     failure = _first_failure(symbols)
     if failure is None:
-        residue, failed_prime = _residue_certificate(nu, symbols, effort), None
+        residue, failed_prime = _residue_certificate(nu), None
     else:
         residue, failed_prime = None, failure[0]
     clauses.append(("Fermat-prime non-residue certificate", failure is None))
@@ -717,8 +717,8 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
     hypothesis = hypothesis_check(nu, effort)
     seq = constant_terms(nu, depth)
-    strictness = _tower_strict(seq)
-    sqrt2 = _sqrt2_free_certificate(hypothesis.params, depth, seq)
+    strictness = tower_strict(seq)
+    sqrt2 = sqrt2_free_certificate(hypothesis.params, seq)
     if strictness.strict:
         obstructions = tuple(
             _obstruction_chain(strictness, p, j)

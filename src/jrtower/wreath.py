@@ -50,10 +50,6 @@ class TreeAutomorphism(Record):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("portrait bits must be 0 or 1")
 
-    def bit_at(self, node: int) -> int:
-        """Swap bit at 1-based heap node index."""
-        return self.bits[node - 1]
-
 
 def identity(depth: int) -> TreeAutomorphism:
     return TreeAutomorphism(depth, (0,) * (2**depth - 1))

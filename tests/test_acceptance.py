@@ -14,7 +14,7 @@ from itertools import combinations
 from math import prod
 
 from jrtower.intmath import is_square
-from jrtower.orbit import constant_terms, valuation_profile
+from jrtower.orbit import constant_terms, tower_params, valuation_profile
 from jrtower.discriminant import disc_resultant_oracle, disc_xn, norm_sequence
 from jrtower.residue import (
     PROVEN_COMPOSITE,
@@ -156,10 +156,10 @@ def test_criterion_07_sqrt2_dichotomy():
     m = contains_sqrt(3, 2, 2)
     assert m.status == PRESENT
     assert m.subset == frozenset({1, 2})
-    assert sqrt2_free_certificate(12).certified
+    assert sqrt2_free_certificate(tower_params(12), constant_terms(12, 5)).certified
     for n in range(1, 6):
         assert contains_sqrt(12, n, 2).status == ABSENT
-    assert sqrt2_free_certificate(28).certified
+    assert sqrt2_free_certificate(tower_params(28), constant_terms(28, 5)).certified
 
 
 def test_criterion_08_two_independence_oracle_equivalence():

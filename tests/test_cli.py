@@ -416,7 +416,7 @@ def test_mu_not_squarefree_note_is_gated_on_the_sqrt2_certificate(capsys):
 
 def test_import_loads_neither_mpmath_nor_concurrent_futures():
     """A CLI start pays for none of these: mpmath is a test oracle only,
-    the thread pool is imported when --workers asks for one, records
+    no scan uses concurrent.futures, records
     are built without dataclasses, and Fraction is imported by the calls
     that take or return one. A rational alpha (nu = 12, 56) is rendered
     in integers, so verdicts leave fractions unloaded too."""

@@ -29,7 +29,6 @@ def reference_orbit(nu: int, N: int) -> list[int]:
 def test_tower_params_splits_two_part():
     p = tower_params(12)
     assert (p.two_adic_valuation, p.mu, p.is_square) == (2, 3, False)
-    assert p.half_valuation == 1
     p = tower_params(48)
     assert (p.two_adic_valuation, p.mu) == (4, 3)
     assert tower_params(8).two_adic_valuation == 3
@@ -228,15 +227,15 @@ def test_valuation_profile_matches_brute_valuations():
 
 
 def test_tower_strict_detects_square_terms():
-    assert tower_strict(12, 5).strict
-    assert tower_strict(7, 5).strict
-    s = tower_strict(4, 3)
+    assert tower_strict(constant_terms(12, 5)).strict
+    assert tower_strict(constant_terms(7, 5)).strict
+    s = tower_strict(constant_terms(4, 3))
     assert not s.strict
     assert s.witness == 1
-    s = tower_strict(9, 3)
+    s = tower_strict(constant_terms(9, 3))
     assert not s.strict and s.witness == 1
-    assert bool(tower_strict(12, 5)) is True
-    assert bool(tower_strict(16, 2)) is False
+    assert bool(tower_strict(constant_terms(12, 5))) is True
+    assert bool(tower_strict(constant_terms(16, 2))) is False
 
 
 def test_valuation_profile_pattern_and_congruence_for_random_nu_and_p():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from jrtower.errors import CertificateFailure, ResourceLimitError
 from jrtower.factor import EFFORT_QUICK, squarefree_kernel
 from jrtower.intmath import prime_sieve
+from jrtower.orbit import tower_params
 from jrtower.residue import (
     PEPIN_CAP,
     PROVEN_COMPOSITE,
@@ -19,7 +21,7 @@ from jrtower.residue import (
     pepin_test,
     residue_certificate,
 )
-from jrtower.residue import _kernel_by_odd_part
+from jrtower.verdict import THEOREM_APPLIES, jr_verdict
 
 
 def euler_symbol(a: int, p: int) -> int:
@@ -148,35 +150,68 @@ def test_residue_certificate_validates_claims():
         )
 
 
-def test_residue_certificate_effort_passthrough():
-    cert = residue_certificate(12, EFFORT_QUICK)
-    assert cert.scope == "universal"
-
-
-def test_kernel_by_odd_part_matches_kernel_of_nu():
-    """The certificate reads nu's kernel off its odd part mu; the kernel
-    of the whole nu = 2^v * mu is the oracle, None (partial) included,
-    and so is the scope it decides."""
+def test_residue_scope_matches_the_kernel_of_nu():
+    """Universal scope iff the square-free kernel of nu, from sympy's
+    factorization, is 3 or 7, also where the quick budget leaves nu's
+    factorization partial: the scope is two square tests, not a kernel."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2004)
     big = [sympy.nextprime(rng.randrange(10**11, 10**13)) for _ in range(6)]
     hard = [big[0] * big[1], 3 * (big[2] * big[3]) ** 2, 7 * (big[4] * big[5]) ** 2]
+    # 2 * 39 = 78 passes every known prime, with kernel 78.
+    hard.append(39 * (big[2] * big[3]) ** 2)
     odd_parts = [1, 3, 7, 21, 3 * 11**2, 7 * 5**4, 3 * big[0] ** 2] + hard
     odd_parts += [2 * rng.randrange(1, 10**9) + 1 for _ in range(20)]
     partial, seen = 0, set()
     for m in odd_parts:
+        odd_factors = sympy.factorint(m)
+        # Trial division strips the 2s first, so every nu = m * 2^v meets
+        # the same quick budget on m.
+        is_partial = squarefree_kernel(m, EFFORT_QUICK) is None
         for v in range(7):
             nu = m << v
             if nu < 2:
                 continue
-            kernel = squarefree_kernel(nu, EFFORT_QUICK)
-            assert _kernel_by_odd_part(nu, EFFORT_QUICK) == kernel, nu
-            partial += kernel is None
+            factors = {**odd_factors, 2: v}
+            kernel = math.prod(p for p, e in factors.items() if e % 2)
+            partial += is_partial
             try:
-                cert = residue_certificate(nu, EFFORT_QUICK)
+                cert = residue_certificate(nu)
             except CertificateFailure:
                 continue
             assert cert.scope == ("universal" if kernel in (3, 7) else "finite"), nu
-            seen.add((cert.scope, kernel is None))
+            assert cert.kernel_basis == (kernel if kernel in (3, 7) else None), nu
+            seen.add((cert.scope, is_partial))
     assert partial >= 3 * 7
-    assert seen == {("universal", False), ("finite", False), ("finite", True)}
+    assert seen == {
+        ("universal", False), ("universal", True), ("finite", False), ("finite", True)
+    }
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_universal_scope_needs_no_factorization_of_mu(q):
+    """nu = 4q(pr)^2 with p, r 20-digit primes: the quick budget cannot
+    factor mu = q(pr)^2, yet nu = q * s^2 proves the scope universal."""
+    p, r = 10**19 + 51, 10**19 + 147
+    nu = 4 * q * (p * r) ** 2
+    assert squarefree_kernel(tower_params(nu).mu, EFFORT_QUICK) is None
+    report = jr_verdict(nu, 5, EFFORT_QUICK)
+    assert report.conclusion == THEOREM_APPLIES
+    assert report.hypothesis.scope == "universal"
+    assert report.hypothesis.residue.kernel_basis == q
+    assert not report.finite_scope_caveat
+
+
+def test_residue_certificate_factors_nothing(monkeypatch):
+    import jrtower.factor
+
+    def refuse(*args):
+        raise AssertionError("residue_certificate factored")
+
+    monkeypatch.setattr(jrtower.factor, "factorize", refuse)
+    monkeypatch.setattr(jrtower.factor, "_factorize_cached", refuse)
+    p, r = 10**19 + 51, 10**19 + 147
+    scopes = [residue_certificate(nu).scope for nu in (12, 28, 78, 12 * (p * r) ** 2)]
+    assert scopes == ["universal", "universal", "finite", "universal"]
+    with pytest.raises(CertificateFailure):
+        residue_certificate(20)

@@ -10,7 +10,7 @@ import pytest
 from jrtower.errors import InvariantFailure
 from jrtower.factor import EFFORT_QUICK, squarefree_kernel
 from jrtower.intmath import is_square, split_two_part, v2
-from jrtower.orbit import constant_terms
+from jrtower.orbit import constant_terms, tower_params
 from jrtower.squareclasses import (
     ABSENT,
     UNKNOWN,
@@ -174,24 +174,33 @@ def test_contains_sqrt_rejects_bad_d():
         contains_sqrt(12, 2, 1)
 
 
+def sqrt2_cert(nu: int, depth: int = 5):
+    return sqrt2_free_certificate(tower_params(nu), constant_terms(nu, depth))
+
+
 def test_sqrt2_free_certificate_positive_cases():
     for nu in (12, 28, 44, 48):
-        cert = sqrt2_free_certificate(nu)
+        cert = sqrt2_cert(nu)
         assert cert.certified, nu
         assert cert.spot_checked_depth >= 1
 
 
 def test_sqrt2_free_certificate_refusals():
-    cert = sqrt2_free_certificate(8)
+    cert = sqrt2_cert(8)
     assert not cert.certified  # odd 2-adic valuation
-    cert = sqrt2_free_certificate(3)
+    cert = sqrt2_cert(3)
     assert not cert.certified  # 4 does not divide nu
-    cert = sqrt2_free_certificate(36)
+    cert = sqrt2_cert(36)
     assert not cert.certified  # perfect square
-    cert = sqrt2_free_certificate(4)
+    cert = sqrt2_cert(4)
     assert not cert.certified  # odd part is 1
     for nu in (8, 3, 36, 4):
-        assert sqrt2_free_certificate(nu).reason
+        assert sqrt2_cert(nu).reason
+
+
+def test_sqrt2_free_certificate_rejects_a_foreign_orbit():
+    with pytest.raises(ValueError):
+        sqrt2_free_certificate(tower_params(12), constant_terms(28, 5))
 
 
 def certificate_shape_nus(limit: int) -> list[int]:
@@ -209,7 +218,7 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
     nus = certificate_shape_nus(300)
     assert len(nus) == 42
     for nu in nus:
-        assert sqrt2_free_certificate(nu, 8).certified
+        assert sqrt2_cert(nu, 8).certified
         v = v2(nu)
         assert all(v2(c) == v for c in constant_terms(nu, 8).c), nu
         for n in range(1, 5):
@@ -219,7 +228,7 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
 
 def test_sqrt2_certificate_reports_its_checked_depth():
     for depth in (1, 5, 12):
-        cert = sqrt2_free_certificate(48, depth)
+        cert = sqrt2_cert(48, depth)
         assert cert.certified
         assert cert.spot_checked_depth == depth
 
@@ -231,7 +240,7 @@ def test_sqrt2_certificate_guard_fires_when_the_pattern_breaks(monkeypatch):
         "jrtower.squareclasses.v2", lambda n: real_v2(n) + (n != 12)
     )
     with pytest.raises(InvariantFailure, match="c_2"):
-        sqrt2_free_certificate(12)
+        sqrt2_cert(12)
 
 
 def random_square_class_values(rng) -> list[int]:
@@ -359,7 +368,7 @@ def test_sqrt2_free_certificate_factors_nothing(monkeypatch):
     monkeypatch.setattr(jrtower.factor, "factorize", refuse)
     monkeypatch.setattr(jrtower.factor, "_factorize_cached", refuse)
     for nu in (12, 180, 240, 588, 8, 36):
-        sqrt2_free_certificate(nu, 12)
+        sqrt2_cert(nu, 12)
 
 
 def test_contains_sqrt_matches_brute_force_subset_search():

@@ -9,7 +9,7 @@ from jrtower import verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
 from jrtower.factor import EFFORT_QUICK
 from jrtower.intmath import v2
-from jrtower.orbit import orbit_mod_p, tower_strict
+from jrtower.orbit import constant_terms, orbit_mod_p, tower_strict
 from jrtower.residue import jacobi
 from jrtower.verdict import (
     EXCLUDED,
@@ -426,7 +426,7 @@ def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
     from jrtower import orbit, verdict
 
     calls = 0
-    strict = verdict._tower_strict
+    strict = verdict.tower_strict
 
     def counting(seq):
         nonlocal calls
@@ -437,7 +437,7 @@ def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
         raise AssertionError("a Fermat prime was proved prime again")
 
     expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
-    monkeypatch.setattr(verdict, "_tower_strict", counting)
+    monkeypatch.setattr(verdict, "tower_strict", counting)
     monkeypatch.setattr(orbit, "is_prime", forbidden)
     report = jr_verdict(12, 5)
     assert calls == 1
@@ -452,16 +452,23 @@ def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
 )
 def test_jr_verdict_builds_the_orbit_once_and_walks_none(monkeypatch, nus, depth):
     """Work counts, not time: one constant_terms per verdict, read by both
-    the strictness check and the sqrt(2) guard, and no orbit walk."""
-    from jrtower import orbit
+    the strictness check and the sqrt(2) guard, one call of each, and no
+    orbit walk."""
+    from jrtower import orbit, squareclasses
 
     built = spy_everywhere(monkeypatch, orbit, "constant_terms")
     walks = spy_everywhere(monkeypatch, orbit, "_orbit_walk")
+    strict = spy_everywhere(monkeypatch, orbit, "tower_strict")
+    sqrt2 = spy_everywhere(monkeypatch, squareclasses, "sqrt2_free_certificate")
     certified = 0
     for nu in nus:
-        del built[:]
+        for calls in (built, strict, sqrt2):
+            del calls[:]
         report = jr_verdict(nu, depth, EFFORT_QUICK)
         assert built == [(nu, depth)], nu
+        [(seq,)], [(params, seq2)] = strict, sqrt2
+        assert seq is seq2 and seq.nu == nu and len(seq.c) == depth, nu
+        assert params is report.hypothesis.params, nu
         certified += report.sqrt2.certified
     assert walks == []
     assert certified > 0
@@ -472,7 +479,7 @@ def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
     """nu = 13 and 8 are squares mod 17; claiming jacobi = -1 must raise,
     whether or not the orbit mod 17 reaches 0."""
     assert orbit_mod_p(nu, 17) == first_zero
-    strict = tower_strict(nu, 5)
+    strict = tower_strict(constant_terms(nu, 5))
     assert strict.strict
     with pytest.raises(InvariantFailure, match="Euler's criterion"):
         verdict._obstruction_chain(strict, 17, -1)
@@ -522,12 +529,16 @@ def spy_everywhere(monkeypatch, module, name):
 
 
 def test_jr_verdict_factors_only_the_odd_part(monkeypatch):
+    """One factorization per verdict, of mu, for the mu-not-squarefree flag."""
     from jrtower import factor
 
     calls = spy_everywhere(monkeypatch, factor, "factorize")
+    cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
     factor._factorize_cached.cache_clear()
     for nu in range(2, 401):
-        jr_verdict(nu, 5, EFFORT_QUICK)
+        del cached[:]
+        report = jr_verdict(nu, 5, EFFORT_QUICK)
+        assert cached == [(report.hypothesis.params.mu, EFFORT_QUICK)], nu
     assert calls
     assert all(n % 2 == 1 for n, _ in calls)
 
