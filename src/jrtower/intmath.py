@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -139,5 +140,5 @@ def prime_sieve(limit: int) -> tuple[int, ...]:
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(compress(range(limit + 1), flags))

@@ -417,16 +417,16 @@ def _radical_symbolic_check(poly: list[int], d: int) -> bool:
 def _radical_numeric_check(poly: list[int], d: int) -> bool:
     """Fixed-point check that poly annihilates s_{d-1}.
 
-    Runs at needed = bits(max|c|) + len(poly) + 160 fractional bits
-    and accepts iff the value is below 2^-100. The error bound: each
-    s_k = sqrt(2 + s_(k-1)) is floored, and the square root more than
-    halves the error carried in, so s is within 2 ulp; t = s^2 is then within
-    2 * 2 * 2 + 1 = 9 ulp; and Horner in t over at most deg/2 + 1
-    coefficients, with |t| < 4, stays within deg * max|c| * 4^(deg/2)
-    * 9 ulp. With deg <= 2^11 that is below 2^-140, far under the
-    acceptance threshold.
+    Runs at needed = bits(W) + bits(len(poly)) + 160 fractional bits,
+    where W = sum_j |c_j| 2^j, and accepts iff the value is below
+    2^-100. 2^needed >= 16 len(poly), so by _radical_value's bound
+    the error is at most 2 len(poly) W ulp < 2^(needed - 159) ulp,
+    below 2^-159 (under 2^-140) for every integer polynomial.
     """
-    needed = max(abs(c).bit_length() for c in poly) + len(poly) + 160
+    weight = 0
+    for c in reversed(poly):
+        weight = (weight << 1) + abs(c)
+    needed = weight.bit_length() + len(poly).bit_length() + 160
     return abs(_radical_value(poly, d, needed)) < 1 << (needed - 100)
 
 
@@ -434,21 +434,56 @@ def _radical_value(poly: list[int], d: int, prec: int) -> int:
     """poly(s_{d-1}) * 2^prec, in integer fixed point.
 
     s_0 = 0 and s_k = sqrt(2 + s_(k-1)) come from isqrt, rounded
-    down; the even and the odd coefficients are each run through
-    Horner in t = s^2, so poly = E(t) + s * O(t) takes deg/2 steps.
+    down, and t = s^2 from one product. Then poly = E(t) + s * O(t),
+    and each half A(t) = sum_j a_j t^j runs by rectangular splitting
+    (Paterson and Stockmeyer, 1973; Smith, 1989): baby steps T_j ~ t^j
+    for j <= m = isqrt(L/2), L = len(poly); exact block sums
+    B_k = sum_(i<m) a_(km+i) T_i; Horner over the blocks in T_m. That
+    is about 2 sqrt(L/2) full-width products, where Horner in t takes L.
+
+    Error bound, in ulp = 2^-prec, for any integers c_j, with
+    D = L - 1 and W = sum_j |c_j| 2^j. Every step floors, so each
+    approximation x~ lies at or below the x it stands for.
+    1. s - s~ <= 2, since sqrt(2 + x) has slope below 1/2 for x >= 0,
+       so the error after k roots is at most half the one before
+       plus 1. Then t - t~ <= (s - s~)(s + s~) + 1 <= 9, as s < 2.
+    2. T_0 = 1 exactly and T_j = floor(T_(j-1) t~), so t^j - T_j
+       <= 4 (t^(j-1) - T_(j-1)) + 9 * 4^(j-1) + 1, as 0 <= t~ <= t
+       < 4; by induction t^j - T_j <= 3j 4^j.
+    3. With x^k - y^k <= k x^(k-1) (x - y) for 0 <= y <= x,
+       t^(i+mk) - T_i T_m^k <= 3(i + mk) 4^(i+mk).
+    4. The B_k are exact, and Horner over them returns
+       sum_k T_m^k B_k - sum_k T_m^k f_k with floor losses
+       0 <= f_k < 1. f_k is 0 unless some a_j with j >= (k+1)m is
+       nonzero, so the losses come to at most (4/3) 4^(J-m)
+       <= |a_J| 4^J / 3 for the top nonzero a_J. As every j <= D/2,
+       |A(t) - A~| <= (3D/2 + 1/3) sum_j |a_j| 4^j.
+    5. For E that sum is W_E, the even-index part of W; for O it is
+       W_O / 2, and |O(t)| <= W_O / 2. s O - floor(s~ O~) =
+       s (O - O~) + (s - s~) O~ + a floor loss below 1 that occurs
+       only when W_O >= 2, so it is at most
+       (3D/2 + 1/3) W_O (1 + 2^-prec) + W_O + W_O / 2.
+    With 2^prec >= 16 L the total is at most (3D/2 + 2) W <= 2 L W.
+    Horner in t is the case m = 1, under the same bound.
     """
     s = 0
     for _ in range(d - 1):
         s = isqrt(((2 << prec) + s) << prec)
     t = s * s >> prec
+    m = isqrt(len(poly) // 2) or 1
+    powers = [1 << prec]
+    for _ in range(m):
+        powers.append(powers[-1] * t >> prec)
+    giant = powers[m]
 
-    def horner(coeffs: list[int]) -> int:
+    def split(coeffs: list[int]) -> int:
         acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * t >> prec) + (c << prec)
+        for k in reversed(range(0, len(coeffs), m)):
+            block = sum(c * p for c, p in zip(coeffs[k : k + m], powers))
+            acc = (acc * giant >> prec) + block
         return acc
 
-    return horner(poly[0::2]) + (s * horner(poly[1::2]) >> prec)
+    return split(poly[0::2]) + (s * split(poly[1::2]) >> prec)
 
 
 def nested_radical_check(d: int) -> bool:

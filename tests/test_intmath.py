@@ -198,6 +198,26 @@ def test_prime_sieve_contents():
     assert len(prime_sieve(10**4)) == 1229
 
 
+def enumerate_sieve(limit: int) -> tuple[int, ...]:
+    """Eratosthenes read out flag by flag: the reference for the
+    compress read-out in prime_sieve."""
+    if limit < 2:
+        return ()
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return tuple(i for i, f in enumerate(flags) if f)
+
+
+def test_prime_sieve_matches_the_enumerate_read_out():
+    sieve = prime_sieve.__wrapped__  # leave the shared cache alone
+    for limit in range(2001):
+        assert sieve(limit) == enumerate_sieve(limit), limit
+    assert sieve(10**6) == enumerate_sieve(10**6)
+
+
 def test_iroot_domain():
     assert iroot(10, 1) == 10
     with pytest.raises(ValueError):

@@ -287,6 +287,29 @@ def test_packed_basis_change_overflow_guard_fires(monkeypatch):
             _palindrome_to_cos([1, middle, 1])
 
 
+def weight(poly: list[int]) -> int:
+    """W = sum_j |c_j| 2^j, the bound on |poly| over [-2, 2]."""
+    return sum(abs(c) << j for j, c in enumerate(poly))
+
+
+def horner_radical_value(poly: list[int], d: int, prec: int) -> int:
+    """poly(s_{d-1}) * 2^prec by Horner in t = s^2 over the even and the
+    odd coefficients: the m = 1 case of the rectangular splitting in
+    _radical_value, and the oracle for it."""
+    s = 0
+    for _ in range(d - 1):
+        s = math.isqrt(((2 << prec) + s) << prec)
+    t = s * s >> prec
+
+    def horner(coeffs: list[int]) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * t >> prec) + (c << prec)
+        return acc
+
+    return horner(poly[0::2]) + (s * horner(poly[1::2]) >> prec)
+
+
 def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
     """One fixed-point pass at exactly `needed` bits, accepting d = 2..12,
     rejecting a +-1 change to the constant term and to an odd
@@ -301,7 +324,7 @@ def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
         return value(poly, d, prec)
 
     def proof_bits(poly):
-        return max(abs(c).bit_length() for c in poly) + len(poly) + 160
+        return weight(poly).bit_length() + len(poly).bit_length() + 160
 
     monkeypatch.setattr(verdict, "_radical_value", recording)
     for d in range(2, NESTED_RADICAL_CAP + 1):
@@ -326,6 +349,37 @@ def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
                 exact = mpmath.polyval(candidate[::-1], s)
                 fixed = mpmath.mpf(value(candidate, d, prec)) / 2**prec
                 assert abs(fixed - exact) < mpmath.mpf(2) ** -130, (d, candidate)
+
+
+def test_radical_value_stays_within_its_error_bound():
+    """|value - 2^P poly(s_{d-1})| <= 2 * len(poly) * W ulp, the bound in
+    _radical_value's docstring, for the V_h of d = 2..12 and for random
+    integer polynomials (degree <= 64, |c| < 2^200, some sparse, some
+    with zero odd part or zero top coefficients), by rectangular
+    splitting and by Horner alike; the reference is mpmath at 2P bits."""
+    rng = random.Random(1501)
+    cases = [(_cos_minpoly_pow2(d + 1), d) for d in range(2, NESTED_RADICAL_CAP + 1)]
+    for trial in range(50):
+        bits = rng.choice([1, 16, 64, 199])
+        poly = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 65))]
+        if trial % 5 == 1:
+            poly[1::2] = [0] * len(poly[1::2])
+        elif trial % 5 == 2:
+            poly = [c if rng.random() < 0.2 else 0 for c in poly]
+        elif trial % 5 == 3:
+            poly += [0] * rng.randint(1, 8)
+        cases.append((poly, rng.randint(2, NESTED_RADICAL_CAP)))
+    for poly, d in cases:
+        prec = weight(poly).bit_length() + len(poly).bit_length() + 160
+        bound = 2 * len(poly) * weight(poly)
+        with mpmath.workprec(2 * prec):
+            s = mpmath.sqrt(2)
+            for _ in range(d - 2):
+                s = mpmath.sqrt(2 + s)
+            exact = mpmath.polyval(poly[::-1], s) * mpmath.mpf(2) ** prec
+            for evaluate in (verdict._radical_value, horner_radical_value):
+                error = abs(evaluate(poly, d, prec) - exact)
+                assert error <= bound, (evaluate.__name__, d, poly)
 
 
 def test_cyclotomic_matches_sympy():
