@@ -21,7 +21,6 @@ from .factor import (
     Effort,
     Factorization,
     factorize,
-    squarefree_kernel,
 )
 from .orbit import (
     ITERATE_CAP,
@@ -41,7 +40,6 @@ from .discriminant import (
     RESULTANT_CAP,
     DiscriminantReport,
     DiscSupport,
-    bareiss_determinant,
     disc_resultant_oracle,
     disc_xn,
     discriminant_report,

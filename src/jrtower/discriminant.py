@@ -31,34 +31,6 @@ from .orbit import SEQUENCE_CAP, _orbit_walk, constant_terms, iterate_poly, towe
 RESULTANT_CAP = 4
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination.
-
-    Fraction-free: every division is exact. Row swaps flip the sign.
-    """
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("matrix must be square")
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, size) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
-
-
 def _exact_quotient(a: int, b: int) -> int:
     """a / b, which the subresultant theory says is exact; a remainder raises."""
     q, r = divmod(a, b)

@@ -211,15 +211,3 @@ def factorize_cached(n: int, effort: Effort = EFFORT_DEFAULT) -> Factorization:
     """Memoized factorize; safe because Factorization is treated as read-only."""
     return _factorize_cached(n, effort)
 
-
-def squarefree_kernel(n: int, effort: Effort = EFFORT_DEFAULT) -> int | None:
-    """Product of the primes dividing n to an odd power, or None if unknown.
-
-    For n >= 1. A perfect square has kernel 1. Returns None when the
-    factorization is partial, unless the cofactor is a perfect square
-    times known primes (not attempted: partial means unknown here).
-    """
-    f = factorize_cached(n, effort)
-    if not f.complete:
-        return None
-    return prod(p for p, e in f.factors.items() if e % 2 == 1)

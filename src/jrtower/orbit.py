@@ -22,7 +22,9 @@ from .intmath import is_prime, is_square, split_two_part
 # Dense iterates have degree 2^n; keep them readable at a desk.
 ITERATE_CAP = 6
 # Orbit constants square in size each step; c_12 of a two-digit nu
-# already has a few thousand digits.
+# already has a few thousand digits. The cap bounds the orbits that are
+# built for display and oracles, and the depth a verdict reports: no
+# verdict builds an orbit (see Strictness and sqrt2_free_certificate).
 SEQUENCE_CAP = 12
 # Brent's walk mod p takes O(sqrt p) steps for a typical nu and at most
 # about 3p, under 2^18 mod a Fermat prime. No verdict walks (its
@@ -218,7 +220,12 @@ class Strictness(Record):
     """Whether no c_n with n <= N is a perfect square.
 
     A square c_n collapses the tower degree at level n; witness is the
-    least such n when not strict.
+    least such n when not strict. Only c_1 = nu can be a square (the
+    gap lemma): for nu >= 2 every c_n >= nu, since c_n >= nu >= 2 gives
+    c_{n+1} = c_n^2 - nu >= c_n^2 - c_n >= c_n. Then nu <= c_n < 2c_n - 1
+    puts c_{n+1} strictly between (c_n - 1)^2 and c_n^2. So the tower is
+    strict at every depth iff nu is not a square, with witness 1 or None:
+    gap_strictness decides it so, and tower_strict reads the orbit.
     """
 
     nu: int
@@ -236,3 +243,10 @@ def tower_strict(seq: OrbitSequence) -> Strictness:
         if is_square(cn):
             return Strictness(seq.nu, len(seq.c), False, i + 1)
     return Strictness(seq.nu, len(seq.c), True, None)
+
+
+def gap_strictness(params: TowerParams, depth: int) -> Strictness:
+    """tower_strict at any depth by the gap lemma (see Strictness)."""
+    if params.is_square:
+        return Strictness(params.nu, depth, False, 1)
+    return Strictness(params.nu, depth, True, None)

@@ -20,8 +20,8 @@ from math import gcd, prod
 from ._record import Record
 from .errors import InvariantFailure
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
-from .intmath import is_square, v2
-from .orbit import OrbitSequence, TowerParams, constant_terms, tower_params
+from .intmath import is_square
+from .orbit import TowerParams, constant_terms, tower_params
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -315,44 +315,44 @@ class Sqrt2Certificate(Record):
     not a perfect square: then every subset product of c's has even
     2-adic valuation, so no kernel equals 2 at any level. certified is
     False with a reason when the shape conditions fail.
-    spot_checked_depth is the level up to which v2(c_n) = v2(nu) was
-    checked.
     """
 
     nu: int
     certified: bool
     reason: str | None
-    spot_checked_depth: int | None
 
 
-def sqrt2_free_certificate(params: TowerParams, seq: OrbitSequence) -> Sqrt2Certificate:
+def sqrt2_free_certificate(params: TowerParams) -> Sqrt2Certificate:
     """Certify that sqrt(2) lies in no level of the tower.
 
     The shape conditions are checked exactly. The proof is 2-adic: with
     v = v2(nu) >= 1, v2(c_{n+1}) = v2(c_n^2 - nu) = v because
     v2(c_n^2) = 2v > v, so every c_n has valuation v. For even v every
     subset product of c's then has even 2-adic valuation, and its
-    square-free kernel is odd, never 2. As a guard the certificate
-    checks v2(c_n) = v for the orbit constants c_1..c_N of seq, exactly
-    and without factoring; a mismatch contradicts the proof and raises
-    InvariantFailure.
+    square-free kernel is odd, never 2.
+
+    The guard runs that induction modulo 2^(v+1), where v2(c_n) = v
+    reads c_n = 2^v. The base case is r = c_1 = nu = 2^v, and the step
+    is r^2 - nu = r: 2^v is a fixed point of t -> t^2 - nu, so the
+    residue of every c_n, at every depth, stays on it. Both take a few
+    operations on (v+1)-bit integers and factor nothing. A wrong v fails
+    the base case and raises InvariantFailure.
     """
-    if seq.nu != params.nu:
-        raise ValueError("orbit constants and 2-adic data are for different nu")
     v = params.two_adic_valuation
     if v == 0:
-        return Sqrt2Certificate(params.nu, False, "4 does not divide nu", None)
+        return Sqrt2Certificate(params.nu, False, "4 does not divide nu")
     if v % 2 == 1:
-        return Sqrt2Certificate(params.nu, False, "2-adic valuation of nu is odd", None)
+        return Sqrt2Certificate(params.nu, False, "2-adic valuation of nu is odd")
     if params.mu < 3:
-        return Sqrt2Certificate(params.nu, False, "odd part of nu is 1", None)
+        return Sqrt2Certificate(params.nu, False, "odd part of nu is 1")
     if params.is_square:
-        return Sqrt2Certificate(params.nu, False, "nu is a perfect square", None)
+        return Sqrt2Certificate(params.nu, False, "nu is a perfect square")
 
-    for n, cn in enumerate(seq.c, 1):
-        if v2(cn) != v:
-            raise InvariantFailure(
-                f"v2(c_{n}) = {v2(cn)} differs from v2(nu) = {v} at "
-                f"nu = {params.nu}, so kernel 2 is no longer ruled out"
-            )
-    return Sqrt2Certificate(params.nu, True, None, len(seq.c))
+    modulus = 2 << v
+    r = params.nu % modulus
+    if r != 1 << v or (r * r - params.nu) % modulus != r:
+        raise InvariantFailure(
+            f"c_n = 2^{v} (mod 2^{v + 1}) fails at nu = {params.nu}, "
+            "so kernel 2 is no longer ruled out"
+        )
+    return Sqrt2Certificate(params.nu, True, None)

@@ -38,8 +38,8 @@ from .orbit import (
     Strictness,
     TowerParams,
     constant_terms,
+    gap_strictness,
     tower_params,
-    tower_strict,
 )
 from .residue import (
     ResidueCertificate,
@@ -550,18 +550,19 @@ class FermatObstruction(Record):
         return self.status == EXCLUDED
 
 
-def fermat_obstruction(nu: int, p: int, depth: int = 5) -> FermatObstruction:
+def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
     """Run the exclusion chain for the Fermat prime p > 3.
 
-    Requires tower strictness, verified through the given depth. The
-    chain hinges on jacobi(nu, p) = -1, from which p divides no c_n:
-    p | c_1 = nu would make the symbol 0, and p | c_n with n >= 2 would
-    give c_{n-1}^2 = nu (mod p), so nu would be a square mod p. The
-    symbol is checked again by Euler's criterion (see _obstruction_chain).
+    Requires tower strictness, which the gap lemma decides at every
+    depth from nu alone (see orbit.Strictness). The chain hinges on
+    jacobi(nu, p) = -1, from which p divides no c_n: p | c_1 = nu
+    would make the symbol 0, and p | c_n with n >= 2 would give
+    c_{n-1}^2 = nu (mod p), so nu would be a square mod p. The symbol
+    is checked again by Euler's criterion (see _obstruction_chain).
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
-    strict = tower_strict(constant_terms(nu, min(depth, SEQUENCE_CAP)))
+    strict = gap_strictness(tower_params(nu), 1)
     return _obstruction_chain(strict, p, jacobi(nu, p))
 
 
@@ -747,13 +748,17 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     attained at 4, and the totally-positive window set is neither
     {+inf} nor [4, +inf). Anything unproven yields "inconclusive" with
     the failing checks named.
+
+    Its cost does not grow with depth: strictness and the sqrt(2)
+    guard hold at every level by short proofs that read nu alone (see
+    orbit.Strictness and sqrt2_free_certificate), so no orbit constant
+    is built. depth is the level the report names.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
     hypothesis = hypothesis_check(nu, effort)
-    seq = constant_terms(nu, depth)
-    strictness = tower_strict(seq)
-    sqrt2 = sqrt2_free_certificate(hypothesis.params, seq)
+    strictness = gap_strictness(hypothesis.params, depth)
+    sqrt2 = sqrt2_free_certificate(hypothesis.params)
     if strictness.strict:
         obstructions = tuple(
             _obstruction_chain(strictness, p, j)

@@ -156,10 +156,10 @@ def test_criterion_07_sqrt2_dichotomy():
     m = contains_sqrt(3, 2, 2)
     assert m.status == PRESENT
     assert m.subset == frozenset({1, 2})
-    assert sqrt2_free_certificate(tower_params(12), constant_terms(12, 5)).certified
+    assert sqrt2_free_certificate(tower_params(12)).certified
     for n in range(1, 6):
         assert contains_sqrt(12, n, 2).status == ABSENT
-    assert sqrt2_free_certificate(tower_params(28), constant_terms(28, 5)).certified
+    assert sqrt2_free_certificate(tower_params(28)).certified
 
 
 def test_criterion_08_two_independence_oracle_equivalence():

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -12,9 +13,17 @@ from jrtower.factor import (
     PARTIAL,
     factorize,
     factorize_cached,
-    squarefree_kernel,
 )
 from jrtower.intmath import prime_sieve
+
+
+def squarefree_kernel(n: int, effort=EFFORT_DEFAULT) -> int | None:
+    """Product of the primes dividing n to an odd power, read off
+    factorize_cached; None when the factorization stays partial."""
+    f = factorize_cached(n, effort)
+    if not f.complete:
+        return None
+    return prod(p for p, e in f.factors.items() if e % 2 == 1)
 
 
 def brute_factor(n: int) -> dict[int, int]:

@@ -9,6 +9,7 @@ from jrtower.orbit import (
     SEQUENCE_CAP,
     OrbitSequence,
     constant_terms,
+    gap_strictness,
     iterate_poly,
     orbit_mod_p,
     tower_params,
@@ -236,6 +237,17 @@ def test_tower_strict_detects_square_terms():
     assert not s.strict and s.witness == 1
     assert bool(tower_strict(constant_terms(12, 5))) is True
     assert bool(tower_strict(constant_terms(16, 2))) is False
+
+
+def test_gap_strictness_agrees_with_the_orbit():
+    """The gap lemma against the orbit itself: over nu = 2..20000,
+    tower_strict on c_1..c_8 gives the same record, witness included."""
+    squares = 0
+    for nu in range(2, 20001):
+        want = tower_strict(constant_terms(nu, 8))
+        assert gap_strictness(tower_params(nu), 8) == want, nu
+        squares += not want
+    assert squares == 140  # 2^2 .. 141^2
 
 
 def test_valuation_profile_pattern_and_congruence_for_random_nu_and_p():

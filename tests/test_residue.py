@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jrtower.errors import CertificateFailure, ResourceLimitError
-from jrtower.factor import EFFORT_QUICK, squarefree_kernel
+from jrtower.factor import EFFORT_QUICK, factorize_cached
 from jrtower.intmath import prime_sieve
 from jrtower.orbit import tower_params
 from jrtower.residue import (
@@ -167,7 +167,7 @@ def test_residue_scope_matches_the_kernel_of_nu():
         odd_factors = sympy.factorint(m)
         # Trial division strips the 2s first, so every nu = m * 2^v meets
         # the same quick budget on m.
-        is_partial = squarefree_kernel(m, EFFORT_QUICK) is None
+        is_partial = not factorize_cached(m, EFFORT_QUICK).complete
         for v in range(7):
             nu = m << v
             if nu < 2:
@@ -194,7 +194,7 @@ def test_universal_scope_needs_no_factorization_of_mu(q):
     factor mu = q(pr)^2, yet nu = q * s^2 proves the scope universal."""
     p, r = 10**19 + 51, 10**19 + 147
     nu = 4 * q * (p * r) ** 2
-    assert squarefree_kernel(tower_params(nu).mu, EFFORT_QUICK) is None
+    assert not factorize_cached(tower_params(nu).mu, EFFORT_QUICK).complete
     report = jr_verdict(nu, 5, EFFORT_QUICK)
     assert report.conclusion == THEOREM_APPLIES
     assert report.hypothesis.scope == "universal"

@@ -8,7 +8,7 @@ from math import gcd, prod
 import pytest
 
 from jrtower.errors import InvariantFailure
-from jrtower.factor import EFFORT_QUICK, squarefree_kernel
+from jrtower.factor import EFFORT_QUICK
 from jrtower.intmath import is_square, split_two_part, v2
 from jrtower.orbit import constant_terms, tower_params
 from jrtower.squareclasses import (
@@ -115,6 +115,19 @@ def test_quadratic_subfields_depth2_nu12():
     assert lat.kernels[frozenset({1, 2})] == 11
 
 
+def kernel_by_trial_division(n: int) -> int:
+    """Square-free kernel of n >= 1, by plain trial division."""
+    kernel, d = 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
+            n //= d
+            kernel *= d
+        d += 1
+    return kernel * n
+
+
 def test_quadratic_subfields_match_direct_kernels():
     """Every subset kernel must equal the kernel of the literal product."""
     for nu, n in ((12, 3), (3, 2), (7, 3), (5, 3)):
@@ -122,7 +135,7 @@ def test_quadratic_subfields_match_direct_kernels():
         seq = constant_terms(nu, n)
         assert lat.complete
         for subset, kernel in lat.kernels.items():
-            direct = squarefree_kernel(prod(seq.c[i - 1] for i in subset))
+            direct = kernel_by_trial_division(prod(seq.c[i - 1] for i in subset))
             assert kernel == direct
         assert len(lat.kernels) == 2**n - 1
 
@@ -174,15 +187,23 @@ def test_contains_sqrt_rejects_bad_d():
         contains_sqrt(12, 2, 1)
 
 
-def sqrt2_cert(nu: int, depth: int = 5):
-    return sqrt2_free_certificate(tower_params(nu), constant_terms(nu, depth))
+def sqrt2_cert(nu: int):
+    return sqrt2_free_certificate(tower_params(nu))
+
+
+def forged_params(nu: int, v: int):
+    """tower_params(nu) with two_adic_valuation overwritten by v, past the
+    record's own 2-adic check."""
+    params = tower_params(nu)
+    object.__setattr__(params, "two_adic_valuation", v)
+    return params
 
 
 def test_sqrt2_free_certificate_positive_cases():
     for nu in (12, 28, 44, 48):
         cert = sqrt2_cert(nu)
         assert cert.certified, nu
-        assert cert.spot_checked_depth >= 1
+        assert cert.reason is None
 
 
 def test_sqrt2_free_certificate_refusals():
@@ -196,11 +217,6 @@ def test_sqrt2_free_certificate_refusals():
     assert not cert.certified  # odd part is 1
     for nu in (8, 3, 36, 4):
         assert sqrt2_cert(nu).reason
-
-
-def test_sqrt2_free_certificate_rejects_a_foreign_orbit():
-    with pytest.raises(ValueError):
-        sqrt2_free_certificate(tower_params(12), constant_terms(28, 5))
 
 
 def certificate_shape_nus(limit: int) -> list[int]:
@@ -218,7 +234,7 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
     nus = certificate_shape_nus(300)
     assert len(nus) == 42
     for nu in nus:
-        assert sqrt2_cert(nu, 8).certified
+        assert sqrt2_cert(nu).certified
         v = v2(nu)
         assert all(v2(c) == v for c in constant_terms(nu, 8).c), nu
         for n in range(1, 5):
@@ -226,21 +242,43 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
             assert status != PRESENT, (nu, n)
 
 
-def test_sqrt2_certificate_reports_its_checked_depth():
-    for depth in (1, 5, 12):
-        cert = sqrt2_cert(48, depth)
-        assert cert.certified
-        assert cert.spot_checked_depth == depth
+def test_sqrt2_residue_guard_agrees_with_the_orbit_valuations():
+    """For every multiple of 4 up to 20000, every c_1..c_10 has v2(nu) as
+    its 2-adic valuation, and for every even v the guard may be handed it
+    raises exactly when the v2 loop over those c_n would have."""
+    raised = 0
+    for nu in range(4, 20001, 4):
+        params = tower_params(nu)
+        valuations = {v2(c) for c in constant_terms(nu, 10).c}
+        assert valuations == {params.two_adic_valuation}, nu
+        if params.mu < 3 or params.is_square:
+            continue
+        for v in range(2, 16, 2):
+            loop_raises = valuations != {v}
+            try:
+                sqrt2_free_certificate(forged_params(nu, v))
+            except InvariantFailure:
+                assert loop_raises, (nu, v)
+                raised += 1
+            else:
+                assert not loop_raises, (nu, v)
+    assert raised > 20000
 
 
-def test_sqrt2_certificate_guard_fires_when_the_pattern_breaks(monkeypatch):
-    real_v2 = v2
-    # Shift the valuation of every c_n except c_1 = nu = 12.
-    monkeypatch.setattr(
-        "jrtower.squareclasses.v2", lambda n: real_v2(n) + (n != 12)
-    )
-    with pytest.raises(InvariantFailure, match="c_2"):
-        sqrt2_cert(12)
+def test_sqrt2_certificate_guard_fires_when_the_pattern_breaks():
+    """A forged two_adic_valuation passes the shape tests when it is even
+    and at least 2; the residue guard then raises for every wrong value,
+    as the v2 loop did at c_1. Odd and zero values are refusals."""
+    for nu in certificate_shape_nus(300):
+        true_v = v2(nu)
+        for v in range(0, 10):
+            if v == true_v:
+                continue
+            if v >= 2 and v % 2 == 0:
+                with pytest.raises(InvariantFailure, match="kernel 2"):
+                    sqrt2_free_certificate(forged_params(nu, v))
+            else:
+                assert not sqrt2_free_certificate(forged_params(nu, v)).certified
 
 
 def random_square_class_values(rng) -> list[int]:
@@ -368,7 +406,7 @@ def test_sqrt2_free_certificate_factors_nothing(monkeypatch):
     monkeypatch.setattr(jrtower.factor, "factorize", refuse)
     monkeypatch.setattr(jrtower.factor, "_factorize_cached", refuse)
     for nu in (12, 180, 240, 588, 8, 36):
-        sqrt2_cert(nu, 12)
+        sqrt2_cert(nu)
 
 
 def test_contains_sqrt_matches_brute_force_subset_search():

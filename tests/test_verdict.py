@@ -8,7 +8,6 @@ import pytest
 from jrtower import verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
 from jrtower.factor import EFFORT_QUICK
-from jrtower.intmath import v2
 from jrtower.orbit import constant_terms, orbit_mod_p, tower_strict
 from jrtower.residue import jacobi
 from jrtower.verdict import (
@@ -475,56 +474,46 @@ def test_fermat_obstruction_domain():
 
 
 def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
-    """One strictness check per verdict, shared by the four obstruction
-    chains, which do not re-prove the Fermat primes."""
-    from jrtower import orbit, verdict
+    """One strictness decision per verdict, by the gap lemma, shared by
+    the four obstruction chains, which do not re-prove the Fermat primes."""
+    from jrtower import orbit
 
-    calls = 0
-    strict = verdict.tower_strict
-
-    def counting(seq):
-        nonlocal calls
-        calls += 1
-        return strict(seq)
+    expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
+    decided = spy_everywhere(monkeypatch, orbit, "gap_strictness")
 
     def forbidden(n):
         raise AssertionError("a Fermat prime was proved prime again")
 
-    expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
-    monkeypatch.setattr(verdict, "tower_strict", counting)
     monkeypatch.setattr(orbit, "is_prime", forbidden)
     report = jr_verdict(12, 5)
-    assert calls == 1
+    assert decided == [(report.hypothesis.params, 5)]
     assert list(report.obstructions) == expected
     assert report.conclusion == THEOREM_APPLIES
 
 
 @pytest.mark.parametrize(
-    "nus, depth",
-    [(range(2, 402), 5), (range(4, 169, 4), 6)],
-    ids=["scan-window", "deep-set"],
+    "nus, depths",
+    [(range(2, 402), (5,)), (range(4, 169, 4), (6,)), (range(2, 402), range(1, 13))],
+    ids=["scan-window", "deep-set", "every-depth"],
 )
-def test_jr_verdict_builds_the_orbit_once_and_walks_none(monkeypatch, nus, depth):
-    """Work counts, not time: one constant_terms per verdict, read by both
-    the strictness check and the sqrt(2) guard, one call of each, and no
-    orbit walk."""
-    from jrtower import orbit, squareclasses
+def test_jr_verdict_builds_no_orbit(monkeypatch, nus, depths):
+    """Work counts, not time: strictness and the sqrt(2) guard read nu
+    alone, so no verdict builds orbit constants, scans them for squares
+    or walks an orbit mod p, at any depth up to SEQUENCE_CAP = 12."""
+    from jrtower import orbit
 
-    built = spy_everywhere(monkeypatch, orbit, "constant_terms")
-    walks = spy_everywhere(monkeypatch, orbit, "_orbit_walk")
-    strict = spy_everywhere(monkeypatch, orbit, "tower_strict")
-    sqrt2 = spy_everywhere(monkeypatch, squareclasses, "sqrt2_free_certificate")
+    spies = [
+        spy_everywhere(monkeypatch, orbit, name)
+        for name in ("constant_terms", "tower_strict", "_orbit_walk")
+    ]
     certified = 0
-    for nu in nus:
-        for calls in (built, strict, sqrt2):
-            del calls[:]
-        report = jr_verdict(nu, depth, EFFORT_QUICK)
-        assert built == [(nu, depth)], nu
-        [(seq,)], [(params, seq2)] = strict, sqrt2
-        assert seq is seq2 and seq.nu == nu and len(seq.c) == depth, nu
-        assert params is report.hypothesis.params, nu
-        certified += report.sqrt2.certified
-    assert walks == []
+    for depth in depths:
+        for nu in nus:
+            report = jr_verdict(nu, depth, EFFORT_QUICK)
+            assert report.depth == depth
+            assert report.strict == (math.isqrt(nu) ** 2 != nu), nu
+            certified += report.sqrt2.certified
+    assert spies == [[], [], []]
     assert certified > 0
 
 
@@ -539,11 +528,18 @@ def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
         verdict._obstruction_chain(strict, 17, -1)
 
 
-def test_jr_verdict_sqrt2_guard_reads_the_shared_orbit(monkeypatch):
-    """The v2(c_n) = v2(nu) guard still fires inside the verdict, where it
-    reads the constants the strictness check was given."""
-    monkeypatch.setattr("jrtower.squareclasses.v2", lambda n: v2(n) + (n != 12))
-    with pytest.raises(InvariantFailure, match="c_2"):
+def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
+    """The residue guard still fires inside the verdict, on the 2-adic
+    data that the hypothesis check hands it."""
+    real = verdict.tower_params
+
+    def forged(nu):
+        params = real(nu)
+        object.__setattr__(params, "two_adic_valuation", 4)
+        return params
+
+    monkeypatch.setattr(verdict, "tower_params", forged)
+    with pytest.raises(InvariantFailure, match=r"2\^4 \(mod 2\^5\) fails at nu = 12"):
         jr_verdict(12, 5)
 
 
