@@ -19,7 +19,9 @@ from ._record import Record
 from .errors import InvariantFailure, ResourceLimitError
 from .intmath import is_prime, is_square, split_two_part
 
-# Dense iterates have degree 2^n; keep them readable at a desk.
+# Dense iterates have degree 2^n; keep them readable at a desk. The cap
+# also bounds the nested radicals checked symbolically (d - 1 <= cap),
+# since that check compares with iterate_poly(2, d - 1).
 ITERATE_CAP = 6
 # Orbit constants square in size each step; c_12 of a two-digit nu
 # already has a few thousand digits. The cap bounds the orbits that are

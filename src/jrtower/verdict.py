@@ -34,11 +34,13 @@ from .errors import (
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
 from .intmath import is_square, isqrt, prime_sieve
 from .orbit import (
+    ITERATE_CAP,
     SEQUENCE_CAP,
     Strictness,
     TowerParams,
     constant_terms,
     gap_strictness,
+    iterate_poly,
     tower_params,
 )
 from .residue import (
@@ -58,6 +60,8 @@ from .squareclasses import (
 
 COS_M_CAP = 200
 NESTED_RADICAL_CAP = 12
+# Bounds both H and the output of window_elements_deg2.
+WINDOW_CAP = 10**6
 
 EXCLUDED = "excluded"
 INCONCLUSIVE = "inconclusive"
@@ -132,14 +136,17 @@ class QuadraticSurd(Record):
         return self.compare_int(k) >= 0
 
     def decimal(self, digits: int = 12) -> str:
-        """Truncated decimal rendering with the given fractional digits."""
-        scale = 10 ** (digits + 2)
-        scaled = (self.a * scale + isqrt(self.b * self.b * self.D * scale * scale)) // self.q
-        scaled //= 100
-        sign = "-" if scaled < 0 else ""
-        scaled = abs(scaled)
-        whole, frac = divmod(scaled, 10**digits)
-        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        """Truncated decimal rendering with the given fractional digits:
+        the sign of the value, then floor(|value| * 10^digits)."""
+        scale = 10**digits
+        a, n = self.a * scale, self.b * self.b * self.D * scale * scale
+        root = isqrt(n)
+        # a + sqrt(n) lies in [a + root, a + root + 1), at its left end iff
+        # n = root^2, and no multiple of q lies inside an open unit interval.
+        negative = a < 0 and a * a > n
+        magnitude = (-a - root - (root * root < n) if negative else a + root) // self.q
+        whole, frac = divmod(magnitude, scale)
+        return f"{'-' if negative else ''}{whole}.{str(frac).zfill(digits)}"
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -366,52 +373,19 @@ def _cos_minpoly_pow2(e: int) -> list[int]:
 # Nested radicals s_1 = sqrt(2), s_k = sqrt(2 + s_{k-1})
 
 
-def _tower_ring_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Multiply in Z[s_1, s_2, ...] / (s_1^2 - 2, s_k^2 - 2 - s_{k-1}).
-
-    Elements are maps {exponent bitmask -> coefficient}; bit i-1 set
-    means a factor s_i. Squares reduce downward, so recursion on the
-    highest shared variable terminates.
-    """
-    out: dict[int, int] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            for mask, coeff in _mul_basis(m1, m2):
-                out[mask] = out.get(mask, 0) + c1 * c2 * coeff
-    return {m: c for m, c in out.items() if c}
-
-
-@lru_cache(maxsize=4096)
-def _mul_basis(m1: int, m2: int) -> tuple[tuple[int, int], ...]:
-    """Product of two basis monomials as (mask, coefficient) pairs.
-
-    A tuple, not a dict, so a caller cannot alter the cached value.
-    """
-    shared = m1 & m2
-    if shared == 0:
-        return ((m1 | m2, 1),)
-    i = shared.bit_length()  # highest shared variable s_i
-    bit = 1 << (i - 1)
-    rest = _mul_basis(m1 ^ bit, m2 ^ bit)
-    square = ((0, 2),) if i == 1 else ((0, 2), (1 << (i - 2), 1))  # s_i^2
-    out: dict[int, int] = {}
-    for mr, cr in rest:
-        for ms, cs in square:
-            for mask, coeff in _mul_basis(mr, ms):
-                out[mask] = out.get(mask, 0) + cr * cs * coeff
-    return tuple((m, c) for m, c in out.items() if c)
-
-
 def _radical_symbolic_check(poly: list[int], d: int) -> bool:
-    """Evaluate poly at s_{d-1} in the exact tower ring; True iff zero."""
-    y = {1 << (d - 2): 1}
-    acc: dict[int, int] = {}
-    for coeff in reversed(poly):
-        acc = _tower_ring_mul(acc, y) if acc else {}
-        if coeff:
-            acc[0] = acc.get(0, 0) + coeff
-            acc = {m: c for m, c in acc.items() if c}
-    return not acc
+    """True iff poly vanishes at s_{d-1} in the exact tower ring.
+
+    Z[s_1..s_(d-1)], with s_1^2 = 2 and s_k^2 = 2 + s_(k-1), is free of
+    rank 2^(d-1) on the square-free monomials. x -> s_(d-1) maps Z[x]
+    onto it, since s_k = P_(d-1-k)(s_(d-1)) for the iterates P_n of
+    t^2 - 2, and it kills P_(d-1), since P_(d-1)(s_(d-1)) = s_1^2 - 2.
+    Z[x]/(P_(d-1)) is free of rank 2^(d-1) too, and a surjection between
+    free Z-modules of equal rank is an isomorphism. So poly vanishes in
+    the tower ring iff P_(d-1) divides it; for the monic poly of degree
+    2^(d-1) checked here, iff poly == P_(d-1).
+    """
+    return poly == iterate_poly(2, d - 1)
 
 
 def _radical_numeric_check(poly: list[int], d: int) -> bool:
@@ -489,11 +463,11 @@ def _radical_value(poly: list[int], d: int, prec: int) -> int:
 def nested_radical_check(d: int) -> bool:
     """Verify 2cos(2*pi/2^(d+1)) = s_{d-1}, the d-1 times nested radical.
 
-    The minimal polynomial of the cosine is built exactly; for d <= 5
-    the radical is plugged in symbolically (exact tower-ring
-    arithmetic), and for every d a fixed-point evaluation at proof
-    precision must vanish. Failure of either raises InvariantFailure,
-    since the identity is a theorem.
+    The minimal polynomial of the cosine is built exactly. For every d a
+    fixed-point evaluation at proof precision must vanish; for d <=
+    ITERATE_CAP + 1 the polynomial must also equal the iterate P_(d-1) of
+    t^2 - 2, i.e. vanish at s_(d-1) in the exact tower ring. Failure of
+    either raises InvariantFailure, since the identity is a theorem.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -502,7 +476,7 @@ def nested_radical_check(d: int) -> bool:
     poly = _cos_minpoly_pow2(d + 1)
     if not _radical_numeric_check(poly, d):
         raise InvariantFailure(f"numeric radical check failed at d = {d}")
-    if d <= 5 and not _radical_symbolic_check(poly, d):
+    if d <= ITERATE_CAP + 1 and not _radical_symbolic_check(poly, d):
         raise InvariantFailure(f"symbolic radical check failed at d = {d}")
     return True
 
@@ -834,12 +808,12 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
     t may be an int or a Fraction; comparisons are exact. b ranges over
     0..H (the (a, -b) twin gives the same conjugate pair); a is bounded
     by the window itself (conjugates sum to 2a, so 0 < a < t). Returns
-    (a, b) pairs sorted by (b, a).
+    (a, b) pairs sorted by (b, a), at most WINDOW_CAP of them.
     """
     if H < 0:
         raise ValueError("H must be >= 0")
-    if H > 10**6:
-        raise ResourceLimitError("H capped at 10^6")
+    if H > WINDOW_CAP:
+        raise ResourceLimitError(f"H capped at {WINDOW_CAP}")
     from fractions import Fraction
 
     t = Fraction(t)
@@ -851,16 +825,13 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
     out = []
     for b in range(H + 1):
         bb = b * b * nu
-        # need a - b sqrt(nu) > 0 and a + b sqrt(nu) < t; for b = 0
-        # this is the rational window 0 < a < t.
-        a = isqrt(bb) + 1
-        while True:
-            rhs = p - a * q  # t - a, scaled by q
-            if rhs <= 0 or rhs * rhs <= bb * q * q:
-                break
-            out.append((a, b))
-            a += 1
-    out.sort(key=lambda ab: (ab[1], ab[0]))
+        # a - b sqrt(nu) > 0 iff a > isqrt(bb); a + b sqrt(nu) < t iff the
+        # integer p - a q exceeds q sqrt(bb), i.e. reaches isqrt(bb q^2) + 1.
+        lo = isqrt(bb) + 1
+        hi = (p - isqrt(bb * q * q) - 1) // q
+        if len(out) + hi - lo + 1 > WINDOW_CAP:
+            raise ResourceLimitError(f"window output capped at {WINDOW_CAP} pairs")
+        out.extend((a, b) for a in range(lo, hi + 1))
     return out
 
 

@@ -376,6 +376,9 @@ def test_window_subcommand(capsys):
     assert code == 0
     assert "(4, 1)" in out
     assert "total: 8" in out
+    code, _, err = run(capsys, "window", "2", "2000000", "0")
+    assert code == 1
+    assert "capped at 1000000 pairs" in err
 
 
 def test_radical_subcommand(capsys):

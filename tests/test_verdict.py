@@ -8,13 +8,20 @@ import pytest
 from jrtower import verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
 from jrtower.factor import EFFORT_QUICK
-from jrtower.orbit import constant_terms, orbit_mod_p, tower_strict
+from jrtower.orbit import (
+    ITERATE_CAP,
+    constant_terms,
+    iterate_poly,
+    orbit_mod_p,
+    tower_strict,
+)
 from jrtower.residue import jacobi
 from jrtower.verdict import (
     EXCLUDED,
     INCONCLUSIVE,
     NESTED_RADICAL_CAP,
     THEOREM_APPLIES,
+    WINDOW_CAP,
     QuadraticSurd,
     alpha_surd,
     constructible_order,
@@ -31,7 +38,6 @@ from jrtower.verdict import (
 from jrtower.verdict import (
     _cos_minpoly_pow2,
     _cyclotomic,
-    _mul_basis,
     _palindrome_to_cos,
     _radical_numeric_check,
 )
@@ -131,6 +137,47 @@ def test_surd_decimal_truncates():
     assert s.decimal(6) == "1.414213"  # truncated, not rounded (1.4142135...)
     assert QuadraticSurd(8, 0, 0, 1).decimal(6) == "8.000000"
     assert QuadraticSurd(-1, 0, 0, 2).decimal(2) == "-0.50"
+    # -1.5857864376269...: the sign, then the truncated magnitude
+    assert QuadraticSurd(-3, 1, 2).decimal() == "-1.585786437626"
+
+
+def truncated_decimal(a: int, b: int, D: int, q: int, k: int) -> str:
+    """Exact oracle for v = (a + b sqrt(D)) / q: its sign, then the largest
+    m >= 0 with m q <= |A + sqrt(n)|, where A = a 10^k and n = b^2 D 100^k,
+    found by bisection on integer comparisons of squares."""
+    A, n = a * 10**k, b * b * D * 100**k
+    negative = A < 0 and A * A > n
+
+    def at_most(m: int) -> bool:
+        if negative:  # m q <= -A - sqrt(n)
+            r = -A - m * q
+            return r >= 0 and r * r >= n
+        r = m * q - A  # m q <= A + sqrt(n)
+        return r <= 0 or r * r <= n
+
+    lo, hi = 0, 1
+    while at_most(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if at_most(mid) else (lo, mid)
+    whole, frac = divmod(lo, 10**k)
+    return f"{'-' if negative else ''}{whole}.{str(frac).zfill(k)}"
+
+
+def test_surd_decimal_matches_an_exact_oracle():
+    """Seeded mixed-sign sweep: rational and irrational surds, with a
+    near -b sqrt(D) so that values close to 0 from either side occur."""
+    rng = random.Random(8117)
+    for trial in range(3000):
+        b = rng.randint(0, 300)
+        D = rng.choice([0, 1, 4, 49, 2, 3, 5, 7, 48, 449]) if trial % 3 else rng.randint(0, 10**4)
+        q = rng.randint(1, 60)
+        k = rng.randint(1, 15)
+        root = math.isqrt(b * b * D)
+        a = rng.choice([-root - 1, -root, -root + 1, rng.randint(-2 * root - 9, 2 * root + 9)])
+        got = QuadraticSurd(a, b, D, q).decimal(k)
+        assert got == truncated_decimal(a, b, D, q, k), (a, b, D, q, k)
 
 
 def test_alpha_and_upper_bound_surds():
@@ -225,10 +272,15 @@ def test_nested_radical_full_domain():
 
 
 def test_cos_minpoly_pow2_closed_form_matches_chebyshev_route():
+    """Three routes: the closed form, the packed Chebyshev change of
+    x^(2^(e-1)) + 1, and (for e >= 3) the iterate P_(e-2) of t^2 - 2,
+    since 2cos(2 pi/2^e) = s_(e-2), the (e-2)-times nested radical."""
     for e in range(2, 14):
         half_deg = 2 ** (e - 1)
         phi = [1] + [0] * (half_deg - 1) + [1]  # x^(2^(e-1)) + 1
         assert _cos_minpoly_pow2(e) == _palindrome_to_cos(phi), e
+        if 3 <= e <= ITERATE_CAP + 2:
+            assert _cos_minpoly_pow2(e) == iterate_poly(2, e - 2), e
 
 
 def chebyshev_basis_change(coeffs: list[int]) -> list[int]:
@@ -426,17 +478,39 @@ def test_nested_radical_invariant_failures_fire(monkeypatch):
         with pytest.raises(InvariantFailure, match="numeric"):
             nested_radical_check(d)
     monkeypatch.setattr(verdict, "_radical_numeric_check", lambda poly, d: True)
-    for d in (2, 5):
+    for d in (2, 5, 7):
         with pytest.raises(InvariantFailure, match="symbolic"):
             nested_radical_check(d)
 
 
-def test_mul_basis_cache_cannot_be_altered():
-    product = _mul_basis(3, 3)  # (s_1 s_2)^2 = 2 (2 + s_1) = 4 + 2 s_1
-    assert product == ((0, 4), (1, 2))
-    with pytest.raises(TypeError):
-        product[0] = (0, 5)
-    assert _mul_basis(3, 3) == ((0, 4), (1, 2))
+def test_nested_radical_rejects_a_multiple_of_the_minimal_polynomial(monkeypatch):
+    """poly (x - 1) vanishes at s_(d-1) too, so the numeric check passes
+    it; the identity with the iterate P_(d-1) does not, at every d the
+    symbolic check covers."""
+    pow2 = _cos_minpoly_pow2
+
+    def times_x_minus_1(e):
+        poly = pow2(e)
+        return [hi - lo for hi, lo in zip([0] + poly, poly + [0])]
+
+    monkeypatch.setattr(verdict, "_cos_minpoly_pow2", times_x_minus_1)
+    for d in range(2, ITERATE_CAP + 2):
+        assert _radical_numeric_check(times_x_minus_1(d + 1), d)
+        with pytest.raises(InvariantFailure, match="symbolic"):
+            nested_radical_check(d)
+
+
+def test_nested_radical_symbolic_check_builds_one_iterate(monkeypatch):
+    """Work counts, not time: one iterate_poly(2, d - 1) per check for
+    d <= ITERATE_CAP + 1 = 7, none beyond, so raising either cap cannot
+    silently skip the symbolic check or let it grow past its cap."""
+    from jrtower import orbit
+
+    calls = spy_everywhere(monkeypatch, orbit, "iterate_poly")
+    for d in range(2, NESTED_RADICAL_CAP + 1):
+        calls.clear()
+        assert nested_radical_check(d)
+        assert calls == ([(2, d - 1)] if d <= ITERATE_CAP + 1 else []), d
 
 
 # ---------------------------------------------------------------------------
@@ -721,13 +795,21 @@ def test_window_matches_brute_force():
         assert got == brute_window(nu, t, H)
 
 
-def test_window_ordering_and_domain():
+def test_window_ordering_and_domain(monkeypatch):
     elems = window_elements_deg2(12, 8, 5)
     assert elems == sorted(elems, key=lambda ab: (ab[1], ab[0]))
     with pytest.raises(ValueError):
         window_elements_deg2(12, 0, 3)
     with pytest.raises(ResourceLimitError):
         window_elements_deg2(12, 8, 10**6 + 1)
+    # H is legal, but the output would list 1999999 rationals
+    with pytest.raises(ResourceLimitError, match=f"capped at {WINDOW_CAP} pairs"):
+        window_elements_deg2(2, 2 * 10**6, 0)
+    monkeypatch.setattr(verdict, "WINDOW_CAP", 8)  # the cap holds exactly
+    assert window_elements_deg2(12, 8, 5) == elems
+    monkeypatch.setattr(verdict, "WINDOW_CAP", 7)  # row b = 0 fits, (4, 1) does not
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        window_elements_deg2(12, 8, 5)
 
 
 # ---------------------------------------------------------------------------
