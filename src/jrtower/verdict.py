@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factor import EFFORT_DEFAULT, Effort, factorize_cached
-from .intmath import is_square, isqrt, prime_sieve
+from .intmath import is_square, isqrt
 from .orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
@@ -137,7 +137,10 @@ class QuadraticSurd(Record):
 
     def decimal(self, digits: int = 12) -> str:
         """Truncated decimal rendering with the given fractional digits:
-        the sign of the value, then floor(|value| * 10^digits)."""
+        the sign of the value, then floor(|value| * 10^digits), with no
+        point when digits is 0. Negative digits raise ValueError."""
+        if digits < 0:
+            raise ValueError("digits must be >= 0")
         scale = 10**digits
         a, n = self.a * scale, self.b * self.b * self.D * scale * scale
         root = isqrt(n)
@@ -146,7 +149,8 @@ class QuadraticSurd(Record):
         negative = a < 0 and a * a > n
         magnitude = (-a - root - (root * root < n) if negative else a + root) // self.q
         whole, frac = divmod(magnitude, scale)
-        return f"{'-' if negative else ''}{whole}.{str(frac).zfill(digits)}"
+        point = f".{str(frac).zfill(digits)}" if digits else ""
+        return f"{'-' if negative else ''}{whole}{point}"
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -233,9 +237,16 @@ def _cyclotomic(m: int) -> list[int]:
     divide exactly by those with mu = -1, each step O(deg) in integers.
     """
     divisors = [(1, 1)]  # (d, mu(d)) over the squarefree divisors of m
-    for p in prime_sieve(m):
-        if m % p == 0:
+    rest, p = m, 2
+    # trial division: once p^2 > rest, rest is 1 or m's largest prime
+    while p * p <= rest:
+        if rest % p == 0:
             divisors += [(d * p, -mu) for d, mu in divisors]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        divisors += [(d * rest, -mu) for d, mu in divisors]
     r = divisors[-1][0]
     mu_r = divisors[-1][1]  # mu(r/d) = mu(r) * mu(d) for squarefree r
     poly = [1]
@@ -463,17 +474,21 @@ def _radical_value(poly: list[int], d: int, prec: int) -> int:
 def nested_radical_check(d: int) -> bool:
     """Verify 2cos(2*pi/2^(d+1)) = s_{d-1}, the d-1 times nested radical.
 
-    The minimal polynomial of the cosine is built exactly. For every d a
-    fixed-point evaluation at proof precision must vanish; for d <=
-    ITERATE_CAP + 1 the polynomial must also equal the iterate P_(d-1) of
-    t^2 - 2, i.e. vanish at s_(d-1) in the exact tower ring. Failure of
-    either raises InvariantFailure, since the identity is a theorem.
+    The minimal polynomial of the cosine is built exactly. For every d it
+    must be monic of degree 2^(d-1), the degree of s_(d-1) over Q, so no
+    proper multiple of the minimal polynomial passes, and a fixed-point
+    evaluation at proof precision must vanish; for d <= ITERATE_CAP + 1
+    the polynomial must also equal the iterate P_(d-1) of t^2 - 2, i.e.
+    vanish at s_(d-1) in the exact tower ring. Any failure raises
+    InvariantFailure, since the identity is a theorem.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if d > NESTED_RADICAL_CAP:
         raise ResourceLimitError(f"d capped at {NESTED_RADICAL_CAP}")
     poly = _cos_minpoly_pow2(d + 1)
+    if len(poly) != (1 << (d - 1)) + 1 or poly[-1] != 1:
+        raise InvariantFailure(f"radical polynomial is not monic of degree 2^{d - 1}")
     if not _radical_numeric_check(poly, d):
         raise InvariantFailure(f"numeric radical check failed at d = {d}")
     if d <= ITERATE_CAP + 1 and not _radical_symbolic_check(poly, d):

@@ -18,8 +18,11 @@ a leaf index only while there are at most 256 leaves, depth <= 8;
 DEPTH_CAP = 4 gives 16. Portraits and leaf_permutation's tuples remain
 the canonical public form. Subgroup orders, the Frattini subgroup's
 included, are counted by Schreier's lemma on the bottom level, so no
-subgroup is listed element by element; only the depth <= 2 brute-force
-check of the index-2 count lists the whole group.
+subgroup is listed element by element: the walk of the action on the
+leaves' parents stops once its kernel is proved to be every sibling
+swap, and the order of that action is then counted one level up the
+same way (76 products for the whole group at depth 4). Only the
+depth <= 2 brute-force check of the index-2 count lists the whole group.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from itertools import combinations
 from ._record import Record
 from .errors import InvariantFailure, ResourceLimitError
 
-# Depth 4 already has |G| = 2^15 = 32768 elements; at depth 5 the
-# Schreier walk would keep a lift for each of the 2^15 elements of the
-# level-4 quotient, out of desk range.
+# Depth 4 already has |G| = 2^15 = 32768 elements. At depth 5 a
+# Schreier walk that never sees the full kernel (a proper subgroup)
+# still keeps a lift for each of up to 2^15 elements of the level-4
+# quotient, out of desk range, so the cap stays at 4.
 DEPTH_CAP = 4
 
 
@@ -195,42 +199,56 @@ def _schreier_order(perms: list[bytes], leaves: int) -> int:
 
     Let pi: H -> W_{n-1} be the action on the leaves' parents. Its
     kernel K only swaps sibling leaves, so K lies in the elementary
-    abelian (C_2)^(leaves/2) and |H| = |pi(H)| * 2^(rank K). A
+    abelian E = (C_2)^(leaves/2) and |H| = |pi(H)| * 2^(rank K). A
     breadth-first walk of pi(H) keeps one lift r_y per parent action
     y; by Schreier's lemma the elements r_{y'}^-1 g r_y (g a generator,
     y' the action of g r_y) generate K. Each is read off as the bit
-    vector of the sibling pairs it swaps and reduced over F_2, so no
-    more than |pi(H)| * len(perms) products are formed.
+    vector of the sibling pairs it swaps and reduced over F_2.
+
+    Every such vector lies in K, so once they have rank leaves/2 the
+    walk has proved K = E and stops: |pi(H)| is then the order of the
+    group generated by pi(g) = g[::2].translate(_HALVE), which is again
+    a group of tree automorphisms, one level shallower, counted by the
+    same function (one leaf: order 1). Otherwise the walk visits all of
+    pi(H) and |pi(H)| = len(reps). Either way at most
+    |pi(H)| * len(perms) products are formed at this level.
     """
+    if leaves == 1:
+        return 1
+    half = leaves >> 1
     ident = bytes(range(leaves))
     reps = {ident[::2].translate(_HALVE): ident}
-    frontier = [ident]
+    queue = [ident]
     pivots: dict[int, int] = {}
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in perms:
-                q = _compose_perm(g, r)
-                key = q[::2].translate(_HALVE)
-                lift = reps.get(key)
-                if lift is None:
-                    reps[key] = q
-                    nxt.append(q)
-                    continue
-                # lift and q send each sibling pair to the same pair, so
-                # their images of a pair's left leaf differ at most in
-                # the low bit, and lift^-1 q swaps pair x exactly where
-                # they differ. XOR leaves a byte 0 or 1 per pair: an
-                # F_2 vector with one bit in each byte.
-                v = int.from_bytes(q[::2], "big") ^ int.from_bytes(lift[::2], "big")
-                while v:
-                    top = v.bit_length()
-                    if top not in pivots:
-                        pivots[top] = v
-                        break
-                    v ^= pivots[top]
-        frontier = nxt
-    return len(reps) << len(pivots)
+    # the queue grows while it is read, so this is the breadth-first walk
+    for r in queue:
+        if len(pivots) == half:
+            break
+        for g in perms:
+            q = _compose_perm(g, r)
+            key = q[::2].translate(_HALVE)
+            lift = reps.get(key)
+            if lift is None:
+                reps[key] = q
+                queue.append(q)
+                continue
+            # lift and q send each sibling pair to the same pair, so
+            # their images of a pair's left leaf differ at most in the
+            # low bit, and lift^-1 q swaps pair x exactly where they
+            # differ. XOR leaves a byte 0 or 1 per pair: an F_2 vector
+            # with one bit in each byte.
+            v = int.from_bytes(q[::2], "big") ^ int.from_bytes(lift[::2], "big")
+            while v:
+                top = v.bit_length()
+                if top not in pivots:
+                    pivots[top] = v
+                    break
+                v ^= pivots[top]
+    if len(pivots) < half:
+        quotient = len(reps)
+    else:
+        quotient = _schreier_order([g[::2].translate(_HALVE) for g in perms], half)
+    return quotient << len(pivots)
 
 
 def closure_order(generators: list[TreeAutomorphism]) -> int:

@@ -17,6 +17,7 @@ from jrtower.orbit import (
 )
 from jrtower.residue import jacobi
 from jrtower.verdict import (
+    COS_M_CAP,
     EXCLUDED,
     INCONCLUSIVE,
     NESTED_RADICAL_CAP,
@@ -40,6 +41,7 @@ from jrtower.verdict import (
     _cyclotomic,
     _palindrome_to_cos,
     _radical_numeric_check,
+    _radical_symbolic_check,
 )
 
 
@@ -141,6 +143,22 @@ def test_surd_decimal_truncates():
     assert QuadraticSurd(-3, 1, 2).decimal() == "-1.585786437626"
 
 
+def test_surd_decimal_with_no_fractional_digits():
+    """digits = 0 renders the truncated integer with no point."""
+    assert QuadraticSurd(0, 1, 2).decimal(0) == "1"
+    assert QuadraticSurd(5, 0, 0).decimal(0) == "5"
+    assert QuadraticSurd(1, 1, 49, 2).decimal(0) == "4"
+    assert QuadraticSurd(-3, 1, 2).decimal(0) == "-1"
+    # the sign is the value's, as at every other digit count ("-0.50")
+    assert QuadraticSurd(-1, 0, 0, 2).decimal(0) == "-0"
+
+
+def test_surd_decimal_rejects_negative_digits():
+    for digits in (-1, -12):
+        with pytest.raises(ValueError):
+            QuadraticSurd(0, 1, 2).decimal(digits)
+
+
 def truncated_decimal(a: int, b: int, D: int, q: int, k: int) -> str:
     """Exact oracle for v = (a + b sqrt(D)) / q: its sign, then the largest
     m >= 0 with m q <= |A + sqrt(n)|, where A = a 10^k and n = b^2 D 100^k,
@@ -162,7 +180,8 @@ def truncated_decimal(a: int, b: int, D: int, q: int, k: int) -> str:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if at_most(mid) else (lo, mid)
     whole, frac = divmod(lo, 10**k)
-    return f"{'-' if negative else ''}{whole}.{str(frac).zfill(k)}"
+    point = f".{str(frac).zfill(k)}" if k else ""
+    return f"{'-' if negative else ''}{whole}{point}"
 
 
 def test_surd_decimal_matches_an_exact_oracle():
@@ -173,7 +192,7 @@ def test_surd_decimal_matches_an_exact_oracle():
         b = rng.randint(0, 300)
         D = rng.choice([0, 1, 4, 49, 2, 3, 5, 7, 48, 449]) if trial % 3 else rng.randint(0, 10**4)
         q = rng.randint(1, 60)
-        k = rng.randint(1, 15)
+        k = rng.randint(0, 15)
         root = math.isqrt(b * b * D)
         a = rng.choice([-root - 1, -root, -root + 1, rng.randint(-2 * root - 9, 2 * root + 9)])
         got = QuadraticSurd(a, b, D, q).decimal(k)
@@ -441,6 +460,16 @@ def test_cyclotomic_matches_sympy():
         assert _cyclotomic(m) == expected, m
 
 
+def test_cos_minpoly_builds_no_prime_sieve(monkeypatch):
+    """m's primes come from trial division up to isqrt(m), not a sieve."""
+    from jrtower import intmath
+
+    calls = spy_everywhere(monkeypatch, intmath, "prime_sieve")
+    for m in range(3, COS_M_CAP + 1):
+        cos_minpoly(m)
+    assert calls == []
+
+
 def test_cyclotomic_inexact_binomial_division_raises(monkeypatch):
     # Phi_7 = (x^7 - 1) / (x - 1). Multiplying by x^7 alone leaves a
     # remainder; skipping the product leaves a dividend of lower degree.
@@ -485,7 +514,8 @@ def test_nested_radical_invariant_failures_fire(monkeypatch):
 
 def test_nested_radical_rejects_a_multiple_of_the_minimal_polynomial(monkeypatch):
     """poly (x - 1) vanishes at s_(d-1) too, so the numeric check passes
-    it; the identity with the iterate P_(d-1) does not, at every d the
+    it; its degree 2^(d-1) + 1 fails the degree guard at every d, and
+    the identity with the iterate P_(d-1) rejects it at every d the
     symbolic check covers."""
     pow2 = _cos_minpoly_pow2
 
@@ -494,9 +524,21 @@ def test_nested_radical_rejects_a_multiple_of_the_minimal_polynomial(monkeypatch
         return [hi - lo for hi, lo in zip([0] + poly, poly + [0])]
 
     monkeypatch.setattr(verdict, "_cos_minpoly_pow2", times_x_minus_1)
-    for d in range(2, ITERATE_CAP + 2):
-        assert _radical_numeric_check(times_x_minus_1(d + 1), d)
-        with pytest.raises(InvariantFailure, match="symbolic"):
+    for d in range(2, NESTED_RADICAL_CAP + 1):
+        forged = times_x_minus_1(d + 1)
+        assert _radical_numeric_check(forged, d)
+        if d <= ITERATE_CAP + 1:
+            assert not _radical_symbolic_check(forged, d)
+        with pytest.raises(InvariantFailure, match="monic of degree"):
+            nested_radical_check(d)
+
+
+def test_nested_radical_rejects_a_polynomial_that_is_not_monic(monkeypatch):
+    """2 P_(d-1) has the right degree and root; only the monic guard sees it."""
+    pow2 = _cos_minpoly_pow2
+    monkeypatch.setattr(verdict, "_cos_minpoly_pow2", lambda e: [2 * c for c in pow2(e)])
+    for d in (2, 7, 8, 12):
+        with pytest.raises(InvariantFailure, match="monic of degree"):
             nested_radical_check(d)
 
 

@@ -123,27 +123,78 @@ def random_generating_set(rng: random.Random, depth: int) -> list[TreeAutomorphi
     return gens
 
 
-def test_closure_order_matches_enumeration_and_sympy():
-    """Schreier's-lemma order = full breadth-first closure = sympy's order."""
+def test_closure_order_matches_enumeration_and_sympy(monkeypatch):
+    """Schreier's-lemma order = full breadth-first closure = sympy's order.
+
+    The walk stops early, and recurses on the parents' action, exactly
+    when it calls itself with half the leaves; both exits are compared.
+    """
     combinatorics = pytest.importorskip("sympy.combinatorics")
+    schreier_order = wreath._schreier_order
+    sizes = []
+
+    def recording(perms, leaves):
+        sizes.append(leaves)
+        return schreier_order(perms, leaves)
+
+    monkeypatch.setattr(wreath, "_schreier_order", recording)
     rng = random.Random(7005)
-    orders = set()
+    orders, exits = set(), set()
     for depth in range(1, 5):
         for _ in range(50):
             perms = [leaf_permutation(g) for g in random_generating_set(rng, depth)]
+            sizes.clear()
             order = closure_order([from_leaf_permutation(p, depth) for p in perms])
+            exits.add((depth, (1 << depth) >> 1 in sizes))
             assert order == len(_closure_perms([bytes(p) for p in perms], 1 << depth))
             group = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(list(p)) for p in perms]
             )
             assert order == group.order()
             orders.add((depth, order == 2 ** (2**depth - 1)))
-    # every depth saw both the whole group and a proper subgroup
-    assert orders == {(d, full) for d in range(1, 5) for full in (True, False)}
+    # every depth saw both the whole group and a proper subgroup, and
+    # walks that stopped early as well as walks that ran to the end
+    both = {(d, flag) for d in range(1, 5) for flag in (True, False)}
+    assert orders == both
+    assert exits == both
+
+
+def level_parities(g: TreeAutomorphism) -> int:
+    """Bit l is the parity of g's portrait bits at level l."""
+    out = 0
+    for v, bit in enumerate(g.bits):
+        out ^= bit << ((v + 1).bit_length() - 1)
+    return out
+
+
+def test_closure_order_matches_the_burnside_basis_theorem():
+    """A set generates [C_2]^4 exactly when its level parities span F_2^4.
+
+    The level parities form the map onto G / Phi(G) = F_2^depth, and by
+    Burnside's basis theorem a subgroup is all of the 2-group G iff its
+    image there is everything.
+    """
+    rng = random.Random(7007)
+    depth, seen = 4, set()
+    for _ in range(120):
+        gens = [random_element(rng, depth) for _ in range(rng.randint(1, 5))]
+        pivots = {}
+        for g in gens:
+            v = level_parities(g)
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if v:
+                pivots[v.bit_length()] = v
+        spans = len(pivots) == depth
+        assert (closure_order(gens) == 2**15) == spans
+        seen.add(spans)
+    assert seen == {True, False}
 
 
 def test_closure_order_forms_few_products(monkeypatch):
-    """At most |pi(G)| * generators products: 2^7 * 4 at depth 4, with slack 2."""
+    """The walk stops once the kernel on the leaves is full, and so on
+    down the levels: 76 products at depth 4, where the whole walk of
+    pi(G) forms 2^7 * 4 = 512."""
     calls = 0
     compose_perm = wreath._compose_perm
 
@@ -154,7 +205,7 @@ def test_closure_order_forms_few_products(monkeypatch):
 
     monkeypatch.setattr(wreath, "_compose_perm", counting)
     assert closure_order(minimal_generators(4)) == 2**15
-    assert calls <= 2 * 128 * 4
+    assert calls <= 128
 
 
 def test_frattini_order_matches_the_squares_of_every_element():
