@@ -64,6 +64,10 @@ class Factorization(Record):
         if rebuilt != self.n:
             raise ValueError(f"inconsistent factorization of {self.n}")
 
+    def __reduce__(self):
+        # The read-only view does not pickle; its dict does.
+        return Factorization, (self.n, dict(self.factors), self.cofactor)
+
     @property
     def status(self) -> str:
         return COMPLETE if self.cofactor is None else PARTIAL

@@ -48,6 +48,7 @@ from .residue import (
     _fermat_primes_above_3,
     _first_failure,
     _residue_certificate,
+    fermat_symbols,
     jacobi,
     known_fermat_primes,
 )
@@ -111,9 +112,13 @@ class QuadraticSurd(Record):
         return (self.a + s) // self.q
 
     def ceil(self) -> int:
-        if self.is_rational:
-            return -(-(self.a + self.b * isqrt(self.D)) // self.q)
-        return self.floor() + 1
+        # b^2 D is a square iff b = 0 or D is one, so one isqrt decides
+        # rationality and gives floor's s; then b sqrt(D) = s exactly.
+        n = self.b * self.b * self.D
+        s = isqrt(n)
+        if s * s == n:
+            return -(-(self.a + s) // self.q)
+        return (self.a + s) // self.q + 1
 
     def shifted(self, k: int) -> "QuadraticSurd":
         """This value plus the integer k."""
@@ -524,19 +529,31 @@ class FermatObstruction(Record):
     """Exclusion chain for one Fermat prime p > 3 against the tower of nu.
 
     status "excluded" certifies 2cos(2*pi/p) (hence the p-th component
-    of any constructible cosine) never enters the tower ring; the
-    chain lists the verified steps in order. status "inconclusive"
-    carries the reason (nu is a residue, or p divides nu).
+    of any constructible cosine) never enters the tower ring; chain
+    lists the verified steps in order. status "inconclusive" carries
+    the reason (nu is a residue, or p divides nu), and chain is ().
     """
 
     nu: int
     p: int
     status: str
-    chain: tuple[str, ...]
     reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.status == EXCLUDED
+
+    @property
+    def chain(self) -> tuple[str, ...]:
+        """The exclusion steps as text, rendered from (nu, p, status) on
+        read: a verdict that is not printed formats none."""
+        if self.status != EXCLUDED:
+            return ()
+        nu, p = self.nu, self.p
+        return (
+            f"jacobi({nu}, {p}) = -1: nu is not a square modulo {p}",
+            f"the orbit of 0 under t^2 - {nu} modulo {p} never vanishes, "
+            f"so {p} divides no c_n",
+        ) + _chain_tail(p)
 
 
 def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
@@ -557,15 +574,15 @@ def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
 
 def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
     """fermat_obstruction for a Pepin-certified p > 3, given strictness
-    and j = jacobi(nu, p).
+    and the symbol j = (nu|p), from jacobi or from residue_table.
 
     An exclusion rests on j = -1 alone (see fermat_obstruction), so
     that is what the guard re-checks: nu^((p-1)/2) = -1 (mod p), Euler's
-    criterion, a modular power computed apart from the reciprocity
-    steps of jacobi. It fails on every wrong -1, so it is stronger than
-    walking the orbit mod p, which fails only on a wrong -1 whose orbit
-    happens to reach 0 (13 is a square mod 17, yet its orbit never
-    vanishes there). p comes from known_fermat_primes(), so it is prime.
+    criterion, a modular power computed apart from both the reciprocity
+    steps of jacobi and the squares of the table. It fails on every
+    wrong -1, so it is stronger than walking the orbit mod p, which
+    fails only on a wrong -1 whose orbit happens to reach 0 (13 is a
+    square mod 17, yet its orbit never vanishes there). p comes from known_fermat_primes(), so it is prime.
     """
     nu = strict.nu
     if not strict:
@@ -573,23 +590,14 @@ def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
             f"tower over nu = {nu} is not strict: c_{strict.witness} is a square"
         )
     if j == 0:
-        return FermatObstruction(
-            nu, p, INCONCLUSIVE, (), f"p = {p} divides nu"
-        )
+        return FermatObstruction(nu, p, INCONCLUSIVE, f"p = {p} divides nu")
     if j == 1:
-        return FermatObstruction(
-            nu, p, INCONCLUSIVE, (), f"nu is a quadratic residue mod {p}"
-        )
+        return FermatObstruction(nu, p, INCONCLUSIVE, f"nu is a quadratic residue mod {p}")
     if pow(nu, (p - 1) // 2, p) != p - 1:
         raise InvariantFailure(
             f"Euler's criterion disagrees with jacobi({nu}, {p}) = -1"
         )
-    chain = (
-        f"jacobi({nu}, {p}) = -1: nu is not a square modulo {p}",
-        f"the orbit of 0 under t^2 - {nu} modulo {p} never vanishes, "
-        f"so {p} divides no c_n",
-    ) + _chain_tail(p)
-    return FermatObstruction(nu, p, EXCLUDED, chain)
+    return FermatObstruction(nu, p, EXCLUDED)
 
 
 @lru_cache(maxsize=8)
@@ -621,8 +629,8 @@ class HypothesisReport(Record):
     residue: ResidueCertificate | None
     failed_prime: int | None
     mu_not_squarefree: bool | None
-    # jacobi(nu, p) for the known Fermat primes p > 3, in order; the
-    # obstruction chains reuse them.
+    # (nu|p) for the known Fermat primes p > 3, in order, read from the
+    # residue tables; the obstruction chains reuse them.
     symbols: tuple[int, ...]
 
     @property
@@ -652,7 +660,7 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
         ("odd part at least 3", params.mu >= 3),
         ("nu is not a perfect square", not params.is_square),
     ]
-    symbols = tuple(jacobi(nu, p) for p in _fermat_primes_above_3())
+    symbols = fermat_symbols(nu)
     failure = _first_failure(symbols)
     if failure is None:
         residue, failed_prime = _residue_certificate(nu), None
@@ -756,7 +764,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     else:
         obstructions = ()
     alpha = alpha_surd(nu)
-    upper = jr_upper_surd(nu)
+    upper = alpha.shifted(alpha.ceil())
     if not upper >= 4:
         raise InvariantFailure("JR upper bound fell below the floor 4")
 

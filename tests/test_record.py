@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import pytest
@@ -108,3 +109,65 @@ def test_repr_lists_fields_in_declaration_order():
 def test_pickle_round_trip():
     for value in (Point(1, 2, "a"), jr_verdict(12, 5)):
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+def _jrtower_records():
+    import jrtower  # noqa: F401  (defines every record type)
+
+    found, stack = [], [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("jrtower."):
+                found.append(sub)
+    return found
+
+
+def test_every_jrtower_record_is_slotted_and_frozen():
+    records = _jrtower_records()
+    assert len(records) >= 20
+    for cls in records:
+        assert cls.__slots__ == tuple(cls.__annotations__), cls
+        assert cls.__dictoffset__ == 0, cls
+        bare = object.__new__(cls)
+        assert not hasattr(bare, "__dict__"), cls
+        for name in (*cls.__slots__, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(bare, name, 1)
+
+
+def _verdict_path_records():
+    from jrtower.factor import factorize
+    from jrtower.orbit import gap_strictness
+
+    values = [Effort(), EFFORT_QUICK, factorize(2**4 * 3**2 * 1009),
+              factorize(2**67 - 1, EFFORT_QUICK), TreeAutomorphism(2, (1, 0, 1))]
+    for nu in (12, 20, 8):
+        report = jr_verdict(nu, 5, EFFORT_QUICK)
+        hyp = report.hypothesis
+        values += [report, hyp, hyp.params, report.sqrt2, *report.obstructions,
+                   report.alpha, report.jr_upper, gap_strictness(hyp.params, 5)]
+        if hyp.residue is not None:
+            values.append(hyp.residue)
+    return values
+
+
+def test_records_on_the_verdict_path_pickle_and_deepcopy():
+    values = _verdict_path_records()
+    assert {type(v).__name__ for v in values} >= {
+        "VerdictReport", "HypothesisReport", "TowerParams", "ResidueCertificate",
+        "Sqrt2Certificate", "FermatObstruction", "QuadraticSurd", "Strictness",
+        "Effort", "Factorization", "TreeAutomorphism"}
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value
+            if not isinstance(value, Factorization):  # its view is unhashable
+                assert hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.new_attribute = 1
+    f = pickle.loads(pickle.dumps(_factorize_cached(2**61 - 1, EFFORT_QUICK)))
+    with pytest.raises(TypeError):
+        f.factors[3] = 1  # post-init ran again: still a read-only view

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from jrtower.errors import CertificateFailure, ResourceLimitError
+from jrtower import residue
+from jrtower.errors import CertificateFailure, InvariantFailure, ResourceLimitError
 from jrtower.factor import EFFORT_QUICK, factorize_cached
 from jrtower.intmath import prime_sieve
 from jrtower.orbit import tower_params
@@ -20,6 +21,7 @@ from jrtower.residue import (
     nonresidue_37_check,
     pepin_test,
     residue_certificate,
+    residue_table,
 )
 from jrtower.verdict import THEOREM_APPLIES, jr_verdict
 
@@ -49,6 +51,27 @@ def test_jacobi_multiplicative_in_denominator():
         assert jacobi(a, 21) == jacobi(a, 3) * jacobi(a, 7)
     assert jacobi(0, 1) == 1
     assert jacobi(5, 1) == 1
+
+
+@pytest.mark.parametrize("p", [5, 17, 257, 65537])
+def test_residue_table_matches_jacobi(p):
+    table = residue_table(p)
+    assert isinstance(table, bytes) and len(table) == p
+    assert all(residue._SYMBOL[table[r]] == jacobi(r, p) for r in range(p))
+    assert residue_table(p) is table  # built once per process
+
+
+def test_residue_table_guard_and_domain(monkeypatch):
+    """A malformed table raises at build time: mod 9, 3^2 = 0 marks 0 a
+    residue; mod 15 the squares of 1..7 hit 5 classes, not 7."""
+    monkeypatch.setattr(residue, "_fermat_primes_above_3", lambda: (5, 9, 15))
+    for n in (9, 15):
+        with pytest.raises(InvariantFailure, match=f"mod {n} is malformed"):
+            residue_table.__wrapped__(n)
+    monkeypatch.undo()
+    for n in (3, 7, 65539):
+        with pytest.raises(ValueError):
+            residue_table(n)
 
 
 def test_jacobi_rejects_even_denominator():

@@ -87,6 +87,29 @@ def test_surd_floor_ceil_against_mpmath():
         assert jr_upper_surd(nu).ceil() == 2 * k + 2
 
 
+def test_surd_ceil_takes_one_isqrt_and_matches_compare_int(monkeypatch):
+    """ceil decides rationality and the floor from one isqrt(b^2 D): b^2 D
+    is a square iff b = 0 or D is. Oracle: the least k with value <= k,
+    by exact comparisons."""
+    roots = []
+    real = verdict.isqrt
+
+    def spy(n):
+        roots.append(n)
+        return real(n)
+
+    monkeypatch.setattr(verdict, "isqrt", spy)
+    for a in range(-7, 8):
+        for b in range(4):
+            for D in range(13):
+                for q in (1, 2, 3, 5):
+                    s = QuadraticSurd(a, b, D, q)
+                    del roots[:]
+                    c = s.ceil()
+                    assert roots == [b * b * D]
+                    assert s.compare_int(c) <= 0 < s.compare_int(c - 1), s
+
+
 def test_rational_surd_ceil_and_str_match_fraction():
     rng = random.Random(8003)
     for _ in range(300):
@@ -569,6 +592,38 @@ def test_fermat_obstruction_exclusion_chain():
         assert fermat_obstruction(12, p).status == EXCLUDED
 
 
+def _eager_chain(nu: int, p: int) -> tuple[str, ...]:
+    """The exclusion chain text as the verdict formatted it eagerly, for
+    every excluded prime; kept here as the oracle for the chain property."""
+    return (
+        f"jacobi({nu}, {p}) = -1: nu is not a square modulo {p}",
+        f"the orbit of 0 under t^2 - {nu} modulo {p} never vanishes, "
+        f"so {p} divides no c_n",
+        f"an odd prime divides disc(x_n) only through some c_k, "
+        f"so {p} divides no disc(x_n)",
+        f"the field discriminant at level n divides disc(x_n), "
+        f"so {p} is unramified in every level",
+        f"{p} = 1 (mod 4), so sqrt({p}) generates the unique quadratic "
+        f"subfield of the {p}-th cyclotomic field and would ramify {p}: "
+        f"sqrt({p}) lies in no level",
+        f"the field of 2cos(2*pi/{p}) contains sqrt({p}): the cosine and "
+        f"its p-power relatives stay outside the tower ring",
+    )
+
+
+def test_chain_text_rendered_on_read_matches_the_eager_formatter():
+    excluded = inconclusive = 0
+    for nu in range(2, 2001):
+        for ob in jr_verdict(nu, 5, EFFORT_QUICK).obstructions:
+            if ob.status == EXCLUDED:
+                excluded += 1
+                assert ob.chain == _eager_chain(nu, ob.p), (nu, ob.p)
+            else:
+                inconclusive += 1
+                assert ob.chain == (), (nu, ob.p)
+    assert excluded > 1000 and inconclusive > 1000
+
+
 def test_fermat_obstruction_inconclusive_cases():
     ob = fermat_obstruction(21, 17)
     assert ob.status == INCONCLUSIVE
@@ -710,13 +765,28 @@ def test_jr_verdict_factors_only_the_odd_part(monkeypatch):
 
 
 def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
+    """Each symbol (nu|p) is read once, from its residue table: a verdict
+    calls jacobi zero times and reads one table entry per prime."""
     from jrtower import residue
 
     calls = spy_everywhere(monkeypatch, residue, "jacobi")
+    reads = []
+    real = residue.residue_table
+
+    class SpyTable:
+        def __init__(self, p):
+            self.p, self.table = p, real(p)
+
+        def __getitem__(self, r):
+            reads.append((self.p, r))
+            return self.table[r]
+
+    monkeypatch.setattr(residue, "residue_table", SpyTable)
     for nu in range(2, 401):
-        del calls[:]
+        del reads[:]
         jr_verdict(nu, 5, EFFORT_QUICK)
-        assert len(calls) == 4, nu
+        assert calls == [], nu
+        assert reads == [(p, nu % p) for p in (5, 17, 257, 65537)], nu
 
 
 def test_hypothesis_check_bundle():
