@@ -15,7 +15,7 @@ from math import gcd, prod
 from types import MappingProxyType
 
 from ._record import Record
-from .intmath import is_prime, perfect_power, prime_sieve
+from .intmath import is_prime, is_square, perfect_power, prime_sieve
 
 
 class Effort(Record):
@@ -115,6 +115,43 @@ def _trial_divide(n: int, bound: int, out: dict[int, int]) -> int:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return 1
+
+
+def _has_square_factor(n: int, effort: Effort) -> bool | None:
+    """Whether p^2 divides n >= 1 for some prime p, decided
+    without factoring n where the trial bound allows.
+
+    Lemma: if no prime below p divides r > 1 and p^3 > r, then r is q,
+    q^2 or q q' for primes q < q'. Proof: every prime factor of r is at
+    least p, so three of them, counted with multiplicity, would give
+    r >= p^3. Hence r has a square factor iff r = q^2 iff r is a
+    perfect square, since neither q nor q q' is one.
+
+    So the sieved primes up to effort.trial_bound are divided out of n
+    once each, in order: the answer is True at the first p with p^2 | n,
+    and at the first p with p^3 > rest it is whether rest > 1 is a
+    square, the stripped primes having exponent 1 and being coprime to
+    rest. A block whose largest cube is at most rest and whose product
+    is coprime to rest holds neither case, and is skipped by one gcd.
+    Only when the primes run out first, the rest being at least the cube
+    of the largest sieved prime, is n factored, by factorize_cached, and
+    the answer is None if that stays partial.
+    """
+    rest = n
+    for chunk, block_prod in _prime_blocks(effort.trial_bound):
+        if chunk[-1] ** 3 <= rest and gcd(rest, block_prod) == 1:
+            continue
+        for p in chunk:
+            if p * p * p > rest:
+                return rest > 1 and is_square(rest)
+            if rest % p == 0:
+                rest //= p
+                if rest % p == 0:
+                    return True
+    f = factorize_cached(n, effort)
+    if not f.complete:
+        return None
+    return any(e > 1 for e in f.factors.values())
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:

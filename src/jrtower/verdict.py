@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .factor import EFFORT_DEFAULT, Effort, factorize_cached
+from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
 from .intmath import is_square, isqrt
 from .orbit import (
     ITERATE_CAP,
@@ -582,7 +582,8 @@ def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
     steps of jacobi and the squares of the table. It fails on every
     wrong -1, so it is stronger than walking the orbit mod p, which
     fails only on a wrong -1 whose orbit happens to reach 0 (13 is a
-    square mod 17, yet its orbit never vanishes there). p comes from known_fermat_primes(), so it is prime.
+    square mod 17, yet its orbit never vanishes there). p comes from
+    known_fermat_primes(), so it is prime.
     """
     nu = strict.nu
     if not strict:
@@ -650,8 +651,11 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     the Fermat-prime residue certificate.
 
     Certificate failure is folded into a failed clause (with the
-    smallest violating prime recorded), not an exception. effort bounds
-    only the factorization of mu behind the mu_not_squarefree flag.
+    smallest violating prime recorded), not an exception. The
+    mu_not_squarefree flag comes from trial division of mu up to
+    effort.trial_bound and the cube-root lemma (see
+    factor._has_square_factor); effort bounds only the factorization
+    it falls back to when mu's rest exceeds trial_bound^3.
     """
     params = tower_params(nu)
     v = params.two_adic_valuation
@@ -667,13 +671,9 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     else:
         residue, failed_prime = None, failure[0]
     clauses.append(("Fermat-prime non-residue certificate", failure is None))
-    mu_not_squarefree = None
-    f = factorize_cached(params.mu, effort)
-    if f.complete:
-        mu_not_squarefree = any(e > 1 for e in f.factors.values())
     return HypothesisReport(
-        nu, params, tuple(clauses), residue, failed_prime, mu_not_squarefree,
-        symbols,
+        nu, params, tuple(clauses), residue, failed_prime,
+        _has_square_factor(params.mu, effort), symbols,
     )
 
 
@@ -690,13 +690,27 @@ class VerdictReport(Record):
     alpha: QuadraticSurd
     jr_upper: QuadraticSurd
     conclusion: str
-    reasons: tuple[str, ...]
     statements: tuple[str, ...]
     finite_scope_caveat: bool
 
     @property
     def conclusive(self) -> bool:
         return self.conclusion == THEOREM_APPLIES
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """The failed checks as text, rendered on read from the fields
+        jr_verdict decided the conclusion from: () iff it is conclusive."""
+        reasons = [f"hypothesis failed: {name}"
+                   for name in self.hypothesis.failed_clauses()]
+        if not self.strict:
+            reasons.append(f"tower not strict: c_{self.strict_witness} is a perfect square")
+        if not self.sqrt2.certified:
+            reasons.append(f"sqrt(2) exclusion not certified: {self.sqrt2.reason}")
+        for ob in self.obstructions:
+            if ob.status != EXCLUDED:
+                reasons.append(f"Fermat prime {ob.p} not excluded: {ob.reason}")
+        return tuple(reasons)
 
     def to_json(self) -> dict:
         return {
@@ -768,22 +782,11 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     if not upper >= 4:
         raise InvariantFailure("JR upper bound fell below the floor 4")
 
-    reasons = []
-    if not hypothesis.passed:
-        for name in hypothesis.failed_clauses():
-            reasons.append(f"hypothesis failed: {name}")
-    if not strictness.strict:
-        reasons.append(
-            f"tower not strict: c_{strictness.witness} is a perfect square"
-        )
-    if not sqrt2.certified:
-        reasons.append(f"sqrt(2) exclusion not certified: {sqrt2.reason}")
-    for ob in obstructions:
-        if ob.status != EXCLUDED:
-            reasons.append(f"Fermat prime {ob.p} not excluded: {ob.reason}")
-
     finite_scope = hypothesis.scope == "finite"
-    if not reasons:
+    # The checks VerdictReport.reasons renders, as booleans; an
+    # obstruction is true iff it is excluded.
+    if (hypothesis.passed and strictness.strict and sqrt2.certified
+            and all(obstructions)):
         conclusion = THEOREM_APPLIES
         scope_note = (
             " (conditional on no unknown Fermat prime violating the "
@@ -815,7 +818,6 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
         alpha=alpha,
         jr_upper=upper,
         conclusion=conclusion,
-        reasons=tuple(reasons),
         statements=statements,
         finite_scope_caveat=finite_scope and conclusion == THEOREM_APPLIES,
     )

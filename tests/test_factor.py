@@ -11,10 +11,11 @@ from jrtower.factor import (
     EFFORT_THOROUGH,
     Factorization,
     PARTIAL,
+    _has_square_factor,
     factorize,
     factorize_cached,
 )
-from jrtower.intmath import prime_sieve
+from jrtower.intmath import isqrt, prime_sieve
 
 
 def squarefree_kernel(n: int, effort=EFFORT_DEFAULT) -> int | None:
@@ -192,3 +193,103 @@ def test_factorize_domain_edges():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(-6)
+
+
+# ---------------------------------------------------------------------------
+# the square-free flag by the cube-root lemma
+
+
+def factorize_flag(n: int, effort) -> bool | None:
+    """The flag read off a factorization: None when it stays partial."""
+    f = factorize(n, effort)
+    return any(e > 1 for e in f.factors.values()) if f.complete else None
+
+
+def spy_cached(monkeypatch) -> list[int]:
+    """Record the arguments of the fallback to factorize_cached."""
+    from jrtower import factor
+
+    calls = []
+    real = factor.factorize_cached
+
+    def spy(n, effort):
+        calls.append(n)
+        return real(n, effort)
+
+    monkeypatch.setattr(factor, "factorize_cached", spy)
+    return calls
+
+
+@pytest.mark.parametrize("effort", [EFFORT_QUICK, EFFORT_DEFAULT])
+def test_square_factor_flag_matches_factorize_on_every_odd_n(monkeypatch, effort):
+    fallbacks = spy_cached(monkeypatch)
+    squareful = 0
+    for n in range(1, 2 * 10**5, 2):
+        flag = _has_square_factor(n, effort)
+        assert flag == factorize_flag(n, EFFORT_QUICK), n
+        squareful += flag
+    assert fallbacks == []
+    assert 10**4 < squareful < 9 * 10**4
+
+
+@pytest.mark.parametrize("effort", [EFFORT_QUICK, EFFORT_DEFAULT])
+def test_square_factor_flag_around_the_trial_bound_and_its_cube(monkeypatch, effort):
+    """Seeded p^2, p q and p^2 q, with p and q drawn below the largest
+    sieved prime P, just above it, and around P^(3/2), so that the rest
+    the lemma meets lies on either side of P^3. Decided cases agree with
+    the construction and never reach factorize_cached; a rest of primes
+    above P reaches it exactly when it exceeds P^3."""
+    sympy = pytest.importorskip("sympy")
+    fallbacks = spy_cached(monkeypatch)
+    top = prime_sieve(effort.trial_bound)[-1]
+    rng = random.Random(2004)
+    half = isqrt(top**3)
+
+    def small():
+        return sympy.prevprime(rng.randrange(5, top + 1))
+
+    def above():
+        return sympy.nextprime(top + rng.randrange(top))
+
+    def around():
+        return sympy.nextprime(half + rng.randrange(-half // 100, half // 100))
+
+    draws = (small, above, around)
+    decided = reached = 0
+    for _ in range(12):
+        for pick_p in draws:
+            for pick_q in draws:
+                p, q = pick_p(), pick_q()
+                while q == p:
+                    q = pick_q()
+                for n, truth in ((p * p, True), (p * q, False), (p * p * q, True)):
+                    del fallbacks[:]
+                    flag = _has_square_factor(n, effort)
+                    assert flag in (truth, None), n
+                    if flag is None:
+                        assert factorize_flag(n, effort) is None, n
+                    if n == p * q and min(p, q) > top:
+                        assert (fallbacks == [n]) == (n >= top**3), n
+                    elif n != p * q and p <= top:
+                        assert fallbacks == [], n
+                    decided += fallbacks == []
+                    reached += fallbacks == [n]
+    assert decided > 100 and reached > 10
+
+
+def test_square_factor_flag_falls_back_beyond_the_cube(monkeypatch):
+    """A rest above P^3 reaches factorize_cached, which keeps its answer:
+    None for two 13-digit primes at quick effort, exact when it splits."""
+    fallbacks = spy_cached(monkeypatch)
+    p, q = 10**12 + 39, 10**12 + 61
+    assert _has_square_factor(p * q, EFFORT_QUICK) is None
+    assert factorize(p * q, EFFORT_QUICK).status == PARTIAL
+    assert _has_square_factor(p * p, EFFORT_QUICK) is True
+    assert _has_square_factor(1000003 * 1000033, EFFORT_QUICK) is False
+    assert fallbacks == [p * q, p * p, 1000003 * 1000033]
+    # A square of a sieved prime answers before the rest is reached,
+    # where the partial factorization has no answer.
+    del fallbacks[:]
+    assert _has_square_factor(9 * p * q, EFFORT_QUICK) is True
+    assert factorize(9 * p * q, EFFORT_QUICK).status == PARTIAL
+    assert fallbacks == []

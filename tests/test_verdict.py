@@ -7,7 +7,7 @@ import pytest
 
 from jrtower import verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
-from jrtower.factor import EFFORT_QUICK
+from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
 from jrtower.orbit import (
     ITERATE_CAP,
     constant_terms,
@@ -24,6 +24,7 @@ from jrtower.verdict import (
     THEOREM_APPLIES,
     WINDOW_CAP,
     QuadraticSurd,
+    VerdictReport,
     alpha_surd,
     constructible_order,
     cos_minpoly,
@@ -624,6 +625,41 @@ def test_chain_text_rendered_on_read_matches_the_eager_formatter():
     assert excluded > 1000 and inconclusive > 1000
 
 
+def _eager_reasons(report) -> tuple[str, ...]:
+    """The reasons as jr_verdict formatted them eagerly; kept here as the
+    oracle for the reasons property."""
+    hypothesis = report.hypothesis
+    reasons = []
+    if not hypothesis.passed:
+        for name in hypothesis.failed_clauses():
+            reasons.append(f"hypothesis failed: {name}")
+    if not report.strict:
+        reasons.append(
+            f"tower not strict: c_{report.strict_witness} is a perfect square"
+        )
+    if not report.sqrt2.certified:
+        reasons.append(f"sqrt(2) exclusion not certified: {report.sqrt2.reason}")
+    for ob in report.obstructions:
+        if ob.status != EXCLUDED:
+            reasons.append(f"Fermat prime {ob.p} not excluded: {ob.reason}")
+    return tuple(reasons)
+
+
+@pytest.mark.parametrize("effort, top", [(EFFORT_QUICK, 2000), (EFFORT_DEFAULT, 300)])
+def test_reasons_rendered_on_read_match_the_eager_builder(effort, top):
+    assert "reasons" not in VerdictReport._fields
+    seen = set()
+    for nu in range(2, top + 1):
+        report = jr_verdict(nu, 5, effort)
+        assert report.reasons == _eager_reasons(report), nu
+        assert (report.reasons == ()) == (report.conclusion == THEOREM_APPLIES), nu
+        assert report.to_json()["reasons"] == list(report.reasons), nu
+        seen.update(reason.split(":")[0] for reason in report.reasons)
+    assert {"hypothesis failed", "tower not strict",
+            "sqrt(2) exclusion not certified"} <= seen
+    assert any(kind.startswith("Fermat prime") for kind in seen)
+
+
 def test_fermat_obstruction_inconclusive_cases():
     ob = fermat_obstruction(21, 17)
     assert ob.status == INCONCLUSIVE
@@ -749,19 +785,19 @@ def spy_everywhere(monkeypatch, module, name):
     return calls
 
 
-def test_jr_verdict_factors_only_the_odd_part(monkeypatch):
-    """One factorization per verdict, of mu, for the mu-not-squarefree flag."""
+def test_jr_verdict_factors_nothing(monkeypatch):
+    """The mu-not-squarefree flag comes from the cube-root lemma: below
+    trial_bound^3 a verdict neither factors nor looks up a factorization."""
     from jrtower import factor
 
     calls = spy_everywhere(monkeypatch, factor, "factorize")
     cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
     factor._factorize_cached.cache_clear()
-    for nu in range(2, 401):
-        del cached[:]
-        report = jr_verdict(nu, 5, EFFORT_QUICK)
-        assert cached == [(report.hypothesis.params.mu, EFFORT_QUICK)], nu
-    assert calls
-    assert all(n % 2 == 1 for n, _ in calls)
+    for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
+        flags = {jr_verdict(nu, 5, effort).hypothesis.mu_not_squarefree
+                 for nu in range(2, 401)}
+        assert flags == {True, False}, effort
+    assert calls == [] and cached == []
 
 
 def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
