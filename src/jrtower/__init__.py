@@ -39,12 +39,10 @@ from .orbit import (
 from .discriminant import (
     RESULTANT_CAP,
     DiscriminantReport,
-    DiscSupport,
     disc_resultant_oracle,
     disc_xn,
     discriminant_report,
     norm_sequence,
-    odd_prime_disc_support,
 )
 from .residue import (
     PEPIN_CAP,
@@ -99,7 +97,6 @@ from .verdict import (
     cos_minpoly,
     fermat_obstruction,
     hypothesis_check,
-    jr_upper_surd,
     jr_verdict,
     nested_radical_check,
     nu7_exploration,

@@ -515,6 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # nu and the orbit constants it prints may run past the 4300 digits
+    # that int <-> str conversion allows by default since Python 3.11.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

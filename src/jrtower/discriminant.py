@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import InvariantFailure, PreconditionError, ResourceLimitError
-from .intmath import is_prime
-from .orbit import SEQUENCE_CAP, _orbit_walk, constant_terms, iterate_poly, tower_strict
+from .orbit import SEQUENCE_CAP, constant_terms, iterate_poly, tower_strict
 
 # P_n has degree 2^n; level 4 gives a 15-step remainder sequence whose
 # coefficients reach about 400 digits for nu below 10^4. Level 5 would
@@ -149,44 +148,6 @@ def norm_sequence(nu: int, n: int) -> list[int]:
         for k in range(1, n + 1):
             norms.append(2 ** (2 ** (k + 1)) * seq.c[k])
     return norms
-
-
-class DiscSupport(Record):
-    """Does the odd prime p divide any disc(x_n)?
-
-    For odd p, p | disc(x_n) iff p | c_k for some k <= n. scope_all_n
-    means the answer covers every n (the orbit mod p provably never
-    vanishes), not just n <= the inspected bound.
-    """
-
-    nu: int
-    p: int
-    divides: bool
-    witness: int | None
-    scope_all_n: bool
-
-    def __bool__(self) -> bool:
-        return self.divides
-
-
-def odd_prime_disc_support(nu: int, p: int, N: int) -> DiscSupport:
-    """Decide p | disc(x_n) for odd prime p, for n up to N or for all n.
-
-    p = 2 always divides and is rejected here (its valuation follows
-    the 2^(2^n) ladder, not the orbit).
-    """
-    if p == 2:
-        raise ValueError("p = 2 divides every disc(x_n); query an odd prime")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    first = _orbit_walk(nu, p)
-    if first is None:
-        return DiscSupport(nu, p, False, None, True)
-    if first <= N:
-        return DiscSupport(nu, p, True, first, False)
-    return DiscSupport(nu, p, False, None, False)
 
 
 class DiscriminantReport(Record):

@@ -126,21 +126,14 @@ def orbit_mod_p(nu: int, p: int) -> int | None:
     (1980) cycle detection saves the state at each power-of-two step
     and stops when the walk returns to it; by then the tail and one
     full cycle have been visited, so the walk takes O(tail + cycle)
-    steps, not p. p must be prime. A walk longer than ORBIT_STEP_CAP
-    steps raises ResourceLimitError.
+    steps, not p. p must be prime. Block k takes 2^k steps from the
+    state saved before it, so a return to that state shows up within
+    the block after the walk enters the cycle. The step cap is checked
+    between blocks only: a walk longer than ORBIT_STEP_CAP steps raises
+    ResourceLimitError.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return _orbit_walk(nu, p)
-
-
-def _orbit_walk(nu: int, p: int) -> int | None:
-    """orbit_mod_p for a p the caller has already proved prime.
-
-    Block k takes 2^k steps from the state saved before it, so a
-    return to that state shows up within the block after the walk
-    enters the cycle. The step cap is checked between blocks only.
-    """
     x = saved = nu % p
     if not x:
         return 1

@@ -178,16 +178,6 @@ def alpha_surd(nu: int) -> QuadraticSurd:
     return QuadraticSurd(1, 1, 1 + 4 * nu, 2)
 
 
-def jr_upper_surd(nu: int) -> QuadraticSurd:
-    """ceil(alpha) + alpha: an explicit JR upper bound for the subring.
-
-    alpha and its translates generate infinitely many totally positive
-    elements n + alpha with conjugates inside (0, ceil(alpha) + alpha].
-    """
-    alpha = alpha_surd(nu)
-    return alpha.shifted(alpha.ceil())
-
-
 # ---------------------------------------------------------------------------
 # Constructible orders and cosine minimal polynomials
 
@@ -777,6 +767,8 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
         )
     else:
         obstructions = ()
+    # The translates n + alpha are infinitely many totally positive
+    # elements with conjugates inside (0, ceil(alpha) + alpha].
     alpha = alpha_surd(nu)
     upper = alpha.shifted(alpha.ceil())
     if not upper >= 4:

@@ -16,12 +16,14 @@ leaf i), so composition is one bytes.translate and the other inner
 steps are bytes slices and int.from_bytes, all run in C. A byte holds
 a leaf index only while there are at most 256 leaves, depth <= 8;
 DEPTH_CAP = 4 gives 16. Portraits and leaf_permutation's tuples remain
-the canonical public form. Subgroup orders, the Frattini subgroup's
-included, are counted by Schreier's lemma on the bottom level, so no
-subgroup is listed element by element: the walk of the action on the
-leaves' parents stops once its kernel is proved to be every sibling
-swap, and the order of that action is then counted one level up the
-same way (76 products for the whole group at depth 4). Only the
+the canonical public form. Subgroup orders are counted by Schreier's
+lemma on the bottom level, so no subgroup is listed element by element:
+the walk of the action on the leaves' parents stops once its kernel is
+proved to be every sibling swap, and the order of that action is then
+counted one level up the same way (76 products for the whole group at
+depth 4). The rank of G modulo its Frattini subgroup is read from the
+level parities, the homomorphisms G -> F_2 that sum the portrait bits
+of one level, and needs no product beyond that count. Only the
 depth <= 2 brute-force check of the index-2 count lists the whole group.
 """
 
@@ -194,6 +196,16 @@ def _closure_perms(gens: list[bytes], leaves: int) -> set[bytes]:
     return seen
 
 
+def _f2_adjoin(pivots: dict[int, int], v: int) -> None:
+    """Reduce v over F_2 by pivots (keyed by leading bit); keep it if nonzero."""
+    while v:
+        top = v.bit_length()
+        if top not in pivots:
+            pivots[top] = v
+            return
+        v ^= pivots[top]
+
+
 def _schreier_order(perms: list[bytes], leaves: int) -> int:
     """Order of the subgroup H generated by leaf permutations.
 
@@ -237,13 +249,9 @@ def _schreier_order(perms: list[bytes], leaves: int) -> int:
             # low bit, and lift^-1 q swaps pair x exactly where they
             # differ. XOR leaves a byte 0 or 1 per pair: an F_2 vector
             # with one bit in each byte.
-            v = int.from_bytes(q[::2], "big") ^ int.from_bytes(lift[::2], "big")
-            while v:
-                top = v.bit_length()
-                if top not in pivots:
-                    pivots[top] = v
-                    break
-                v ^= pivots[top]
+            _f2_adjoin(
+                pivots, int.from_bytes(q[::2], "big") ^ int.from_bytes(lift[::2], "big")
+            )
     if len(pivots) < half:
         quotient = len(reps)
     else:
@@ -279,85 +287,48 @@ def _full_group(depth: int) -> frozenset[bytes]:
     return frozenset(group)
 
 
-def _invert_perm(p: bytes) -> bytes:
-    inverse = bytearray(len(p))
-    for x, y in enumerate(p):
-        inverse[y] = x
-    return bytes(inverse)
-
-
-def _normal_closure_order(gens: list[bytes], seeds: list[bytes], leaves: int) -> int:
-    """Order of the normal closure of the seeds in the group <gens>.
-
-    The seeds are grown by the conjugates g s g^-1 of the newest
-    elements s under each generator g. Once a round leaves the
-    Schreier count unchanged, the new conjugates already lie in the
-    subgroup, which every generator (of a finite group) therefore maps
-    onto itself: it is normal, and it is the normal closure.
-    """
-    ident = bytes(range(leaves))
-    invs = [_invert_perm(g) for g in gens]
-    elements = list(dict.fromkeys(s for s in seeds if s != ident))
-    order = _schreier_order(elements, leaves) if elements else 1
-    known, newest = set(elements), list(elements)
-    while newest:
-        conjugates = []
-        for g, g_inv in zip(gens, invs):
-            for s in newest:
-                c = _compose_perm(_compose_perm(g, s), g_inv)
-                if c not in known:
-                    known.add(c)
-                    conjugates.append(c)
-        if not conjugates:
-            break
-        elements.extend(conjugates)
-        grown = _schreier_order(elements, leaves)
-        if grown == order:
-            break
-        order, newest = grown, conjugates
-    return order
+def _level_parities(a: TreeAutomorphism) -> int:
+    """Bit l is pi_l(a), the parity of a's portrait bits at level l."""
+    image = 0
+    for v, bit in enumerate(a.bits, start=1):
+        image ^= bit << (v.bit_length() - 1)
+    return image
 
 
 @lru_cache(maxsize=DEPTH_CAP)
-def _frattini_order(depth: int) -> int:
-    """|Phi(G)| for G = [C_2]^depth, as the normal closure of a few elements.
-
-    Phi(G) = G^2 [G, G] is normal, and modulo the normal closure N of
-    the squares g_i^2 and commutators [g_i, g_j] of the generators, G
-    is generated by commuting involutions; so G / N is elementary
-    abelian and N = Phi(G).
-    """
-    gens = [_leaf_table(g) for g in minimal_generators(depth)]
-    seeds = [_compose_perm(g, g) for g in gens]
-    for g, h in combinations(gens, 2):
-        seeds.append(_compose_perm(
-            _compose_perm(g, h), _compose_perm(_invert_perm(g), _invert_perm(h))
-        ))
-    return _normal_closure_order(gens, seeds, 1 << depth)
-
-
 def agemo_rank(depth: int) -> int:
     """Rank d of G / (G^2 [G,G]) as an F_2 vector space; equals the depth.
 
     G^2 [G,G] is the Frattini subgroup Phi(G), so d is also the size of
-    every minimal generating set. Its order comes from _frattini_order,
-    the normal closure of the generators' squares and commutators
-    counted by Schreier's lemma, so no element list of G is formed.
+    every minimal generating set. The proof reads the level parities:
+
+    - pi_l(g) = sum of g_v over the nodes v at level l, mod 2, is a
+      homomorphism G -> F_2: by the portrait rule
+      (a * b)_v = b_v xor a_{b(v)}, and b permutes level l, so
+      pi_l(a * b) = pi_l(b) + pi_l(a).
+    - pi = (pi_0, ..., pi_{depth-1}) maps G into the elementary abelian
+      F_2^depth, so Phi(G) lies in its kernel and d >= rank pi(G). The
+      generator a_k has its one bit at level k - 1, so the images of
+      the minimal generators already have rank depth: d >= depth.
+    - The minimal generators generate G (closure_order counts
+      2^(2^depth - 1) elements), so their images span G / Phi(G):
+      d <= depth, the easy half of Burnside's basis theorem.
+
+    The two checks take 76 products at depth 4; no element list of G
+    is formed. A failed check raises InvariantFailure.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > DEPTH_CAP:
-        raise ResourceLimitError(f"depth capped at {DEPTH_CAP}")
-    group_order = 2 ** (2**depth - 1)
-    v_order = _frattini_order(depth)
-    quotient = group_order // v_order
-    if v_order * quotient != group_order or quotient & (quotient - 1):
-        raise InvariantFailure("quotient by the agemo subgroup is not a 2-power")
-    d = quotient.bit_length() - 1
-    if d != depth:
+    gens = minimal_generators(depth)
+    order = closure_order(gens)
+    if order != 2 ** (2**depth - 1):
         raise InvariantFailure(
-            f"agemo rank {d} disagrees with the depth {depth}"
+            f"minimal generators at depth {depth} generate a group of order {order}"
         )
+    pivots: dict[int, int] = {}
+    for g in gens:
+        _f2_adjoin(pivots, _level_parities(g))
+    d = len(pivots)
+    if d != depth:
+        raise InvariantFailure(f"level parities have rank {d}, not the depth {depth}")
     return d
 
 

@@ -343,6 +343,18 @@ def test_orbit_subcommand(capsys):
     assert "strict: yes" in out
 
 
+def test_integers_past_4300_digits_are_read_and_printed(capsys):
+    """c_12 of nu = 1000 has about 6000 digits and nu = 10^5000 has 5001,
+    beyond the default int <-> str limit of Python 3.11."""
+    code, out, _ = run(capsys, "orbit", "1000", "12", "--json")
+    assert code == 0
+    assert len(json.loads(out)["result"]["c"][-1]) > 4300
+    nu = "1" + "0" * 5000
+    code, out, _ = run(capsys, "verify", nu, "--effort", "quick", "--json")
+    assert code == 2
+    assert json.loads(out)["input"]["nu"] == nu
+
+
 def test_group_subcommand(capsys):
     code, out, _ = run(capsys, "group", "3")
     assert code == 0

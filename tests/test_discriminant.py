@@ -11,11 +11,10 @@ from jrtower.discriminant import (
     disc_xn,
     discriminant_report,
     norm_sequence,
-    odd_prime_disc_support,
     resultant,
 )
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
-from jrtower.orbit import constant_terms, iterate_poly, tower_strict
+from jrtower.orbit import constant_terms, iterate_poly, orbit_mod_p, tower_strict
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -148,39 +147,23 @@ def test_discriminant_report_rejects_mismatch():
         DiscriminantReport(nu=12, n=2, disc=4866048, oracle=4866047, norms=(48,))
 
 
-def test_odd_prime_disc_support():
-    s = odd_prime_disc_support(12, 3, 4)
-    assert s.divides and s.witness == 1
-    s = odd_prime_disc_support(12, 11, 6)
-    assert s.divides and s.witness == 2
-    s = odd_prime_disc_support(12, 5, 6)
-    assert not s.divides
-    assert s.scope_all_n  # orbit mod 5 provably never vanishes
-    s = odd_prime_disc_support(12, 13, 2)
-    assert not s.divides and not s.scope_all_n  # first hit is past the bound
-    with pytest.raises(ValueError):
-        odd_prime_disc_support(12, 2, 4)
-    with pytest.raises(ValueError):
-        odd_prime_disc_support(12, 9, 4)
+def test_odd_prime_divides_disc_iff_the_orbit_hits_zero_by_n():
+    """For odd p, p | disc(x_n) iff p | c_k for some k <= n, that is iff
+    orbit_mod_p(nu, p) is at most n: the recursion multiplies in only
+    powers of 2 and the c_k."""
+    from jrtower.intmath import prime_sieve
 
-
-def test_odd_prime_disc_support_proves_p_prime_once(monkeypatch):
-    from jrtower import orbit
-
-    proofs = []
-    is_prime = discriminant.is_prime
-
-    def counting(n):
-        proofs.append(n)
-        return is_prime(n)
-
-    def forbidden(n):
-        raise AssertionError("the orbit walk proved p prime again")
-
-    monkeypatch.setattr(discriminant, "is_prime", counting)
-    monkeypatch.setattr(orbit, "is_prime", forbidden)
-    assert odd_prime_disc_support(12, 13, 6).witness == 4
-    assert proofs == [13]
+    outcomes = set()
+    for nu in (2, 3, 7, 12, 48, 112):
+        discs = [disc_xn(nu, n) for n in range(1, 5)]
+        for p in prime_sieve(50)[1:]:
+            first = orbit_mod_p(nu, p)
+            for n, disc in enumerate(discs, start=1):
+                hit = first is not None and first <= n
+                assert (disc % p == 0) == hit, (nu, p, n)
+                outcomes.add((hit, first is None))
+    # hits, misses of a walk that hits later, and walks that never hit
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from jrtower.verdict import (
     cos_minpoly,
     fermat_obstruction,
     hypothesis_check,
-    jr_upper_surd,
     jr_verdict,
     nested_radical_check,
     nu7_exploration,
@@ -85,7 +84,7 @@ def test_surd_floor_ceil_against_mpmath():
         assert s.is_rational
         k = math.isqrt(nu)
         assert s.floor() == s.ceil() == k + 1
-        assert jr_upper_surd(nu).ceil() == 2 * k + 2
+        assert jr_verdict(nu).jr_upper.ceil() == 2 * k + 2
 
 
 def test_surd_ceil_takes_one_isqrt_and_matches_compare_int(monkeypatch):
@@ -227,11 +226,11 @@ def test_alpha_and_upper_bound_surds():
     a = alpha_surd(12)
     assert (a.a, a.b, a.D, a.q) == (1, 1, 49, 2)
     assert a.compare_int(4) == 0
-    u = jr_upper_surd(12)
+    u = jr_verdict(12).jr_upper
     assert u.compare_int(8) == 0
     a = alpha_surd(112)
     assert a.floor() == 11 and a.ceil() == 12
-    u = jr_upper_surd(112)
+    u = jr_verdict(112).jr_upper
     assert u.decimal(6) == "23.094810"
     with mpmath.workdps(40):
         expect = (25 + mpmath.sqrt(449)) / 2
@@ -711,7 +710,7 @@ def test_jr_verdict_builds_no_orbit(monkeypatch, nus, depths):
 
     spies = [
         spy_everywhere(monkeypatch, orbit, name)
-        for name in ("constant_terms", "tower_strict", "_orbit_walk")
+        for name in ("constant_terms", "tower_strict", "orbit_mod_p")
     ]
     certified = 0
     for depth in depths:

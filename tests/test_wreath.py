@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from jrtower import wreath
-from jrtower.errors import ResourceLimitError
+from jrtower.errors import InvariantFailure, ResourceLimitError
 from jrtower.wreath import (
     DEPTH_CAP,
     TreeAutomorphism,
@@ -18,7 +18,7 @@ from jrtower.wreath import (
     minimal_generators,
     node_image,
 )
-from jrtower.wreath import _closure_perms, _frattini_order, _normal_closure_order
+from jrtower.wreath import _closure_perms, _level_parities
 
 
 def random_element(rng: random.Random, depth: int) -> TreeAutomorphism:
@@ -29,10 +29,6 @@ def random_element(rng: random.Random, depth: int) -> TreeAutomorphism:
 def compose_perms(p, q):
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def invert_perms(p):
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def test_identity_fixes_everything():
@@ -160,11 +156,12 @@ def test_closure_order_matches_enumeration_and_sympy(monkeypatch):
 
 
 def level_parities(g: TreeAutomorphism) -> int:
-    """Bit l is the parity of g's portrait bits at level l."""
-    out = 0
-    for v, bit in enumerate(g.bits):
-        out ^= bit << ((v + 1).bit_length() - 1)
-    return out
+    """Bit l is the parity of g's portrait bits at level l, the heap
+    nodes 2^l .. 2^(l+1) - 1."""
+    return sum(
+        (sum(g.bits[(1 << level) - 1 : (1 << (level + 1)) - 1]) & 1) << level
+        for level in range(g.depth)
+    )
 
 
 def test_closure_order_matches_the_burnside_basis_theorem():
@@ -209,7 +206,7 @@ def test_closure_order_forms_few_products(monkeypatch):
 
 
 def test_frattini_order_matches_the_squares_of_every_element():
-    """Normal-closure order = |<x^2 : x in G>|, G listed in full.
+    """|G| / |<x^2 : x in G>| = 2^agemo_rank, G listed in full.
 
     The squares of all of G generate G^2[G,G], since
     [x, y] = x^2 (x^-1 y)^2 y^-2; the subgroup they generate is
@@ -218,34 +215,25 @@ def test_frattini_order_matches_the_squares_of_every_element():
     for depth in range(1, 5):
         leaves = 1 << depth
         gens = [bytes(leaf_permutation(g)) for g in minimal_generators(depth)]
-        squares = sorted({bytes(compose_perms(p, p)) for p in _closure_perms(gens, leaves)})
+        group = _closure_perms(gens, leaves)
+        squares = sorted({bytes(compose_perms(p, p)) for p in group})
         adopted, subgroup = [], {bytes(range(leaves))}
         for square in squares:
             if square not in subgroup:
                 adopted.append(square)
                 subgroup = _closure_perms(adopted, leaves)
-        assert _frattini_order(depth) == len(subgroup)
+        assert len(group) // len(subgroup) == 2 ** agemo_rank(depth)
 
 
-def test_normal_closure_order_matches_conjugates_under_every_element():
-    """Growing by generator conjugates = closing every conjugate h s h^-1."""
-    rng = random.Random(7006)
-    grew = False
-    for depth in (2, 3):
-        leaves = 1 << depth
-        gens = [bytes(leaf_permutation(g)) for g in minimal_generators(depth)]
-        group = sorted(_closure_perms(gens, leaves))
-        for _ in range(25):
-            seeds = rng.sample(group, rng.randint(1, 2))
-            conjugates = {
-                bytes(compose_perms(compose_perms(h, s), invert_perms(h)))
-                for h in group for s in seeds
-            }
-            order = _normal_closure_order(gens, seeds, leaves)
-            assert order == len(_closure_perms(sorted(conjugates), leaves))
-            grew |= order > len(_closure_perms(seeds, leaves))
-    # some seed sets were not normal, so the conjugation rounds mattered
-    assert grew
+def test_level_parities_are_a_homomorphism():
+    """pi(a * b) = pi(a) + pi(b) over F_2, the fact agemo_rank rests on."""
+    rng = random.Random(7008)
+    for depth in range(1, 5):
+        for _ in range(60):
+            a = random_element(rng, depth)
+            b = random_element(rng, depth)
+            assert _level_parities(a) == level_parities(a)
+            assert _level_parities(compose(a, b)) == _level_parities(a) ^ _level_parities(b)
 
 
 def test_agemo_rank_lists_no_group(monkeypatch):
@@ -263,9 +251,21 @@ def test_agemo_rank_lists_no_group(monkeypatch):
 
     monkeypatch.setattr(wreath, "_compose_perm", counting)
     monkeypatch.setattr(wreath, "_closure_perms", forbidden)
-    _frattini_order.cache_clear()
+    agemo_rank.cache_clear()
     assert agemo_rank(4) == 4
-    assert 0 < calls <= 1000
+    assert 0 < calls <= 128
+
+
+def test_agemo_rank_rejects_generators_that_miss_the_group(monkeypatch):
+    """Without a_depth the generators span a proper subgroup: the order
+    check raises before any rank is reported."""
+    minimal = wreath.minimal_generators
+    monkeypatch.setattr(wreath, "minimal_generators", lambda depth: minimal(depth)[:-1])
+    agemo_rank.cache_clear()
+    with pytest.raises(InvariantFailure, match="generate a group of order"):
+        agemo_rank(4)
+    monkeypatch.undo()
+    assert agemo_rank(4) == 4
 
 
 def test_agemo_rank_matches_depth():
