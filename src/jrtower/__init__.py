@@ -60,14 +60,12 @@ from .squareclasses import (
     GaloisCheck,
     SqrtMembership,
     Sqrt2Certificate,
-    SquareClassVector,
     SubfieldLattice,
     TwoIndependence,
     contains_sqrt,
     galois_full_check,
     quadratic_subfields,
     sqrt2_free_certificate,
-    square_class_vector,
     two_independent,
 )
 from .wreath import (

@@ -16,8 +16,7 @@ import os
 import sys
 import time
 
-from . import verdict as verdict_mod
-from .discriminant import RESULTANT_CAP, discriminant_report, norm_sequence
+from .discriminant import RESULTANT_CAP, discriminant_report
 from .errors import PreconditionError, ResourceLimitError
 from .factor import EFFORT_PRESETS, Effort
 from .orbit import constant_terms, tower_strict, valuation_profile
@@ -63,8 +62,6 @@ def _stringify(obj):
         return [_stringify(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, frozenset):
-        return [_stringify(x) for x in sorted(obj)]
     return obj
 
 

@@ -18,10 +18,6 @@ _MR_BASES_LARGE = _MR_BASES_SMALL + (
 )
 
 
-def isqrt(n: int) -> int:
-    return math.isqrt(n)
-
-
 def is_square(n: int) -> bool:
     """True iff n is a perfect square (n >= 0)."""
     return n >= 0 and math.isqrt(n) ** 2 == n

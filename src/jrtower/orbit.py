@@ -31,7 +31,7 @@ SEQUENCE_CAP = 12
 # Brent's walk mod p takes O(sqrt p) steps for a typical nu and at most
 # about 3p, under 2^18 mod a Fermat prime. No verdict walks (its
 # obstruction chains use Euler's criterion); the cap stops orbit_mod_p
-# and the discriminant support on a huge p instead of running for ever.
+# on a huge p instead of running for ever.
 ORBIT_STEP_CAP = 2**24
 
 

@@ -23,7 +23,6 @@ PEPIN_CAP = 9
 
 PROVEN_PRIME = "proven-prime"
 PROVEN_COMPOSITE = "proven-composite"
-UNTESTED = "untested"
 
 # The only known Fermat primes; every index 5..32 is proven composite in
 # the literature and 0..9 are re-proven here by Pepin on demand.

@@ -10,7 +10,8 @@ square-free kernel of the subset product.
 
 Every decision runs on exponent-parity rows over a coprime base of the
 values (see _coprime_base), found with gcds alone, so no decision waits
-on a factorization. Factoring only names the kernels for display.
+on a factorization. Naming the kernels factors only the non-square
+parts of that base.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd, prod
 
 from ._record import Record
 from .errors import InvariantFailure
-from .factor import EFFORT_DEFAULT, Effort, factorize_cached
+from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
 from .intmath import is_square
 from .orbit import TowerParams, constant_terms, tower_params
 
@@ -33,38 +34,6 @@ ABSENT = "absent"
 FULL_BY_RULE = "full(by-rule)"
 FULL_BY_RANK = "full(by-rank)"
 NOT_FULL = "not-full"
-
-
-class SquareClassVector(Record):
-    """Class of a nonzero integer in Q*/(Q*)^2.
-
-    odd_primes holds the primes with odd exponent; negative is the sign
-    coordinate, which takes part in the F_2 arithmetic so that a
-    "square" really means a square in Z, not just up to sign.
-    """
-
-    value: int
-    odd_primes: frozenset[int]
-    negative: bool
-
-    @property
-    def kernel(self) -> int:
-        k = prod(sorted(self.odd_primes))
-        return -k if self.negative else k
-
-
-def square_class_vector(
-    value: int, effort: Effort = EFFORT_DEFAULT
-) -> SquareClassVector | None:
-    """Parity vector of value, or None when its factorization stays
-    partial. It names kernels; no decision uses it."""
-    if value == 0:
-        raise ValueError("0 has no square class")
-    f = factorize_cached(abs(value), effort)
-    if not f.complete:
-        return None
-    odd = frozenset(p for p, e in f.factors.items() if e % 2 == 1)
-    return SquareClassVector(value, odd, value < 0)
 
 
 def _coprime_base(values) -> list[int]:
@@ -92,8 +61,8 @@ def _coprime_base(values) -> list[int]:
     return base
 
 
-def _square_class_rows(values) -> list[int]:
-    """Class of each nonzero value in Q*/(Q*)^2 as an F_2 bitmask row.
+def _square_class_rows(values) -> tuple[list[int], list[int]]:
+    """(parts, rows): each value's class in Q*/(Q*)^2 as an F_2 bitmask row.
 
     Over pairwise-coprime parts b, a product is a square iff every b^e
     in it is, that is iff e is even or b is a square. So a row holds the
@@ -110,7 +79,7 @@ def _square_class_rows(values) -> list[int]:
                 rest //= b
                 row ^= 1 << i
         rows.append(row | (value < 0) << len(parts))
-    return rows
+    return parts, rows
 
 
 def _echelon(rows: list[int]) -> tuple[int, list[int]]:
@@ -162,7 +131,7 @@ def two_independent(values: list[int] | tuple[int, ...]) -> TwoIndependence:
     dependency ends at the earliest position where the classes become
     linearly dependent over F_2.
     """
-    rank, kernel = _echelon(_square_class_rows(values))
+    rank, kernel = _echelon(_square_class_rows(values)[1])
     if kernel:
         return TwoIndependence(DEPENDENT, None, tuple(_positions(kernel[0])))
     return TwoIndependence(INDEPENDENT, rank, None)
@@ -211,10 +180,10 @@ class SubfieldLattice(Record):
     """Quadratic subfields of level n, indexed by subsets of {1..n}.
 
     kernels maps each nonempty frozenset S of 1-based indices to the
-    square-free kernel of prod(c_i for i in S), or to None when some
-    factorization stayed partial. rank is the F_2 rank of the classes,
-    always decided; complete means every kernel is named; galois is the
-    fullness status, and the lattice lists ALL quadratic subfields
+    square-free kernel of prod(c_i for i in S), or to None when a base
+    part it needs stayed partially factored. rank is the F_2 rank of the
+    classes, always decided; complete means every kernel is named; galois
+    is the fullness status, and the lattice lists ALL quadratic subfields
     exactly when the group is full.
     """
 
@@ -232,28 +201,34 @@ class SubfieldLattice(Record):
 def quadratic_subfields(
     nu: int, n: int, effort: Effort = EFFORT_DEFAULT
 ) -> SubfieldLattice:
-    """Kernel of every nonempty subset product of c_1..c_n, by parity XOR.
+    """Kernel of every nonempty subset product of c_1..c_n, from the rows.
 
-    The kernels need factorizations, under effort; rank and galois do not.
+    The parts b are pairwise coprime, so the square-free kernel is
+    multiplicative over them, and b^e contributes kernel(b) when e is odd
+    and nothing when e is even. So kernel(c_S) is the product of the part
+    kernels at the set bits of the XOR of S's rows (the c's are positive:
+    no sign bit). Each non-square part is factored once, under effort; one
+    left partial makes None exactly the S whose XOR holds its bit. Rank
+    and galois need no factoring.
     """
-    seq = constant_terms(nu, n)
-    vectors = [square_class_vector(c, effort) for c in seq.c]
+    parts, rows = _square_class_rows(constant_terms(nu, n).c)
+    part_kernels = []
+    for f in (factorize_cached(b, effort) for b in parts):
+        odd = [p for p, e in f.factors.items() if e % 2 == 1]
+        part_kernels.append(prod(odd) if f.complete else None)
 
-    # Parities per subset by dynamic programming on the lowest index.
-    parities: dict[int, frozenset[int] | None] = {0: frozenset()}
+    xors = [0]  # XOR of S's rows, extended by S's lowest index
     kernels: dict[frozenset[int], int | None] = {}
     for mask in range(1, 1 << n):
         low = mask & -mask
-        rest, vec = parities[mask ^ low], vectors[low.bit_length() - 1]
-        par = None if rest is None or vec is None else rest ^ vec.odd_primes
-        parities[mask] = par
+        xors.append(xors[mask ^ low] ^ rows[low.bit_length() - 1])
+        named = [part_kernels[i] for i in _positions(xors[mask])]
         subset = frozenset(i + 1 for i in _positions(mask))
-        kernels[subset] = None if par is None else prod(sorted(par))
+        kernels[subset] = None if None in named else prod(named)
 
-    rank = _echelon(_square_class_rows(seq.c))[0]
-    complete = all(k is not None for k in kernels.values())
+    rank = _echelon(rows)[0]
     galois = galois_full_check(nu, n).status
-    return SubfieldLattice(nu, n, kernels, rank, complete, galois)
+    return SubfieldLattice(nu, n, kernels, rank, None not in kernels.values(), galois)
 
 
 class SqrtMembership(Record):
@@ -281,20 +256,22 @@ def contains_sqrt(
     """Decide whether sqrt(d) lies in level n of the tower over nu.
 
     d must be a square-free integer >= 2 (membership of rational
-    square roots is trivial and not handled here); effort bounds only
-    the factorization that checks this. One elimination of
+    square roots is trivial and not handled here). The cube-root lemma
+    of factor._has_square_factor checks this without factoring d; effort
+    bounds only its fallback, for a d whose rest after trial division
+    reaches the cube of the largest sieved prime. One elimination of
     [c_1..c_n, d] finds the subsets S with d * c_S a square, and the
     rank of c_1..c_n alone, which says whether the group is full.
     """
     if d < 2:
         raise ValueError("d must be a square-free integer >= 2")
-    fd = factorize_cached(d, effort)
-    if not fd.complete:
+    square = _has_square_factor(d, effort)
+    if square is None:
         raise ValueError(f"square-freeness of d = {d} not decidable within budget")
-    if any(e > 1 for e in fd.factors.values()):
+    if square:
         raise ValueError(f"d = {d} is not square-free")
 
-    rank, kernel = _echelon(_square_class_rows((*constant_terms(nu, n).c, d)))
+    rank, kernel = _echelon(_square_class_rows((*constant_terms(nu, n).c, d))[1])
     if kernel and kernel[-1] >> n:
         # d's row vanished: the subsets S with d * c_S a square form the
         # coset of this one by the square-product subsets of c_1..c_n.

@@ -23,7 +23,7 @@ sqrt(2) exclusion certificate, and per-Fermat-prime obstruction chains.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from ._record import Record
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
-from .intmath import is_square, isqrt
+from .intmath import is_square
 from .orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,

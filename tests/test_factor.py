@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -15,7 +15,7 @@ from jrtower.factor import (
     factorize,
     factorize_cached,
 )
-from jrtower.intmath import isqrt, prime_sieve
+from jrtower.intmath import prime_sieve
 
 
 def squarefree_kernel(n: int, effort=EFFORT_DEFAULT) -> int | None:

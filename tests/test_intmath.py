@@ -8,19 +8,11 @@ from jrtower.intmath import (
     is_prime,
     is_square,
     iroot,
-    isqrt,
     perfect_power,
     prime_sieve,
     split_two_part,
     v2,
 )
-
-
-def test_isqrt_matches_math_isqrt():
-    rng = random.Random(1001)
-    for _ in range(300):
-        n = rng.randrange(0, 10**24)
-        assert isqrt(n) == math.isqrt(n)
 
 
 def test_is_square_exact_boundaries():

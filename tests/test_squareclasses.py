@@ -8,7 +8,7 @@ from math import gcd, prod
 import pytest
 
 from jrtower.errors import InvariantFailure
-from jrtower.factor import EFFORT_QUICK
+from jrtower.factor import EFFORT_QUICK, factorize_cached
 from jrtower.intmath import is_square, split_two_part, v2
 from jrtower.orbit import constant_terms, tower_params
 from jrtower.squareclasses import (
@@ -24,7 +24,6 @@ from jrtower.squareclasses import (
     galois_full_check,
     quadratic_subfields,
     sqrt2_free_certificate,
-    square_class_vector,
     two_independent,
     _coprime_base,
     _echelon,
@@ -42,20 +41,12 @@ def brute_dependent(values) -> bool:
     return False
 
 
-def test_square_class_vector_basics():
-    v = square_class_vector(12)
-    assert v.odd_primes == frozenset({3})
-    assert not v.negative
-    assert v.kernel == 3
-    v = square_class_vector(8)
-    assert v.odd_primes == frozenset({2})
-    v = square_class_vector(36)
-    assert v.odd_primes == frozenset()
-    assert v.kernel == 1
-    v = square_class_vector(-18)
-    assert v.negative
-    assert v.odd_primes == frozenset({2})
-    assert v.kernel == -2
+def odd_primes(value: int) -> frozenset[int]:
+    """The primes to an odd power in value != 0, read off a complete
+    factorization: the factoring oracle for the coprime-base rows."""
+    f = factorize_cached(abs(value))
+    assert f.complete, value
+    return frozenset(p for p, e in f.factors.items() if e % 2 == 1)
 
 
 def test_two_independent_fixed_cases():
@@ -130,14 +121,50 @@ def kernel_by_trial_division(n: int) -> int:
 
 def test_quadratic_subfields_match_direct_kernels():
     """Every subset kernel must equal the kernel of the literal product."""
-    for nu, n in ((12, 3), (3, 2), (7, 3), (5, 3)):
-        lat = quadratic_subfields(nu, n)
-        seq = constant_terms(nu, n)
-        assert lat.complete
-        for subset, kernel in lat.kernels.items():
-            direct = kernel_by_trial_division(prod(seq.c[i - 1] for i in subset))
-            assert kernel == direct
-        assert len(lat.kernels) == 2**n - 1
+    for nu in range(2, 41):
+        for n in range(1, 4):
+            lat = quadratic_subfields(nu, n)
+            seq = constant_terms(nu, n)
+            assert lat.complete
+            for subset, kernel in lat.kernels.items():
+                direct = kernel_by_trial_division(prod(seq.c[i - 1] for i in subset))
+                assert kernel == direct, (nu, n, subset)
+            assert len(lat.kernels) == 2**n - 1
+
+
+def test_quadratic_subfields_names_what_the_factored_parts_allow():
+    """At quick effort c_7 of nu = 12 keeps a partial part of its own, so
+    exactly the subsets holding 7 stay unnamed; every other kernel k makes
+    k * c_S a square."""
+    lat = quadratic_subfields(12, 7, EFFORT_QUICK)
+    c = constant_terms(12, 7).c
+    assert not lat.complete
+    assert len(lat.kernels) == 127
+    for subset, kernel in lat.kernels.items():
+        assert (kernel is None) == (7 in subset), subset
+        if kernel is not None:
+            assert is_square(kernel * prod(c[i - 1] for i in subset)), subset
+    assert len(lat.known_kernels()) == 63
+
+
+def test_quadratic_subfields_factors_only_the_coprime_parts(monkeypatch):
+    """Each non-square part of the coprime base is factored once, in base
+    order, and nothing else is: no whole c_n that is not itself a part."""
+    import jrtower.squareclasses
+
+    seen = []
+    real = jrtower.squareclasses.factorize_cached
+    monkeypatch.setattr(jrtower.squareclasses, "factorize_cached",
+                        lambda n, *a: seen.append(n) or real(n, *a))
+    whole_c_skipped = 0
+    for nu in (2, 5, 12, 36, 45, 100, 240):
+        for n in (1, 3, 5):
+            seen.clear()
+            parts = _square_class_rows(constant_terms(nu, n).c)[0]
+            quadratic_subfields(nu, n, EFFORT_QUICK)
+            assert seen == parts, (nu, n)
+            whole_c_skipped += len(set(constant_terms(nu, n).c) - set(parts))
+    assert whole_c_skipped > 0
 
 
 def test_quadratic_subfields_known_lattices():
@@ -303,8 +330,7 @@ def factored_first_dependency(vals):
     """
     vecs = []
     for v in vals:
-        vec = square_class_vector(v)
-        vecs.append(vec.odd_primes | ({"sign"} if vec.negative else set()))
+        vecs.append(odd_primes(v) | ({"sign"} if v < 0 else set()))
 
     def span(k):
         out = {frozenset(): ()}
@@ -340,9 +366,8 @@ def test_square_class_rank_matches_distinct_factored_classes():
         vals = random_square_class_values(rng)
         classes = {(frozenset(), False)}
         for v in vals:
-            vec = square_class_vector(v)
-            classes |= {(c ^ vec.odd_primes, s != vec.negative) for c, s in classes}
-        rank, kernel = _echelon(_square_class_rows(vals))
+            classes |= {(c ^ odd_primes(v), s != (v < 0)) for c, s in classes}
+        rank, kernel = _echelon(_square_class_rows(vals)[1])
         assert 1 << rank == len(classes), vals
         assert rank + len(kernel) == len(vals)
         for subset in kernel:
@@ -379,22 +404,39 @@ def test_nu7_constants_independent_through_the_sequence_cap():
     assert contains_sqrt(7, 12, 2).status == ABSENT
 
 
-def test_contains_sqrt_factors_only_d(monkeypatch):
-    """nu = 240 is decided absent at default effort without factoring any c_n."""
+def test_contains_sqrt_factors_nothing(monkeypatch):
+    """nu = 240 is decided at default effort without factoring d or any
+    c_n: the cube-root lemma checks that d is square-free."""
     import jrtower.factor
     import jrtower.squareclasses
 
-    seen = []
+    def refuse(*args):
+        raise AssertionError("contains_sqrt factored")
+
     for module, name in ((jrtower.squareclasses, "factorize_cached"),
+                         (jrtower.factor, "factorize_cached"),
+                         (jrtower.factor, "_factorize_cached"),
                          (jrtower.factor, "factorize")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda n, *a, _real=real: seen.append(n) or _real(n, *a))
+        monkeypatch.setattr(module, name, refuse)
     m = contains_sqrt(240, 5, 2)
     assert m.status == ABSENT
     assert m.subset is None
-    assert 2 in seen
-    assert not set(seen) & set(constant_terms(240, 5).c)
-    assert set(seen) == {2}
+    assert contains_sqrt(240, 1, 15).status == PRESENT
+    assert contains_sqrt(240, 5, 2 * 3 * 5 * 7 * 10007).status == ABSENT
+    with pytest.raises(ValueError, match="is not square-free"):
+        contains_sqrt(240, 5, 12)
+
+
+def test_contains_sqrt_square_freeness_by_the_cube_root_lemma():
+    """9pq with two 13-digit primes is caught by its square of 3, which no
+    factorization was needed for; pq alone lies beyond the cube of the
+    largest sieved prime, and the rho budget of quick effort cannot split
+    it, so square-freeness stays undecided."""
+    p, q = 10**12 + 39, 10**12 + 61
+    with pytest.raises(ValueError, match="is not square-free"):
+        contains_sqrt(12, 2, 9 * p * q, EFFORT_QUICK)
+    with pytest.raises(ValueError, match="not decidable within budget"):
+        contains_sqrt(12, 2, p * q, EFFORT_QUICK)
 
 
 def test_sqrt2_free_certificate_factors_nothing(monkeypatch):
@@ -416,7 +458,7 @@ def test_contains_sqrt_matches_brute_force_subset_search():
     for nu in range(2, 61):
         for n in range(1, 5):
             c = constant_terms(nu, n).c
-            odd = [square_class_vector(x).odd_primes for x in c]
+            odd = [odd_primes(x) for x in c]
             ds = {2, 3, 5, 6, 7}
             for r in range(1, n + 1):
                 for combo in combinations(range(n), r):
