@@ -73,13 +73,10 @@ from .wreath import (
     TreeAutomorphism,
     agemo_rank,
     closure_order,
-    compose,
     count_index2_subgroups,
-    from_leaf_permutation,
     identity,
     leaf_permutation,
     minimal_generators,
-    node_image,
 )
 from .verdict import (
     COS_M_CAP,

@@ -168,12 +168,17 @@ def galois_full_check(nu: int, n: int) -> GaloisCheck:
     params = tower_params(nu)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if params.nu % 4 == 0 and not params.is_square:
+    if _full_by_rule(params):
         return GaloisCheck(nu, n, FULL_BY_RULE)
     indep = two_independent(constant_terms(nu, n).c)
     if indep:
         return GaloisCheck(nu, n, FULL_BY_RANK)
     return GaloisCheck(nu, n, NOT_FULL, frozenset(i + 1 for i in indep.witness))
+
+
+def _full_by_rule(params: TowerParams) -> bool:
+    """Stoll's criterion (see galois_full_check): 4 | nu, nu not a square."""
+    return params.nu % 4 == 0 and not params.is_square
 
 
 class SubfieldLattice(Record):
@@ -209,7 +214,9 @@ def quadratic_subfields(
     kernels at the set bits of the XOR of S's rows (the c's are positive:
     no sign bit). Each non-square part is factored once, under effort; one
     left partial makes None exactly the S whose XOR holds its bit. Rank
-    and galois need no factoring.
+    and galois need no factoring: galois is Stoll's rule where it
+    applies and otherwise reads the rank, which is n exactly when
+    c_1..c_n are 2-independent.
     """
     parts, rows = _square_class_rows(constant_terms(nu, n).c)
     part_kernels = []
@@ -227,7 +234,10 @@ def quadratic_subfields(
         kernels[subset] = None if None in named else prod(named)
 
     rank = _echelon(rows)[0]
-    galois = galois_full_check(nu, n).status
+    if _full_by_rule(tower_params(nu)):
+        galois = FULL_BY_RULE
+    else:
+        galois = FULL_BY_RANK if rank == n else NOT_FULL
     return SubfieldLattice(nu, n, kernels, rank, None not in kernels.values(), galois)
 
 

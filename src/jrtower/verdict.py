@@ -36,7 +36,6 @@ from .intmath import is_square
 from .orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
-    Strictness,
     TowerParams,
     constant_terms,
     gap_strictness,
@@ -554,17 +553,34 @@ def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
     jacobi(nu, p) = -1, from which p divides no c_n: p | c_1 = nu
     would make the symbol 0, and p | c_n with n >= 2 would give
     c_{n-1}^2 = nu (mod p), so nu would be a square mod p. The symbol
-    is checked again by Euler's criterion (see _obstruction_chain).
+    is checked again by Euler's criterion (see _euler_guard).
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
     strict = gap_strictness(tower_params(nu), 1)
-    return _obstruction_chain(strict, p, jacobi(nu, p))
+    if not strict:
+        raise PreconditionError(
+            f"tower over nu = {nu} is not strict: c_{strict.witness} is a square"
+        )
+    return _obstruction_chain(nu, p, jacobi(nu, p))
 
 
-def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
-    """fermat_obstruction for a Pepin-certified p > 3, given strictness
-    and the symbol j = (nu|p), from jacobi or from residue_table.
+def _obstruction_chain(nu: int, p: int, j: int) -> FermatObstruction:
+    """fermat_obstruction for a strict nu and a Pepin-certified p > 3,
+    given the symbol j = (nu|p), from jacobi or from residue_table."""
+    if j != -1:
+        return FermatObstruction(nu, p, INCONCLUSIVE, _inconclusive_reason(p, j))
+    _euler_guard(nu, p)
+    return FermatObstruction(nu, p, EXCLUDED)
+
+
+def _inconclusive_reason(p: int, j: int) -> str:
+    """Why the chain for p stops at a symbol j = (nu|p) of 0 or 1."""
+    return f"p = {p} divides nu" if j == 0 else f"nu is a quadratic residue mod {p}"
+
+
+def _euler_guard(nu: int, p: int) -> None:
+    """Re-check a symbol (nu|p) = -1 before an exclusion rests on it.
 
     An exclusion rests on j = -1 alone (see fermat_obstruction), so
     that is what the guard re-checks: nu^((p-1)/2) = -1 (mod p), Euler's
@@ -575,20 +591,10 @@ def _obstruction_chain(strict: Strictness, p: int, j: int) -> FermatObstruction:
     square mod 17, yet its orbit never vanishes there). p comes from
     known_fermat_primes(), so it is prime.
     """
-    nu = strict.nu
-    if not strict:
-        raise PreconditionError(
-            f"tower over nu = {nu} is not strict: c_{strict.witness} is a square"
-        )
-    if j == 0:
-        return FermatObstruction(nu, p, INCONCLUSIVE, f"p = {p} divides nu")
-    if j == 1:
-        return FermatObstruction(nu, p, INCONCLUSIVE, f"nu is a quadratic residue mod {p}")
     if pow(nu, (p - 1) // 2, p) != p - 1:
         raise InvariantFailure(
             f"Euler's criterion disagrees with jacobi({nu}, {p}) = -1"
         )
-    return FermatObstruction(nu, p, EXCLUDED)
 
 
 @lru_cache(maxsize=8)
@@ -611,29 +617,48 @@ def _chain_tail(p: int) -> tuple[str, ...]:
 # Hypothesis bundle and the verdict
 
 
+# The theorem's shape hypotheses on nu, in the order they are checked
+# and reported.
+CLAUSE_NAMES = (
+    "even positive 2-adic valuation",
+    "odd part at least 3",
+    "nu is not a perfect square",
+    "Fermat-prime non-residue certificate",
+)
+
+
 class HypothesisReport(Record):
-    """Clause-by-clause check of the theorem's shape hypotheses on nu."""
+    """Clause-by-clause check of the theorem's shape hypotheses on nu.
+
+    outcomes holds whether each clause of CLAUSE_NAMES passed, in that
+    order; the (name, passed) pairs of clauses are built from it on read.
+    symbols holds (nu|p) for the known Fermat primes p > 3, in order,
+    read from the residue tables; the obstruction chains are rendered
+    from them.
+    """
 
     nu: int
     params: TowerParams
-    clauses: tuple[tuple[str, bool], ...]
+    outcomes: tuple[bool, ...]
     residue: ResidueCertificate | None
     failed_prime: int | None
     mu_not_squarefree: bool | None
-    # (nu|p) for the known Fermat primes p > 3, in order, read from the
-    # residue tables; the obstruction chains reuse them.
     symbols: tuple[int, ...]
 
     @property
+    def clauses(self) -> tuple[tuple[str, bool], ...]:
+        return tuple(zip(CLAUSE_NAMES, self.outcomes))
+
+    @property
     def passed(self) -> bool:
-        return all(ok for _, ok in self.clauses)
+        return all(self.outcomes)
 
     @property
     def scope(self) -> str | None:
         return self.residue.scope if self.residue else None
 
     def failed_clauses(self) -> list[str]:
-        return [name for name, ok in self.clauses if not ok]
+        return [name for name, ok in zip(CLAUSE_NAMES, self.outcomes) if not ok]
 
 
 def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisReport:
@@ -649,26 +674,29 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     """
     params = tower_params(nu)
     v = params.two_adic_valuation
-    clauses = [
-        ("even positive 2-adic valuation", v >= 2 and v % 2 == 0),
-        ("odd part at least 3", params.mu >= 3),
-        ("nu is not a perfect square", not params.is_square),
-    ]
     symbols = fermat_symbols(nu)
     failure = _first_failure(symbols)
     if failure is None:
         residue, failed_prime = _residue_certificate(nu), None
     else:
         residue, failed_prime = None, failure[0]
-    clauses.append(("Fermat-prime non-residue certificate", failure is None))
+    outcomes = (v >= 2 and v % 2 == 0, params.mu >= 3, not params.is_square,
+                failure is None)
     return HypothesisReport(
-        nu, params, tuple(clauses), residue, failed_prime,
+        nu, params, outcomes, residue, failed_prime,
         _has_square_factor(params.mu, effort), symbols,
     )
 
 
 class VerdictReport(Record):
-    """Fan-in of every check feeding the JR classification for one nu."""
+    """Fan-in of every check feeding the JR classification for one nu.
+
+    The fields are what jr_verdict decided. obstructions and reasons are
+    rendered from them on read: the four FermatObstruction records from
+    nu, hypothesis.symbols and strict (none when the tower is not
+    strict), and the reason text from the clause outcomes,
+    strict_witness, the sqrt(2) reason and, when strict, the symbols.
+    """
 
     nu: int
     depth: int
@@ -676,7 +704,6 @@ class VerdictReport(Record):
     strict: bool
     strict_witness: int | None
     sqrt2: Sqrt2Certificate
-    obstructions: tuple[FermatObstruction, ...]
     alpha: QuadraticSurd
     jr_upper: QuadraticSurd
     conclusion: str
@@ -688,19 +715,23 @@ class VerdictReport(Record):
         return self.conclusion == THEOREM_APPLIES
 
     @property
-    def reasons(self) -> tuple[str, ...]:
-        """The failed checks as text, rendered on read from the fields
-        jr_verdict decided the conclusion from: () iff it is conclusive."""
-        reasons = [f"hypothesis failed: {name}"
-                   for name in self.hypothesis.failed_clauses()]
+    def obstructions(self) -> tuple[FermatObstruction, ...]:
+        """One exclusion chain per known Fermat prime p > 3, or () when
+        the tower is not strict."""
         if not self.strict:
-            reasons.append(f"tower not strict: c_{self.strict_witness} is a perfect square")
-        if not self.sqrt2.certified:
-            reasons.append(f"sqrt(2) exclusion not certified: {self.sqrt2.reason}")
-        for ob in self.obstructions:
-            if ob.status != EXCLUDED:
-                reasons.append(f"Fermat prime {ob.p} not excluded: {ob.reason}")
-        return tuple(reasons)
+            return ()
+        return tuple(
+            _obstruction_chain(self.nu, p, j)
+            for p, j in zip(_fermat_primes_above_3(), self.hypothesis.symbols)
+        )
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """The failed checks as text: () iff the report is conclusive."""
+        return _reasons(
+            self.hypothesis.outcomes, self.strict_witness, self.sqrt2.reason,
+            self.hypothesis.symbols if self.strict else (),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -730,6 +761,29 @@ class VerdictReport(Record):
         }
 
 
+# No reason names nu, and the key takes at most 16 * 2 * 5 * (3^4 + 1)
+# values (the witness is 1 or None), so a scan renders each distinct
+# list of reasons once.
+@lru_cache(maxsize=None)
+def _reasons(
+    outcomes: tuple[bool, ...],
+    strict_witness: int | None,
+    sqrt2_reason: str | None,
+    symbols: tuple[int, ...],
+) -> tuple[str, ...]:
+    """VerdictReport.reasons from its key; symbols is () when not strict."""
+    reasons = [f"hypothesis failed: {name}"
+               for name, ok in zip(CLAUSE_NAMES, outcomes) if not ok]
+    if strict_witness is not None:
+        reasons.append(f"tower not strict: c_{strict_witness} is a perfect square")
+    if sqrt2_reason is not None:
+        reasons.append(f"sqrt(2) exclusion not certified: {sqrt2_reason}")
+    for p, j in zip(_fermat_primes_above_3(), symbols):
+        if j != -1:
+            reasons.append(f"Fermat prime {p} not excluded: {_inconclusive_reason(p, j)}")
+    return tuple(reasons)
+
+
 # The floor rule used in the statements below: every ring of totally
 # positive algebraic integers has JR number at least 4, and JR = 4
 # attained forces conjugate sets filling [0, 4] arbitrarily densely,
@@ -754,6 +808,11 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     guard hold at every level by short proofs that read nu alone (see
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
     is built. depth is the level the report names.
+
+    The report keeps only the decided facts; its obstruction records and
+    reason text are rendered from them on read (see VerdictReport). Each
+    -1 symbol of a strict nu is re-checked here, by Euler's criterion,
+    before the conclusion rests on it.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
@@ -761,12 +820,9 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     strictness = gap_strictness(hypothesis.params, depth)
     sqrt2 = sqrt2_free_certificate(hypothesis.params)
     if strictness.strict:
-        obstructions = tuple(
-            _obstruction_chain(strictness, p, j)
-            for p, j in zip(_fermat_primes_above_3(), hypothesis.symbols)
-        )
-    else:
-        obstructions = ()
+        for p, j in zip(_fermat_primes_above_3(), hypothesis.symbols):
+            if j == -1:
+                _euler_guard(nu, p)
     # The translates n + alpha are infinitely many totally positive
     # elements with conjugates inside (0, ceil(alpha) + alpha].
     alpha = alpha_surd(nu)
@@ -775,10 +831,10 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
         raise InvariantFailure("JR upper bound fell below the floor 4")
 
     finite_scope = hypothesis.scope == "finite"
-    # The checks VerdictReport.reasons renders, as booleans; an
-    # obstruction is true iff it is excluded.
-    if (hypothesis.passed and strictness.strict and sqrt2.certified
-            and all(obstructions)):
+    # The checks VerdictReport.reasons renders, as booleans. An
+    # obstruction is excluded iff its symbol is -1, which the last
+    # clause asks of all four.
+    if hypothesis.passed and strictness.strict and sqrt2.certified:
         conclusion = THEOREM_APPLIES
         scope_note = (
             " (conditional on no unknown Fermat prime violating the "
@@ -806,7 +862,6 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
         strict=strictness.strict,
         strict_witness=strictness.witness,
         sqrt2=sqrt2,
-        obstructions=obstructions,
         alpha=alpha,
         jr_upper=upper,
         conclusion=conclusion,

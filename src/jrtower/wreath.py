@@ -61,40 +61,6 @@ def identity(depth: int) -> TreeAutomorphism:
     return TreeAutomorphism(depth, (0,) * (2**depth - 1))
 
 
-def node_image(a: TreeAutomorphism, node: int) -> int:
-    """Image of 1-based heap node index under a.
-
-    Portrait bits live on the original tree: the bit at each node of
-    the walked-down (original) path flips the corresponding output
-    step, while the walk itself follows the original steps.
-    """
-    if node < 1 or node >= 2 ** (a.depth + 1):
-        raise ValueError("node index out of range")
-    path = []
-    h = node
-    while h > 1:
-        path.append(h & 1)
-        h >>= 1
-    orig = 1
-    image = 1
-    for step in reversed(path):
-        out = step ^ a.bits[orig - 1]
-        orig = 2 * orig + step
-        image = 2 * image + out
-    return image
-
-
-def compose(a: TreeAutomorphism, b: TreeAutomorphism) -> TreeAutomorphism:
-    """a * b: apply b first, then a."""
-    if a.depth != b.depth:
-        raise ValueError("depth mismatch")
-    n_internal = 2**a.depth - 1
-    bits = []
-    for v in range(1, n_internal + 1):
-        bits.append(b.bits[v - 1] ^ a.bits[node_image(b, v) - 1])
-    return TreeAutomorphism(a.depth, tuple(bits))
-
-
 def leaf_permutation(a: TreeAutomorphism) -> tuple[int, ...]:
     """Action of a on the 2^depth leaves, as a permutation tuple."""
     n = a.depth
@@ -109,41 +75,6 @@ def leaf_permutation(a: TreeAutomorphism) -> tuple[int, ...]:
             orig = 2 * orig + step
         perm.append(out)
     return tuple(perm)
-
-
-def from_leaf_permutation(perm: tuple[int, ...], depth: int) -> TreeAutomorphism:
-    """Portrait of the automorphism with the given leaf action."""
-    leaves = 1 << depth
-    if len(perm) != leaves:
-        raise ValueError("permutation length must be 2^depth")
-    if sorted(perm) != list(range(leaves)):
-        raise ValueError("not a permutation of the leaves")
-    bits = [0] * (leaves - 1)
-
-    def fill(node: int, block: list[int]):
-        size = len(block)
-        if size == 1:
-            return
-        half = size // 2
-        # A tree automorphism sends each half-block onto a half of the
-        # image range; which half tells us the swap bit.
-        base = min(block)
-        lo = [b - base for b in block[:half]]
-        hi = [b - base for b in block[half:]]
-        swap = lo[0] >= half
-        bits[node - 1] = 1 if swap else 0
-        if swap:
-            lo = [b - half for b in lo]
-        else:
-            hi = [b - half for b in hi]
-        fill(2 * node, lo)
-        fill(2 * node + 1, hi)
-
-    fill(1, list(perm))
-    out = TreeAutomorphism(depth, tuple(bits))
-    if leaf_permutation(out) != tuple(perm):
-        raise ValueError("permutation does not respect the tree structure")
-    return out
 
 
 def minimal_generators(depth: int) -> list[TreeAutomorphism]:

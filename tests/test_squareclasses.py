@@ -167,6 +167,35 @@ def test_quadratic_subfields_factors_only_the_coprime_parts(monkeypatch):
     assert whole_c_skipped > 0
 
 
+def test_quadratic_subfields_builds_the_orbit_and_base_once(monkeypatch):
+    """nu = 7 is odd, so Stoll's rule is silent and the galois status
+    comes from the rank of the rows already built: one orbit, one base."""
+    import jrtower.squareclasses
+
+    calls = {"constant_terms": 0, "_coprime_base": 0}
+    for name in calls:
+        real = getattr(jrtower.squareclasses, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(jrtower.squareclasses, name, spy)
+    lattice = quadratic_subfields(7, 5)
+    assert calls == {"constant_terms": 1, "_coprime_base": 1}
+    assert lattice.galois == FULL_BY_RANK
+
+
+def test_quadratic_subfields_galois_matches_galois_full_check():
+    statuses = set()
+    for nu in range(2, 400):
+        for n in range(1, 5):
+            expected = galois_full_check(nu, n).status
+            assert quadratic_subfields(nu, n, EFFORT_QUICK).galois == expected, (nu, n)
+            statuses.add(expected)
+    assert statuses == {FULL_BY_RULE, FULL_BY_RANK, NOT_FULL}
+
+
 def test_quadratic_subfields_known_lattices():
     assert quadratic_subfields(3, 2).known_kernels() == {2, 3, 6}
     assert quadratic_subfields(12, 3).known_kernels() == {

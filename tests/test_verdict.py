@@ -13,9 +13,11 @@ from jrtower.orbit import (
     constant_terms,
     iterate_poly,
     orbit_mod_p,
+    tower_params,
     tower_strict,
 )
 from jrtower.residue import jacobi
+from jrtower.squareclasses import sqrt2_free_certificate
 from jrtower.verdict import (
     COS_M_CAP,
     EXCLUDED,
@@ -23,6 +25,8 @@ from jrtower.verdict import (
     NESTED_RADICAL_CAP,
     THEOREM_APPLIES,
     WINDOW_CAP,
+    FermatObstruction,
+    HypothesisReport,
     QuadraticSurd,
     VerdictReport,
     alpha_surd,
@@ -624,39 +628,137 @@ def test_chain_text_rendered_on_read_matches_the_eager_formatter():
     assert excluded > 1000 and inconclusive > 1000
 
 
-def _eager_reasons(report) -> tuple[str, ...]:
-    """The reasons as jr_verdict formatted them eagerly; kept here as the
-    oracle for the reasons property."""
-    hypothesis = report.hypothesis
-    reasons = []
-    if not hypothesis.passed:
-        for name in hypothesis.failed_clauses():
-            reasons.append(f"hypothesis failed: {name}")
-    if not report.strict:
-        reasons.append(
-            f"tower not strict: c_{report.strict_witness} is a perfect square"
-        )
-    if not report.sqrt2.certified:
-        reasons.append(f"sqrt(2) exclusion not certified: {report.sqrt2.reason}")
-    for ob in report.obstructions:
-        if ob.status != EXCLUDED:
-            reasons.append(f"Fermat prime {ob.p} not excluded: {ob.reason}")
+FERMAT_ABOVE_3 = (5, 17, 257, 65537)
+
+
+def _eager_reasons(nu: int) -> tuple[str, ...]:
+    """The reasons as jr_verdict built them eagerly, from the clause pairs
+    of the hypothesis check and one fermat_obstruction per prime of a
+    strict nu; kept here, with jacobi symbols, as the oracle for the
+    reasons rendered from the verdict key."""
+    params = tower_params(nu)
+    v = params.two_adic_valuation
+    clauses = [
+        ("even positive 2-adic valuation", v >= 2 and v % 2 == 0),
+        ("odd part at least 3", params.mu >= 3),
+        ("nu is not a perfect square", math.isqrt(nu) ** 2 != nu),
+        ("Fermat-prime non-residue certificate",
+         all(jacobi(nu, p) == -1 for p in FERMAT_ABOVE_3)),
+    ]
+    reasons = [f"hypothesis failed: {name}" for name, ok in clauses if not ok]
+    strict = math.isqrt(nu) ** 2 != nu
+    if not strict:
+        reasons.append("tower not strict: c_1 is a perfect square")
+    sqrt2 = sqrt2_free_certificate(params)
+    if not sqrt2.certified:
+        reasons.append(f"sqrt(2) exclusion not certified: {sqrt2.reason}")
+    if strict:
+        for p in FERMAT_ABOVE_3:
+            ob = fermat_obstruction(nu, p)
+            if ob.status != EXCLUDED:
+                reasons.append(f"Fermat prime {ob.p} not excluded: {ob.reason}")
     return tuple(reasons)
 
 
-@pytest.mark.parametrize("effort, top", [(EFFORT_QUICK, 2000), (EFFORT_DEFAULT, 300)])
+@pytest.mark.parametrize("effort, top", [(EFFORT_QUICK, 6000), (EFFORT_DEFAULT, 300)])
 def test_reasons_rendered_on_read_match_the_eager_builder(effort, top):
     assert "reasons" not in VerdictReport._fields
     seen = set()
     for nu in range(2, top + 1):
         report = jr_verdict(nu, 5, effort)
-        assert report.reasons == _eager_reasons(report), nu
+        assert report.reasons == _eager_reasons(nu), nu
         assert (report.reasons == ()) == (report.conclusion == THEOREM_APPLIES), nu
         assert report.to_json()["reasons"] == list(report.reasons), nu
         seen.update(reason.split(":")[0] for reason in report.reasons)
     assert {"hypothesis failed", "tower not strict",
             "sqrt(2) exclusion not certified"} <= seen
     assert any(kind.startswith("Fermat prime") for kind in seen)
+
+
+@pytest.mark.parametrize("effort, top, applies", [(EFFORT_QUICK, 20000, 167),
+                                                  (EFFORT_DEFAULT, 2000, 23)])
+def test_theorem_applies_iff_the_key_lemma_holds(effort, top, applies):
+    """theorem-applies iff v2(nu) is even and at least 2 and (nu|p) = -1
+    at p = 5, 17, 257, 65537: a square nu, or nu = 4^m, has symbols in
+    {0, 1}, so the other clauses follow from these."""
+    count = 0
+    for nu in range(2, top + 1):
+        v = (nu & -nu).bit_length() - 1
+        lemma = (v >= 2 and v % 2 == 0
+                 and all(jacobi(nu, p) == -1 for p in FERMAT_ABOVE_3))
+        assert (jr_verdict(nu, 5, effort).conclusion == THEOREM_APPLIES) == lemma, nu
+        count += lemma
+    assert count == applies
+
+
+def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
+    """The verdict and a scan row read the decided facts alone; the
+    obstruction records and the clause pairs appear only when read."""
+    from jrtower import cli
+
+    assert "obstructions" not in VerdictReport._fields
+    built, paired = [], []
+    real_init = FermatObstruction.__init__
+    real_clauses = HypothesisReport.clauses.fget
+
+    def spy_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def spy_clauses(self):
+        paired.append(self.nu)
+        return real_clauses(self)
+
+    monkeypatch.setattr(FermatObstruction, "__init__", spy_init)
+    monkeypatch.setattr(HypothesisReport, "clauses", property(spy_clauses))
+    reports = []
+    for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
+        for nu in range(2, 401):
+            reports.append(jr_verdict(nu, 5, effort))
+            cli._scan_record(nu, 5, effort)
+    assert built == [] and paired == []
+
+    strict = 0
+    for report in reports:
+        doc = report.to_json()
+        assert len(doc["hypothesis"]["clauses"]) == 4
+        if not report.strict:
+            assert doc["obstructions"] == [], report.nu
+            continue
+        strict += 1
+        assert [ob["p"] for ob in doc["obstructions"]] == list(FERMAT_ABOVE_3)
+        for ob in doc["obstructions"]:
+            excluded = ob["status"] == EXCLUDED
+            assert ob["chain"] == (list(_eager_chain(report.nu, ob["p"])) if excluded
+                                   else []), (report.nu, ob["p"])
+    assert strict > 700
+    assert len(built) == 4 * strict and len(paired) == len(reports)
+
+
+@pytest.mark.parametrize("nu, p", [(13, 17), (8, 17), (52, 17), (20, 5)])
+def test_jr_verdict_guard_fires_on_a_forged_table_entry(monkeypatch, nu, p):
+    """A residue table that reads -1 where (nu|p) is 1 or 0 makes the
+    verdict itself raise: Euler's criterion re-checks every -1 of a
+    strict nu before the conclusion rests on it, with no obstruction read."""
+    from jrtower import residue
+
+    real = residue.residue_table
+
+    def forged(q):
+        table = real(q)
+        if q != p:
+            return table
+        r = nu % p
+        return table[:r] + b"\x02" + table[r + 1:]
+
+    def unread(self):
+        raise AssertionError("the obstructions were read")
+
+    assert jacobi(nu, p) != -1
+    monkeypatch.setattr(residue, "residue_table", forged)
+    monkeypatch.setattr(VerdictReport, "obstructions", property(unread))
+    with pytest.raises(InvariantFailure, match=rf"Euler's criterion disagrees with jacobi\({nu}, {p}\)"):
+        jr_verdict(nu, 5, EFFORT_QUICK)
 
 
 def test_fermat_obstruction_inconclusive_cases():
@@ -728,10 +830,9 @@ def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
     """nu = 13 and 8 are squares mod 17; claiming jacobi = -1 must raise,
     whether or not the orbit mod 17 reaches 0."""
     assert orbit_mod_p(nu, 17) == first_zero
-    strict = tower_strict(constant_terms(nu, 5))
-    assert strict.strict
+    assert tower_strict(constant_terms(nu, 5)).strict
     with pytest.raises(InvariantFailure, match="Euler's criterion"):
-        verdict._obstruction_chain(strict, 17, -1)
+        verdict._obstruction_chain(nu, 17, -1)
 
 
 def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
