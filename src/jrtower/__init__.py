@@ -57,13 +57,11 @@ from .residue import (
     residue_certificate,
 )
 from .squareclasses import (
-    GaloisCheck,
     SqrtMembership,
     Sqrt2Certificate,
     SubfieldLattice,
     TwoIndependence,
     contains_sqrt,
-    galois_full_check,
     quadratic_subfields,
     sqrt2_free_certificate,
     two_independent,
@@ -74,7 +72,6 @@ from .wreath import (
     agemo_rank,
     closure_order,
     count_index2_subgroups,
-    identity,
     leaf_permutation,
     minimal_generators,
 )

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .discriminant import RESULTANT_CAP, discriminant_report
 from .errors import PreconditionError, ResourceLimitError
@@ -233,7 +232,7 @@ def _cmd_scan(args) -> int:
                 continue
             rec = done[nu] = _scan_record(nu, args.depth, effort)
             if journal:
-                journal.write(json.dumps({"record": rec, "ts": time.time()}) + "\n")
+                journal.write(json.dumps({"record": rec}) + "\n")
                 journal.flush()
     finally:
         if journal:

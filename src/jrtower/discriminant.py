@@ -13,16 +13,16 @@ Traub 1971; Cohen, GTM 138, Alg. 3.3.7): O(d^2) exact integer steps,
 every division checked to leave no remainder. P_n is monic, so no
 leading-coefficient division is needed at the end.
 
-The norm ladder N_k interleaves both: N_0 = 4 nu and
-N_k = 2^(2^(k+1)) * c_{k+1}, so disc(x_n) = disc(x_{n-1})^2 * N_{n-1}.
+The recursion is the norm ladder folded: N_0 = 4 nu and
+N_k = 2^(2^(k+1)) * c_{k+1}, so disc(x_n) = disc(x_{n-1})^2 * N_{n-1},
+and one orbit c_2..c_n gives both the ladder and the discriminant.
 """
 
 from __future__ import annotations
 
-
 from ._record import Record
 from .errors import InvariantFailure, PreconditionError, ResourceLimitError
-from .orbit import SEQUENCE_CAP, constant_terms, iterate_poly, tower_strict
+from .orbit import SEQUENCE_CAP, constant_terms, gap_strictness, iterate_poly, tower_params
 
 # P_n has degree 2^n; level 4 gives a 15-step remainder sequence whose
 # coefficients reach about 400 digits for nu below 10^4. Level 5 would
@@ -109,45 +109,52 @@ def disc_resultant_oracle(nu: int, n: int) -> int:
     return sign * resultant(poly, deriv)
 
 
-def disc_xn(nu: int, n: int) -> int:
-    """Discriminant of the n-th tower generator via the recursion.
-
-    Requires the tower to be strict through level n; otherwise P_n is
-    not the minimal polynomial and the recursion is meaningless.
-    """
-    seq = constant_terms(nu, n)
-    strict = tower_strict(seq)
-    if not strict:
-        raise PreconditionError(
-            f"tower over nu = {nu} is not strict: c_{strict.witness} is a "
-            "perfect square"
-        )
-    d = 4 * nu
-    for k in range(2, n + 1):
-        d = d * d * 2 ** (2**k) * seq.c[k - 1]
-    return d
-
-
 def norm_sequence(nu: int, n: int) -> list[int]:
     """[N_0, ..., N_n]: the norm factors linking consecutive discriminants.
 
     N_0 = 4 nu and N_k = 2^(2^(k+1)) * c_{k+1} for k >= 1, so that
     disc(x_{k+1}) = disc(x_k)^2 * N_k.
     """
+    if nu < 2:
+        raise ValueError("nu must be an integer >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    norms = [4 * nu]
-    if n >= 1:
-        if n + 1 > SEQUENCE_CAP:
-            raise ResourceLimitError(
-                f"n = {n} needs c_{n + 1}, beyond the cap {SEQUENCE_CAP}"
-            )
-        seq = constant_terms(nu, n + 1)
-        for k in range(1, n + 1):
-            norms.append(2 ** (2 ** (k + 1)) * seq.c[k])
-    return norms
+    c = constant_terms(nu, n + 1).c if n else ()
+    return [4 * nu] + [2 ** (2 ** (k + 1)) * c[k] for k in range(1, n + 1)]
+
+
+def _disc_and_ladder(nu: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(disc(x_n), norm_sequence(nu, n - 1)) for a tower strict through
+    level n: the ladder folded as d = N_0, then d <- d^2 * N_k.
+
+    Without strictness P_n is not the minimal polynomial of x_n and the
+    recursion is meaningless. The gap lemma (see orbit.Strictness)
+    decides it from nu alone, so no c_k is tested for squareness.
+    """
+    params = tower_params(nu)
+    if n < 1:
+        raise ValueError("need at least one term")
+    if n > SEQUENCE_CAP:
+        raise ResourceLimitError(f"N = {n} exceeds the cap {SEQUENCE_CAP}")
+    strict = gap_strictness(params, n)
+    if not strict:
+        raise PreconditionError(
+            f"tower over nu = {nu} is not strict: c_{strict.witness} is a "
+            "perfect square"
+        )
+    norms = tuple(norm_sequence(nu, n - 1))
+    d = 1
+    for norm in norms:
+        d = d * d * norm
+    return d, norms
+
+
+def disc_xn(nu: int, n: int) -> int:
+    """Discriminant of the n-th tower generator: the norm ladder folded.
+
+    Raises PreconditionError unless the tower is strict through level n.
+    """
+    return _disc_and_ladder(nu, n)[0]
 
 
 class DiscriminantReport(Record):
@@ -170,7 +177,6 @@ class DiscriminantReport(Record):
 def discriminant_report(nu: int, n: int) -> DiscriminantReport:
     """Assemble disc(x_n) with its norm ladder and, for n <= RESULTANT_CAP,
     the resultant oracle."""
-    disc = disc_xn(nu, n)
-    norms = tuple(norm_sequence(nu, n - 1))
+    disc, norms = _disc_and_ladder(nu, n)
     oracle = disc_resultant_oracle(nu, n) if n <= RESULTANT_CAP else None
     return DiscriminantReport(nu, n, disc, oracle, norms)

@@ -137,47 +137,10 @@ def two_independent(values: list[int] | tuple[int, ...]) -> TwoIndependence:
     return TwoIndependence(INDEPENDENT, rank, None)
 
 
-class GaloisCheck(Record):
-    """Is the level-n Galois group the full iterated wreath product?
-
-    status "full(by-rule)" uses the sufficient criterion 4 | nu with nu
-    not a perfect square (no 2-independence computation needed);
-    "full(by-rank)" certifies via the computed rank of c_1..c_n;
-    "not-full" carries a witness set of 1-based indices whose product
-    of c's is a perfect square.
-    """
-
-    nu: int
-    n: int
-    status: str
-    witness: frozenset[int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.status in (FULL_BY_RULE, FULL_BY_RANK)
-
-
-def galois_full_check(nu: int, n: int) -> GaloisCheck:
-    """Certify fullness of the level-n Galois group.
-
-    The rule route needs no square classes. It is Stoll's criterion for
-    x^2 + a with 4 | a and -a not a square, here a = -nu (Stoll, "Galois
-    groups over Q of some iterated polynomials", Arch. Math. 59 (1992)):
-    c_1..c_n are then 2-independent at every level. Otherwise the rank
-    of the square classes decides.
-    """
-    params = tower_params(nu)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if _full_by_rule(params):
-        return GaloisCheck(nu, n, FULL_BY_RULE)
-    indep = two_independent(constant_terms(nu, n).c)
-    if indep:
-        return GaloisCheck(nu, n, FULL_BY_RANK)
-    return GaloisCheck(nu, n, NOT_FULL, frozenset(i + 1 for i in indep.witness))
-
-
 def _full_by_rule(params: TowerParams) -> bool:
-    """Stoll's criterion (see galois_full_check): 4 | nu, nu not a square."""
+    """Stoll's rule, which quadratic_subfields reads before any rank: with
+    4 | nu and nu not a square, c_1..c_n are 2-independent at every level
+    (Stoll, Arch. Math. 59 (1992), for x^2 + a, 4 | a, -a not a square)."""
     return params.nu % 4 == 0 and not params.is_square
 
 

@@ -75,7 +75,7 @@ THEOREM_APPLIES = "theorem-applies"
 class QuadraticSurd(Record):
     """(a + b * sqrt(D)) / q with integer a, b, q > 0, D >= 0.
 
-    Exact: floor, ceiling, and comparisons are integer arithmetic;
+    Exact: the ceiling and comparisons are integer arithmetic;
     decimals are rendered only for display. b may be 0 (rational).
     """
 
@@ -96,23 +96,11 @@ class QuadraticSurd(Record):
     def is_rational(self) -> bool:
         return self.b == 0 or is_square(self.D)
 
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        if not self.is_rational:
-            raise ValueError("irrational surd")
-        return Fraction(self.a + self.b * isqrt(self.D), self.q)
-
-    def floor(self) -> int:
-        # b*sqrt(D) lies in [s, s+1) with s = isqrt(b^2 D); the whole
-        # value then lies in [(a+s)/q, (a+s+1)/q), an interval of
-        # length 1/q that cannot cross an integer above (a+s)//q.
-        s = isqrt(self.b * self.b * self.D)
-        return (self.a + s) // self.q
-
     def ceil(self) -> int:
-        # b^2 D is a square iff b = 0 or D is one, so one isqrt decides
-        # rationality and gives floor's s; then b sqrt(D) = s exactly.
+        # b sqrt(D) lies in [s, s+1) with s = isqrt(b^2 D), and b^2 D is
+        # a square iff b = 0 or D is one, so one isqrt decides rationality.
+        # An irrational value lies strictly between (a+s)/q and
+        # (a+s+1)/q, and no integer does.
         n = self.b * self.b * self.D
         s = isqrt(n)
         if s * s == n:
@@ -656,9 +644,6 @@ class HypothesisReport(Record):
     @property
     def scope(self) -> str | None:
         return self.residue.scope if self.residue else None
-
-    def failed_clauses(self) -> list[str]:
-        return [name for name, ok in zip(CLAUSE_NAMES, self.outcomes) if not ok]
 
 
 def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisReport:

@@ -57,10 +57,6 @@ class TreeAutomorphism(Record):
             raise ValueError("portrait bits must be 0 or 1")
 
 
-def identity(depth: int) -> TreeAutomorphism:
-    return TreeAutomorphism(depth, (0,) * (2**depth - 1))
-
-
 def leaf_permutation(a: TreeAutomorphism) -> tuple[int, ...]:
     """Action of a on the 2^depth leaves, as a permutation tuple."""
     n = a.depth

@@ -135,6 +135,38 @@ def test_scan_resume_from_partial_journal(tmp_path, capsys):
     assert not journal.exists()
 
 
+def test_an_interrupted_scan_leaves_the_same_journal_bytes(tmp_path, capsys, monkeypatch):
+    """A journal holds nothing but the scan's inputs and records, so two
+    runs cut at the same nu leave the same bytes, and a resume of either
+    writes the CSV of an uninterrupted run."""
+    from jrtower import cli
+    from jrtower.errors import ResourceLimitError
+
+    fresh = tmp_path / "fresh.csv"
+    assert run(capsys, "scan", "4", "12", "--out", str(fresh))[0] == 0
+    real = cli._scan_record
+
+    def cut_at_9(nu, depth, effort):
+        if nu == 9:
+            raise ResourceLimitError("cut at nu = 9")
+        return real(nu, depth, effort)
+
+    journals = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        out_file = tmp_path / name / "scan.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_scan_record", cut_at_9)
+            code, _, err = run(capsys, "scan", "4", "12", "--out", str(out_file))
+        assert code == 1 and "cut at nu = 9" in err
+        assert not out_file.exists()
+        journals.append((tmp_path / name / "scan.csv.partial").read_bytes())
+    assert journals[0] == journals[1]
+    assert len(journals[0].splitlines()) == 6  # the header and nu = 4..8
+    assert run(capsys, "scan", "4", "12", "--out", str(out_file))[0] == 0
+    assert out_file.read_bytes() == fresh.read_bytes()
+
+
 def _journal_with_marked_record(path, header):
     """A journal whose one record for nu = 4 no verdict can produce;
     header None leaves the header entry out."""

@@ -14,7 +14,14 @@ from jrtower.discriminant import (
     resultant,
 )
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
-from jrtower.orbit import constant_terms, iterate_poly, orbit_mod_p, tower_strict
+from jrtower.intmath import is_square
+from jrtower.orbit import (
+    SEQUENCE_CAP,
+    constant_terms,
+    iterate_poly,
+    orbit_mod_p,
+    tower_strict,
+)
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -110,10 +117,58 @@ def test_disc_recursion_shape():
 
 
 def test_disc_requires_strict_tower():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="c_1 is a perfect square"):
         disc_xn(4, 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="c_1 is a perfect square"):
         disc_xn(9, 3)
+    # the depth bounds are checked before strictness
+    for nu in (4, 12):
+        with pytest.raises(ValueError):
+            disc_xn(nu, 0)
+        with pytest.raises(ResourceLimitError):
+            disc_xn(nu, SEQUENCE_CAP + 1)
+
+
+def old_disc_xn(nu: int, n: int) -> int:
+    """The recursion as it once read, with c_2..c_n from the orbit."""
+    c = constant_terms(nu, n).c
+    d = 4 * nu
+    for k in range(2, n + 1):
+        d = d * d * 2 ** (2**k) * c[k - 1]
+    return d
+
+
+def test_disc_folds_the_ladder_to_the_old_recursion():
+    for nu in range(2, 61):
+        for n in range(1, 11):
+            if is_square(nu):
+                with pytest.raises(PreconditionError, match=f"nu = {nu} is not strict"):
+                    disc_xn(nu, n)
+            else:
+                assert disc_xn(nu, n) == old_disc_xn(nu, n), (nu, n)
+
+
+def test_discriminant_report_builds_one_orbit(monkeypatch):
+    """Strictness comes from nu by the gap lemma, and the ladder's orbit
+    gives the discriminant too: at most one constant_terms, none at n = 1."""
+    import jrtower.orbit
+
+    calls = []
+    for name in ("constant_terms", "tower_strict"):
+        real = getattr(jrtower.orbit, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in (jrtower.orbit, discriminant):
+            monkeypatch.setattr(module, name, spy, raising=False)
+    for nu in (5, 12, 28):
+        for n in range(1, SEQUENCE_CAP + 1):
+            del calls[:]
+            report = discriminant_report(nu, n)
+            assert calls == ([] if n == 1 else ["constant_terms"]), (nu, n)
+            assert report.disc == old_disc_xn(nu, n)
 
 
 def test_resultant_cap_enforced():
@@ -124,6 +179,9 @@ def test_resultant_cap_enforced():
 def test_norm_sequence_ladder():
     seq = constant_terms(12, 4)
     assert norm_sequence(12, 0) == [48]
+    for nu, n in ((1, 0), (0, 0), (1, 2), (12, -1)):
+        with pytest.raises(ValueError):
+            norm_sequence(nu, n)
     norms = norm_sequence(12, 3)
     assert norms[0] == 48
     for k in range(1, 4):

@@ -38,3 +38,69 @@ def test_every_module_level_import_is_read():
     assert len(modules) >= 10
     unread = [entry for path in modules for entry in unread_imports(path)]
     assert unread == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# argparse calls _Parser.error itself; nothing in the package names it.
+CALLED_BY_A_FRAMEWORK = {"cli._Parser.error"}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, first line, last line) of every function, class
+    and method, nested ones included, dunders excepted."""
+    stack = [("", node) for node in tree.body]
+    while stack:
+        prefix, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + node.name
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield qualname, node.lineno, node.end_lineno
+            stack += [(qualname + ".", child) for child in node.body]
+        else:
+            stack += [(prefix, child) for child in ast.iter_child_nodes(node)]
+
+
+def mentions(tree: ast.AST):
+    """(line, identifier) of every Name, Attribute and identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.lineno, node.value
+
+
+def readme_library_block() -> str:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def test_every_definition_has_a_caller():
+    """Library code that only tests reach belongs in the tests. A
+    definition counts as reached when the package, a benchmark script or
+    README's Library example names it outside the definition itself."""
+    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    sources.update({path: path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))})
+    named: dict[str, list[tuple[Path | None, int]]] = {}
+    for path, text in sources.items():
+        for line, name in mentions(ast.parse(text, filename=str(path))):
+            named.setdefault(name, []).append((path, line))
+    for line, name in mentions(ast.parse(readme_library_block())):
+        named.setdefault(name, []).append((None, line))
+
+    unreached = []
+    for path, text in sources.items():
+        if path.parent != SRC or path.name == "__init__.py":
+            continue
+        for qualname, first, last in definitions(ast.parse(text, filename=str(path))):
+            name = f"{path.stem}.{qualname}"
+            places = named.get(qualname.rsplit(".", 1)[-1], [])
+            reached = any(where != path or not first <= line <= last for where, line in places)
+            if not reached and name not in CALLED_BY_A_FRAMEWORK:
+                unreached.append(name)
+    assert len(sources) >= 15
+    assert unreached == []

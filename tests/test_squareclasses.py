@@ -21,7 +21,6 @@ from jrtower.squareclasses import (
     NOT_FULL,
     PRESENT,
     contains_sqrt,
-    galois_full_check,
     quadratic_subfields,
     sqrt2_free_certificate,
     two_independent,
@@ -39,6 +38,14 @@ def brute_dependent(values) -> bool:
             if is_square(prod(values[i] for i in combo)):
                 return True
     return False
+
+
+def galois_full_check(nu: int, n: int) -> str:
+    """Fullness of level n by Stoll's rule, else by the rank of c_1..c_n:
+    the status quadratic_subfields reports, without its lattice."""
+    if nu % 4 == 0 and not is_square(nu):
+        return FULL_BY_RULE
+    return FULL_BY_RANK if two_independent(constant_terms(nu, n).c) else NOT_FULL
 
 
 def odd_primes(value: int) -> frozenset[int]:
@@ -82,17 +89,16 @@ def test_two_independent_witness_is_a_square_product():
             assert r.rank == len(vals)
 
 
-def test_galois_full_check_modes():
-    g = galois_full_check(12, 2)
-    assert g.status == FULL_BY_RULE
-    g = galois_full_check(3, 2)
-    assert g.status == FULL_BY_RANK
-    g = galois_full_check(5, 2)
-    assert g.status == NOT_FULL
-    assert g.witness == frozenset({1, 2})
-    # the witness names orbit indices whose product is a square
-    seq = constant_terms(5, 2)
-    assert is_square(prod(seq.c[i - 1] for i in g.witness))
+def test_quadratic_subfields_galois_modes():
+    assert quadratic_subfields(12, 2).galois == FULL_BY_RULE
+    assert quadratic_subfields(3, 2).galois == FULL_BY_RANK
+    assert quadratic_subfields(5, 2).galois == NOT_FULL
+    # without the lattice: the rank of c_1..c_n, and a square product
+    c = constant_terms(5, 2).c
+    witness = two_independent(c).witness
+    assert witness == (0, 1)
+    assert is_square(prod(c[i] for i in witness))
+    assert two_independent(constant_terms(3, 2).c).rank == 2
 
 
 def test_quadratic_subfields_depth2_nu12():
@@ -190,7 +196,7 @@ def test_quadratic_subfields_galois_matches_galois_full_check():
     statuses = set()
     for nu in range(2, 400):
         for n in range(1, 5):
-            expected = galois_full_check(nu, n).status
+            expected = galois_full_check(nu, n)
             assert quadratic_subfields(nu, n, EFFORT_QUICK).galois == expected, (nu, n)
             statuses.add(expected)
     assert statuses == {FULL_BY_RULE, FULL_BY_RANK, NOT_FULL}
@@ -429,7 +435,6 @@ def test_nu7_constants_independent_through_the_sequence_cap():
     r = two_independent(c)
     assert r.status == INDEPENDENT
     assert r.rank == 12
-    assert galois_full_check(7, 12).status == FULL_BY_RANK
     assert contains_sqrt(7, 12, 2).status == ABSENT
 
 
@@ -492,7 +497,7 @@ def test_contains_sqrt_matches_brute_force_subset_search():
             for r in range(1, n + 1):
                 for combo in combinations(range(n), r):
                     ds.add(prod(reduce(xor, (odd[i] for i in combo))))
-            full = bool(galois_full_check(nu, n))
+            full = galois_full_check(nu, n) != NOT_FULL
             non_full += not full
             for d in ds - {1}:
                 want = next(

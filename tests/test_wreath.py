@@ -11,7 +11,6 @@ from jrtower.wreath import (
     agemo_rank,
     closure_order,
     count_index2_subgroups,
-    identity,
     leaf_permutation,
     minimal_generators,
 )
@@ -103,7 +102,7 @@ def compose_perms(p, q):
 
 def test_identity_fixes_everything():
     for depth in range(1, 5):
-        e = identity(depth)
+        e = TreeAutomorphism(depth, (0,) * (2**depth - 1))
         assert leaf_permutation(e) == tuple(range(2**depth))
         for node in range(1, 2 ** (depth + 1)):
             assert node_image(e, node) == node
