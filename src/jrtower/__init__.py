@@ -92,7 +92,6 @@ from .verdict import (
     jr_verdict,
     nested_radical_check,
     nu7_exploration,
-    reduce_m,
     window_elements_deg2,
 )
 

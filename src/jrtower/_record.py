@@ -12,8 +12,8 @@ hash over their field values in order, repr with their fields in
 declaration order, and pickle and copy by (class, field values).
 
 A field without a default after one with a default raises TypeError at
-class creation, and so does a subclass of a record that has fields,
-which would otherwise drop them.
+class creation, and so does a record without fields or a subclass of a
+record that has fields, which would otherwise drop them.
 
 A record keeps no __dict__; README's "Start-up cost" gives what that
 and the compiled __init__ save over frozen dataclasses.
@@ -37,6 +37,8 @@ class _RecordMeta(type):
                 defaults.append(default)
             elif defaults:
                 raise TypeError(f"non-default field {field!r} follows a default field")
+        if bases and not names:
+            raise TypeError(f"record {name} has no fields")
         namespace["__slots__"] = names
         cls = super().__new__(mcls, name, bases, namespace)
         if not bases:

@@ -4,7 +4,7 @@ Exit codes: 0 = success / conclusive, 2 = completed but inconclusive,
 1 = usage or input error. JSON output follows a fixed envelope
 {"schema": 1, "command": ..., "input": ..., "result": ...} with every
 integer serialized as a decimal string (values routinely exceed 64-bit
-ranges). Scan output is a pure function of (lo, hi, depth, effort):
+ranges). Scan output is a pure function of (lo, hi, effort):
 identical bytes across reruns and worker counts.
 """
 
@@ -16,8 +16,7 @@ import os
 import sys
 
 from .discriminant import RESULTANT_CAP, discriminant_report
-from .errors import PreconditionError, ResourceLimitError
-from .factor import EFFORT_PRESETS, Effort
+from .factor import EFFORT_PRESETS, EFFORT_QUICK, Effort
 from .orbit import constant_terms, tower_strict, valuation_profile
 from .residue import (
     PEPIN_CAP,
@@ -33,7 +32,6 @@ from .verdict import (
     jr_verdict,
     nested_radical_check,
     nu7_exploration,
-    reduce_m,
     window_elements_deg2,
 )
 from .wreath import agemo_rank, closure_order, count_index2_subgroups, minimal_generators
@@ -68,17 +66,18 @@ def canonical_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, command: str, input_doc: dict, result: dict, human: str) -> None:
+def _emit(args, input_doc: dict, result: dict, human) -> None:
+    """Print the JSON document, or else the text that human() builds."""
     if args.json:
         doc = {
             "schema": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "input": _stringify(input_doc),
             "result": _stringify(result),
         }
         print(canonical_json(doc))
     else:
-        print(human)
+        print(human())
 
 
 def _effort(args) -> Effort:
@@ -137,13 +136,8 @@ def _render_verdict(report) -> str:
 
 def _cmd_verify(args) -> int:
     report = jr_verdict(args.nu, depth=args.depth, effort=_effort(args))
-    _emit(
-        args,
-        "verify",
-        {"nu": args.nu, "depth": args.depth, "effort": args.effort},
-        report.to_json(),
-        _render_verdict(report),
-    )
+    _emit(args, {"nu": args.nu, "depth": args.depth, "effort": args.effort},
+          report.to_json(), lambda: _render_verdict(report))
     return 0 if report.conclusive else 2
 
 
@@ -151,8 +145,10 @@ def _cmd_verify(args) -> int:
 # scan
 
 
-def _scan_record(nu: int, depth: int, effort: Effort) -> dict:
-    report = jr_verdict(nu, depth=depth, effort=effort)
+def _scan_record(nu: int, effort: Effort) -> dict:
+    # No field of a row depends on the depth (each verdict decides every
+    # level at once), so the default depth stands for all of them.
+    report = jr_verdict(nu, effort=effort)
     flags = []
     if report.finite_scope_caveat:
         flags.append("finite-scope-caveat")
@@ -178,10 +174,9 @@ def _record_to_csv(rec: dict) -> str:
     )
 
 
-def _journal_header(lo: int, hi: int, depth: int, effort: str) -> dict:
+def _journal_header(lo: int, hi: int, effort: str) -> dict:
     """First journal entry: the inputs its records were computed for."""
-    return {"lo": lo, "hi": hi, "depth": depth, "effort": effort,
-            "schema": SCHEMA_VERSION}
+    return {"lo": lo, "hi": hi, "effort": effort, "schema": SCHEMA_VERSION}
 
 
 def _read_journal(path: str, header: dict) -> dict[int, dict]:
@@ -213,12 +208,14 @@ def _cmd_scan(args) -> int:
     if lo < 2 or hi < lo:
         print("scan range must satisfy 2 <= lo <= hi", file=sys.stderr)
         return 1
+    if args.out and os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out} is a directory")
     effort = _effort(args)
     done: dict[int, dict] = {}
     journal = None
     if args.out:
         journal_path = args.out + ".partial"
-        header = _journal_header(lo, hi, args.depth, args.effort)
+        header = _journal_header(lo, hi, args.effort)
         if os.path.exists(journal_path):
             done = _read_journal(journal_path, header)
         journal = open(journal_path, "a" if done else "w", encoding="utf-8")
@@ -230,7 +227,7 @@ def _cmd_scan(args) -> int:
         for nu in range(lo, hi + 1):
             if nu in done:
                 continue
-            rec = done[nu] = _scan_record(nu, args.depth, effort)
+            rec = done[nu] = _scan_record(nu, effort)
             if journal:
                 journal.write(json.dumps({"record": rec}) + "\n")
                 journal.flush()
@@ -239,18 +236,18 @@ def _cmd_scan(args) -> int:
             journal.close()
 
     records = [done[nu] for nu in sorted(done) if lo <= nu <= hi]
-    csv_text = "\n".join([CSV_HEADER] + [_record_to_csv(r) for r in records])
+
+    def csv_text():
+        return "\n".join([CSV_HEADER] + [_record_to_csv(r) for r in records])
 
     if args.out:
         tmp = args.out + ".tmp"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text + "\n")
+            fh.write(csv_text() + "\n")
         os.replace(tmp, args.out)
         os.remove(args.out + ".partial")
-
-    human = f"wrote {len(records)} records to {args.out}" if args.out else csv_text
-    _emit(args, "scan", {"lo": lo, "hi": hi, "depth": args.depth, "effort": args.effort},
-          {"records": records}, human)
+    _emit(args, {"lo": lo, "hi": hi, "effort": args.effort}, {"records": records},
+          (lambda: f"wrote {len(records)} records to {args.out}") if args.out else csv_text)
     return 0
 
 
@@ -266,13 +263,17 @@ def _cmd_disc(args) -> int:
         "norms": list(report.norms),
         "oracle_ran": report.oracle is not None,
     }
-    lines = [f"disc(x_{args.n}) over nu = {args.nu}: {report.disc}"]
-    if report.oracle is not None:
-        lines.append(f"  resultant oracle agrees: {report.oracle}")
-    else:
-        lines.append(f"  resultant oracle skipped (n > {RESULTANT_CAP})")
-    lines.append("  norm ladder: " + ", ".join(str(x) for x in report.norms))
-    _emit(args, "disc", {"nu": args.nu, "n": args.n}, result, "\n".join(lines))
+
+    def human():
+        lines = [f"disc(x_{args.n}) over nu = {args.nu}: {report.disc}"]
+        if report.oracle is not None:
+            lines.append(f"  resultant oracle agrees: {report.oracle}")
+        else:
+            lines.append(f"  resultant oracle skipped (n > {RESULTANT_CAP})")
+        lines.append("  norm ladder: " + ", ".join(str(x) for x in report.norms))
+        return "\n".join(lines)
+
+    _emit(args, {"nu": args.nu, "n": args.n}, result, human)
     return 0
 
 
@@ -295,18 +296,22 @@ def _cmd_orbit(args) -> int:
         "strict_witness": strict.witness,
         "valuation_profiles": profiles,
     }
-    lines = [f"orbit constants for nu = {args.nu}:"]
-    for i, (c, ell) in enumerate(zip(seq.c, seq.ell), start=1):
-        lines.append(f"  c_{i} = {c}   ell_{i} = {ell}")
-    lines.append(
-        "  strict: " + ("yes" if strict.strict else f"no (c_{strict.witness} square)")
-    )
-    for p, prof in profiles.items():
+
+    def human():
+        lines = [f"orbit constants for nu = {args.nu}:"]
+        for i, (c, ell) in enumerate(zip(seq.c, seq.ell), start=1):
+            lines.append(f"  c_{i} = {c}   ell_{i} = {ell}")
         lines.append(
-            f"  v_{p}: first index {prof['first_index']}, e = {prof['e']}, "
-            f"profile {prof['valuations']}"
+            "  strict: " + ("yes" if strict.strict else f"no (c_{strict.witness} square)")
         )
-    _emit(args, "orbit", {"nu": args.nu, "n": args.n}, result, "\n".join(lines))
+        for p, prof in profiles.items():
+            lines.append(
+                f"  v_{p}: first index {prof['first_index']}, e = {prof['e']}, "
+                f"profile {prof['valuations']}"
+            )
+        return "\n".join(lines)
+
+    _emit(args, {"nu": args.nu, "n": args.n}, result, human)
     return 0
 
 
@@ -322,13 +327,12 @@ def _cmd_group(args) -> int:
         "agemo_rank": rank,
         "index2_subgroups": count,
     }
-    human = (
+    _emit(args, {"n": args.n}, result, lambda: (
         f"iterated wreath product at depth {args.n}: order {order} = 2^{2**args.n - 1}\n"
         f"  minimal generators: {len(gens)}\n"
         f"  rank of G / G^2[G,G]: {rank}\n"
         f"  index-2 subgroups: {count} = 2^{rank} - 1"
-    )
-    _emit(args, "group", {"n": args.n}, result, human)
+    ))
     return 0
 
 
@@ -349,19 +353,25 @@ def _cmd_fermat(args) -> int:
         if p > 3
     }
     result = {"numbers": rows, "nonresidue_checks": checks}
-    lines = ["Fermat numbers through the Pepin cap:"]
-    for row in rows:
-        extra = f" mod7={row.get('mod7')} mod3={row.get('mod3')}" if "mod7" in row else ""
-        lines.append(f"  F_{row['index']}: {row['primality']}{extra}")
-    lines.append("3 and 7 are non-residues modulo every known Fermat prime > 3: "
-                 + ("yes" if all(all(v.values()) for v in checks.values()) else "NO"))
-    _emit(args, "fermat", {}, result, "\n".join(lines))
+
+    def human():
+        lines = ["Fermat numbers through the Pepin cap:"]
+        for row in rows:
+            extra = f" mod7={row.get('mod7')} mod3={row.get('mod3')}" if "mod7" in row else ""
+            lines.append(f"  F_{row['index']}: {row['primality']}{extra}")
+        lines.append("3 and 7 are non-residues modulo every known Fermat prime > 3: "
+                     + ("yes" if all(all(v.values()) for v in checks.values()) else "NO"))
+        return "\n".join(lines)
+
+    _emit(args, {}, result, human)
     return 0
 
 
 def _cmd_cos(args) -> int:
     poly = cos_minpoly(args.m)
-    decomp = constructible_order(args.m, _effort(args))
+    # cos_minpoly caps m at COS_M_CAP = 200, and trial division to the quick
+    # bound 10^4 factors every such m completely: no budget changes a byte.
+    decomp = constructible_order(args.m, EFFORT_QUICK)
     result = {
         "m": args.m,
         "minpoly_ascending": poly,
@@ -371,17 +381,21 @@ def _cmd_cos(args) -> int:
         "odd_primes": [[p, e] for p, e in decomp.odd_primes],
     }
     if decomp.constructible:
-        result["components"] = reduce_m(args.m, _effort(args))
-    lines = [
-        f"2cos(2*pi/{args.m}): minimal polynomial degree {len(poly) - 1}",
-        "  coefficients (ascending): " + ", ".join(str(c) for c in poly),
-        f"  constructible order: {decomp.constructible}",
-    ]
-    if decomp.constructible:
-        lines.append("  components: " + " * ".join(str(x) for x in result["components"]))
-    _emit(args, "cos", {"m": args.m}, result, "\n".join(lines))
-    if decomp.constructible is None:
-        return 2
+        # 2^a if a >= 2, then each Fermat p: 2cos(2*pi/m) lies in their compositum
+        two = [2**decomp.two_exponent] if decomp.two_exponent >= 2 else []
+        result["components"] = two + [p for p, _ in decomp.odd_primes]
+
+    def human():
+        lines = [
+            f"2cos(2*pi/{args.m}): minimal polynomial degree {len(poly) - 1}",
+            "  coefficients (ascending): " + ", ".join(str(c) for c in poly),
+            f"  constructible order: {decomp.constructible}",
+        ]
+        if decomp.constructible:
+            lines.append("  components: " + " * ".join(str(x) for x in result["components"]))
+        return "\n".join(lines)
+
+    _emit(args, {"m": args.m}, result, human)
     return 0
 
 
@@ -396,14 +410,18 @@ def _cmd_explore7(args) -> int:
         "sqrt2_status": report.sqrt2_status,
         "disclaimer": report.disclaimer,
     }
-    lines = [f"nu = 7 exploration to depth {report.depth}:"]
-    for i, (c, st) in enumerate(zip(report.constants, report.factor_status), start=1):
-        lines.append(f"  c_{i} = {c} [{st}]")
-    lines.append(f"  2-independence: {report.independence}"
-                 + (f" (rank {report.rank})" if report.rank is not None else ""))
-    lines.append(f"  sqrt(2) in level {report.depth}: {report.sqrt2_status}")
-    lines.append(f"  {report.disclaimer}")
-    _emit(args, "explore7", {"depth": args.depth}, result, "\n".join(lines))
+
+    def human():
+        lines = [f"nu = 7 exploration to depth {report.depth}:"]
+        for i, (c, st) in enumerate(zip(report.constants, report.factor_status), start=1):
+            lines.append(f"  c_{i} = {c} [{st}]")
+        lines.append(f"  2-independence: {report.independence}"
+                     + (f" (rank {report.rank})" if report.rank is not None else ""))
+        lines.append(f"  sqrt(2) in level {report.depth}: {report.sqrt2_status}")
+        lines.append(f"  {report.disclaimer}")
+        return "\n".join(lines)
+
+    _emit(args, {"depth": args.depth}, result, human)
     has_unknown = (
         report.sqrt2_status == "unknown"
         or any(st != "complete" for st in report.factor_status)
@@ -427,25 +445,24 @@ def _cmd_window(args) -> int:
         "elements": [[a, b] for a, b in elements],
         "count": len(elements),
     }
-    lines = [
-        f"degree <= 2 elements a + b*sqrt({args.nu}) with conjugates in (0, {t}):"
-    ]
-    for a, b in elements:
-        lines.append(f"  ({a}, {b})")
-    lines.append(f"  total: {len(elements)}")
-    _emit(args, "window", {"nu": args.nu, "t": str(t), "height": args.height},
-          result, "\n".join(lines))
+
+    def human():
+        lines = [f"degree <= 2 elements a + b*sqrt({args.nu}) with conjugates in (0, {t}):"]
+        lines.extend(f"  ({a}, {b})" for a, b in elements)
+        lines.append(f"  total: {len(elements)}")
+        return "\n".join(lines)
+
+    _emit(args, {"nu": args.nu, "t": str(t), "height": args.height}, result, human)
     return 0
 
 
 def _cmd_radical(args) -> int:
     ok = nested_radical_check(args.d)
     result = {"d": args.d, "verified": ok}
-    human = (
+    _emit(args, {"d": args.d}, result, lambda: (
         f"2cos(2*pi/2^{args.d + 1}) equals the {args.d - 1}-fold nested radical "
         f"sqrt(2 + sqrt(2 + ...)): verified"
-    )
-    _emit(args, "radical", {"d": args.d}, result, human)
+    ))
     return 0
 
 
@@ -472,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", _cmd_verify, "full JR verdict for one nu", depth_opt, effort_opt)
     p.add_argument("nu", type=int)
 
-    p = command("scan", _cmd_scan, "verdict records for a range", depth_opt, effort_opt)
+    p = command("scan", _cmd_scan, "verdict records for a range", effort_opt)
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
     p.add_argument("--out", help="CSV output file, with a resume journal")
@@ -492,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("fermat", _cmd_fermat, "Pepin table and non-residue checks")
 
-    p = command("cos", _cmd_cos, "cosine minimal polynomial and constructibility",
-                effort_opt)
+    p = command("cos", _cmd_cos, "cosine minimal polynomial and constructibility")
     p.add_argument("m", type=int)
 
     command("explore7", _cmd_explore7, "square-class evidence for the open case nu = 7",
@@ -522,10 +538,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, PreconditionError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:  # an OSError, but a closed pipe stays silent
         return 1
-    except BrokenPipeError:
+    except (OSError, ValueError) as exc:  # ValueError covers the jrtower errors
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

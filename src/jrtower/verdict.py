@@ -478,26 +478,6 @@ def nested_radical_check(d: int) -> bool:
     return True
 
 
-def reduce_m(m: int, effort: Effort = EFFORT_DEFAULT) -> list[int] | None:
-    """Split a constructible m into its prime-power components.
-
-    [2^a] (if a >= 2) followed by the distinct Fermat primes, so that
-    2cos(2*pi/m) lives in the compositum of the component fields.
-    Returns None when m's factorization stayed partial; raises
-    PreconditionError when m is not constructible.
-    """
-    decomp = constructible_order(m, effort)
-    if decomp.constructible is None:
-        return None
-    if not decomp.constructible:
-        raise PreconditionError(f"m = {m} is not a constructible order")
-    parts = []
-    if decomp.two_exponent >= 2:
-        parts.append(2**decomp.two_exponent)
-    parts.extend(p for p, _ in decomp.odd_primes)
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # Per-prime obstruction chains
 

@@ -123,9 +123,9 @@ def test_scan_resume_from_partial_journal(tmp_path, capsys):
     resumed = tmp_path / "resumed.csv"
     journal = tmp_path / "resumed.csv.partial"
     with journal.open("w") as fh:
-        fh.write(json.dumps({"header": _journal_header(4, 12, 5, "quick")}) + "\n")
+        fh.write(json.dumps({"header": _journal_header(4, 12, "quick")}) + "\n")
         for nu in (4, 5, 6):
-            rec = _scan_record(nu, 5, EFFORT_QUICK)
+            rec = _scan_record(nu, EFFORT_QUICK)
             fh.write(json.dumps({"record": rec, "ts": 0.0}) + "\n")
         fh.write('{"record": {"nu": "7", "conclusio')  # torn final write
     code, _, _ = run(capsys, "scan", "4", "12", "--effort", "quick",
@@ -146,10 +146,10 @@ def test_an_interrupted_scan_leaves_the_same_journal_bytes(tmp_path, capsys, mon
     assert run(capsys, "scan", "4", "12", "--out", str(fresh))[0] == 0
     real = cli._scan_record
 
-    def cut_at_9(nu, depth, effort):
+    def cut_at_9(nu, effort):
         if nu == 9:
             raise ResourceLimitError("cut at nu = 9")
-        return real(nu, depth, effort)
+        return real(nu, effort)
 
     journals = []
     for name in ("first", "second"):
@@ -172,7 +172,7 @@ def _journal_with_marked_record(path, header):
     header None leaves the header entry out."""
     from jrtower.cli import _scan_record
 
-    rec = dict(_scan_record(4, 5, EFFORT_QUICK), conclusion="from-the-journal")
+    rec = dict(_scan_record(4, EFFORT_QUICK), conclusion="from-the-journal")
     with path.open("w") as fh:
         if header is not None:
             fh.write(json.dumps({"header": header}) + "\n")
@@ -184,7 +184,7 @@ def test_scan_resume_keeps_records_of_a_matching_journal(tmp_path, capsys):
 
     out_file = tmp_path / "scan.csv"
     _journal_with_marked_record(tmp_path / "scan.csv.partial",
-                                _journal_header(4, 8, 5, "quick"))
+                                _journal_header(4, 8, "quick"))
     code, _, _ = run(capsys, "scan", "4", "8", "--effort", "quick",
                      "--out", str(out_file))
     assert code == 0
@@ -192,10 +192,11 @@ def test_scan_resume_keeps_records_of_a_matching_journal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stale", [
-    {"lo": 4, "hi": 8, "depth": 1, "effort": "quick"},
-    {"lo": 4, "hi": 8, "depth": 5, "effort": "default"},
-    {"lo": 2, "hi": 8, "depth": 5, "effort": "quick"},
-    {"lo": 4, "hi": 8, "depth": 5, "effort": "quick", "schema": 0},
+    # written when scan still took --depth and named it in the header
+    {"lo": 4, "hi": 8, "depth": 5, "effort": "quick"},
+    {"lo": 4, "hi": 8, "effort": "default"},
+    {"lo": 2, "hi": 8, "effort": "quick"},
+    {"lo": 4, "hi": 8, "effort": "quick", "schema": 0},
     None,
 ], ids=["depth", "effort", "range", "schema", "no-header"])
 def test_scan_discards_a_journal_for_other_inputs(tmp_path, capsys, stale):
@@ -205,7 +206,7 @@ def test_scan_discards_a_journal_for_other_inputs(tmp_path, capsys, stale):
     run(capsys, "scan", "4", "8", "--effort", "quick", "--out", str(fresh))
     out_file = tmp_path / "scan.csv"
     journal = tmp_path / "scan.csv.partial"
-    header = None if stale is None else dict(_journal_header(4, 8, 5, "quick"), **stale)
+    header = None if stale is None else dict(_journal_header(4, 8, "quick"), **stale)
     _journal_with_marked_record(journal, header)
     code, _, _ = run(capsys, "scan", "4", "8", "--effort", "quick",
                      "--out", str(out_file))
@@ -305,6 +306,37 @@ def test_verdict_json_matches_golden_digest(nus, effort, digest):
     assert h.hexdigest() == digest
 
 
+# sha256 over "<exit code>\n<stdout>" of each run below, recorded while
+# every command still built its human text under --json as well: the
+# human output of every subcommand but scan (whose CSV is pinned above),
+# then the JSON of the three commands no other golden pins.
+_ORBITS = [(nu, n) for nu in (2, 3, 7, 12, 1000) for n in (1, 4, 12)]
+_WINDOWS = [(12, "8", 5), (2, "15/2", 3), (7, "20", 6)]
+GOLDEN_RUNS = (
+    [("verify", nu) for nu in range(2, 201)]
+    + [("disc", nu, n) for nu in (2, 3, 5, 6, 7, 12, 48, 240, 8756) for n in range(1, 5)]
+    + [("orbit", *a) for a in _ORBITS]
+    + [("group", n) for n in range(1, 5)]
+    + [("fermat",)]
+    + [("cos", m) for m in range(3, 201)]
+    + [("explore7", "--depth", d) for d in range(1, 7)]
+    + [("window", *a) for a in _WINDOWS]
+    + [("radical", d) for d in range(2, 13)]
+    + [("orbit", *a, "--json") for a in _ORBITS]
+    + [("fermat", "--json")]
+    + [("window", *a, "--json") for a in _WINDOWS]
+)
+GOLDEN_RUNS_DIGEST = "a2b60aa7aa14afde04057e62af53578e42a9bba706169a95cfd717496626b663"
+
+
+def test_every_subcommand_output_matches_golden_digest(capsys):
+    h = hashlib.sha256()
+    for argv in GOLDEN_RUNS:
+        code, out, _ = run(capsys, *map(str, argv))
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == GOLDEN_RUNS_DIGEST
+
+
 def test_explore7_decides_past_the_factoring_budget(capsys):
     """At depth 8 rho cannot finish c_7 and c_8, yet every class is decided."""
     code, out, _ = run(capsys, "explore7", "--depth", "8", "--effort", "quick", "--json")
@@ -329,23 +361,28 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     }
     assert options == {
         "verify": ["--depth", "--effort", "--json"],
-        "scan": ["--depth", "--effort", "--json", "--out", "--workers"],
+        "scan": ["--effort", "--json", "--out", "--workers"],
         "disc": ["--json"],
         "orbit": ["--json"],
         "group": ["--json"],
         "fermat": ["--json"],
-        "cos": ["--effort", "--json"],
+        "cos": ["--json"],
         "explore7": ["--depth", "--effort", "--json"],
         "window": ["--json"],
         "radical": ["--json"],
     }
-    assert sum(map(len, options.values())) == 19
+    assert sum(map(len, options.values())) == 17
 
 
 def test_an_ignored_option_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "group", "2", "--effort", "quick")
-    assert code == 1
-    assert "--effort" in err
+    """scan reads no depth, since no row depends on it, and cos no effort,
+    since every m <= COS_M_CAP factors completely at the quick bound."""
+    for *argv, option, value in [("group", "2", "--effort", "quick"),
+                                 ("scan", "4", "8", "--depth", "5"),
+                                 ("cos", "12", "--effort", "quick")]:
+        code, _, err = run(capsys, *argv, option, value)
+        assert code == 1
+        assert option in err
 
 
 def test_scan_json_mode(capsys):
@@ -353,9 +390,82 @@ def test_scan_json_mode(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "scan"
+    assert doc["input"] == {"lo": "4", "hi": "6", "effort": "quick"}
     recs = doc["result"]["records"]
     assert [r["nu"] for r in recs] == ["4", "5", "6"]
     assert_ints_are_strings(doc["result"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "12"), ("scan", "4", "6", "--effort", "quick"), ("disc", "12", "3"),
+    ("orbit", "12", "4"), ("group", "2"), ("fermat",), ("cos", "12"),
+    ("explore7", "--depth", "2"), ("window", "12", "8", "5"), ("radical", "4"),
+], ids=lambda argv: argv[0])
+def test_json_output_builds_no_human_text(capsys, monkeypatch, argv):
+    from jrtower import cli
+
+    built = []
+    real_emit = cli._emit
+
+    def spy_emit(args, input_doc, result, human):
+        def counted():
+            built.append(args.command)
+            return human()
+        real_emit(args, input_doc, result, counted)
+
+    monkeypatch.setattr(cli, "_emit", spy_emit)
+    assert run(capsys, *argv)[0] in (0, 2)
+    assert built == [argv[0]]
+    assert run(capsys, *argv, "--json")[0] in (0, 2)
+    assert built == [argv[0]]
+
+
+def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch):
+    """Every m <= COS_M_CAP factors completely by trial division to 10^4,
+    so cos never builds the larger sieves of the other presets."""
+    from jrtower import cli, factor, verdict
+
+    bounds, decompositions = set(), []
+    real_blocks = factor._prime_blocks.__wrapped__
+    real_order = verdict.constructible_order
+
+    def spy_blocks(bound):
+        bounds.add(bound)
+        return real_blocks(bound)
+
+    def spy_order(m, effort):
+        decompositions.append(m)
+        return real_order(m, effort)
+
+    monkeypatch.setattr(factor, "_prime_blocks", spy_blocks)
+    monkeypatch.setattr(factor, "_factorize_cached", factor._factorize_cached.__wrapped__)
+    monkeypatch.setattr(cli, "constructible_order", spy_order)
+    monkeypatch.setattr(verdict, "constructible_order", spy_order)
+    for m in range(3, 201):
+        decompositions.clear()
+        assert run(capsys, "cos", str(m), "--json")[0] == 0
+        assert decompositions == [m]
+    assert bounds and max(bounds) <= 10**4
+
+
+def test_scan_out_to_a_missing_directory_is_an_error(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "scan.csv"
+    code, out, err = run(capsys, "scan", "2", "5", "--effort", "quick", "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_scan_out_to_a_directory_writes_nothing(tmp_path, capsys, monkeypatch):
+    from jrtower import cli
+
+    target = tmp_path / "dir"
+    target.mkdir()
+    monkeypatch.setattr(cli, "jr_verdict", None)  # any verdict would fail
+    code, out, err = run(capsys, "scan", "2", "5", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: --out {target} is a directory\n"
+    assert os.listdir(tmp_path) == ["dir"] and os.listdir(target) == []
 
 
 def test_disc_subcommand(capsys):

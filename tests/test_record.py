@@ -61,6 +61,12 @@ def test_subclassing_a_record_with_fields_fails_at_class_creation():
     assert Point._fields == ("x", "y", "label")
 
 
+def test_a_record_without_fields_fails_at_class_creation():
+    """Its compiled __init__ would have an empty body."""
+    with pytest.raises(TypeError, match="record Empty has no fields"):
+        type("Empty", (Record,), {})
+
+
 def test_value_equality_and_hash():
     assert Point(1, 2) == Point(1, 2)
     assert Point(1, 2) != Point(2, 1)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from jrtower import verdict
+from jrtower import cli, verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
 from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
 from jrtower.orbit import (
@@ -37,7 +38,6 @@ from jrtower.verdict import (
     jr_verdict,
     nested_radical_check,
     nu7_exploration,
-    reduce_m,
     window_elements_deg2,
 )
 from jrtower.verdict import (
@@ -263,16 +263,22 @@ def test_constructible_decomposition_shape():
     assert dec.constructible and dec.odd_primes == ((17, 1),)
 
 
-def test_reduce_m_component_lists():
-    assert reduce_m(60) == [4, 3, 5]
-    assert reduce_m(17) == [17]
-    assert reduce_m(48) == [16, 3]
-    assert reduce_m(8) == [8]
-    assert reduce_m(3) == [3]
-    with pytest.raises(PreconditionError):
-        reduce_m(7)
-    with pytest.raises(PreconditionError):
-        reduce_m(9)
+def test_cos_lists_the_components_of_a_constructible_m(capsys):
+    """[2^a] when a >= 2, then the Fermat primes; none when m is not
+    constructible."""
+
+    def components(m):
+        assert cli.main(["cos", str(m), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["result"].get("components")
+
+    assert components(60) == ["4", "3", "5"]
+    assert components(17) == ["17"]
+    assert components(48) == ["16", "3"]
+    assert components(8) == ["8"]
+    assert components(3) == ["3"]
+    assert components(6) == ["3"]
+    assert components(7) is None
+    assert components(9) is None
 
 
 def test_cos_minpoly_known_values():
@@ -694,8 +700,6 @@ def test_theorem_applies_iff_the_key_lemma_holds(effort, top, applies):
 def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     """The verdict and a scan row read the decided facts alone; the
     obstruction records and the clause pairs appear only when read."""
-    from jrtower import cli
-
     assert "obstructions" not in VerdictReport._fields
     built, paired = [], []
     real_init = FermatObstruction.__init__
@@ -715,7 +719,7 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
         for nu in range(2, 401):
             reports.append(jr_verdict(nu, 5, effort))
-            cli._scan_record(nu, 5, effort)
+            cli._scan_record(nu, effort)
     assert built == [] and paired == []
 
     strict = 0
