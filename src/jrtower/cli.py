@@ -117,10 +117,10 @@ def _render_verdict(report) -> str:
     for ob in report.obstructions:
         detail = "" if ob.status == "excluded" else f" ({ob.reason})"
         lines.append(f"  Fermat prime {ob.p}: {ob.status}{detail}")
-    lines.append(f"  alpha = {report.alpha} = {report.alpha.decimal(6)}")
+    alpha, upper = report.alpha, report.jr_upper
+    lines.append(f"  alpha = {alpha} = {alpha.decimal(6)}")
     lines.append(
-        f"  JR upper bound ceil(alpha) + alpha = {report.jr_upper} "
-        f"= {report.jr_upper.decimal(6)}"
+        f"  JR upper bound ceil(alpha) + alpha = {upper} = {upper.decimal(6)}"
     )
     lines.append(f"  conclusion: {report.conclusion}")
     for reason in report.reasons:
@@ -282,7 +282,7 @@ def _cmd_orbit(args) -> int:
     strict = tower_strict(seq)
     profiles = {}
     for p in (2, 3, 5, 7, 11, 13):
-        prof = valuation_profile(args.nu, p, args.n)
+        prof = valuation_profile(seq, p)
         if prof.first_index is not None:
             profiles[p] = {
                 "first_index": prof.first_index,

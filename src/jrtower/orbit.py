@@ -168,8 +168,9 @@ class ValuationProfile(Record):
     valuations: tuple[int, ...]
 
 
-def valuation_profile(nu: int, p: int, N: int) -> ValuationProfile:
-    """Exact v_p(c_n) for n = 1..N, with the divisibility pattern checked.
+def valuation_profile(seq: OrbitSequence, p: int) -> ValuationProfile:
+    """Exact v_p(c_n) for the constants c_1..c_N of seq, with the
+    divisibility pattern checked.
 
     Also checks the congruence c_{q*m+r} = c_r (mod c_m^2) that drives
     the pattern, with m = first_index and c_0 read as 0. Violations of
@@ -177,7 +178,7 @@ def valuation_profile(nu: int, p: int, N: int) -> ValuationProfile:
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    seq = constant_terms(nu, N)
+    nu, N = seq.nu, len(seq.c)
     vals = []
     for cn in seq.c:
         v = 0

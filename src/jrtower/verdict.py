@@ -97,15 +97,7 @@ class QuadraticSurd(Record):
         return self.b == 0 or is_square(self.D)
 
     def ceil(self) -> int:
-        # b sqrt(D) lies in [s, s+1) with s = isqrt(b^2 D), and b^2 D is
-        # a square iff b = 0 or D is one, so one isqrt decides rationality.
-        # An irrational value lies strictly between (a+s)/q and
-        # (a+s+1)/q, and no integer does.
-        n = self.b * self.b * self.D
-        s = isqrt(n)
-        if s * s == n:
-            return -(-(self.a + s) // self.q)
-        return (self.a + s) // self.q + 1
+        return _surd_ceil(self.a, self.b, self.D, self.q)
 
     def shifted(self, k: int) -> "QuadraticSurd":
         """This value plus the integer k."""
@@ -156,6 +148,20 @@ class QuadraticSurd(Record):
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "D": self.D, "q": self.q,
                 "decimal": self.decimal()}
+
+
+def _surd_ceil(a: int, b: int, D: int, q: int) -> int:
+    """ceil((a + b sqrt(D)) / q): QuadraticSurd.ceil, and the ceiling
+    jr_verdict checks without building alpha."""
+    # b sqrt(D) lies in [s, s+1) with s = isqrt(b^2 D), and b^2 D is
+    # a square iff b = 0 or D is one, so one isqrt decides rationality.
+    # An irrational value lies strictly between (a+s)/q and
+    # (a+s+1)/q, and no integer does.
+    n = b * b * D
+    s = isqrt(n)
+    if s * s == n:
+        return -(-(a + s) // q)
+    return (a + s) // q + 1
 
 
 def alpha_surd(nu: int) -> QuadraticSurd:
@@ -653,14 +659,27 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     )
 
 
+# The floor rule used in VerdictReport.statements: every ring of totally
+# positive algebraic integers has JR number at least 4, and JR = 4
+# attained forces conjugate sets filling [0, 4] arbitrarily densely,
+# which only the constructible-cosine family provides here.
+_KRONECKER_NOTE = (
+    "any JR number of a totally positive ring is >= 4, and an attained 4 "
+    "needs infinitely many constructible cosine elements below every "
+    "t > 4; the certified exclusions leave only finitely many"
+)
+
+
 class VerdictReport(Record):
     """Fan-in of every check feeding the JR classification for one nu.
 
-    The fields are what jr_verdict decided. obstructions and reasons are
-    rendered from them on read: the four FermatObstruction records from
-    nu, hypothesis.symbols and strict (none when the tower is not
-    strict), and the reason text from the clause outcomes,
-    strict_witness, the sqrt(2) reason and, when strict, the symbols.
+    The fields are what jr_verdict decided. The rest is rendered from
+    them on read: the four FermatObstruction records from nu,
+    hypothesis.symbols and strict (none when the tower is not strict);
+    the reason text from the clause outcomes, strict_witness, the
+    sqrt(2) reason and, when strict, the symbols; alpha and jr_upper
+    from nu; and the statements from the conclusion, the residue scope
+    and jr_upper.
     """
 
     nu: int
@@ -669,15 +688,22 @@ class VerdictReport(Record):
     strict: bool
     strict_witness: int | None
     sqrt2: Sqrt2Certificate
-    alpha: QuadraticSurd
-    jr_upper: QuadraticSurd
     conclusion: str
-    statements: tuple[str, ...]
     finite_scope_caveat: bool
 
     @property
     def conclusive(self) -> bool:
         return self.conclusion == THEOREM_APPLIES
+
+    @property
+    def alpha(self) -> QuadraticSurd:
+        return alpha_surd(self.nu)
+
+    @property
+    def jr_upper(self) -> QuadraticSurd:
+        """ceil(alpha) + alpha, the upper end of the JR interval."""
+        alpha = self.alpha
+        return alpha.shifted(alpha.ceil())
 
     @property
     def obstructions(self) -> tuple[FermatObstruction, ...]:
@@ -696,6 +722,28 @@ class VerdictReport(Record):
         return _reasons(
             self.hypothesis.outcomes, self.strict_witness, self.sqrt2.reason,
             self.hypothesis.symbols if self.strict else (),
+        )
+
+    @property
+    def statements(self) -> tuple[str, ...]:
+        """What the theorem asserts for nu, or () when it does not apply."""
+        if self.conclusion != THEOREM_APPLIES:
+            return ()
+        scope_note = (
+            " (conditional on no unknown Fermat prime violating the "
+            "residue condition)"
+            if self.hypothesis.scope == "finite"
+            else ""
+        )
+        bound = self.jr_upper.decimal(6)
+        return (
+            "the set of totally positive window bounds is not {+inf}: "
+            f"infinitely many n + alpha lie below {bound}",
+            "the window set is not [4, +inf): all but finitely many "
+            "constructible cosines are excluded from the ring" + scope_note,
+            f"the JR number lies in [4, {bound}]",
+            "if the JR number equals 4 it is not attained as a minimum; "
+            + _KRONECKER_NOTE,
         )
 
     def to_json(self) -> dict:
@@ -749,17 +797,6 @@ def _reasons(
     return tuple(reasons)
 
 
-# The floor rule used in the statements below: every ring of totally
-# positive algebraic integers has JR number at least 4, and JR = 4
-# attained forces conjugate sets filling [0, 4] arbitrarily densely,
-# which only the constructible-cosine family provides here.
-_KRONECKER_NOTE = (
-    "any JR number of a totally positive ring is >= 4, and an attained 4 "
-    "needs infinitely many constructible cosine elements below every "
-    "t > 4; the certified exclusions leave only finitely many"
-)
-
-
 def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> VerdictReport:
     """Combine every check into the final classification for nu.
 
@@ -774,10 +811,11 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
     is built. depth is the level the report names.
 
-    The report keeps only the decided facts; its obstruction records and
-    reason text are rendered from them on read (see VerdictReport). Each
-    -1 symbol of a strict nu is re-checked here, by Euler's criterion,
-    before the conclusion rests on it.
+    The report keeps only the decided facts; its obstruction records,
+    reason text, alpha, JR upper bound and statements are rendered from
+    them on read (see VerdictReport). Each -1 symbol of a strict nu is
+    re-checked here, by Euler's criterion, before the conclusion rests
+    on it, and the upper bound's floor 4 is checked in integers.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
@@ -789,49 +827,27 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
             if j == -1:
                 _euler_guard(nu, p)
     # The translates n + alpha are infinitely many totally positive
-    # elements with conjugates inside (0, ceil(alpha) + alpha].
-    alpha = alpha_surd(nu)
-    upper = alpha.shifted(alpha.ceil())
-    if not upper >= 4:
+    # elements with conjugates inside (0, ceil(alpha) + alpha], the
+    # jr_upper a report renders on read from alpha_surd(nu), whose
+    # (a, b, D, q) is (1, 1, 1 + 4 nu, 2), and its ceiling c. The floor
+    # 4 is checked here, on the same c from the same _surd_ceil, in
+    # integers and exactly: with s = isqrt(D), c + alpha >= 4 iff
+    # sqrt(D) >= 7 - 2c. The right side is an integer, and
+    # sqrt(D) >= k iff s >= k for an integer k, so that holds iff
+    # 2c + 1 + s >= 8.
+    D = 1 + 4 * nu
+    if 2 * _surd_ceil(1, 1, D, 2) + 1 + isqrt(D) < 8:
         raise InvariantFailure("JR upper bound fell below the floor 4")
 
-    finite_scope = hypothesis.scope == "finite"
     # The checks VerdictReport.reasons renders, as booleans. An
     # obstruction is excluded iff its symbol is -1, which the last
     # clause asks of all four.
-    if hypothesis.passed and strictness.strict and sqrt2.certified:
-        conclusion = THEOREM_APPLIES
-        scope_note = (
-            " (conditional on no unknown Fermat prime violating the "
-            "residue condition)"
-            if finite_scope
-            else ""
-        )
-        bound = upper.decimal(6)
-        statements = (
-            "the set of totally positive window bounds is not {+inf}: "
-            f"infinitely many n + alpha lie below {bound}",
-            "the window set is not [4, +inf): all but finitely many "
-            "constructible cosines are excluded from the ring" + scope_note,
-            f"the JR number lies in [4, {bound}]",
-            "if the JR number equals 4 it is not attained as a minimum; "
-            + _KRONECKER_NOTE,
-        )
-    else:
-        conclusion = INCONCLUSIVE
-        statements = ()
+    applies = hypothesis.passed and strictness.strict and sqrt2.certified
+    conclusion = THEOREM_APPLIES if applies else INCONCLUSIVE
     return VerdictReport(
-        nu=nu,
-        depth=depth,
-        hypothesis=hypothesis,
-        strict=strictness.strict,
-        strict_witness=strictness.witness,
-        sqrt2=sqrt2,
-        alpha=alpha,
-        jr_upper=upper,
-        conclusion=conclusion,
-        statements=statements,
-        finite_scope_caveat=finite_scope and conclusion == THEOREM_APPLIES,
+        nu, depth, hypothesis, strictness.strict, strictness.witness, sqrt2,
+        conclusion,
+        applies and hypothesis.scope == "finite",
     )
 
 

@@ -94,7 +94,7 @@ def test_criterion_04_valuation_lemma():
     """
     cases = {(12, 3): (1, 1), (12, 11): (2, 1), (12, 2): (1, 2), (7, 7): (1, 1)}
     for (nu, p), (first, e) in cases.items():
-        prof = valuation_profile(nu, p, 10)
+        prof = valuation_profile(constant_terms(nu, 10), p)
         assert prof.first_index == first
         assert prof.e == e
         for n in range(1, 11):

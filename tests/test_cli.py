@@ -485,6 +485,39 @@ def test_orbit_subcommand(capsys):
     assert "strict: yes" in out
 
 
+# sha256 over "<exit code>\n<stdout>" of `orbit NU N`, then of
+# `orbit NU N --json`, for each (NU, N) of _ORBITS in order, recorded
+# while every valuation profile still built its own orbit.
+GOLDEN_ORBIT_DIGEST = "dc857412ccc5a1c95e927651c3044e9494f02cd10ba08c05c8d2784718b2c800"
+
+
+def test_orbit_output_matches_golden_digest(capsys):
+    h = hashlib.sha256()
+    for nu, n in _ORBITS:
+        for extra in ((), ("--json",)):
+            code, out, _ = run(capsys, "orbit", str(nu), str(n), *extra)
+            h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == GOLDEN_ORBIT_DIGEST
+
+
+def test_orbit_builds_its_orbit_once(capsys, monkeypatch):
+    """The six valuation profiles read the command's one orbit."""
+    from jrtower import cli, orbit
+
+    calls = []
+    real = orbit.constant_terms
+
+    def spy(nu, n):
+        calls.append((nu, n))
+        return real(nu, n)
+
+    monkeypatch.setattr(cli, "constant_terms", spy)
+    monkeypatch.setattr(orbit, "constant_terms", spy)
+    code, out, _ = run(capsys, "orbit", "1000", "12")
+    assert code == 0 and "v_3: first index" in out
+    assert calls == [(1000, 12)]
+
+
 def test_integers_past_4300_digits_are_read_and_printed(capsys):
     """c_12 of nu = 1000 has about 6000 digits and nu = 10^5000 has 5001,
     beyond the default int <-> str limit of Python 3.11."""

@@ -199,7 +199,7 @@ def test_valuation_profile_support_shape():
         (12, 13): (4, 1),
     }
     for (nu, p), (first, e) in cases.items():
-        prof = valuation_profile(nu, p, 10)
+        prof = valuation_profile(constant_terms(nu, 10), p)
         assert prof.first_index == first
         assert prof.e == e
         for n in range(1, 11):
@@ -208,7 +208,7 @@ def test_valuation_profile_support_shape():
 
 
 def test_valuation_profile_no_support():
-    prof = valuation_profile(12, 5, 8)
+    prof = valuation_profile(constant_terms(12, 8), 5)
     assert prof.first_index is None
     assert prof.e == 0
     assert prof.valuations == (0,) * 8
@@ -217,7 +217,7 @@ def test_valuation_profile_no_support():
 def test_valuation_profile_matches_brute_valuations():
     for nu, p in ((12, 3), (12, 11), (7, 7), (21, 3), (45, 11)):
         c = reference_orbit(nu, 9)
-        prof = valuation_profile(nu, p, 9)
+        prof = valuation_profile(constant_terms(nu, 9), p)
         for n, cn in enumerate(c, start=1):
             v = 0
             while cn % p == 0:
@@ -265,7 +265,7 @@ def test_valuation_profile_pattern_and_congruence_for_random_nu_and_p():
             p = rng.choice(sympy.primefactors(c[rng.randrange(3)]))
         else:
             p = sympy.prime(rng.randint(1, 30))
-        prof = valuation_profile(nu, p, N)
+        prof = valuation_profile(constant_terms(nu, N), p)
         vals = []
         for cn in c:
             v = 0

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrtower import cli, verdict
 from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
@@ -261,6 +263,15 @@ def test_constructible_decomposition_shape():
     assert not dec.constructible
     dec = constructible_order(17)
     assert dec.constructible and dec.odd_primes == ((17, 1),)
+
+
+def test_constructible_order_guard_fires_when_rule_and_phi_disagree(monkeypatch):
+    """A Fermat-prime list that lost 17 calls the 17-gon not constructible,
+    while phi(17) = 16 is a power of two."""
+    monkeypatch.setattr(verdict, "known_fermat_primes", lambda: (3, 5, 257, 65537))
+    assert constructible_order(15).constructible  # 3 and 5 still agree
+    with pytest.raises(InvariantFailure, match="constructibility rule and phi disagree"):
+        constructible_order(17)
 
 
 def test_cos_lists_the_components_of_a_constructible_m(capsys):
@@ -990,6 +1001,133 @@ def test_jr_verdict_upper_bound_at_least_4():
     for nu in (12, 48, 112, 652):
         rep = jr_verdict(nu, depth=3)
         assert rep.jr_upper.compare_int(4) >= 0
+
+
+def _eager_statements(nu: int, applies: bool, finite_scope: bool) -> tuple[str, ...]:
+    """The statements as jr_verdict built them eagerly, from the surds it
+    kept; the oracle for the statements rendered on read."""
+    if not applies:
+        return ()
+    alpha = alpha_surd(nu)
+    bound = alpha.shifted(alpha.ceil()).decimal(6)
+    scope_note = (" (conditional on no unknown Fermat prime violating the "
+                  "residue condition)" if finite_scope else "")
+    return (
+        "the set of totally positive window bounds is not {+inf}: "
+        f"infinitely many n + alpha lie below {bound}",
+        "the window set is not [4, +inf): all but finitely many "
+        "constructible cosines are excluded from the ring" + scope_note,
+        f"the JR number lies in [4, {bound}]",
+        "if the JR number equals 4 it is not attained as a minimum; "
+        "any JR number of a totally positive ring is >= 4, and an attained 4 "
+        "needs infinitely many constructible cosine elements below every "
+        "t > 4; the certified exclusions leave only finitely many",
+    )
+
+
+@pytest.mark.parametrize("effort, top, counts", [(EFFORT_QUICK, 2000, (23, 6)),
+                                                (EFFORT_DEFAULT, 300, (7, 0))])
+def test_statements_rendered_on_read_match_the_eager_builder(effort, top, counts):
+    applied = finite = 0
+    for nu in range(2, top + 1):
+        report = jr_verdict(nu, 5, effort)
+        applies = report.conclusion == THEOREM_APPLIES
+        scope_finite = report.hypothesis.scope == "finite"
+        assert report.statements == _eager_statements(nu, applies, scope_finite), nu
+        assert report.to_json()["statements"] == list(report.statements), nu
+        assert report.finite_scope_caveat == (applies and scope_finite), nu
+        applied += applies
+        finite += applies and scope_finite
+    assert (applied, finite) == counts
+
+
+def test_the_bound_and_statements_are_not_fields():
+    assert VerdictReport._fields == (
+        "nu", "depth", "hypothesis", "strict", "strict_witness", "sqrt2",
+        "conclusion", "finite_scope_caveat")
+    for name in ("alpha", "jr_upper", "statements"):
+        assert isinstance(getattr(VerdictReport, name), property), name
+
+
+def test_jr_verdict_builds_no_surd_and_no_statement(monkeypatch):
+    """A verdict checks the bound's floor in integers; the surds and the
+    statement text appear only when read."""
+    built = []
+    real_init = QuadraticSurd.__init__
+
+    def spy_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(QuadraticSurd, "__init__", spy_init)
+    monkeypatch.setattr(verdict, "_KRONECKER_NOTE", None)  # any statement would fail
+    reports = [jr_verdict(nu, 5, effort)
+               for effort in (EFFORT_QUICK, EFFORT_DEFAULT) for nu in range(2, 401)]
+    assert built == []
+    report = jr_verdict(12, 5)
+    assert report.jr_upper.compare_int(8) == 0
+    assert len(built) == 2  # alpha, then ceil(alpha) + alpha
+    assert sum(r.conclusion == THEOREM_APPLIES for r in reports) > 10
+
+
+def test_the_integer_floor_check_matches_the_surds():
+    """Over nu = 2..20000: the ceiling the guard reads equals alpha.ceil()
+    and an isqrt oracle, the bound is at least 4, and
+    2c + 1 + isqrt(1 + 4 nu) >= 8 holds exactly when c + alpha >= 4, for
+    the true ceiling c and for c = 0, 1, 2."""
+    for nu in range(2, 20001):
+        report = jr_verdict(nu, 5, EFFORT_QUICK)
+        alpha = report.alpha
+        c, s = verdict._surd_ceil(1, 1, 1 + 4 * nu, 2), math.isqrt(1 + 4 * nu)
+        assert c == alpha.ceil() == _ceil_alpha_oracle(nu), nu
+        assert report.jr_upper.compare_int(4) >= 0, nu
+        for k in {0, 1, 2, c}:
+            assert (2 * k + 1 + s >= 8) == (alpha.shifted(k).compare_int(4) >= 0), (nu, k)
+
+
+def test_jr_verdict_floor_guard_fires_on_a_forged_ceiling(monkeypatch):
+    """At nu = 2, alpha = 2 and the bound is exactly 4: a ceiling one too
+    small puts it at 3 and the verdict raises."""
+    assert jr_verdict(2).jr_upper.compare_int(4) == 0
+    real = verdict._surd_ceil
+    monkeypatch.setattr(verdict, "_surd_ceil", lambda *surd: real(*surd) - 1)
+    with pytest.raises(InvariantFailure, match="JR upper bound fell below the floor 4"):
+        jr_verdict(2)
+    assert jr_verdict(3).conclusion == INCONCLUSIVE  # 2 + alpha(3) > 4 still
+
+
+def _ceil_alpha_oracle(nu: int) -> int:
+    """ceil((1 + sqrt(D)) / 2), D = 1 + 4 nu: half of one more than the
+    least odd k with k^2 >= D."""
+    D = 1 + 4 * nu
+    r = math.isqrt(D - 1) + 1  # the least r with r^2 >= D
+    k = r if r % 2 else r + 1
+    return (k + 1) // 2
+
+
+def _upper_decimal_oracle(nu: int) -> str:
+    """floor(10^6 (c + alpha)) / 10^6 as text; c + alpha = (2c + 1 +
+    sqrt(D)) / 2, and the floor of (integer + x) / 2 reads floor(x) only."""
+    c = _ceil_alpha_oracle(nu)
+    scaled = ((2 * c + 1) * 10**6 + math.isqrt((1 + 4 * nu) * 10**12)) // 2
+    return f"{scaled // 10**6}.{scaled % 10**6:06d}"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(2, 10**300),
+    st.integers(1, 10**150).map(lambda k: k * k + k),  # alpha = k + 1
+    st.integers(2, 10**150).map(lambda k: k * k),
+))
+def test_ceiling_and_bound_agree_with_an_isqrt_oracle(nu):
+    """The bound alone, by property: no verdict runs, since factoring a
+    random nu of 300 digits can take seconds. The report's jr_upper
+    reads nu only, so the other fields are placeholders."""
+    c = verdict._surd_ceil(1, 1, 1 + 4 * nu, 2)
+    assert c == alpha_surd(nu).ceil() == _ceil_alpha_oracle(nu)
+    report = VerdictReport(nu, 5, None, True, None, None, INCONCLUSIVE, False)
+    assert report.jr_upper.decimal(6) == _upper_decimal_oracle(nu)
+    assert report.statements == ()
 
 
 def test_jr_verdict_json_roundtrip_types():
