@@ -66,18 +66,18 @@ def canonical_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
+def _document(args, input_doc: dict, result: dict) -> str:
+    return canonical_json({
+        "schema": SCHEMA_VERSION,
+        "command": args.command,
+        "input": _stringify(input_doc),
+        "result": _stringify(result),
+    })
+
+
 def _emit(args, input_doc: dict, result: dict, human) -> None:
     """Print the JSON document, or else the text that human() builds."""
-    if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "input": _stringify(input_doc),
-            "result": _stringify(result),
-        }
-        print(canonical_json(doc))
-    else:
-        print(human())
+    print(_document(args, input_doc, result) if args.json else human())
 
 
 def _effort(args) -> Effort:
@@ -145,7 +145,10 @@ def _cmd_verify(args) -> int:
 # scan
 
 
-def _scan_record(nu: int, effort: Effort) -> dict:
+def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
+    """The five CSV fields of nu's row. No field holds a comma, so the
+    row's CSV line is ",".join(row) and its JSON record zips it with the
+    CSV header's names."""
     # No field of a row depends on the depth (each verdict decides every
     # level at once), so the default depth stands for all of them.
     report = jr_verdict(nu, effort=effort)
@@ -158,49 +161,58 @@ def _scan_record(nu: int, effort: Effort) -> dict:
         flags.extend(
             reason.replace(",", ";").replace(" ", "_") for reason in report.reasons
         )
-    return {
-        "nu": nu,
-        "conclusion": report.conclusion,
-        "scope": report.hypothesis.scope or "none",
-        "jr_upper_decimal": report.jr_upper.decimal(6),
-        "flags": "|".join(flags),
-    }
+    return (str(nu), report.conclusion, report.hypothesis.scope or "none",
+            report.jr_upper.decimal(6), "|".join(flags))
 
 
-def _record_to_csv(rec: dict) -> str:
-    return (
-        f"{rec['nu']},{rec['conclusion']},{rec['scope']},"
-        f"{rec['jr_upper_decimal']},{rec['flags']}"
-    )
+def _print_rows(args, rows) -> None:
+    """Stream rows to stdout as the CSV, or under --json as the JSON
+    document, one record per row, in the order given."""
+    out = sys.stdout
+    if not args.json:
+        out.write(CSV_HEADER + "\n")
+        for row in rows:
+            out.write(",".join(row) + "\n")
+        return
+    input_doc = {"lo": args.lo, "hi": args.hi, "effort": args.effort}
+    head, _, tail = _document(args, input_doc, {"records": []}).partition("[]")
+    out.write(head + "[")
+    fields = CSV_HEADER.split(",")
+    for i, row in enumerate(rows):
+        out.write(("," if i else "") + canonical_json(dict(zip(fields, row))))
+    out.write("]" + tail + "\n")
 
 
 def _journal_header(lo: int, hi: int, effort: str) -> dict:
-    """First journal entry: the inputs its records were computed for."""
+    """First journal entry: the inputs its rows were computed for."""
     return {"lo": lo, "hi": hi, "effort": effort, "schema": SCHEMA_VERSION}
 
 
-def _read_journal(path: str, header: dict) -> dict[int, dict]:
-    """Records of a resume journal, or none unless it opens with header."""
-    done: dict[int, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    # A journal for other inputs (or from before journals had a header)
-    # holds records of another scan: start over rather than mix them in.
-    try:
-        if not lines or json.loads(lines[0]) != {"header": header}:
-            return done
-    except ValueError:
-        return done
-    for line in lines[1:]:
-        # A crash mid-write can truncate the final line; skip anything
-        # that does not parse as a complete entry.
-        try:
-            rec = json.loads(line)["record"]
-            rec["nu"] = int(rec["nu"])
-        except (ValueError, KeyError, TypeError):
-            continue
-        done[rec["nu"]] = rec
-    return done
+def _resume_journal(path: str, header: bytes, lo: int, hi: int) -> int:
+    """Ready the journal at path for appending; return the first nu it lacks.
+
+    A journal is its header line, then the CSV lines of lo, lo+1, ... in
+    turn. The longest such run of complete lines is kept and the file
+    cut back to its end: a torn final write, a line of any other form or
+    a header for other inputs ends the run there.
+    """
+    nu, kept = lo, 0
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            if fh.readline() == header:
+                kept = len(header)
+                for line in fh:
+                    if nu > hi or not (line.startswith(b"%d," % nu)
+                                       and line.endswith(b"\n")
+                                       and line.count(b",") == 4):
+                        break
+                    nu, kept = nu + 1, kept + len(line)
+    if kept:
+        os.truncate(path, kept)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(header)
+    return nu
 
 
 def _cmd_scan(args) -> int:
@@ -211,43 +223,29 @@ def _cmd_scan(args) -> int:
     if args.out and os.path.isdir(args.out):
         raise IsADirectoryError(f"--out {args.out} is a directory")
     effort = _effort(args)
-    done: dict[int, dict] = {}
-    journal = None
-    if args.out:
-        journal_path = args.out + ".partial"
-        header = _journal_header(lo, hi, args.effort)
-        if os.path.exists(journal_path):
-            done = _read_journal(journal_path, header)
-        journal = open(journal_path, "a" if done else "w", encoding="utf-8")
-        if not done:
-            journal.write(json.dumps({"header": header}) + "\n")
+    if not args.out:
+        _print_rows(args, (_scan_row(nu, effort) for nu in range(lo, hi + 1)))
+        return 0
+
+    partial, tmp = args.out + ".partial", args.out + ".tmp"
+    header = json.dumps({"header": _journal_header(lo, hi, args.effort)}).encode() + b"\n"
+    start = _resume_journal(partial, header, lo, hi)
+    with open(partial, "ab") as journal:
+        for nu in range(start, hi + 1):
+            journal.write(",".join(_scan_row(nu, effort)).encode() + b"\n")
             journal.flush()
-
-    try:
-        for nu in range(lo, hi + 1):
-            if nu in done:
-                continue
-            rec = done[nu] = _scan_record(nu, effort)
-            if journal:
-                journal.write(json.dumps({"record": rec}) + "\n")
-                journal.flush()
-    finally:
-        if journal:
-            journal.close()
-
-    records = [done[nu] for nu in sorted(done) if lo <= nu <= hi]
-
-    def csv_text():
-        return "\n".join([CSV_HEADER] + [_record_to_csv(r) for r in records])
-
-    if args.out:
-        tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text() + "\n")
-        os.replace(tmp, args.out)
-        os.remove(args.out + ".partial")
-    _emit(args, {"lo": lo, "hi": hi, "effort": args.effort}, {"records": records},
-          (lambda: f"wrote {len(records)} records to {args.out}") if args.out else csv_text)
+    with open(partial, "rb") as journal, open(tmp, "wb") as fh:
+        journal.readline()
+        fh.write(CSV_HEADER.encode() + b"\n")
+        fh.writelines(journal)
+    os.replace(tmp, args.out)
+    os.remove(partial)
+    if not args.json:
+        print(f"wrote {hi - lo + 1} records to {args.out}")
+        return 0
+    with open(args.out, encoding="utf-8", newline="") as fh:
+        next(fh)
+        _print_rows(args, (line[:-1].split(",") for line in fh))
     return 0
 
 

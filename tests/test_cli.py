@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jrtower
 from jrtower.cli import CSV_HEADER, build_parser, canonical_json, main
@@ -113,7 +118,7 @@ def test_scan_out_file_and_journal_cleanup(tmp_path, capsys):
 
 
 def test_scan_resume_from_partial_journal(tmp_path, capsys):
-    from jrtower.cli import _journal_header, _scan_record
+    from jrtower.cli import _journal_header, _scan_row
 
     fresh = tmp_path / "fresh.csv"
     code, _, _ = run(capsys, "scan", "4", "12", "--effort", "quick",
@@ -125,9 +130,8 @@ def test_scan_resume_from_partial_journal(tmp_path, capsys):
     with journal.open("w") as fh:
         fh.write(json.dumps({"header": _journal_header(4, 12, "quick")}) + "\n")
         for nu in (4, 5, 6):
-            rec = _scan_record(nu, EFFORT_QUICK)
-            fh.write(json.dumps({"record": rec, "ts": 0.0}) + "\n")
-        fh.write('{"record": {"nu": "7", "conclusio')  # torn final write
+            fh.write(",".join(_scan_row(nu, EFFORT_QUICK)) + "\n")
+        fh.write("7,inconclusive,no")  # torn final write
     code, _, _ = run(capsys, "scan", "4", "12", "--effort", "quick",
                      "--out", str(resumed))
     assert code == 0
@@ -136,7 +140,7 @@ def test_scan_resume_from_partial_journal(tmp_path, capsys):
 
 
 def test_an_interrupted_scan_leaves_the_same_journal_bytes(tmp_path, capsys, monkeypatch):
-    """A journal holds nothing but the scan's inputs and records, so two
+    """A journal holds nothing but the scan's inputs and rows, so two
     runs cut at the same nu leave the same bytes, and a resume of either
     writes the CSV of an uninterrupted run."""
     from jrtower import cli
@@ -144,7 +148,7 @@ def test_an_interrupted_scan_leaves_the_same_journal_bytes(tmp_path, capsys, mon
 
     fresh = tmp_path / "fresh.csv"
     assert run(capsys, "scan", "4", "12", "--out", str(fresh))[0] == 0
-    real = cli._scan_record
+    real = cli._scan_row
 
     def cut_at_9(nu, effort):
         if nu == 9:
@@ -156,7 +160,7 @@ def test_an_interrupted_scan_leaves_the_same_journal_bytes(tmp_path, capsys, mon
         (tmp_path / name).mkdir()
         out_file = tmp_path / name / "scan.csv"
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_scan_record", cut_at_9)
+            patch.setattr(cli, "_scan_row", cut_at_9)
             code, _, err = run(capsys, "scan", "4", "12", "--out", str(out_file))
         assert code == 1 and "cut at nu = 9" in err
         assert not out_file.exists()
@@ -167,16 +171,120 @@ def test_an_interrupted_scan_leaves_the_same_journal_bytes(tmp_path, capsys, mon
     assert out_file.read_bytes() == fresh.read_bytes()
 
 
-def _journal_with_marked_record(path, header):
-    """A journal whose one record for nu = 4 no verdict can produce;
-    header None leaves the header entry out."""
-    from jrtower.cli import _scan_record
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(cut=st.integers(4, 60), data=st.data())
+def test_a_scan_cut_anywhere_resumes_to_the_fresh_bytes(tmp_path_factory, cut, data):
+    """Cut `scan 4 60 --out` at any nu, then the journal at any byte: the
+    resume writes the bytes of an uninterrupted run and leaves no journal
+    or temporary file."""
+    from jrtower import cli
+    from jrtower.errors import ResourceLimitError
 
-    rec = dict(_scan_record(4, EFFORT_QUICK), conclusion="from-the-journal")
+    directory = tmp_path_factory.mktemp("resume")
+    fresh, out_file = directory / "fresh.csv", directory / "scan.csv"
+    argv = ["scan", "4", "60", "--effort", "quick", "--out"]
+    assert main(argv + [str(fresh)]) == 0
+    real = cli._scan_row
+
+    def cut_at(nu, effort):
+        if nu == cut:
+            raise ResourceLimitError(f"cut at nu = {cut}")
+        return real(nu, effort)
+
+    with mock.patch.object(cli, "_scan_row", cut_at):
+        assert main(argv + [str(out_file)]) == 1
+    journal = directory / "scan.csv.partial"
+    os.truncate(journal, data.draw(st.integers(0, journal.stat().st_size)))
+    assert main(argv + [str(out_file)]) == 0
+    assert out_file.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(directory)) == ["fresh.csv", "scan.csv"]
+
+
+@pytest.mark.parametrize("form", ["json-records", "four-fields", "past-hi"])
+def test_a_journal_line_of_another_form_ends_the_replay(tmp_path, capsys, form):
+    """The replay stops at a line that is not the next nu's five CSV
+    fields: the JSON record lines scan journaled before its journal held
+    CSV rows, a row with a field missing, or a row past hi."""
+    from jrtower.cli import _journal_header, _scan_row
+
+    fresh = tmp_path / "fresh.csv"
+    assert run(capsys, "scan", "4", "12", "--effort", "quick", "--out", str(fresh))[0] == 0
+    rows = [_scan_row(nu, EFFORT_QUICK) for nu in range(4, 14)]
+    lines = {
+        "json-records": [json.dumps({"record": dict(zip(CSV_HEADER.split(","), row),
+                                                    nu=int(row[0]), conclusion="marked")})
+                         for row in rows[:3]],
+        "four-fields": [",".join(rows[0]), ",".join(rows[1][:4])],
+        "past-hi": [",".join(row) for row in rows],
+    }[form]
+    with (tmp_path / "scan.csv.partial").open("w") as fh:
+        fh.write(json.dumps({"header": _journal_header(4, 12, "quick")}) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+    out_file = tmp_path / "scan.csv"
+    assert run(capsys, "scan", "4", "12", "--effort", "quick", "--out", str(out_file))[0] == 0
+    assert out_file.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "scan.csv"]
+
+
+def test_scan_memory_does_not_grow_with_the_range(tmp_path):
+    """Each row is written when it is decided and then dropped, so the
+    tracemalloc peak of 2..40000 stays within twice that of 2..4000."""
+    peaks = []
+    for hi in (4000, 40000):
+        with open(tmp_path / "scan.csv", "w") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(["scan", "2", str(hi), "--effort", "quick"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def _cli(*argv, prelude=""):
+    """Run `python -c` with jrtower importable: prelude, then main(argv)."""
+    src = os.path.dirname(os.path.dirname(jrtower.__file__))
+    code = f"import sys; from jrtower import cli\n{prelude}\nsys.exit(cli.main({list(argv)!r}))"
+    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_scan_exits_1_silently_when_stdout_closes():
+    with _cli("scan", "2", "20000") as proc:
+        assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_a_verdict_error_mid_scan_keeps_the_rows_printed(capsys):
+    _, fresh, _ = run(capsys, "scan", "4", "12", "--effort", "quick")
+    prelude = "\n".join([
+        "from jrtower.errors import ResourceLimitError",
+        "real = cli.jr_verdict",
+        "def cut_at_9(nu, **kwargs):",
+        "    if nu == 9:",
+        "        raise ResourceLimitError('cut at nu = 9')",
+        "    return real(nu, **kwargs)",
+        "cli.jr_verdict = cut_at_9",
+    ])
+    proc = _cli("scan", "4", "12", "--effort", "quick", prelude=prelude)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"error: cut at nu = 9\n")
+    assert out.decode().splitlines() == fresh.splitlines()[:6]  # the header and nu = 4..8
+
+
+def _journal_with_marked_record(path, header):
+    """A journal whose one row, for nu = 4, no verdict can produce;
+    header None leaves the header entry out."""
+    from jrtower.cli import _scan_row
+
+    row = list(_scan_row(4, EFFORT_QUICK))
+    row[1] = "from-the-journal"
     with path.open("w") as fh:
         if header is not None:
             fh.write(json.dumps({"header": header}) + "\n")
-        fh.write(json.dumps({"record": rec, "ts": 0.0}) + "\n")
+        fh.write(",".join(row) + "\n")
 
 
 def test_scan_resume_keeps_records_of_a_matching_journal(tmp_path, capsys):
@@ -239,6 +347,29 @@ def test_scan_csv_matches_golden_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of `scan 2 3000 --effort quick --json`, which
+# `--out F` leaves unchanged, and of the CSV that `scan 2 3000 --effort
+# quick` prints and `--out F` writes, recorded while a scan still held
+# every row until the range was done.
+GOLDEN_SCAN_JSON = "29b305dcf7781e70551a14fcee75f23ae15b0e3a5f18e2c7b473bdbc7ff310d8"
+GOLDEN_SCAN_CSV = "49a1f3cb52f6a11c043b99549bb82a2a00cd07ce459d2609f1b95ac03de920fd"
+
+
+def test_scan_json_and_out_file_match_golden_digests(tmp_path, capsys):
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    argv = ("scan", "2", "3000", "--effort", "quick")
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == 0 and sha(csv_out) == GOLDEN_SCAN_CSV
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and sha(out) == GOLDEN_SCAN_JSON
+    out_file = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(out_file), "--json")
+    assert code == 0 and sha(out) == GOLDEN_SCAN_JSON
+    assert out_file.read_bytes() == csv_out.encode()
 
 
 # sha256 of the concatenated JSON outputs, recorded while the Frattini
@@ -397,7 +528,7 @@ def test_scan_json_mode(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "12"), ("scan", "4", "6", "--effort", "quick"), ("disc", "12", "3"),
+    ("verify", "12"), ("disc", "12", "3"),
     ("orbit", "12", "4"), ("group", "2"), ("fermat",), ("cos", "12"),
     ("explore7", "--depth", "2"), ("window", "12", "8", "5"), ("radical", "4"),
 ], ids=lambda argv: argv[0])
@@ -418,6 +549,27 @@ def test_json_output_builds_no_human_text(capsys, monkeypatch, argv):
     assert built == [argv[0]]
     assert run(capsys, *argv, "--json")[0] in (0, 2)
     assert built == [argv[0]]
+
+
+def test_scan_json_joins_no_csv_line(capsys):
+    """scan streams its rows rather than passing them to _emit: a CSV
+    line is one ",".join, and under --json none is made."""
+    joins = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_globals["__name__"] == "jrtower.cli" \
+                and getattr(arg, "__name__", "") == "join" \
+                and getattr(arg, "__self__", None) == ",":
+            joins.append(frame.f_code.co_name)
+
+    for json_opt, made in (((), 3), (("--json",), 0)):
+        joins.clear()
+        sys.setprofile(profile)
+        try:
+            code = main(["scan", "4", "6", "--effort", "quick", *json_opt])
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and len(joins) == made, joins
 
 
 def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch):

@@ -730,7 +730,7 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
         for nu in range(2, 401):
             reports.append(jr_verdict(nu, 5, effort))
-            cli._scan_record(nu, effort)
+            cli._scan_row(nu, effort)
     assert built == [] and paired == []
 
     strict = 0
