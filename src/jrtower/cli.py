@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .discriminant import RESULTANT_CAP, discriminant_report
 from .factor import EFFORT_PRESETS, EFFORT_QUICK, Effort
@@ -90,34 +91,35 @@ def _effort(args) -> Effort:
 
 def _render_verdict(report) -> str:
     lines = [f"JR verdict for nu = {report.nu} (depth {report.depth})"]
-    params = report.hypothesis.params
+    hypothesis, sqrt2 = report.hypothesis, report.sqrt2
+    params = hypothesis.params
     lines.append(
         f"  decomposition: nu = 2^{params.two_adic_valuation} * {params.mu}"
         f"{' (perfect square)' if params.is_square else ''}"
     )
-    for name, ok in report.hypothesis.clauses:
+    for name, ok in hypothesis.clauses:
         mark = "pass" if ok else "FAIL"
         lines.append(f"  [{mark}] {name}")
-    if report.hypothesis.scope:
-        basis = report.hypothesis.residue.kernel_basis
+    if report.scope:
+        basis = report.kernel_basis
         via = f" via square-free kernel {basis}" if basis else ""
-        lines.append(f"  residue scope: {report.hypothesis.scope}{via}")
-    if report.hypothesis.failed_prime:
-        lines.append(f"  smallest violating Fermat prime: {report.hypothesis.failed_prime}")
+        lines.append(f"  residue scope: {report.scope}{via}")
+    if hypothesis.failed_prime:
+        lines.append(f"  smallest violating Fermat prime: {hypothesis.failed_prime}")
     lines.append(
         f"  tower strict to depth {report.depth}: "
         + ("yes" if report.strict else f"no (c_{report.strict_witness} is a square)")
     )
     lines.append(
         "  sqrt(2) exclusion: "
-        + ("certified" if report.sqrt2.certified else f"not certified ({report.sqrt2.reason})")
+        + ("certified" if sqrt2.certified else f"not certified ({sqrt2.reason})")
     )
-    if report.sqrt2.certified and report.hypothesis.mu_not_squarefree:
+    if sqrt2.certified and report.mu_not_squarefree:
         lines.append("  note: odd part of nu is not square-free (uncharted territory flag)")
     for ob in report.obstructions:
         detail = "" if ob.status == "excluded" else f" ({ob.reason})"
         lines.append(f"  Fermat prime {ob.p}: {ob.status}{detail}")
-    alpha, upper = report.alpha, report.jr_upper
+    alpha, upper = report.alpha_and_upper()
     lines.append(f"  alpha = {alpha} = {alpha.decimal(6)}")
     lines.append(
         f"  JR upper bound ceil(alpha) + alpha = {upper} = {upper.decimal(6)}"
@@ -155,14 +157,20 @@ def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
     flags = []
     if report.finite_scope_caveat:
         flags.append("finite-scope-caveat")
-    if report.sqrt2.certified and report.hypothesis.mu_not_squarefree:
+    # sqrt(2) is certified iff the first three clauses pass (see jr_verdict).
+    if report.mu_not_squarefree and all(report.outcomes[:3]):
         flags.append("mu-not-squarefree")
     if report.conclusion != THEOREM_APPLIES:
-        flags.extend(
-            reason.replace(",", ";").replace(" ", "_") for reason in report.reasons
-        )
-    return (str(nu), report.conclusion, report.hypothesis.scope or "none",
-            report.jr_upper.decimal(6), "|".join(flags))
+        flags.append(_reason_flags(report.reasons))
+    return (str(nu), report.conclusion, report.scope or "none",
+            report.jr_upper_decimal, "|".join(flags))
+
+
+@lru_cache(maxsize=None)
+def _reason_flags(reasons: tuple[str, ...]) -> str:
+    """The flags text of an inconclusive row's reasons, which name no nu,
+    so each distinct tuple is rendered once per process."""
+    return "|".join(reason.replace(",", ";").replace(" ", "_") for reason in reasons)
 
 
 def _print_rows(args, rows) -> None:

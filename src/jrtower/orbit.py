@@ -46,8 +46,14 @@ class TowerParams(Record):
     def __post_init__(self):
         if self.nu < 2:
             raise ValueError("nu must be an integer >= 2")
-        if 2**self.two_adic_valuation * self.mu != self.nu or self.mu % 2 == 0:
-            raise InvariantFailure("broken 2-adic decomposition")
+        _check_decomposition(self.nu, self.two_adic_valuation, self.mu)
+
+
+def _check_decomposition(nu: int, v: int, mu: int) -> None:
+    """Raise unless nu = 2^v * mu with mu odd: TowerParams' check, which
+    jr_verdict runs on its split of nu without building the record."""
+    if 2**v * mu != nu or mu % 2 == 0:
+        raise InvariantFailure("broken 2-adic decomposition")
 
 
 def tower_params(nu: int) -> TowerParams:

@@ -208,18 +208,24 @@ def residue_certificate(nu: int) -> ResidueCertificate:
     failure = _first_failure(tuple(jacobi(nu, p) for p in _fermat_primes_above_3()))
     if failure is not None:
         raise CertificateFailure(nu, *failure)
-    return _residue_certificate(nu)
+    return _residue_certificate(nu, _kernel_basis(nu))
 
 
-def _residue_certificate(nu: int) -> ResidueCertificate:
-    """residue_certificate for a nu >= 2 whose symbols at every known
-    Fermat prime p > 3 the caller has found to be -1."""
-    primes = _fermat_primes_above_3()
+def _kernel_basis(nu: int) -> int | None:
+    """The q in (3, 7) with nu = q * s^2, or None: two exact tests each."""
     for q in (3, 7):
         quotient, rem = divmod(nu, q)
         if rem == 0 and is_square(quotient):
-            return ResidueCertificate(nu, "universal", primes, q)
-    return ResidueCertificate(nu, "finite", primes, None)
+            return q
+    return None
+
+
+def _residue_certificate(nu: int, kernel_basis: int | None) -> ResidueCertificate:
+    """residue_certificate for a nu >= 2 whose symbols at every known
+    Fermat prime p > 3 the caller has found to be -1, given
+    _kernel_basis(nu); the record re-checks a universal kernel."""
+    scope = "finite" if kernel_basis is None else "universal"
+    return ResidueCertificate(nu, scope, _fermat_primes_above_3(), kernel_basis)
 
 
 def _first_failure(symbols: tuple[int, ...]) -> tuple[int, int] | None:

@@ -32,11 +32,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
-from .intmath import is_square
+from .intmath import is_square, split_two_part
 from .orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
     TowerParams,
+    _check_decomposition,
     constant_terms,
     gap_strictness,
     iterate_poly,
@@ -46,6 +47,7 @@ from .residue import (
     ResidueCertificate,
     _fermat_primes_above_3,
     _first_failure,
+    _kernel_basis,
     _residue_certificate,
     fermat_symbols,
     jacobi,
@@ -53,8 +55,8 @@ from .residue import (
 )
 from .squareclasses import (
     Sqrt2Certificate,
+    _sqrt2_reason,
     contains_sqrt,
-    sqrt2_free_certificate,
     two_independent,
 )
 
@@ -123,18 +125,7 @@ class QuadraticSurd(Record):
         """Truncated decimal rendering with the given fractional digits:
         the sign of the value, then floor(|value| * 10^digits), with no
         point when digits is 0. Negative digits raise ValueError."""
-        if digits < 0:
-            raise ValueError("digits must be >= 0")
-        scale = 10**digits
-        a, n = self.a * scale, self.b * self.b * self.D * scale * scale
-        root = isqrt(n)
-        # a + sqrt(n) lies in [a + root, a + root + 1), at its left end iff
-        # n = root^2, and no multiple of q lies inside an open unit interval.
-        negative = a < 0 and a * a > n
-        magnitude = (-a - root - (root * root < n) if negative else a + root) // self.q
-        whole, frac = divmod(magnitude, scale)
-        point = f".{str(frac).zfill(digits)}" if digits else ""
-        return f"{'-' if negative else ''}{whole}{point}"
+        return _surd_decimal(self.a, self.b, self.D, self.q, digits)
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -162,6 +153,23 @@ def _surd_ceil(a: int, b: int, D: int, q: int) -> int:
     if s * s == n:
         return -(-(a + s) // q)
     return (a + s) // q + 1
+
+
+def _surd_decimal(a: int, b: int, D: int, q: int, digits: int) -> str:
+    """QuadraticSurd.decimal, and the bound a scan row prints without
+    building a surd."""
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+    scale = 10**digits
+    a, n = a * scale, b * b * D * scale * scale
+    root = isqrt(n)
+    # a + sqrt(n) lies in [a + root, a + root + 1), at its left end iff
+    # n = root^2, and no multiple of q lies inside an open unit interval.
+    negative = a < 0 and a * a > n
+    magnitude = (-a - root - (root * root < n) if negative else a + root) // q
+    whole, frac = divmod(magnitude, scale)
+    point = f".{str(frac).zfill(digits)}" if digits else ""
+    return f"{'-' if negative else ''}{whole}{point}"
 
 
 def alpha_surd(nu: int) -> QuadraticSurd:
@@ -624,10 +632,6 @@ class HypothesisReport(Record):
         return tuple(zip(CLAUSE_NAMES, self.outcomes))
 
     @property
-    def passed(self) -> bool:
-        return all(self.outcomes)
-
-    @property
     def scope(self) -> str | None:
         return self.residue.scope if self.residue else None
 
@@ -643,19 +647,33 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisRepo
     factor._has_square_factor); effort bounds only the factorization
     it falls back to when mu's rest exceeds trial_bound^3.
     """
-    params = tower_params(nu)
-    v = params.two_adic_valuation
+    return _hypothesis_report(nu, *_decide(nu, effort))
+
+
+def _decide(nu: int, effort: Effort) -> tuple:
+    """The decisions of hypothesis_check and jr_verdict: (v, mu,
+    outcomes, symbols, mu_not_squarefree, kernel_basis), nu = 2^v * mu
+    checked, kernel_basis None unless every symbol is -1."""
+    if nu < 2:
+        raise ValueError("nu must be an integer >= 2")
+    v, mu = split_two_part(nu)
+    _check_decomposition(nu, v, mu)
     symbols = fermat_symbols(nu)
-    failure = _first_failure(symbols)
-    if failure is None:
-        residue, failed_prime = _residue_certificate(nu), None
-    else:
-        residue, failed_prime = None, failure[0]
-    outcomes = (v >= 2 and v % 2 == 0, params.mu >= 3, not params.is_square,
-                failure is None)
+    certified = symbols.count(-1) == len(symbols)
+    outcomes = (v >= 2 and v % 2 == 0, mu >= 3, not is_square(nu), certified)
+    return (v, mu, outcomes, symbols, _has_square_factor(mu, effort),
+            _kernel_basis(nu) if certified else None)
+
+
+def _hypothesis_report(nu, v, mu, outcomes, symbols, mu_not_squarefree,
+                       kernel_basis) -> HypothesisReport:
+    """The HypothesisReport of the decisions _decide returns."""
+    certified = outcomes[3]
     return HypothesisReport(
-        nu, params, outcomes, residue, failed_prime,
-        _has_square_factor(params.mu, effort), symbols,
+        nu, TowerParams(nu, v, mu, not outcomes[2]), outcomes,
+        _residue_certificate(nu, kernel_basis) if certified else None,
+        None if certified else _first_failure(symbols)[0],
+        mu_not_squarefree, symbols,
     )
 
 
@@ -671,23 +689,21 @@ _KRONECKER_NOTE = (
 
 
 class VerdictReport(Record):
-    """Fan-in of every check feeding the JR classification for one nu.
+    """The JR classification of one nu: the key jr_verdict decided.
 
-    The fields are what jr_verdict decided. The rest is rendered from
-    them on read: the four FermatObstruction records from nu,
-    hypothesis.symbols and strict (none when the tower is not strict);
-    the reason text from the clause outcomes, strict_witness, the
-    sqrt(2) reason and, when strict, the symbols; alpha and jr_upper
-    from nu; and the statements from the conclusion, the residue scope
-    and jr_upper.
+    outcomes, symbols and mu_not_squarefree are the hypothesis check's;
+    kernel_basis is the universal residue kernel, 3 or 7, else None.
+    The rest renders from the key on read: the hypothesis, strictness,
+    sqrt(2) and FermatObstruction records, the reasons, alpha, jr_upper
+    and the statements.
     """
 
     nu: int
     depth: int
-    hypothesis: HypothesisReport
-    strict: bool
-    strict_witness: int | None
-    sqrt2: Sqrt2Certificate
+    outcomes: tuple[bool, ...]
+    symbols: tuple[int, ...]
+    mu_not_squarefree: bool | None
+    kernel_basis: int | None
     conclusion: str
     finite_scope_caveat: bool
 
@@ -696,14 +712,56 @@ class VerdictReport(Record):
         return self.conclusion == THEOREM_APPLIES
 
     @property
+    def hypothesis(self) -> HypothesisReport:
+        return _hypothesis_report(
+            self.nu, *split_two_part(self.nu), self.outcomes, self.symbols,
+            self.mu_not_squarefree, self.kernel_basis,
+        )
+
+    @property
+    def scope(self) -> str | None:
+        """hypothesis.scope: None when the residue certificate failed."""
+        if not self.outcomes[3]:
+            return None
+        return "finite" if self.kernel_basis is None else "universal"
+
+    @property
+    def strict(self) -> bool:
+        """No c_n is a square: by the gap lemma, nu is not one."""
+        return self.outcomes[2]
+
+    @property
+    def strict_witness(self) -> int | None:
+        return None if self.strict else 1
+
+    @property
+    def sqrt2(self) -> Sqrt2Certificate:
+        reason = self._sqrt2_reason()
+        return Sqrt2Certificate(self.nu, reason is None, reason)
+
+    def _sqrt2_reason(self) -> str | None:
+        return _sqrt2_reason(self.nu, *split_two_part(self.nu), not self.outcomes[2])
+
+    @property
     def alpha(self) -> QuadraticSurd:
         return alpha_surd(self.nu)
 
     @property
     def jr_upper(self) -> QuadraticSurd:
         """ceil(alpha) + alpha, the upper end of the JR interval."""
+        return self.alpha_and_upper()[1]
+
+    def alpha_and_upper(self) -> tuple[QuadraticSurd, QuadraticSurd]:
+        """alpha and jr_upper, the bound built from the same alpha."""
         alpha = self.alpha
-        return alpha.shifted(alpha.ceil())
+        return alpha, alpha.shifted(alpha.ceil())
+
+    @property
+    def jr_upper_decimal(self) -> str:
+        """jr_upper.decimal(6), from its integers (1 + 2c, 1, D, 2) with
+        D = 1 + 4 nu and c = ceil(alpha), so no surd is built."""
+        D = 1 + 4 * self.nu
+        return _surd_decimal(1 + 2 * _surd_ceil(1, 1, D, 2), 1, D, 2, 6)
 
     @property
     def obstructions(self) -> tuple[FermatObstruction, ...]:
@@ -713,16 +771,14 @@ class VerdictReport(Record):
             return ()
         return tuple(
             _obstruction_chain(self.nu, p, j)
-            for p, j in zip(_fermat_primes_above_3(), self.hypothesis.symbols)
+            for p, j in zip(_fermat_primes_above_3(), self.symbols)
         )
 
     @property
     def reasons(self) -> tuple[str, ...]:
         """The failed checks as text: () iff the report is conclusive."""
-        return _reasons(
-            self.hypothesis.outcomes, self.strict_witness, self.sqrt2.reason,
-            self.hypothesis.symbols if self.strict else (),
-        )
+        return _reasons(self.outcomes, self._sqrt2_reason(),
+                        self.symbols if self.strict else ())
 
     @property
     def statements(self) -> tuple[str, ...]:
@@ -732,10 +788,10 @@ class VerdictReport(Record):
         scope_note = (
             " (conditional on no unknown Fermat prime violating the "
             "residue condition)"
-            if self.hypothesis.scope == "finite"
+            if self.finite_scope_caveat
             else ""
         )
-        bound = self.jr_upper.decimal(6)
+        bound = self.jr_upper_decimal
         return (
             "the set of totally positive window bounds is not {+inf}: "
             f"infinitely many n + alpha lie below {bound}",
@@ -747,26 +803,28 @@ class VerdictReport(Record):
         )
 
     def to_json(self) -> dict:
+        hypothesis, sqrt2 = self.hypothesis, self.sqrt2
+        alpha, upper = self.alpha_and_upper()
         return {
             "nu": self.nu,
             "depth": self.depth,
             "hypothesis": {
-                "clauses": [[name, ok] for name, ok in self.hypothesis.clauses],
-                "scope": self.hypothesis.scope,
-                "failed_prime": self.hypothesis.failed_prime,
-                "mu_not_squarefree": self.hypothesis.mu_not_squarefree,
+                "clauses": [[name, ok] for name, ok in hypothesis.clauses],
+                "scope": hypothesis.scope,
+                "failed_prime": hypothesis.failed_prime,
+                "mu_not_squarefree": hypothesis.mu_not_squarefree,
             },
             "strict": self.strict,
             "strict_witness": self.strict_witness,
-            "sqrt2_certified": self.sqrt2.certified,
-            "sqrt2_reason": self.sqrt2.reason,
+            "sqrt2_certified": sqrt2.certified,
+            "sqrt2_reason": sqrt2.reason,
             "obstructions": [
                 {"p": ob.p, "status": ob.status, "reason": ob.reason,
                  "chain": list(ob.chain)}
                 for ob in self.obstructions
             ],
-            "alpha": self.alpha.to_json(),
-            "jr_upper": self.jr_upper.to_json(),
+            "alpha": alpha.to_json(),
+            "jr_upper": upper.to_json(),
             "conclusion": self.conclusion,
             "reasons": list(self.reasons),
             "statements": list(self.statements),
@@ -774,21 +832,17 @@ class VerdictReport(Record):
         }
 
 
-# No reason names nu, and the key takes at most 16 * 2 * 5 * (3^4 + 1)
-# values (the witness is 1 or None), so a scan renders each distinct
-# list of reasons once.
+# No reason names nu, and the key takes at most 16 * 5 * (3^4 + 1)
+# values, so a scan renders each distinct list of reasons once.
 @lru_cache(maxsize=None)
-def _reasons(
-    outcomes: tuple[bool, ...],
-    strict_witness: int | None,
-    sqrt2_reason: str | None,
-    symbols: tuple[int, ...],
-) -> tuple[str, ...]:
-    """VerdictReport.reasons from its key; symbols is () when not strict."""
+def _reasons(outcomes: tuple[bool, ...], sqrt2_reason: str | None,
+             symbols: tuple[int, ...]) -> tuple[str, ...]:
+    """VerdictReport.reasons from its key; symbols is () when not strict,
+    and then the gap lemma's witness is c_1."""
     reasons = [f"hypothesis failed: {name}"
                for name, ok in zip(CLAUSE_NAMES, outcomes) if not ok]
-    if strict_witness is not None:
-        reasons.append(f"tower not strict: c_{strict_witness} is a perfect square")
+    if not outcomes[2]:
+        reasons.append("tower not strict: c_1 is a perfect square")
     if sqrt2_reason is not None:
         reasons.append(f"sqrt(2) exclusion not certified: {sqrt2_reason}")
     for p, j in zip(_fermat_primes_above_3(), symbols):
@@ -811,19 +865,21 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
     is built. depth is the level the report names.
 
-    The report keeps only the decided facts; its obstruction records,
-    reason text, alpha, JR upper bound and statements are rendered from
-    them on read (see VerdictReport). Each -1 symbol of a strict nu is
-    re-checked here, by Euler's criterion, before the conclusion rests
-    on it, and the upper bound's floor 4 is checked in integers.
+    It builds the report, the decided key, and only for a universal
+    scope a ResidueCertificate, which re-checks the kernel; the rest
+    renders on read (see VerdictReport). The guards of the records it
+    skips run here, once: the 2-adic split, the sqrt(2) fixed point,
+    Euler's criterion on each -1 symbol of a strict nu, and the floor 4.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
-    hypothesis = hypothesis_check(nu, effort)
-    strictness = gap_strictness(hypothesis.params, depth)
-    sqrt2 = sqrt2_free_certificate(hypothesis.params)
-    if strictness.strict:
-        for p, j in zip(_fermat_primes_above_3(), hypothesis.symbols):
+    v, mu, outcomes, symbols, mu_not_squarefree, kernel_basis = _decide(nu, effort)
+    # Run for their guards only: the reason and the certificate render on read.
+    _sqrt2_reason(nu, v, mu, not outcomes[2])
+    if kernel_basis is not None:
+        _residue_certificate(nu, kernel_basis)
+    if outcomes[2]:
+        for p, j in zip(_fermat_primes_above_3(), symbols):
             if j == -1:
                 _euler_guard(nu, p)
     # The translates n + alpha are infinitely many totally positive
@@ -839,15 +895,19 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     if 2 * _surd_ceil(1, 1, D, 2) + 1 + isqrt(D) < 8:
         raise InvariantFailure("JR upper bound fell below the floor 4")
 
-    # The checks VerdictReport.reasons renders, as booleans. An
-    # obstruction is excluded iff its symbol is -1, which the last
-    # clause asks of all four.
-    applies = hypothesis.passed and strictness.strict and sqrt2.certified
-    conclusion = THEOREM_APPLIES if applies else INCONCLUSIVE
+    # The theorem applies iff the hypothesis passes, the tower is strict
+    # and sqrt(2) is certified absent. By the gap lemma the tower is
+    # strict iff nu is not a square, outcomes[2]; by the 2-adic argument
+    # sqrt(2) is certified iff v2(nu) is even and at least 2, mu >= 3 and
+    # nu is not a square, outcomes[0], [1] and [2]. So both follow from
+    # the hypothesis, and it applies iff all four outcomes hold. An
+    # obstruction is excluded iff its symbol is -1, which outcomes[3]
+    # asks of all four.
+    applies = all(outcomes)
     return VerdictReport(
-        nu, depth, hypothesis, strictness.strict, strictness.witness, sqrt2,
-        conclusion,
-        applies and hypothesis.scope == "finite",
+        nu, depth, outcomes, symbols, mu_not_squarefree, kernel_basis,
+        THEOREM_APPLIES if applies else INCONCLUSIVE,
+        applies and kernel_basis is None,
     )
 
 

@@ -14,6 +14,7 @@ from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
 from jrtower.orbit import (
     ITERATE_CAP,
     constant_terms,
+    gap_strictness,
     iterate_poly,
     orbit_mod_p,
     tower_params,
@@ -797,19 +798,27 @@ def test_fermat_obstruction_domain():
 
 
 def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
-    """One strictness decision per verdict, by the gap lemma, shared by
-    the four obstruction chains, which do not re-prove the Fermat primes."""
+    """One strictness decision per verdict, by the gap lemma: the one
+    square test of nu, shared by the third clause and the four
+    obstruction chains, which do not re-prove the Fermat primes. No
+    Strictness record is built; gap_strictness agrees on read."""
     from jrtower import orbit
 
     expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
+    eager = gap_strictness(tower_params(12), 5)
     decided = spy_everywhere(monkeypatch, orbit, "gap_strictness")
+    squares = []
+    real_is_square = verdict.is_square
+    monkeypatch.setattr(verdict, "is_square",
+                        lambda n: squares.append(n) or real_is_square(n))
 
     def forbidden(n):
         raise AssertionError("a Fermat prime was proved prime again")
 
     monkeypatch.setattr(orbit, "is_prime", forbidden)
     report = jr_verdict(12, 5)
-    assert decided == [(report.hypothesis.params, 5)]
+    assert decided == [] and squares == [12]
+    assert (report.strict, report.strict_witness) == (eager.strict, eager.witness)
     assert list(report.obstructions) == expected
     assert report.conclusion == THEOREM_APPLIES
 
@@ -852,17 +861,99 @@ def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
 
 def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
     """The residue guard still fires inside the verdict, on the 2-adic
-    data that the hypothesis check hands it."""
-    real = verdict.tower_params
-
-    def forged(nu):
-        params = real(nu)
-        object.__setattr__(params, "two_adic_valuation", 4)
-        return params
-
-    monkeypatch.setattr(verdict, "tower_params", forged)
+    split that the verdict reads, forged past the split's own check."""
+    real = verdict.split_two_part
+    monkeypatch.setattr(verdict, "split_two_part",
+                        lambda nu: (4, real(nu)[1]) if nu == 12 else real(nu))
+    monkeypatch.setattr(verdict, "_check_decomposition", lambda nu, v, mu: None)
     with pytest.raises(InvariantFailure, match=r"2\^4 \(mod 2\^5\) fails at nu = 12"):
         jr_verdict(12, 5)
+
+
+@pytest.mark.parametrize("split", [(2, 5), (0, 12)])
+def test_jr_verdict_split_guard_fires_on_a_forged_split(monkeypatch, split):
+    """TowerParams' 2-adic check runs inside the verdict, on the split it
+    reads, with no TowerParams built: a forged (v, mu) whose product is
+    not nu, or whose mu is even, raises."""
+    real = verdict.split_two_part
+    monkeypatch.setattr(verdict, "split_two_part",
+                        lambda nu: split if nu == 12 else real(nu))
+    with pytest.raises(InvariantFailure, match="broken 2-adic decomposition"):
+        jr_verdict(12, 5)
+
+
+@pytest.mark.parametrize("kernel, message", [
+    (3, "kernel does not divide nu into a square"),
+    (5, "universal scope without a 3/7 kernel"),
+])
+def test_jr_verdict_kernel_guard_fires_on_a_forged_kernel(monkeypatch, kernel, message):
+    """nu = 652 passes every clause with a finite scope. A kernel search
+    that claims a universal kernel makes the verdict raise, through the
+    ResidueCertificate it builds for a universal scope alone."""
+    assert jr_verdict(652, 5).scope == "finite"
+    monkeypatch.setattr(verdict, "_kernel_basis", lambda nu: kernel)
+    with pytest.raises(InvariantFailure, match=message):
+        jr_verdict(652, 5)
+
+
+@pytest.mark.parametrize("effort, top", [(EFFORT_QUICK, 2000), (EFFORT_DEFAULT, 300)])
+def test_records_rendered_on_read_match_the_eager_builders(effort, top):
+    """The hypothesis, sqrt(2) and strictness records a report renders
+    from its key equal those the public builders make from nu."""
+    seen = set()
+    for nu in range(2, top + 1):
+        report = jr_verdict(nu, 5, effort)
+        params = tower_params(nu)
+        hypothesis = report.hypothesis
+        assert hypothesis == hypothesis_check(nu, effort), nu
+        assert hypothesis.params == params, nu
+        assert report.scope == hypothesis.scope, nu
+        assert report.sqrt2 == sqrt2_free_certificate(params), nu
+        eager = gap_strictness(params, report.depth)
+        assert (report.strict, report.strict_witness) == (eager.strict, eager.witness), nu
+        seen.add((report.scope, report.sqrt2.certified, report.strict))
+    assert {("universal", True, True), (None, False, False), (None, True, True),
+            (None, False, True)} <= seen
+    assert "finite" in {scope for scope, _, _ in seen}
+
+
+def _jrtower_record_classes():
+    from jrtower._record import Record
+
+    found, stack = [], [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("jrtower."):
+                found.append(sub)
+    return found
+
+
+def test_a_verdict_and_a_scan_row_build_one_record(monkeypatch):
+    """Each verdict builds its VerdictReport, and a ResidueCertificate
+    only for a universal scope; a scan row reads the report and builds
+    nothing more."""
+    built = []
+    for cls in _jrtower_record_classes():
+        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    universal = 0
+    for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
+        for nu in range(2, 401):
+            kernel = any(nu % q == 0 and math.isqrt(nu // q) ** 2 == nu // q for q in (3, 7))
+            scope_universal = kernel and all(jacobi(nu, p) == -1 for p in FERMAT_ABOVE_3)
+            expected = ["ResidueCertificate"] * scope_universal + ["VerdictReport"]
+            del built[:]
+            jr_verdict(nu, 5, effort)
+            assert built == expected, nu
+            del built[:]
+            cli._scan_row(nu, effort)
+            assert built == expected, nu
+            universal += scope_universal
+    assert universal > 5
 
 
 def test_euler_criterion_and_orbit_walk_agree_with_exclusions():
@@ -942,15 +1033,15 @@ def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
 
 def test_hypothesis_check_bundle():
     hyp = hypothesis_check(12)
-    assert hyp.passed
+    assert all(hyp.outcomes)
     assert hyp.scope == "universal"
     assert [ok for _, ok in hyp.clauses] == [True, True, True, True]
     hyp = hypothesis_check(8)
-    assert not hyp.passed
+    assert not all(hyp.outcomes)
     assert hyp.failed_prime == 17
     assert [ok for _, ok in hyp.clauses].count(False) == 3
     hyp = hypothesis_check(20)
-    assert not hyp.passed
+    assert not all(hyp.outcomes)
     assert hyp.failed_prime == 5
 
 
@@ -1043,9 +1134,10 @@ def test_statements_rendered_on_read_match_the_eager_builder(effort, top, counts
 
 def test_the_bound_and_statements_are_not_fields():
     assert VerdictReport._fields == (
-        "nu", "depth", "hypothesis", "strict", "strict_witness", "sqrt2",
+        "nu", "depth", "outcomes", "symbols", "mu_not_squarefree", "kernel_basis",
         "conclusion", "finite_scope_caveat")
-    for name in ("alpha", "jr_upper", "statements"):
+    for name in ("hypothesis", "strict", "strict_witness", "sqrt2", "alpha",
+                 "jr_upper", "statements"):
         assert isinstance(getattr(VerdictReport, name), property), name
 
 
@@ -1125,8 +1217,9 @@ def test_ceiling_and_bound_agree_with_an_isqrt_oracle(nu):
     reads nu only, so the other fields are placeholders."""
     c = verdict._surd_ceil(1, 1, 1 + 4 * nu, 2)
     assert c == alpha_surd(nu).ceil() == _ceil_alpha_oracle(nu)
-    report = VerdictReport(nu, 5, None, True, None, None, INCONCLUSIVE, False)
+    report = VerdictReport(nu, 5, (False,) * 4, (0,) * 4, None, None, INCONCLUSIVE, False)
     assert report.jr_upper.decimal(6) == _upper_decimal_oracle(nu)
+    assert report.jr_upper_decimal == _upper_decimal_oracle(nu)
     assert report.statements == ()
 
 
