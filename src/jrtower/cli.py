@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .discriminant import RESULTANT_CAP, discriminant_report
 from .factor import EFFORT_PRESETS, EFFORT_QUICK, Effort
+from .intmath import split_two_part
 from .orbit import constant_terms, tower_strict, valuation_profile
 from .residue import (
     PEPIN_CAP,
@@ -27,7 +28,6 @@ from .residue import (
     nonresidue_37_check,
 )
 from .verdict import (
-    THEOREM_APPLIES,
     constructible_order,
     cos_minpoly,
     jr_verdict,
@@ -91,11 +91,11 @@ def _effort(args) -> Effort:
 
 def _render_verdict(report) -> str:
     lines = [f"JR verdict for nu = {report.nu} (depth {report.depth})"]
-    hypothesis, sqrt2 = report.hypothesis, report.sqrt2
-    params = hypothesis.params
+    hypothesis = report.hypothesis
+    v, mu = split_two_part(report.nu)
     lines.append(
-        f"  decomposition: nu = 2^{params.two_adic_valuation} * {params.mu}"
-        f"{' (perfect square)' if params.is_square else ''}"
+        f"  decomposition: nu = 2^{v} * {mu}"
+        f"{'' if report.strict else ' (perfect square)'}"
     )
     for name, ok in hypothesis.clauses:
         mark = "pass" if ok else "FAIL"
@@ -112,9 +112,10 @@ def _render_verdict(report) -> str:
     )
     lines.append(
         "  sqrt(2) exclusion: "
-        + ("certified" if sqrt2.certified else f"not certified ({sqrt2.reason})")
+        + ("certified" if report.sqrt2_certified
+           else f"not certified ({report.sqrt2_reason})")
     )
-    if sqrt2.certified and report.mu_not_squarefree:
+    if report.sqrt2_certified and report.mu_not_squarefree:
         lines.append("  note: odd part of nu is not square-free (uncharted territory flag)")
     for ob in report.obstructions:
         detail = "" if ob.status == "excluded" else f" ({ob.reason})"
@@ -157,10 +158,9 @@ def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
     flags = []
     if report.finite_scope_caveat:
         flags.append("finite-scope-caveat")
-    # sqrt(2) is certified iff the first three clauses pass (see jr_verdict).
-    if report.mu_not_squarefree and all(report.outcomes[:3]):
+    if report.mu_not_squarefree and report.sqrt2_certified:
         flags.append("mu-not-squarefree")
-    if report.conclusion != THEOREM_APPLIES:
+    if not report.conclusive:
         flags.append(_reason_flags(report.reasons))
     return (str(nu), report.conclusion, report.scope or "none",
             report.jr_upper_decimal, "|".join(flags))

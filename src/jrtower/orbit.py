@@ -51,7 +51,7 @@ class TowerParams(Record):
 
 def _check_decomposition(nu: int, v: int, mu: int) -> None:
     """Raise unless nu = 2^v * mu with mu odd: TowerParams' check, which
-    jr_verdict runs on its split of nu without building the record."""
+    verdict._decide runs on its split of nu without building the record."""
     if 2**v * mu != nu or mu % 2 == 0:
         raise InvariantFailure("broken 2-adic decomposition")
 

@@ -5,8 +5,8 @@ contains Q(sqrt p); if nu is a quadratic non-residue mod p, the orbit of
 0 under t -> t^2 - nu never vanishes mod p and sqrt(p) stays out of the
 whole tower. This module certifies the non-residue inputs. The verdict
 reads each symbol (nu|p) from residue_table, one per-process table for
-each known Fermat prime, and jr_verdict re-checks every -1 by Euler's
-criterion. The certificate covers every Fermat prime at once when
+each known Fermat prime, and re-checks every -1 by Euler's criterion
+(see verdict._decide). The certificate covers every Fermat prime at once when
 nu = q * s^2 with q in {3, 7}, which two exact tests decide (q | nu,
 and nu / q is a perfect square), with no factoring. jacobi serves
 residue_certificate, fermat_obstruction and nonresidue_37_check.

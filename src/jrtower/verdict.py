@@ -36,7 +36,6 @@ from .intmath import is_square, split_two_part
 from .orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
-    TowerParams,
     _check_decomposition,
     constant_terms,
     gap_strictness,
@@ -44,7 +43,6 @@ from .orbit import (
     tower_params,
 )
 from .residue import (
-    ResidueCertificate,
     _fermat_primes_above_3,
     _first_failure,
     _kernel_basis,
@@ -54,7 +52,6 @@ from .residue import (
     known_fermat_primes,
 )
 from .squareclasses import (
-    Sqrt2Certificate,
     _sqrt2_reason,
     contains_sqrt,
     two_independent,
@@ -610,22 +607,21 @@ CLAUSE_NAMES = (
 
 
 class HypothesisReport(Record):
-    """Clause-by-clause check of the theorem's shape hypotheses on nu.
+    """Clause-by-clause check of the theorem's shape hypotheses on nu:
+    nu and the key that _decide returns for it.
 
     outcomes holds whether each clause of CLAUSE_NAMES passed, in that
-    order; the (name, passed) pairs of clauses are built from it on read.
-    symbols holds (nu|p) for the known Fermat primes p > 3, in order,
-    read from the residue tables; the obstruction chains are rendered
-    from them.
+    order; symbols holds (nu|p) for the known Fermat primes p > 3, in
+    order, from the residue tables; kernel_basis is the universal
+    residue kernel, 3 or 7, else None. The rest renders on read;
+    tower_params(nu) and residue_certificate(nu) build the records.
     """
 
     nu: int
-    params: TowerParams
     outcomes: tuple[bool, ...]
-    residue: ResidueCertificate | None
-    failed_prime: int | None
-    mu_not_squarefree: bool | None
     symbols: tuple[int, ...]
+    mu_not_squarefree: bool | None
+    kernel_basis: int | None
 
     @property
     def clauses(self) -> tuple[tuple[str, bool], ...]:
@@ -633,48 +629,69 @@ class HypothesisReport(Record):
 
     @property
     def scope(self) -> str | None:
-        return self.residue.scope if self.residue else None
+        """The residue certificate's scope: None when it failed."""
+        if not self.outcomes[3]:
+            return None
+        return "finite" if self.kernel_basis is None else "universal"
+
+    @property
+    def failed_prime(self) -> int | None:
+        """The least Fermat prime p > 3 with (nu|p) != -1, or None."""
+        return None if self.outcomes[3] else _first_failure(self.symbols)[0]
+
+    def to_json(self) -> dict:
+        return {
+            "clauses": [[name, ok] for name, ok in self.clauses],
+            "scope": self.scope,
+            "failed_prime": self.failed_prime,
+            "mu_not_squarefree": self.mu_not_squarefree,
+        }
 
 
 def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisReport:
     """Check nu = 2^(2m) * mu, m >= 1, mu odd >= 3, nu non-square, and
     the Fermat-prime residue certificate.
 
-    Certificate failure is folded into a failed clause (with the
-    smallest violating prime recorded), not an exception. The
-    mu_not_squarefree flag comes from trial division of mu up to
-    effort.trial_bound and the cube-root lemma (see
+    The report holds the key _decide returns, after every guard it
+    runs. Certificate failure is folded into a failed clause (with the
+    smallest violating prime rendered as failed_prime), not an
+    exception. The mu_not_squarefree flag comes from trial division of
+    mu up to effort.trial_bound and the cube-root lemma (see
     factor._has_square_factor); effort bounds only the factorization
     it falls back to when mu's rest exceeds trial_bound^3.
     """
-    return _hypothesis_report(nu, *_decide(nu, effort))
+    return HypothesisReport(nu, *_decide(nu, effort))
 
 
 def _decide(nu: int, effort: Effort) -> tuple:
-    """The decisions of hypothesis_check and jr_verdict: (v, mu,
-    outcomes, symbols, mu_not_squarefree, kernel_basis), nu = 2^v * mu
-    checked, kernel_basis None unless every symbol is -1."""
+    """The key of hypothesis_check and jr_verdict: (outcomes, symbols,
+    mu_not_squarefree, kernel_basis), kernel_basis None unless every
+    symbol is -1 and nu is 3 or 7 times a square.
+
+    The guards of the records the key stands for run here, once each:
+    the 2-adic split nu = 2^v * mu of TowerParams, the sqrt(2) fixed
+    point mod 2^(v+1) of sqrt2_free_certificate, the kernel check of a
+    universal ResidueCertificate (the one record built here), and
+    Euler's criterion on each -1 symbol of a strict nu, on which its
+    obstruction chain rests.
+    """
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
     v, mu = split_two_part(nu)
     _check_decomposition(nu, v, mu)
+    strict = not is_square(nu)
+    _sqrt2_reason(nu, v, mu, not strict)
     symbols = fermat_symbols(nu)
     certified = symbols.count(-1) == len(symbols)
-    outcomes = (v >= 2 and v % 2 == 0, mu >= 3, not is_square(nu), certified)
-    return (v, mu, outcomes, symbols, _has_square_factor(mu, effort),
-            _kernel_basis(nu) if certified else None)
-
-
-def _hypothesis_report(nu, v, mu, outcomes, symbols, mu_not_squarefree,
-                       kernel_basis) -> HypothesisReport:
-    """The HypothesisReport of the decisions _decide returns."""
-    certified = outcomes[3]
-    return HypothesisReport(
-        nu, TowerParams(nu, v, mu, not outcomes[2]), outcomes,
-        _residue_certificate(nu, kernel_basis) if certified else None,
-        None if certified else _first_failure(symbols)[0],
-        mu_not_squarefree, symbols,
-    )
+    kernel_basis = _kernel_basis(nu) if certified else None
+    if kernel_basis is not None:
+        _residue_certificate(nu, kernel_basis)
+    if strict:
+        for p, j in zip(_fermat_primes_above_3(), symbols):
+            if j == -1:
+                _euler_guard(nu, p)
+    outcomes = (v >= 2 and v % 2 == 0, mu >= 3, strict, certified)
+    return outcomes, symbols, _has_square_factor(mu, effort), kernel_basis
 
 
 # The floor rule used in VerdictReport.statements: every ring of totally
@@ -689,13 +706,13 @@ _KRONECKER_NOTE = (
 
 
 class VerdictReport(Record):
-    """The JR classification of one nu: the key jr_verdict decided.
+    """The JR classification of one nu: its depth and the key that
+    _decide returns, whose fields are HypothesisReport's.
 
-    outcomes, symbols and mu_not_squarefree are the hypothesis check's;
-    kernel_basis is the universal residue kernel, 3 or 7, else None.
-    The rest renders from the key on read: the hypothesis, strictness,
-    sqrt(2) and FermatObstruction records, the reasons, alpha, jr_upper
-    and the statements.
+    Everything else renders from the key on read: the conclusion, the
+    finite-scope caveat, the hypothesis report, the scope, strictness,
+    the sqrt(2) verdict and reason, the FermatObstruction records, the
+    reasons, alpha, jr_upper and the statements.
     """
 
     nu: int
@@ -704,26 +721,32 @@ class VerdictReport(Record):
     symbols: tuple[int, ...]
     mu_not_squarefree: bool | None
     kernel_basis: int | None
-    conclusion: str
-    finite_scope_caveat: bool
 
     @property
     def conclusive(self) -> bool:
-        return self.conclusion == THEOREM_APPLIES
+        """The theorem applies iff the hypothesis passes, the tower is
+        strict, sqrt(2) is certified absent and every obstruction is
+        excluded. The tower is strict iff outcomes[2] (the gap lemma),
+        sqrt(2) certified iff outcomes[0..2] (see sqrt2_certified) and an
+        obstruction excluded iff its symbol is -1, as outcomes[3] asks."""
+        return all(self.outcomes)
+
+    @property
+    def conclusion(self) -> str:
+        return THEOREM_APPLIES if self.conclusive else INCONCLUSIVE
+
+    @property
+    def finite_scope_caveat(self) -> bool:
+        """The theorem applies, but the residue certificate covers only
+        the known Fermat primes."""
+        return self.conclusive and self.kernel_basis is None
 
     @property
     def hypothesis(self) -> HypothesisReport:
-        return _hypothesis_report(
-            self.nu, *split_two_part(self.nu), self.outcomes, self.symbols,
-            self.mu_not_squarefree, self.kernel_basis,
-        )
+        return HypothesisReport(self.nu, self.outcomes, self.symbols,
+                                self.mu_not_squarefree, self.kernel_basis)
 
-    @property
-    def scope(self) -> str | None:
-        """hypothesis.scope: None when the residue certificate failed."""
-        if not self.outcomes[3]:
-            return None
-        return "finite" if self.kernel_basis is None else "universal"
+    scope = HypothesisReport.scope
 
     @property
     def strict(self) -> bool:
@@ -735,11 +758,18 @@ class VerdictReport(Record):
         return None if self.strict else 1
 
     @property
-    def sqrt2(self) -> Sqrt2Certificate:
-        reason = self._sqrt2_reason()
-        return Sqrt2Certificate(self.nu, reason is None, reason)
+    def sqrt2_certified(self) -> bool:
+        """sqrt(2) lies in no level: by the 2-adic argument (see
+        sqrt2_free_certificate), iff v2(nu) is even and at least 2,
+        mu >= 3 and nu is not a square, the first three clauses."""
+        return self.outcomes[0] and self.outcomes[1] and self.outcomes[2]
 
-    def _sqrt2_reason(self) -> str | None:
+    @property
+    def sqrt2_reason(self) -> str | None:
+        """Why sqrt2_free_certificate refuses nu, or None. A refused shape
+        is named before the fixed-point guard, which _decide ran."""
+        if self.sqrt2_certified:
+            return None
         return _sqrt2_reason(self.nu, *split_two_part(self.nu), not self.outcomes[2])
 
     @property
@@ -777,20 +807,16 @@ class VerdictReport(Record):
     @property
     def reasons(self) -> tuple[str, ...]:
         """The failed checks as text: () iff the report is conclusive."""
-        return _reasons(self.outcomes, self._sqrt2_reason(),
+        return _reasons(self.outcomes, self.sqrt2_reason,
                         self.symbols if self.strict else ())
 
     @property
     def statements(self) -> tuple[str, ...]:
         """What the theorem asserts for nu, or () when it does not apply."""
-        if self.conclusion != THEOREM_APPLIES:
+        if not self.conclusive:
             return ()
-        scope_note = (
-            " (conditional on no unknown Fermat prime violating the "
-            "residue condition)"
-            if self.finite_scope_caveat
-            else ""
-        )
+        scope_note = (" (conditional on no unknown Fermat prime violating the "
+                      "residue condition)" if self.finite_scope_caveat else "")
         bound = self.jr_upper_decimal
         return (
             "the set of totally positive window bounds is not {+inf}: "
@@ -803,21 +829,15 @@ class VerdictReport(Record):
         )
 
     def to_json(self) -> dict:
-        hypothesis, sqrt2 = self.hypothesis, self.sqrt2
         alpha, upper = self.alpha_and_upper()
         return {
             "nu": self.nu,
             "depth": self.depth,
-            "hypothesis": {
-                "clauses": [[name, ok] for name, ok in hypothesis.clauses],
-                "scope": hypothesis.scope,
-                "failed_prime": hypothesis.failed_prime,
-                "mu_not_squarefree": hypothesis.mu_not_squarefree,
-            },
+            "hypothesis": self.hypothesis.to_json(),
             "strict": self.strict,
             "strict_witness": self.strict_witness,
-            "sqrt2_certified": sqrt2.certified,
-            "sqrt2_reason": sqrt2.reason,
+            "sqrt2_certified": self.sqrt2_certified,
+            "sqrt2_reason": self.sqrt2_reason,
             "obstructions": [
                 {"p": ob.p, "status": ob.status, "reason": ob.reason,
                  "chain": list(ob.chain)}
@@ -865,23 +885,15 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
     is built. depth is the level the report names.
 
-    It builds the report, the decided key, and only for a universal
-    scope a ResidueCertificate, which re-checks the kernel; the rest
-    renders on read (see VerdictReport). The guards of the records it
-    skips run here, once: the 2-adic split, the sqrt(2) fixed point,
-    Euler's criterion on each -1 symbol of a strict nu, and the floor 4.
+    The report holds depth and the key _decide returns, after the
+    guards _decide runs; only a universal scope builds one more record,
+    the ResidueCertificate that re-checks the kernel. The rest renders
+    on read (see VerdictReport). The one guard left here is the bound's
+    floor 4.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
-    v, mu, outcomes, symbols, mu_not_squarefree, kernel_basis = _decide(nu, effort)
-    # Run for their guards only: the reason and the certificate render on read.
-    _sqrt2_reason(nu, v, mu, not outcomes[2])
-    if kernel_basis is not None:
-        _residue_certificate(nu, kernel_basis)
-    if outcomes[2]:
-        for p, j in zip(_fermat_primes_above_3(), symbols):
-            if j == -1:
-                _euler_guard(nu, p)
+    key = _decide(nu, effort)
     # The translates n + alpha are infinitely many totally positive
     # elements with conjugates inside (0, ceil(alpha) + alpha], the
     # jr_upper a report renders on read from alpha_surd(nu), whose
@@ -894,21 +906,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     D = 1 + 4 * nu
     if 2 * _surd_ceil(1, 1, D, 2) + 1 + isqrt(D) < 8:
         raise InvariantFailure("JR upper bound fell below the floor 4")
-
-    # The theorem applies iff the hypothesis passes, the tower is strict
-    # and sqrt(2) is certified absent. By the gap lemma the tower is
-    # strict iff nu is not a square, outcomes[2]; by the 2-adic argument
-    # sqrt(2) is certified iff v2(nu) is even and at least 2, mu >= 3 and
-    # nu is not a square, outcomes[0], [1] and [2]. So both follow from
-    # the hypothesis, and it applies iff all four outcomes hold. An
-    # obstruction is excluded iff its symbol is -1, which outcomes[3]
-    # asks of all four.
-    applies = all(outcomes)
-    return VerdictReport(
-        nu, depth, outcomes, symbols, mu_not_squarefree, kernel_basis,
-        THEOREM_APPLIES if applies else INCONCLUSIVE,
-        applies and kernel_basis is None,
-    )
+    return VerdictReport(nu, depth, *key)
 
 
 # ---------------------------------------------------------------------------

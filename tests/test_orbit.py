@@ -1,9 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from jrtower import orbit
-from jrtower.errors import ResourceLimitError
+from jrtower.errors import InvariantFailure, ResourceLimitError
 from jrtower.orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
@@ -69,6 +70,31 @@ def test_sequence_cap_enforced():
 def test_orbit_sequence_validates_recursion():
     with pytest.raises(Exception):
         OrbitSequence(nu=12, c=(12, 133), ell=(144, 17689))
+
+
+@pytest.mark.parametrize("nu, c, ell, message", [
+    (2, (3,), (4,), "orbit sequence seeded incorrectly"),
+    (2, (2, 3), (4, 4), "c recursion broken at index 2"),
+    (2, (2, 2), (4, 5), "ell recursion broken at index 2"),
+    (1, (1, 0), (1, 0), "c_2 not positive"),
+])
+def test_orbit_sequence_guards_fire_on_forged_fields(nu, c, ell, message):
+    """Each check of an OrbitSequence fires on fields that break it alone;
+    nu = 1 (below constant_terms' domain) keeps both recursions and
+    reaches c_2 = 0."""
+    with pytest.raises(InvariantFailure, match=message):
+        OrbitSequence(nu, c, ell)
+
+
+@pytest.mark.parametrize("c, message", [
+    ((3, 9), r"valuation pattern broken at nu=3, p=3, n=2: v_p = 2, expected 1"),
+    ((3, 12), r"orbit congruence broken at nu=3, m=1, n=2"),
+])
+def test_valuation_profile_guards_fire_on_a_forged_orbit(c, message):
+    """valuation_profile reads only nu and c: c_2 = 9 breaks v_3(c_n) = 1,
+    and c_2 = 12 keeps it but breaks c_2 = c_1 = -3 (mod c_1^2)."""
+    with pytest.raises(InvariantFailure, match=message):
+        valuation_profile(SimpleNamespace(nu=3, c=c), 3)
 
 
 def test_iterate_poly_matches_pointwise_iteration():

@@ -155,17 +155,20 @@ def test_every_jrtower_record_is_slotted_and_frozen():
 
 def _verdict_path_records():
     from jrtower.factor import factorize
-    from jrtower.orbit import gap_strictness
+    from jrtower.orbit import gap_strictness, tower_params
+    from jrtower.residue import residue_certificate
+    from jrtower.squareclasses import sqrt2_free_certificate
 
     values = [Effort(), EFFORT_QUICK, factorize(2**4 * 3**2 * 1009),
               factorize(2**67 - 1, EFFORT_QUICK), TreeAutomorphism(2, (1, 0, 1))]
     for nu in (12, 20, 8):
         report = jr_verdict(nu, 5, EFFORT_QUICK)
-        hyp = report.hypothesis
-        values += [report, hyp, hyp.params, report.sqrt2, *report.obstructions,
-                   report.alpha, report.jr_upper, gap_strictness(hyp.params, 5)]
-        if hyp.residue is not None:
-            values.append(hyp.residue)
+        params = tower_params(nu)
+        values += [report, report.hypothesis, params, sqrt2_free_certificate(params),
+                   *report.obstructions, report.alpha, report.jr_upper,
+                   gap_strictness(params, 5)]
+        if report.scope is not None:
+            values.append(residue_certificate(nu))
     return values
 
 

@@ -111,6 +111,40 @@ def test_known_fermat_primes_recertified():
     assert known_fermat_primes() == (3, 5, 17, 257, 65537)
 
 
+def test_fermat_number_guard_fires_on_a_wrong_value():
+    with pytest.raises(InvariantFailure, match="not a Fermat number"):
+        residue.FermatNumber(2, 16, PROVEN_PRIME)
+
+
+def test_known_fermat_primes_guard_fires_when_pepin_disagrees(monkeypatch):
+    """Run uncached, so the process's list is neither read nor replaced."""
+    real = residue.pepin_test
+    monkeypatch.setattr(residue, "pepin_test",
+                        lambda k: PROVEN_COMPOSITE if k == 4 else real(k))
+    with pytest.raises(InvariantFailure,
+                       match="Pepin disagrees with the known Fermat prime list"):
+        known_fermat_primes.__wrapped__()
+    monkeypatch.undo()
+    assert known_fermat_primes() == (3, 5, 17, 257, 65537)
+
+
+def test_fermat_mod_pattern_guard_fires_on_a_forged_power(monkeypatch):
+    """A pow that returns 1 gives F mod 7 = F mod 3 = 2, off the pattern."""
+    monkeypatch.setattr(residue, "pow", lambda base, exp, mod: 1, raising=False)
+    with pytest.raises(InvariantFailure,
+                       match=r"Fermat residue pattern broken at index 1: \(2, 2\)"):
+        fermat_mod_pattern(1)
+
+
+def test_nonresidue_37_guard_fires_on_a_forged_symbol(monkeypatch):
+    """A jacobi that flips (p|3) and (p|7) breaks (q|p)(p|q) = 1."""
+    real = residue.jacobi
+    monkeypatch.setattr(residue, "jacobi",
+                        lambda a, n: -real(a, n) if n in (3, 7) else real(a, n))
+    with pytest.raises(InvariantFailure, match="reciprocity identity failed at p = 5"):
+        nonresidue_37_check(5)
+
+
 def test_fermat_mod_pattern_through_index_30():
     for n in range(1, 31):
         m7, m3 = fermat_mod_pattern(n)
@@ -221,7 +255,7 @@ def test_universal_scope_needs_no_factorization_of_mu(q):
     report = jr_verdict(nu, 5, EFFORT_QUICK)
     assert report.conclusion == THEOREM_APPLIES
     assert report.hypothesis.scope == "universal"
-    assert report.hypothesis.residue.kernel_basis == q
+    assert report.kernel_basis == residue_certificate(nu).kernel_basis == q
     assert not report.finite_scope_caveat
 
 

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrtower import cli, verdict
-from jrtower.errors import InvariantFailure, PreconditionError, ResourceLimitError
+from jrtower.errors import (
+    CertificateFailure,
+    InvariantFailure,
+    PreconditionError,
+    ResourceLimitError,
+)
 from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
 from jrtower.orbit import (
     ITERATE_CAP,
@@ -20,7 +25,7 @@ from jrtower.orbit import (
     tower_params,
     tower_strict,
 )
-from jrtower.residue import jacobi
+from jrtower.residue import jacobi, residue_certificate
 from jrtower.squareclasses import sqrt2_free_certificate
 from jrtower.verdict import (
     COS_M_CAP,
@@ -754,8 +759,8 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
 @pytest.mark.parametrize("nu, p", [(13, 17), (8, 17), (52, 17), (20, 5)])
 def test_jr_verdict_guard_fires_on_a_forged_table_entry(monkeypatch, nu, p):
     """A residue table that reads -1 where (nu|p) is 1 or 0 makes the
-    verdict itself raise: Euler's criterion re-checks every -1 of a
-    strict nu before the conclusion rests on it, with no obstruction read."""
+    verdict and the hypothesis check raise: Euler's criterion re-checks
+    every -1 of a strict nu in _decide, with no obstruction read."""
     from jrtower import residue
 
     real = residue.residue_table
@@ -773,8 +778,10 @@ def test_jr_verdict_guard_fires_on_a_forged_table_entry(monkeypatch, nu, p):
     assert jacobi(nu, p) != -1
     monkeypatch.setattr(residue, "residue_table", forged)
     monkeypatch.setattr(VerdictReport, "obstructions", property(unread))
-    with pytest.raises(InvariantFailure, match=rf"Euler's criterion disagrees with jacobi\({nu}, {p}\)"):
-        jr_verdict(nu, 5, EFFORT_QUICK)
+    for decide in (jr_verdict, hypothesis_check):
+        with pytest.raises(InvariantFailure,
+                           match=rf"Euler's criterion disagrees with jacobi\({nu}, {p}\)"):
+            decide(nu, effort=EFFORT_QUICK)
 
 
 def test_fermat_obstruction_inconclusive_cases():
@@ -844,7 +851,7 @@ def test_jr_verdict_builds_no_orbit(monkeypatch, nus, depths):
             report = jr_verdict(nu, depth, EFFORT_QUICK)
             assert report.depth == depth
             assert report.strict == (math.isqrt(nu) ** 2 != nu), nu
-            certified += report.sqrt2.certified
+            certified += report.sqrt2_certified
     assert spies == [[], [], []]
     assert certified > 0
 
@@ -860,26 +867,28 @@ def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
 
 
 def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
-    """The residue guard still fires inside the verdict, on the 2-adic
-    split that the verdict reads, forged past the split's own check."""
+    """The sqrt(2) guard still fires inside the verdict and the hypothesis
+    check, on the 2-adic split they read, forged past the split's own check."""
     real = verdict.split_two_part
     monkeypatch.setattr(verdict, "split_two_part",
                         lambda nu: (4, real(nu)[1]) if nu == 12 else real(nu))
     monkeypatch.setattr(verdict, "_check_decomposition", lambda nu, v, mu: None)
-    with pytest.raises(InvariantFailure, match=r"2\^4 \(mod 2\^5\) fails at nu = 12"):
-        jr_verdict(12, 5)
+    for decide in (jr_verdict, hypothesis_check):
+        with pytest.raises(InvariantFailure, match=r"2\^4 \(mod 2\^5\) fails at nu = 12"):
+            decide(12)
 
 
 @pytest.mark.parametrize("split", [(2, 5), (0, 12)])
 def test_jr_verdict_split_guard_fires_on_a_forged_split(monkeypatch, split):
-    """TowerParams' 2-adic check runs inside the verdict, on the split it
-    reads, with no TowerParams built: a forged (v, mu) whose product is
-    not nu, or whose mu is even, raises."""
+    """TowerParams' 2-adic check runs inside the verdict and the
+    hypothesis check, on the split they read, with no TowerParams built:
+    a forged (v, mu) whose product is not nu, or whose mu is even, raises."""
     real = verdict.split_two_part
     monkeypatch.setattr(verdict, "split_two_part",
                         lambda nu: split if nu == 12 else real(nu))
-    with pytest.raises(InvariantFailure, match="broken 2-adic decomposition"):
-        jr_verdict(12, 5)
+    for decide in (jr_verdict, hypothesis_check):
+        with pytest.raises(InvariantFailure, match="broken 2-adic decomposition"):
+            decide(12)
 
 
 @pytest.mark.parametrize("kernel, message", [
@@ -888,30 +897,43 @@ def test_jr_verdict_split_guard_fires_on_a_forged_split(monkeypatch, split):
 ])
 def test_jr_verdict_kernel_guard_fires_on_a_forged_kernel(monkeypatch, kernel, message):
     """nu = 652 passes every clause with a finite scope. A kernel search
-    that claims a universal kernel makes the verdict raise, through the
-    ResidueCertificate it builds for a universal scope alone."""
+    that claims a universal kernel makes the verdict and the hypothesis
+    check raise, through the ResidueCertificate built for a universal
+    scope alone."""
     assert jr_verdict(652, 5).scope == "finite"
     monkeypatch.setattr(verdict, "_kernel_basis", lambda nu: kernel)
-    with pytest.raises(InvariantFailure, match=message):
-        jr_verdict(652, 5)
+    for decide in (jr_verdict, hypothesis_check):
+        with pytest.raises(InvariantFailure, match=message):
+            decide(652)
 
 
 @pytest.mark.parametrize("effort, top", [(EFFORT_QUICK, 2000), (EFFORT_DEFAULT, 300)])
 def test_records_rendered_on_read_match_the_eager_builders(effort, top):
-    """The hypothesis, sqrt(2) and strictness records a report renders
-    from its key equal those the public builders make from nu."""
+    """The hypothesis, residue, sqrt(2) and strictness facts a report
+    renders from its key equal those the public functions make from nu."""
     seen = set()
     for nu in range(2, top + 1):
         report = jr_verdict(nu, 5, effort)
         params = tower_params(nu)
         hypothesis = report.hypothesis
         assert hypothesis == hypothesis_check(nu, effort), nu
-        assert hypothesis.params == params, nu
+        v = params.two_adic_valuation
+        assert report.outcomes[:3] == (v >= 2 and v % 2 == 0, params.mu >= 3,
+                                       not params.is_square), nu
         assert report.scope == hypothesis.scope, nu
-        assert report.sqrt2 == sqrt2_free_certificate(params), nu
+        try:
+            cert = residue_certificate(nu)
+        except CertificateFailure as failure:
+            assert (report.scope, hypothesis.failed_prime) == (None, failure.prime), nu
+        else:
+            assert (report.scope, report.kernel_basis) == (cert.scope, cert.kernel_basis), nu
+            assert hypothesis.failed_prime is None, nu
+        sqrt2 = sqrt2_free_certificate(params)
+        assert (report.sqrt2_certified, report.sqrt2_reason) == (sqrt2.certified,
+                                                                 sqrt2.reason), nu
         eager = gap_strictness(params, report.depth)
         assert (report.strict, report.strict_witness) == (eager.strict, eager.witness), nu
-        seen.add((report.scope, report.sqrt2.certified, report.strict))
+        seen.add((report.scope, report.sqrt2_certified, report.strict))
     assert {("universal", True, True), (None, False, False), (None, True, True),
             (None, False, True)} <= seen
     assert "finite" in {scope for scope, _, _ in seen}
@@ -954,6 +976,33 @@ def test_a_verdict_and_a_scan_row_build_one_record(monkeypatch):
             assert built == expected, nu
             universal += scope_universal
     assert universal > 5
+
+
+def test_a_read_builds_only_what_it_prints(monkeypatch):
+    """to_json, the human rendering and a scan row read the decided key:
+    none builds a TowerParams, ResidueCertificate or Sqrt2Certificate,
+    twins of facts the key holds, and a scan row builds nothing beyond
+    its verdict."""
+    reports = [jr_verdict(nu, 5, effort)
+               for effort in (EFFORT_QUICK, EFFORT_DEFAULT) for nu in range(2, 401)]
+    built = []
+    for cls in _jrtower_record_classes():
+        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    read = set()
+    for report in reports:
+        del built[:]
+        monkeypatch.setattr(cli, "jr_verdict", lambda nu, effort, _report=report: _report)
+        cli._scan_row(report.nu, EFFORT_QUICK)
+        assert built == [], report.nu
+        report.to_json()
+        cli._render_verdict(report)
+        read.update(built)
+    assert {"HypothesisReport", "FermatObstruction", "QuadraticSurd"} <= read
+    assert not read & {"TowerParams", "ResidueCertificate", "Sqrt2Certificate"}
 
 
 def test_euler_criterion_and_orbit_walk_agree_with_exclusions():
@@ -1056,7 +1105,7 @@ def test_jr_verdict_12_exact():
     assert rep.jr_upper.compare_int(8) == 0
     assert rep.alpha.compare_int(4) == 0
     assert rep.strict
-    assert rep.sqrt2.certified
+    assert rep.sqrt2_certified and rep.sqrt2_reason is None
     assert len(rep.obstructions) == 4
     assert all(ob.status == EXCLUDED for ob in rep.obstructions)
     assert not rep.finite_scope_caveat
@@ -1133,12 +1182,18 @@ def test_statements_rendered_on_read_match_the_eager_builder(effort, top, counts
 
 
 def test_the_bound_and_statements_are_not_fields():
-    assert VerdictReport._fields == (
-        "nu", "depth", "outcomes", "symbols", "mu_not_squarefree", "kernel_basis",
-        "conclusion", "finite_scope_caveat")
-    for name in ("hypothesis", "strict", "strict_witness", "sqrt2", "alpha",
-                 "jr_upper", "statements"):
+    """Both verdict records hold the decided key alone."""
+    key = ("outcomes", "symbols", "mu_not_squarefree", "kernel_basis")
+    assert VerdictReport._fields == ("nu", "depth", *key)
+    assert HypothesisReport._fields == ("nu", *key)
+    for name in ("conclusive", "conclusion", "finite_scope_caveat", "hypothesis",
+                 "scope", "strict", "strict_witness", "sqrt2_certified",
+                 "sqrt2_reason", "alpha", "jr_upper", "statements"):
         assert isinstance(getattr(VerdictReport, name), property), name
+    for name in ("clauses", "scope", "failed_prime"):
+        assert isinstance(getattr(HypothesisReport, name), property), name
+    assert not hasattr(VerdictReport, "sqrt2")
+    assert not hasattr(verdict, "_hypothesis_report")
 
 
 def test_jr_verdict_builds_no_surd_and_no_statement(monkeypatch):
@@ -1217,7 +1272,8 @@ def test_ceiling_and_bound_agree_with_an_isqrt_oracle(nu):
     reads nu only, so the other fields are placeholders."""
     c = verdict._surd_ceil(1, 1, 1 + 4 * nu, 2)
     assert c == alpha_surd(nu).ceil() == _ceil_alpha_oracle(nu)
-    report = VerdictReport(nu, 5, (False,) * 4, (0,) * 4, None, None, INCONCLUSIVE, False)
+    report = VerdictReport(nu, 5, (False,) * 4, (0,) * 4, None, None)
+    assert report.conclusion == INCONCLUSIVE and not report.finite_scope_caveat
     assert report.jr_upper.decimal(6) == _upper_decimal_oracle(nu)
     assert report.jr_upper_decimal == _upper_decimal_oracle(nu)
     assert report.statements == ()

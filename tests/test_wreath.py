@@ -337,6 +337,27 @@ def test_agemo_rank_rejects_generators_that_miss_the_group(monkeypatch):
     assert agemo_rank(4) == 4
 
 
+def test_agemo_rank_guard_fires_on_forged_parities(monkeypatch):
+    """Parities forged to 0 have rank 0: the rank check raises. Run
+    uncached, so the process's ranks are neither read nor replaced."""
+    monkeypatch.setattr(wreath, "_level_parities", lambda g: 0)
+    with pytest.raises(InvariantFailure, match="level parities have rank 0, not the depth 2"):
+        agemo_rank.__wrapped__(2)
+
+
+def test_full_group_guard_fires_on_a_forged_closure(monkeypatch):
+    """A closure that returns the identity alone has order 1, not 2^3."""
+    monkeypatch.setattr(wreath, "_closure_perms", lambda gens, n: {bytes(range(n))})
+    with pytest.raises(InvariantFailure, match="full group at depth 2 has order 1"):
+        wreath._full_group.__wrapped__(2)
+
+
+def test_count_index2_guard_fires_on_a_forged_enumeration(monkeypatch):
+    monkeypatch.setattr(wreath, "_index2_subgroup_count_exhaustive", lambda depth: 0)
+    with pytest.raises(InvariantFailure, match=r"exhaustive count 0 disagrees with 2\^2 - 1"):
+        count_index2_subgroups(2)
+
+
 def test_agemo_rank_matches_depth():
     for depth in range(1, 5):
         assert agemo_rank(depth) == depth
