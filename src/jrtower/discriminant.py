@@ -20,9 +20,11 @@ and one orbit c_2..c_n gives both the ladder and the discriminant.
 
 from __future__ import annotations
 
-from ._record import Record
+from collections import namedtuple
+
 from .errors import InvariantFailure, PreconditionError, ResourceLimitError
-from .orbit import SEQUENCE_CAP, constant_terms, gap_strictness, iterate_poly, tower_params
+from .intmath import is_square
+from .orbit import SEQUENCE_CAP, constant_terms, iterate_poly
 
 # P_n has degree 2^n; level 4 gives a 15-step remainder sequence whose
 # coefficients reach about 400 digits for nu below 10^4. Level 5 would
@@ -129,18 +131,18 @@ def _disc_and_ladder(nu: int, n: int) -> tuple[int, tuple[int, ...]]:
 
     Without strictness P_n is not the minimal polynomial of x_n and the
     recursion is meaningless. The gap lemma (see orbit.Strictness)
-    decides it from nu alone, so no c_k is tested for squareness.
+    decides it at every level: the tower is strict iff nu is not a
+    square, so no c_k with k >= 2 is tested for squareness.
     """
-    params = tower_params(nu)
+    if nu < 2:
+        raise ValueError("nu must be an integer >= 2")
     if n < 1:
         raise ValueError("need at least one term")
     if n > SEQUENCE_CAP:
         raise ResourceLimitError(f"N = {n} exceeds the cap {SEQUENCE_CAP}")
-    strict = gap_strictness(params, n)
-    if not strict:
+    if is_square(nu):
         raise PreconditionError(
-            f"tower over nu = {nu} is not strict: c_{strict.witness} is a "
-            "perfect square"
+            f"tower over nu = {nu} is not strict: c_1 is a perfect square"
         )
     norms = tuple(norm_sequence(nu, n - 1))
     d = 1
@@ -157,21 +159,19 @@ def disc_xn(nu: int, n: int) -> int:
     return _disc_and_ladder(nu, n)[0]
 
 
-class DiscriminantReport(Record):
-    """Recursion value, oracle value (when run), and the norm ladder."""
+class DiscriminantReport(namedtuple("DiscriminantReport", "nu n disc oracle norms")):
+    """Recursion value, oracle value (an int, or None when not run), and
+    the norm ladder (a tuple of ints)."""
 
-    nu: int
-    n: int
-    disc: int
-    oracle: int | None
-    norms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.oracle is not None and self.oracle != self.disc:
+    def __new__(cls, nu, n, disc, oracle, norms):
+        if oracle is not None and oracle != disc:
             raise InvariantFailure(
                 f"discriminant recursion and resultant oracle disagree at "
-                f"nu = {self.nu}, n = {self.n}"
+                f"nu = {nu}, n = {n}"
             )
+        return super().__new__(cls, nu, n, disc, oracle, norms)
 
 
 def discriminant_report(nu: int, n: int) -> DiscriminantReport:

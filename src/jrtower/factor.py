@@ -9,25 +9,25 @@ starting points instead of random ones.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, prod
 from types import MappingProxyType
 
-from ._record import Record
 from .intmath import is_prime, is_square, perfect_power, prime_sieve
 
 
-class Effort(Record):
+class Effort(namedtuple("Effort", "trial_bound rho_rounds", defaults=(10**6, 10**7))):
     """Work budget for one factorize() call.
 
-    trial_bound: primes up to this bound are removed by sieved trial
-        division (so a partial cofactor never has a factor this small).
-    rho_rounds: total Pollard-rho iterations allowed across all attempts.
+    trial_bound (int): primes up to this bound are removed by sieved
+        trial division (so a partial cofactor never has a factor this
+        small).
+    rho_rounds (int): total Pollard-rho iterations allowed across all
+        attempts.
     """
 
-    trial_bound: int = 10**6
-    rho_rounds: int = 10**7
+    __slots__ = ()
 
 
 EFFORT_QUICK = Effort(trial_bound=10**4, rho_rounds=10**5)
@@ -44,29 +44,28 @@ COMPLETE = "complete"
 PARTIAL = "partial"
 
 
-class Factorization(Record):
+class Factorization(namedtuple("Factorization", "n factors cofactor", defaults=(None,))):
     """Outcome of factorize(); immutable.
 
-    factors maps prime -> exponent, as a read-only view of a private
-    copy, so a caller cannot alter a cached result. cofactor is None
-    when the factorization is complete, otherwise the remaining
-    composite part (guaranteed composite, coprime to all primes <= the
-    trial bound).
+    factors (Mapping[int, int]) maps prime -> exponent, as a read-only
+    view of a private copy, so a caller cannot alter a cached result.
+    cofactor (int | None) is None when the factorization is complete,
+    otherwise the remaining composite part (guaranteed composite,
+    coprime to all primes <= the trial bound).
     """
 
-    n: int
-    factors: Mapping[int, int]
-    cofactor: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
-        rebuilt = prod(p**e for p, e in self.factors.items()) * (self.cofactor or 1)
-        if rebuilt != self.n:
-            raise ValueError(f"inconsistent factorization of {self.n}")
+    def __new__(cls, n, factors, cofactor=None):
+        factors = MappingProxyType(dict(factors))
+        rebuilt = prod(p**e for p, e in factors.items()) * (cofactor or 1)
+        if rebuilt != n:
+            raise ValueError(f"inconsistent factorization of {n}")
+        return super().__new__(cls, n, factors, cofactor)
 
-    def __reduce__(self):
+    def __getnewargs__(self):
         # The read-only view does not pickle; its dict does.
-        return Factorization, (self.n, dict(self.factors), self.cofactor)
+        return self.n, dict(self.factors), self.cofactor
 
     @property
     def status(self) -> str:

@@ -14,8 +14,8 @@ ell_1 = nu^2, ell_n = (ell_{n-1} - nu)^2 and satisfies ell_n = c_n^2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 
-from ._record import Record
 from .errors import InvariantFailure, ResourceLimitError
 from .intmath import is_prime, is_square, split_two_part
 
@@ -35,18 +35,17 @@ SEQUENCE_CAP = 12
 ORBIT_STEP_CAP = 2**24
 
 
-class TowerParams(Record):
-    """2-adic decomposition nu = 2^v * mu with mu odd."""
+class TowerParams(namedtuple("TowerParams", "nu two_adic_valuation mu is_square")):
+    """2-adic decomposition nu = 2^v * mu with mu odd: the ints nu,
+    two_adic_valuation = v and mu, and the bool is_square of nu."""
 
-    nu: int
-    two_adic_valuation: int
-    mu: int
-    is_square: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nu < 2:
+    def __new__(cls, nu, two_adic_valuation, mu, is_square):
+        if nu < 2:
             raise ValueError("nu must be an integer >= 2")
-        _check_decomposition(self.nu, self.two_adic_valuation, self.mu)
+        _check_decomposition(nu, two_adic_valuation, mu)
+        return super().__new__(cls, nu, two_adic_valuation, mu, is_square)
 
 
 def _check_decomposition(nu: int, v: int, mu: int) -> None:
@@ -63,24 +62,23 @@ def tower_params(nu: int) -> TowerParams:
     return TowerParams(nu, v, mu, is_square(nu))
 
 
-class OrbitSequence(Record):
-    """First N orbit constants c_n and companions ell_n, exact."""
+class OrbitSequence(namedtuple("OrbitSequence", "nu c ell")):
+    """First N orbit constants c_n and companions ell_n, exact: c and
+    ell are tuples of N ints."""
 
-    nu: int
-    c: tuple[int, ...]
-    ell: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs, els = self.c, self.ell
-        if not cs or cs[0] != self.nu or els[0] != self.nu**2:
+    def __new__(cls, nu, c, ell):
+        if not c or c[0] != nu or ell[0] != nu**2:
             raise InvariantFailure("orbit sequence seeded incorrectly")
-        for k in range(1, len(cs)):
-            if cs[k] != cs[k - 1] ** 2 - self.nu:
+        for k in range(1, len(c)):
+            if c[k] != c[k - 1] ** 2 - nu:
                 raise InvariantFailure(f"c recursion broken at index {k + 1}")
-            if els[k] != (els[k - 1] - self.nu) ** 2:
+            if ell[k] != (ell[k - 1] - nu) ** 2:
                 raise InvariantFailure(f"ell recursion broken at index {k + 1}")
-            if cs[k] <= 0:
+            if c[k] <= 0:
                 raise InvariantFailure(f"c_{k + 1} not positive")
+        return super().__new__(cls, nu, c, ell)
 
 
 def constant_terms(nu: int, N: int) -> OrbitSequence:
@@ -159,19 +157,15 @@ def orbit_mod_p(nu: int, p: int) -> int | None:
     )
 
 
-class ValuationProfile(Record):
-    """p-adic valuations of c_1..c_N.
+class ValuationProfile(namedtuple("ValuationProfile", "nu p first_index e valuations")):
+    """p-adic valuations of c_1..c_N, a tuple of N ints.
 
     first_index is the least n with p | c_n (None when no term is
     divisible), e the common valuation at the divisible terms. The
     proven pattern is v_p(c_n) = e when first_index | n and 0 otherwise.
     """
 
-    nu: int
-    p: int
-    first_index: int | None
-    e: int
-    valuations: tuple[int, ...]
+    __slots__ = ()
 
 
 def valuation_profile(seq: OrbitSequence, p: int) -> ValuationProfile:
@@ -218,22 +212,20 @@ def valuation_profile(seq: OrbitSequence, p: int) -> ValuationProfile:
     return ValuationProfile(nu, p, first, e, tuple(vals))
 
 
-class Strictness(Record):
-    """Whether no c_n with n <= N is a perfect square.
+class Strictness(namedtuple("Strictness", "nu depth strict witness")):
+    """Whether no c_n with n <= N = depth is a perfect square.
 
-    A square c_n collapses the tower degree at level n; witness is the
-    least such n when not strict. Only c_1 = nu can be a square (the
-    gap lemma): for nu >= 2 every c_n >= nu, since c_n >= nu >= 2 gives
-    c_{n+1} = c_n^2 - nu >= c_n^2 - c_n >= c_n. Then nu <= c_n < 2c_n - 1
-    puts c_{n+1} strictly between (c_n - 1)^2 and c_n^2. So the tower is
-    strict at every depth iff nu is not a square, with witness 1 or None:
-    gap_strictness decides it so, and tower_strict reads the orbit.
+    A square c_n collapses the tower degree at level n; witness (int or
+    None) is the least such n when not strict. Only c_1 = nu can be a
+    square (the gap lemma): for nu >= 2 every c_n >= nu, since
+    c_n >= nu >= 2 gives c_{n+1} = c_n^2 - nu >= c_n^2 - c_n >= c_n. Then
+    nu <= c_n < 2c_n - 1 puts c_{n+1} strictly between (c_n - 1)^2 and
+    c_n^2. So the tower is strict at every depth iff nu is not a square,
+    with witness 1 or None: the verdict decides it so by is_square(nu),
+    and tower_strict reads the orbit.
     """
 
-    nu: int
-    depth: int
-    strict: bool
-    witness: int | None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.strict
@@ -245,10 +237,3 @@ def tower_strict(seq: OrbitSequence) -> Strictness:
         if is_square(cn):
             return Strictness(seq.nu, len(seq.c), False, i + 1)
     return Strictness(seq.nu, len(seq.c), True, None)
-
-
-def gap_strictness(params: TowerParams, depth: int) -> Strictness:
-    """tower_strict at any depth by the gap lemma (see Strictness)."""
-    if params.is_square:
-        return Strictness(params.nu, depth, False, 1)
-    return Strictness(params.nu, depth, True, None)

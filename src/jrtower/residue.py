@@ -14,9 +14,9 @@ residue_certificate, fermat_obstruction and nonresidue_37_check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
-from ._record import Record
 from .errors import CertificateFailure, InvariantFailure, ResourceLimitError
 from .intmath import is_square
 
@@ -32,14 +32,16 @@ PROVEN_COMPOSITE = "proven-composite"
 _KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 
-class FermatNumber(Record):
-    index: int
-    value: int
-    primality: str
+class FermatNumber(namedtuple("FermatNumber", "index value primality")):
+    """F_index = value = 2^(2^index) + 1, with its Pepin primality
+    (PROVEN_PRIME or PROVEN_COMPOSITE)."""
 
-    def __post_init__(self):
-        if self.value != 2 ** (2**self.index) + 1:
+    __slots__ = ()
+
+    def __new__(cls, index, value, primality):
+        if value != 2 ** (2**index) + 1:
             raise InvariantFailure("not a Fermat number")
+        return super().__new__(cls, index, value, primality)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -162,7 +164,8 @@ def nonresidue_37_check(p: int) -> tuple[bool, bool]:
     return j3 == -1, j7 == -1
 
 
-class ResidueCertificate(Record):
+class ResidueCertificate(namedtuple("ResidueCertificate",
+                                    "nu scope checked_primes kernel_basis")):
     """Certified: nu is a quadratic non-residue modulo Fermat primes.
 
     scope "universal" covers every Fermat prime > 3 (known or not):
@@ -170,22 +173,20 @@ class ResidueCertificate(Record):
     every Fermat prime > 3, and no Fermat prime divides s (the known
     ones are checked; unknown ones exceed 2^(2^33) > nu). The rule is
     two exact tests, q | nu and nu / q a perfect square, so no budget
-    can leave it undecided; kernel_basis is that q. scope "finite"
-    covers exactly the checked primes.
+    can leave it undecided; kernel_basis is that q (else None). scope
+    "finite" covers exactly the checked primes, a tuple of ints.
     """
 
-    nu: int
-    scope: str  # "universal" | "finite"
-    checked_primes: tuple[int, ...]
-    kernel_basis: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scope == "universal":
-            if self.kernel_basis not in (3, 7):
+    def __new__(cls, nu, scope, checked_primes, kernel_basis):
+        if scope == "universal":
+            if kernel_basis not in (3, 7):
                 raise InvariantFailure("universal scope without a 3/7 kernel")
-            quotient, rem = divmod(self.nu, self.kernel_basis)
+            quotient, rem = divmod(nu, kernel_basis)
             if rem != 0 or not is_square(quotient):
                 raise InvariantFailure("kernel does not divide nu into a square")
+        return super().__new__(cls, nu, scope, checked_primes, kernel_basis)
 
 
 @lru_cache(maxsize=1)

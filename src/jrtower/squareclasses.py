@@ -16,13 +16,13 @@ parts of that base.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, prod
 
-from ._record import Record
 from .errors import InvariantFailure
 from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
 from .intmath import is_square
-from .orbit import TowerParams, constant_terms, tower_params
+from .orbit import TowerParams, constant_terms
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -107,17 +107,16 @@ def _positions(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-class TwoIndependence(Record):
+class TwoIndependence(namedtuple("TwoIndependence", "status rank witness")):
     """Outcome of the F_2 rank computation over square classes.
 
-    witness (only for status "dependent") is a tuple of 0-based
-    positions into the input list whose product is a perfect square.
-    rank is reported for the independent case (= number of inputs).
+    witness (only for status "dependent", else None) is a tuple of
+    0-based positions into the input list whose product is a perfect
+    square. rank is reported for the independent case (= number of
+    inputs), else None.
     """
 
-    status: str
-    rank: int | None
-    witness: tuple[int, ...] | None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.status == INDEPENDENT
@@ -137,30 +136,25 @@ def two_independent(values: list[int] | tuple[int, ...]) -> TwoIndependence:
     return TwoIndependence(INDEPENDENT, rank, None)
 
 
-def _full_by_rule(params: TowerParams) -> bool:
+def _full_by_rule(nu: int) -> bool:
     """Stoll's rule, which quadratic_subfields reads before any rank: with
     4 | nu and nu not a square, c_1..c_n are 2-independent at every level
     (Stoll, Arch. Math. 59 (1992), for x^2 + a, 4 | a, -a not a square)."""
-    return params.nu % 4 == 0 and not params.is_square
+    return nu % 4 == 0 and not is_square(nu)
 
 
-class SubfieldLattice(Record):
+class SubfieldLattice(namedtuple("SubfieldLattice", "nu n kernels rank complete galois")):
     """Quadratic subfields of level n, indexed by subsets of {1..n}.
 
-    kernels maps each nonempty frozenset S of 1-based indices to the
-    square-free kernel of prod(c_i for i in S), or to None when a base
-    part it needs stayed partially factored. rank is the F_2 rank of the
-    classes, always decided; complete means every kernel is named; galois
-    is the fullness status, and the lattice lists ALL quadratic subfields
-    exactly when the group is full.
+    kernels is a dict that maps each nonempty frozenset S of 1-based
+    indices to the square-free kernel of prod(c_i for i in S), or to
+    None when a base part it needs stayed partially factored. rank is
+    the F_2 rank of the classes, always decided; complete (a bool) means
+    every kernel is named; galois is the fullness status, and the
+    lattice lists ALL quadratic subfields exactly when the group is full.
     """
 
-    nu: int
-    n: int
-    kernels: dict[frozenset[int], int | None]
-    rank: int
-    complete: bool
-    galois: str
+    __slots__ = ()
 
     def known_kernels(self) -> set[int]:
         return {k for k in self.kernels.values() if k is not None}
@@ -197,27 +191,25 @@ def quadratic_subfields(
         kernels[subset] = None if None in named else prod(named)
 
     rank = _echelon(rows)[0]
-    if _full_by_rule(tower_params(nu)):
+    if _full_by_rule(nu):
         galois = FULL_BY_RULE
     else:
         galois = FULL_BY_RANK if rank == n else NOT_FULL
     return SubfieldLattice(nu, n, kernels, rank, None not in kernels.values(), galois)
 
 
-class SqrtMembership(Record):
+class SqrtMembership(namedtuple("SqrtMembership", "nu n d status subset",
+                                defaults=(None,))):
     """Whether sqrt(d) lies in tower level n.
 
-    status "present" comes with the canonical witness subset (smallest
-    size, then lexicographic); "absent" is only issued with a full
+    status "present" comes with the canonical witness subset, a
+    frozenset of 1-based indices (smallest size, then lexicographic),
+    and otherwise subset is None; "absent" is only issued with a full
     Galois group, whose quadratic subfields are exactly the Q(sqrt c_S);
     without one it is "unknown".
     """
 
-    nu: int
-    n: int
-    d: int
-    status: str
-    subset: frozenset[int] | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.status == PRESENT
@@ -258,18 +250,17 @@ def contains_sqrt(
     return SqrtMembership(nu, n, d, UNKNOWN)
 
 
-class Sqrt2Certificate(Record):
+class Sqrt2Certificate(namedtuple("Sqrt2Certificate", "nu certified reason")):
     """Certificate that sqrt(2) never enters the tower over nu.
 
     Applicable when nu = 2^(2m) * mu with m >= 1, mu odd >= 3, and nu
     not a perfect square: then every subset product of c's has even
     2-adic valuation, so no kernel equals 2 at any level. certified is
-    False with a reason when the shape conditions fail.
+    False with a reason (a str, else None) when the shape conditions
+    fail.
     """
 
-    nu: int
-    certified: bool
-    reason: str | None
+    __slots__ = ()
 
 
 def sqrt2_free_certificate(params: TowerParams) -> Sqrt2Certificate:

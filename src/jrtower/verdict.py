@@ -22,10 +22,10 @@ sqrt(2) exclusion certificate, and per-Fermat-prime obstruction chains.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
-from ._record import Record
 from .errors import (
     InvariantFailure,
     PreconditionError,
@@ -38,9 +38,7 @@ from .orbit import (
     SEQUENCE_CAP,
     _check_decomposition,
     constant_terms,
-    gap_strictness,
     iterate_poly,
-    tower_params,
 )
 from .residue import (
     _fermat_primes_above_3,
@@ -71,25 +69,24 @@ THEOREM_APPLIES = "theorem-applies"
 # Exact quadratic surds
 
 
-class QuadraticSurd(Record):
-    """(a + b * sqrt(D)) / q with integer a, b, q > 0, D >= 0.
+class QuadraticSurd(namedtuple("QuadraticSurd", "a b D q", defaults=(1,))):
+    """(a + b * sqrt(D)) / q with integers a, b >= 0, D >= 0 and q > 0
+    (a of any sign).
 
     Exact: the ceiling and comparisons are integer arithmetic;
     decimals are rendered only for display. b may be 0 (rational).
     """
 
-    a: int
-    b: int
-    D: int
-    q: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q <= 0:
+    def __new__(cls, a, b, D, q=1):
+        if q <= 0:
             raise ValueError("denominator must be positive")
-        if self.D < 0:
+        if D < 0:
             raise ValueError("only real surds are supported")
-        if self.b < 0:
+        if b < 0:
             raise ValueError("use a negative a rather than a negative b")
+        return super().__new__(cls, a, b, D, q)
 
     @property
     def is_rational(self) -> bool:
@@ -180,16 +177,16 @@ def alpha_surd(nu: int) -> QuadraticSurd:
 # Constructible orders and cosine minimal polynomials
 
 
-class ConstructibilityDecomposition(Record):
+class ConstructibilityDecomposition(namedtuple(
+        "ConstructibilityDecomposition", "m two_exponent odd_primes constructible")):
     """m = 2^a * (odd prime powers), with the constructibility verdict.
 
-    constructible is None when m's factorization stayed partial.
+    two_exponent is a; odd_primes is a sorted tuple of (p, e) pairs.
+    constructible is a bool, or None when m's factorization stayed
+    partial.
     """
 
-    m: int
-    two_exponent: int
-    odd_primes: tuple[tuple[int, int], ...]
-    constructible: bool | None
+    __slots__ = ()
 
 
 def _phi_from_factors(two_exponent: int, odd_primes: tuple[tuple[int, int], ...]) -> int:
@@ -493,7 +490,8 @@ def nested_radical_check(d: int) -> bool:
 # Per-prime obstruction chains
 
 
-class FermatObstruction(Record):
+class FermatObstruction(namedtuple("FermatObstruction", "nu p status reason",
+                                   defaults=(None,))):
     """Exclusion chain for one Fermat prime p > 3 against the tower of nu.
 
     status "excluded" certifies 2cos(2*pi/p) (hence the p-th component
@@ -502,10 +500,7 @@ class FermatObstruction(Record):
     the reason (nu is a residue, or p divides nu), and chain is ().
     """
 
-    nu: int
-    p: int
-    status: str
-    reason: str | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.status == EXCLUDED
@@ -536,11 +531,10 @@ def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
-    strict = gap_strictness(tower_params(nu), 1)
-    if not strict:
-        raise PreconditionError(
-            f"tower over nu = {nu} is not strict: c_{strict.witness} is a square"
-        )
+    if nu < 2:
+        raise ValueError("nu must be an integer >= 2")
+    if is_square(nu):
+        raise PreconditionError(f"tower over nu = {nu} is not strict: c_1 is a square")
     return _obstruction_chain(nu, p, jacobi(nu, p))
 
 
@@ -606,22 +600,21 @@ CLAUSE_NAMES = (
 )
 
 
-class HypothesisReport(Record):
+class HypothesisReport(namedtuple("HypothesisReport",
+                                  "nu outcomes symbols mu_not_squarefree kernel_basis")):
     """Clause-by-clause check of the theorem's shape hypotheses on nu:
     nu and the key that _decide returns for it.
 
-    outcomes holds whether each clause of CLAUSE_NAMES passed, in that
-    order; symbols holds (nu|p) for the known Fermat primes p > 3, in
-    order, from the residue tables; kernel_basis is the universal
-    residue kernel, 3 or 7, else None. The rest renders on read;
-    tower_params(nu) and residue_certificate(nu) build the records.
+    outcomes holds a bool for each clause of CLAUSE_NAMES, whether it
+    passed, in that order; symbols holds the int (nu|p) for the known
+    Fermat primes p > 3, in order, from the residue tables;
+    mu_not_squarefree is a bool, or None when undecided within the
+    effort; kernel_basis is the universal residue kernel, 3 or 7, else
+    None. The rest renders on read; tower_params(nu) and
+    residue_certificate(nu) build the records.
     """
 
-    nu: int
-    outcomes: tuple[bool, ...]
-    symbols: tuple[int, ...]
-    mu_not_squarefree: bool | None
-    kernel_basis: int | None
+    __slots__ = ()
 
     @property
     def clauses(self) -> tuple[tuple[str, bool], ...]:
@@ -705,7 +698,8 @@ _KRONECKER_NOTE = (
 )
 
 
-class VerdictReport(Record):
+class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
+                               "mu_not_squarefree kernel_basis")):
     """The JR classification of one nu: its depth and the key that
     _decide returns, whose fields are HypothesisReport's.
 
@@ -715,12 +709,7 @@ class VerdictReport(Record):
     reasons, alpha, jr_upper and the statements.
     """
 
-    nu: int
-    depth: int
-    outcomes: tuple[bool, ...]
-    symbols: tuple[int, ...]
-    mu_not_squarefree: bool | None
-    kernel_basis: int | None
+    __slots__ = ()
 
     @property
     def conclusive(self) -> bool:
@@ -946,16 +935,14 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
     return out
 
 
-class Nu7Report(Record):
-    """Numerical evidence for the open case nu = 7 (no theorem applies)."""
+class Nu7Report(namedtuple("Nu7Report", "depth constants factor_status independence "
+                           "rank sqrt2_status disclaimer")):
+    """Numerical evidence for the open case nu = 7 (no theorem applies):
+    c_1..c_depth, the status of each one's factorization, the
+    2-independence status and rank (None when dependent), and the
+    sqrt(2) membership status."""
 
-    depth: int
-    constants: tuple[int, ...]
-    factor_status: tuple[str, ...]
-    independence: str
-    rank: int | None
-    sqrt2_status: str
-    disclaimer: str
+    __slots__ = ()
 
 
 def nu7_exploration(depth: int, effort: Effort = EFFORT_DEFAULT) -> Nu7Report:

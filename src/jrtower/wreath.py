@@ -29,10 +29,10 @@ depth <= 2 brute-force check of the index-2 count lists the whole group.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
-from ._record import Record
 from .errors import InvariantFailure, ResourceLimitError
 
 # Depth 4 already has |G| = 2^15 = 32768 elements. At depth 5 a
@@ -42,19 +42,20 @@ from .errors import InvariantFailure, ResourceLimitError
 DEPTH_CAP = 4
 
 
-class TreeAutomorphism(Record):
-    """Portrait of an automorphism of the depth-n binary tree."""
+class TreeAutomorphism(namedtuple("TreeAutomorphism", "depth bits")):
+    """Portrait of an automorphism of the depth-n binary tree: bits is a
+    tuple of 2^n - 1 swap bits, 0 or 1, in heap order."""
 
-    depth: int
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.depth < 1:
+    def __new__(cls, depth, bits):
+        if depth < 1:
             raise ValueError("depth must be >= 1")
-        if len(self.bits) != 2**self.depth - 1:
+        if len(bits) != 2**depth - 1:
             raise ValueError("portrait must have one bit per internal node")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("portrait bits must be 0 or 1")
+        return super().__new__(cls, depth, bits)
 
 
 def leaf_permutation(a: TreeAutomorphism) -> tuple[int, ...]:

@@ -1,4 +1,24 @@
+import importlib
+import pkgutil
 import re
+
+import pytest
+
+import jrtower
+
+
+@pytest.fixture(scope="session")
+def record_classes() -> list[type]:
+    """Every record class of the package: the tuple subclasses with
+    _fields that a jrtower module defines at its top level."""
+    found = []
+    for info in pkgutil.iter_modules(jrtower.__path__):
+        module = importlib.import_module(f"jrtower.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and issubclass(value, tuple)
+                    and hasattr(value, "_fields") and value.__module__ == module.__name__):
+                found.append(value)
+    return found
 
 # One line per acceptance criterion is printed at the end of the run,
 # independent of output capture, so a plain `pytest -v` shows the

@@ -693,6 +693,27 @@ def test_group_subcommand(capsys):
     assert doc["result"]["index2_subgroups"] == "3"
 
 
+def test_group_forms_the_closure_of_the_whole_group_once(capsys, monkeypatch):
+    """agemo_rank checks the order of the whole group, and group prints
+    that order without forming the closure again."""
+    from jrtower import cli, wreath
+
+    calls = []
+    real = wreath.closure_order
+
+    def spy(generators):
+        calls.append(len(generators))
+        return real(generators)
+
+    for module in (wreath, cli):
+        monkeypatch.setattr(module, "closure_order", spy, raising=False)
+    wreath.agemo_rank.cache_clear()
+    code, out, _ = run(capsys, "group", "4")
+    assert code == 0
+    assert f"order {2**15} = 2^15" in out
+    assert calls == [4]
+
+
 def test_fermat_subcommand(capsys):
     code, out, _ = run(capsys, "fermat")
     assert code == 0

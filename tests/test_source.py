@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import re
 from pathlib import Path
 
 import jrtower
@@ -110,3 +111,119 @@ def test_every_definition_has_a_caller():
                 unreached.append(name)
     assert len(sources) >= 15
     assert unreached == []
+
+
+GUARDS = ("InvariantFailure", "CertificateFailure")
+
+
+def literal_prefix(node: ast.AST) -> str | None:
+    """The text a str constant or f-string starts with, up to its first
+    replacement field; None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        text = ""
+        for part in node.values:
+            if not isinstance(part, ast.Constant):
+                break
+            text += part.value
+        return text
+    return None
+
+
+def guard_sites() -> list[tuple[str, str, str]]:
+    """(place, exception, literal message prefix) of every
+    `raise InvariantFailure(...)` and `raise CertificateFailure(...)` in
+    the package. CertificateFailure builds its message in errors.py."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    built = next(node.args[0] for node in ast.walk(errors)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "__init__" and node.args)
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id in GUARDS):
+                name = node.exc.func.id
+                message = built if name == "CertificateFailure" else node.exc.args[0]
+                sites.append((f"{path.name}:{node.lineno}", name, literal_prefix(message)))
+    return sites
+
+
+def parametrized_values(function: ast.FunctionDef, name: str) -> list[ast.AST]:
+    """The values a pytest.mark.parametrize decorator of function gives
+    the argument name."""
+    values = []
+    for decorator in function.decorator_list:
+        if not (isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Attribute)
+                and decorator.func.attr == "parametrize"):
+            continue
+        names = [n.strip() for n in decorator.args[0].value.split(",")]
+        if name not in names:
+            continue
+        index = names.index(name)
+        for row in decorator.args[1].elts:
+            values.append(row.elts[index] if len(names) > 1 else row)
+    return values
+
+
+def raises_patterns() -> dict[str, list[str]]:
+    """Exception name -> the literal match= patterns (their prefix, for
+    an f-string) of every pytest.raises(<name>, match=...) under tests/,
+    a pattern passed by name resolved through pytest.mark.parametrize."""
+    patterns: dict[str, list[str]] = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for function in functions:
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "raises" and node.args
+                        and isinstance(node.args[0], ast.Name)):
+                    continue
+                for keyword in node.keywords:
+                    if keyword.arg != "match":
+                        continue
+                    given = keyword.value
+                    if isinstance(given, ast.Name):
+                        nodes = parametrized_values(function, given.id)
+                    else:
+                        nodes = [given]
+                    texts = [literal_prefix(value) for value in nodes]
+                    patterns.setdefault(node.args[0].id, []).extend(
+                        text for text in texts if text)
+    return patterns
+
+
+def matches(pattern: str, prefix: str) -> bool:
+    """Whether pattern matches the start of prefix, or the text the
+    pattern spells (its escapes undone) starts with prefix."""
+    spelled = re.sub(r"\\(\W)", r"\1", pattern)
+    return re.match(pattern, prefix) is not None or spelled.startswith(prefix)
+
+
+def test_every_guard_message_is_matched_by_a_test():
+    """Each guard that checks a proved identity fires under some test:
+    its literal message prefix is matched by a pytest.raises(..., match=)
+    of the same exception under tests/."""
+    sites = guard_sites()
+    patterns = raises_patterns()
+    unmatched = [(place, prefix) for place, name, prefix in sites
+                 if not any(matches(p, prefix) for p in patterns.get(name, []))]
+    assert len(sites) >= 33
+    assert all(prefix for _, _, prefix in sites)
+    assert unmatched == []
+
+
+def test_no_module_forges_a_record():
+    """_replace and _make build a record with tuple.__new__, past the
+    checks in its __new__, so the package calls neither: every record it
+    builds has passed its own checks."""
+    calls = [
+        f"{path.name}:{node.lineno} {node.func.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_replace", "_make")
+    ]
+    assert calls == []

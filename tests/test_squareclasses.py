@@ -254,11 +254,9 @@ def sqrt2_cert(nu: int):
 
 
 def forged_params(nu: int, v: int):
-    """tower_params(nu) with two_adic_valuation overwritten by v, past the
-    record's own 2-adic check."""
-    params = tower_params(nu)
-    object.__setattr__(params, "two_adic_valuation", v)
-    return params
+    """tower_params(nu) with two_adic_valuation replaced by v: _replace
+    skips the record's own 2-adic check."""
+    return tower_params(nu)._replace(two_adic_valuation=v)
 
 
 def test_sqrt2_free_certificate_positive_cases():
@@ -337,7 +335,9 @@ def test_sqrt2_certificate_guard_fires_when_the_pattern_breaks():
             if v == true_v:
                 continue
             if v >= 2 and v % 2 == 0:
-                with pytest.raises(InvariantFailure, match="kernel 2"):
+                with pytest.raises(InvariantFailure,
+                                   match=rf"c_n = 2\^{v} \(mod 2\^{v + 1}\) fails at nu = {nu}, "
+                                   "so kernel 2 is no longer ruled out"):
                     sqrt2_free_certificate(forged_params(nu, v))
             else:
                 assert not sqrt2_free_certificate(forged_params(nu, v)).certified

@@ -18,8 +18,8 @@ from jrtower.errors import (
 from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
 from jrtower.orbit import (
     ITERATE_CAP,
+    Strictness,
     constant_terms,
-    gap_strictness,
     iterate_poly,
     orbit_mod_p,
     tower_params,
@@ -394,7 +394,7 @@ def test_packed_basis_change_on_random_palindromes():
         assert coeffs == coeffs[::-1]
         assert _palindrome_to_cos(coeffs) == chebyshev_basis_change(coeffs)
         coeffs[0] = coeffs[-1] = 3
-        with pytest.raises(InvariantFailure, match="monic"):
+        with pytest.raises(InvariantFailure, match="cosine polynomial is not monic"):
             _palindrome_to_cos(coeffs)
 
 
@@ -403,7 +403,8 @@ def test_packed_basis_change_overflow_guard_fires(monkeypatch):
     runs past (half + 1) * W bits, or below zero for a negative one."""
     monkeypatch.setattr(verdict, "_slot_bits", lambda half, weight: 8)
     for middle in (2**200, -(2**200)):
-        with pytest.raises(InvariantFailure, match="overflow"):
+        with pytest.raises(InvariantFailure,
+                           match="cosine coefficients overflow their Kronecker slots"):
             _palindrome_to_cos([1, middle, 1])
 
 
@@ -525,10 +526,10 @@ def test_cyclotomic_inexact_binomial_division_raises(monkeypatch):
     # remainder; skipping the product leaves a dividend of lower degree.
     for times in (lambda poly, d: [0] * d + poly, lambda poly, d: poly):
         monkeypatch.setattr(verdict, "_times_binomial", times)
-        with pytest.raises(InvariantFailure):
-            _cyclotomic(7)
-        with pytest.raises(InvariantFailure):
-            cos_minpoly(7)
+        for build in (_cyclotomic, cos_minpoly):
+            with pytest.raises(InvariantFailure,
+                               match=r"x\^1 - 1 does not divide the cyclotomic product"):
+                build(7)
 
 
 @pytest.mark.parametrize("name,fake,m", [
@@ -544,6 +545,16 @@ def test_cos_minpoly_invariant_failures_fire(monkeypatch, name, fake, m):
         cos_minpoly(m)
 
 
+def test_cos_minpoly_guards_name_what_broke(monkeypatch):
+    for coeffs in ([1, 2, 0, 1], [1, 0, 1, 1], [1, 1, 1, 1]):
+        with pytest.raises(InvariantFailure,
+                           match="expected a palindromic polynomial of even degree"):
+            _palindrome_to_cos(coeffs)
+    monkeypatch.setattr(verdict, "_palindrome_to_cos", lambda coeffs: [1, 1])
+    with pytest.raises(InvariantFailure, match="cosine polynomial has the wrong degree"):
+        cos_minpoly(16)
+
+
 def test_nested_radical_invariant_failures_fire(monkeypatch):
     pow2 = _cos_minpoly_pow2
 
@@ -554,11 +565,11 @@ def test_nested_radical_invariant_failures_fire(monkeypatch):
 
     monkeypatch.setattr(verdict, "_cos_minpoly_pow2", off_by_one)
     for d in (2, 5, 12):
-        with pytest.raises(InvariantFailure, match="numeric"):
+        with pytest.raises(InvariantFailure, match=f"numeric radical check failed at d = {d}"):
             nested_radical_check(d)
     monkeypatch.setattr(verdict, "_radical_numeric_check", lambda poly, d: True)
     for d in (2, 5, 7):
-        with pytest.raises(InvariantFailure, match="symbolic"):
+        with pytest.raises(InvariantFailure, match=f"symbolic radical check failed at d = {d}"):
             nested_radical_check(d)
 
 
@@ -579,7 +590,8 @@ def test_nested_radical_rejects_a_multiple_of_the_minimal_polynomial(monkeypatch
         assert _radical_numeric_check(forged, d)
         if d <= ITERATE_CAP + 1:
             assert not _radical_symbolic_check(forged, d)
-        with pytest.raises(InvariantFailure, match="monic of degree"):
+        with pytest.raises(InvariantFailure,
+                           match=rf"radical polynomial is not monic of degree 2\^{d - 1}"):
             nested_radical_check(d)
 
 
@@ -588,7 +600,8 @@ def test_nested_radical_rejects_a_polynomial_that_is_not_monic(monkeypatch):
     pow2 = _cos_minpoly_pow2
     monkeypatch.setattr(verdict, "_cos_minpoly_pow2", lambda e: [2 * c for c in pow2(e)])
     for d in (2, 7, 8, 12):
-        with pytest.raises(InvariantFailure, match="monic of degree"):
+        with pytest.raises(InvariantFailure,
+                           match=rf"radical polynomial is not monic of degree 2\^{d - 1}"):
             nested_radical_check(d)
 
 
@@ -718,19 +731,14 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     """The verdict and a scan row read the decided facts alone; the
     obstruction records and the clause pairs appear only when read."""
     assert "obstructions" not in VerdictReport._fields
-    built, paired = [], []
-    real_init = FermatObstruction.__init__
+    paired = []
     real_clauses = HypothesisReport.clauses.fget
-
-    def spy_init(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
 
     def spy_clauses(self):
         paired.append(self.nu)
         return real_clauses(self)
 
-    monkeypatch.setattr(FermatObstruction, "__init__", spy_init)
+    built = spy_on_builds(monkeypatch, [FermatObstruction])
     monkeypatch.setattr(HypothesisReport, "clauses", property(spy_clauses))
     reports = []
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
@@ -808,12 +816,12 @@ def test_jr_verdict_checks_strictness_once_and_trusts_pepin(monkeypatch):
     """One strictness decision per verdict, by the gap lemma: the one
     square test of nu, shared by the third clause and the four
     obstruction chains, which do not re-prove the Fermat primes. No
-    Strictness record is built; gap_strictness agrees on read."""
+    Strictness record is built; the orbit agrees on read."""
     from jrtower import orbit
 
     expected = [fermat_obstruction(12, p) for p in (5, 17, 257, 65537)]
-    eager = gap_strictness(tower_params(12), 5)
-    decided = spy_everywhere(monkeypatch, orbit, "gap_strictness")
+    eager = tower_strict(constant_terms(12, 5))
+    decided = spy_on_builds(monkeypatch, [Strictness])
     squares = []
     real_is_square = verdict.is_square
     monkeypatch.setattr(verdict, "is_square",
@@ -874,7 +882,7 @@ def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
                         lambda nu: (4, real(nu)[1]) if nu == 12 else real(nu))
     monkeypatch.setattr(verdict, "_check_decomposition", lambda nu, v, mu: None)
     for decide in (jr_verdict, hypothesis_check):
-        with pytest.raises(InvariantFailure, match=r"2\^4 \(mod 2\^5\) fails at nu = 12"):
+        with pytest.raises(InvariantFailure, match=r"c_n = 2\^4 \(mod 2\^5\) fails at nu = 12"):
             decide(12)
 
 
@@ -931,37 +939,32 @@ def test_records_rendered_on_read_match_the_eager_builders(effort, top):
         sqrt2 = sqrt2_free_certificate(params)
         assert (report.sqrt2_certified, report.sqrt2_reason) == (sqrt2.certified,
                                                                  sqrt2.reason), nu
-        eager = gap_strictness(params, report.depth)
-        assert (report.strict, report.strict_witness) == (eager.strict, eager.witness), nu
+        gap = (False, 1) if params.is_square else (True, None)
+        assert (report.strict, report.strict_witness) == gap, nu
         seen.add((report.scope, report.sqrt2_certified, report.strict))
     assert {("universal", True, True), (None, False, False), (None, True, True),
             (None, False, True)} <= seen
     assert "finite" in {scope for scope, _, _ in seen}
 
 
-def _jrtower_record_classes():
-    from jrtower._record import Record
+def spy_on_builds(monkeypatch, classes) -> list[str]:
+    """Wrap the __new__ of each record class in classes; return the list
+    that the class names of the records built are appended to, in order."""
+    built = []
+    for cls in classes:
+        def spy(new_cls, *args, _new=cls.__new__, **kwargs):
+            built.append(new_cls.__name__)
+            return _new(new_cls, *args, **kwargs)
 
-    found, stack = [], [Record]
-    while stack:
-        for sub in stack.pop().__subclasses__():
-            stack.append(sub)
-            if sub.__module__.startswith("jrtower."):
-                found.append(sub)
-    return found
+        monkeypatch.setattr(cls, "__new__", spy)
+    return built
 
 
-def test_a_verdict_and_a_scan_row_build_one_record(monkeypatch):
+def test_a_verdict_and_a_scan_row_build_one_record(monkeypatch, record_classes):
     """Each verdict builds its VerdictReport, and a ResidueCertificate
     only for a universal scope; a scan row reads the report and builds
     nothing more."""
-    built = []
-    for cls in _jrtower_record_classes():
-        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built.append(_name)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", spy)
+    built = spy_on_builds(monkeypatch, record_classes)
     universal = 0
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
         for nu in range(2, 401):
@@ -978,20 +981,14 @@ def test_a_verdict_and_a_scan_row_build_one_record(monkeypatch):
     assert universal > 5
 
 
-def test_a_read_builds_only_what_it_prints(monkeypatch):
+def test_a_read_builds_only_what_it_prints(monkeypatch, record_classes):
     """to_json, the human rendering and a scan row read the decided key:
     none builds a TowerParams, ResidueCertificate or Sqrt2Certificate,
     twins of facts the key holds, and a scan row builds nothing beyond
     its verdict."""
     reports = [jr_verdict(nu, 5, effort)
                for effort in (EFFORT_QUICK, EFFORT_DEFAULT) for nu in range(2, 401)]
-    built = []
-    for cls in _jrtower_record_classes():
-        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built.append(_name)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", spy)
+    built = spy_on_builds(monkeypatch, record_classes)
     read = set()
     for report in reports:
         del built[:]
@@ -1199,14 +1196,7 @@ def test_the_bound_and_statements_are_not_fields():
 def test_jr_verdict_builds_no_surd_and_no_statement(monkeypatch):
     """A verdict checks the bound's floor in integers; the surds and the
     statement text appear only when read."""
-    built = []
-    real_init = QuadraticSurd.__init__
-
-    def spy_init(self, *args):
-        built.append(args)
-        real_init(self, *args)
-
-    monkeypatch.setattr(QuadraticSurd, "__init__", spy_init)
+    built = spy_on_builds(monkeypatch, [QuadraticSurd])
     monkeypatch.setattr(verdict, "_KRONECKER_NOTE", None)  # any statement would fail
     reports = [jr_verdict(nu, 5, effort)
                for effort in (EFFORT_QUICK, EFFORT_DEFAULT) for nu in range(2, 401)]

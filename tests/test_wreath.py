@@ -331,7 +331,8 @@ def test_agemo_rank_rejects_generators_that_miss_the_group(monkeypatch):
     minimal = wreath.minimal_generators
     monkeypatch.setattr(wreath, "minimal_generators", lambda depth: minimal(depth)[:-1])
     agemo_rank.cache_clear()
-    with pytest.raises(InvariantFailure, match="generate a group of order"):
+    with pytest.raises(InvariantFailure,
+                       match="minimal generators at depth 4 generate a group of order"):
         agemo_rank(4)
     monkeypatch.undo()
     assert agemo_rank(4) == 4
