@@ -25,6 +25,6 @@ class CertificateFailure(Exception):
         self.prime = prime
         self.jacobi_value = jacobi_value
         super().__init__(
-            f"nu = {nu} is not a certified non-residue modulo the Fermat "
+            f"no non-residue certificate for nu = {nu} modulo the Fermat "
             f"prime {prime} (Jacobi symbol {jacobi_value})"
         )

@@ -133,8 +133,9 @@ def _has_square_factor(n: int, effort: Effort) -> bool | None:
     rest. A block whose largest cube is at most rest and whose product
     is coprime to rest holds neither case, and is skipped by one gcd.
     Only when the primes run out first, the rest being at least the cube
-    of the largest sieved prime, is n factored, by factorize_cached, and
-    the answer is None if that stays partial.
+    of the largest sieved prime, is the rest, which has a square factor
+    iff n has, factored by factorize_cached, and the answer is None if
+    that stays partial.
     """
     rest = n
     for chunk, block_prod in _prime_blocks(effort.trial_bound):
@@ -147,7 +148,7 @@ def _has_square_factor(n: int, effort: Effort) -> bool | None:
                 rest //= p
                 if rest % p == 0:
                     return True
-    f = factorize_cached(n, effort)
+    f = factorize_cached(rest, effort)
     if not f.complete:
         return None
     return any(e > 1 for e in f.factors.values())
@@ -215,8 +216,6 @@ def factorize(n: int, effort: Effort = EFFORT_DEFAULT) -> Factorization:
     leftovers: list[tuple[int, int]] = []
     while pending:
         m, mult = pending.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + mult
             continue

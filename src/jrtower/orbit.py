@@ -77,7 +77,7 @@ class OrbitSequence(namedtuple("OrbitSequence", "nu c ell")):
             if ell[k] != (ell[k - 1] - nu) ** 2:
                 raise InvariantFailure(f"ell recursion broken at index {k + 1}")
             if c[k] <= 0:
-                raise InvariantFailure(f"c_{k + 1} not positive")
+                raise InvariantFailure(f"c not positive at index {k + 1}")
         return super().__new__(cls, nu, c, ell)
 
 

@@ -20,7 +20,7 @@ from collections import namedtuple
 from math import gcd, prod
 
 from .errors import InvariantFailure
-from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
+from .factor import EFFORT_DEFAULT, Effort, factorize_cached
 from .intmath import is_square
 from .orbit import TowerParams, constant_terms
 
@@ -137,8 +137,8 @@ def two_independent(values: list[int] | tuple[int, ...]) -> TwoIndependence:
 
 
 def _full_by_rule(nu: int) -> bool:
-    """Stoll's rule, which quadratic_subfields reads before any rank: with
-    4 | nu and nu not a square, c_1..c_n are 2-independent at every level
+    """Stoll's rule, which labels a full rank and checks it: with 4 | nu
+    and nu not a square, c_1..c_n are 2-independent at every level
     (Stoll, Arch. Math. 59 (1992), for x^2 + a, 4 | a, -a not a square)."""
     return nu % 4 == 0 and not is_square(nu)
 
@@ -171,9 +171,10 @@ def quadratic_subfields(
     kernels at the set bits of the XOR of S's rows (the c's are positive:
     no sign bit). Each non-square part is factored once, under effort; one
     left partial makes None exactly the S whose XOR holds its bit. Rank
-    and galois need no factoring: galois is Stoll's rule where it
-    applies and otherwise reads the rank, which is n exactly when
-    c_1..c_n are 2-independent.
+    and galois need no factoring: the group is full exactly when the
+    rank is n, that is when c_1..c_n are 2-independent, and the label
+    names Stoll's rule where it applies. A rank below n there breaks
+    the theorem and raises InvariantFailure.
     """
     parts, rows = _square_class_rows(constant_terms(nu, n).c)
     part_kernels = []
@@ -191,10 +192,14 @@ def quadratic_subfields(
         kernels[subset] = None if None in named else prod(named)
 
     rank = _echelon(rows)[0]
-    if _full_by_rule(nu):
-        galois = FULL_BY_RULE
+    if rank < n:
+        if _full_by_rule(nu):
+            raise InvariantFailure(
+                f"Stoll's rule and the rank disagree at nu = {nu}, n = {n}"
+            )
+        galois = NOT_FULL
     else:
-        galois = FULL_BY_RANK if rank == n else NOT_FULL
+        galois = FULL_BY_RULE if _full_by_rule(nu) else FULL_BY_RANK
     return SubfieldLattice(nu, n, kernels, rank, None not in kernels.values(), galois)
 
 
@@ -203,10 +208,10 @@ class SqrtMembership(namedtuple("SqrtMembership", "nu n d status subset",
     """Whether sqrt(d) lies in tower level n.
 
     status "present" comes with the canonical witness subset, a
-    frozenset of 1-based indices (smallest size, then lexicographic),
-    and otherwise subset is None; "absent" is only issued with a full
-    Galois group, whose quadratic subfields are exactly the Q(sqrt c_S);
-    without one it is "unknown".
+    frozenset of 1-based indices (smallest size, then lexicographic;
+    empty for a perfect square d), and otherwise subset is None;
+    "absent" is only issued with a full Galois group, whose quadratic
+    subfields are exactly the Q(sqrt c_S); without one it is "unknown".
     """
 
     __slots__ = ()
@@ -215,27 +220,18 @@ class SqrtMembership(namedtuple("SqrtMembership", "nu n d status subset",
         return self.status == PRESENT
 
 
-def contains_sqrt(
-    nu: int, n: int, d: int, effort: Effort = EFFORT_DEFAULT
-) -> SqrtMembership:
+def contains_sqrt(nu: int, n: int, d: int) -> SqrtMembership:
     """Decide whether sqrt(d) lies in level n of the tower over nu.
 
-    d must be a square-free integer >= 2 (membership of rational
-    square roots is trivial and not handled here). The cube-root lemma
-    of factor._has_square_factor checks this without factoring d; effort
-    bounds only its fallback, for a d whose rest after trial division
-    reaches the cube of the largest sieved prime. One elimination of
-    [c_1..c_n, d] finds the subsets S with d * c_S a square, and the
-    rank of c_1..c_n alone, which says whether the group is full.
+    d is an integer >= 2. One elimination of [c_1..c_n, d] finds the
+    subsets S with d * c_S a square, and the rank of c_1..c_n alone,
+    which says whether the group is full. Square parts of d cancel in
+    its row, so d gets the answer of its square-free kernel, and a
+    perfect square d is present with the empty subset. Nothing is
+    factored, so no answer waits on a budget.
     """
     if d < 2:
-        raise ValueError("d must be a square-free integer >= 2")
-    square = _has_square_factor(d, effort)
-    if square is None:
-        raise ValueError(f"square-freeness of d = {d} not decidable within budget")
-    if square:
-        raise ValueError(f"d = {d} is not square-free")
-
+        raise ValueError("d must be an integer >= 2")
     rank, kernel = _echelon(_square_class_rows((*constant_terms(nu, n).c, d))[1])
     if kernel and kernel[-1] >> n:
         # d's row vanished: the subsets S with d * c_S a square form the

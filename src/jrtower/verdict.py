@@ -112,9 +112,6 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "a b D q", defaults=(1,))):
             return 0
         return 1 if lhs_sq > rhs * rhs else -1
 
-    def __ge__(self, k: int) -> bool:
-        return self.compare_int(k) >= 0
-
     def decimal(self, digits: int = 12) -> str:
         """Truncated decimal rendering with the given fractional digits:
         the sign of the value, then floor(|value| * 10^digits), with no
@@ -271,7 +268,7 @@ def _over_binomial(poly: list[int], d: int) -> list[int]:
         q[j] += q[j - d]
     n = len(poly) - d
     if n < 1 or any(q[n:]):
-        raise InvariantFailure(f"x^{d} - 1 does not divide the cyclotomic product")
+        raise InvariantFailure(f"the cyclotomic product is not divisible by x^{d} - 1")
     return q[:n]
 
 
@@ -955,7 +952,7 @@ def nu7_exploration(depth: int, effort: Effort = EFFORT_DEFAULT) -> Nu7Report:
     seq = constant_terms(7, depth)
     facts = tuple(factorize_cached(c, effort).status for c in seq.c)
     indep = two_independent(seq.c)
-    membership = contains_sqrt(7, depth, 2, effort)
+    membership = contains_sqrt(7, depth, 2)
     return Nu7Report(
         depth=depth,
         constants=seq.c,

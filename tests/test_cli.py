@@ -45,6 +45,20 @@ def test_verify_exit_codes(capsys):
     assert "inconclusive" in out
 
 
+def test_lines_and_refusals_no_golden_reaches(capsys):
+    """The finite-scope caveat, a skipped resultant oracle, an unreadable
+    window bound and a depth past the cap."""
+    code, out, _ = run(capsys, "verify", "2132")
+    assert code == 0
+    assert out.endswith("  caveat: residue certificate covers the known Fermat primes only\n")
+    code, out, _ = run(capsys, "disc", "5", "5")
+    assert code == 0
+    assert "\n  resultant oracle skipped (n > 4)\n" in out
+    assert run(capsys, "window", "12", "abc", "3") == (1, "", "invalid window bound: 'abc'\n")
+    assert run(capsys, "verify", "12", "--depth", "13") == (
+        1, "", "error: depth must be between 1 and 12\n")
+
+
 def test_verify_json_document(capsys):
     code, out, _ = run(capsys, "verify", "--json", "12")
     assert code == 0

@@ -9,6 +9,7 @@ from jrtower.factor import (
     EFFORT_PRESETS,
     EFFORT_QUICK,
     EFFORT_THOROUGH,
+    Effort,
     Factorization,
     PARTIAL,
     _has_square_factor,
@@ -101,6 +102,29 @@ def test_factorize_partial_on_hard_semiprime():
     assert f.cofactor == p * q
     assert f.factors == {}
     assert squarefree_kernel(p * q, EFFORT_QUICK) is None
+
+
+def test_factorize_partial_when_the_budget_ends_with_a_piece_pending(monkeypatch):
+    """Three primes above the trial bound, with exactly the rho rounds the
+    first split takes: the prime piece is recorded, and the composite
+    one is left as the cofactor without a second hunt."""
+    from jrtower import factor
+
+    a, b, c = 100003, 1000003, 1100009
+    n = a * b * c
+    first, spent = factor._brent_rho(n, 10**7)
+    assert first == a
+    hunts = []
+    real = factor._brent_rho
+
+    def spy(m, budget):
+        hunts.append(m)
+        return real(m, budget)
+
+    monkeypatch.setattr(factor, "_brent_rho", spy)
+    f = factorize(n, Effort(trial_bound=10**3, rho_rounds=spent))
+    assert (f.factors, f.cofactor) == ({a: 1}, b * c)
+    assert hunts == [n]
 
 
 def test_factorize_below_the_sieve_square_needs_no_primality_test(monkeypatch):
@@ -293,3 +317,26 @@ def test_square_factor_flag_falls_back_beyond_the_cube(monkeypatch):
     assert _has_square_factor(9 * p * q, EFFORT_QUICK) is True
     assert factorize(9 * p * q, EFFORT_QUICK).status == PARTIAL
     assert fallbacks == []
+
+
+def test_square_factor_fallback_factors_the_rest(monkeypatch):
+    """The fallback factors what trial division leaves, not n again: each
+    sieved prime it stripped once is coprime to the rest, so n has a
+    square factor iff the rest has. On seeded odd mu above 10^12 the flag
+    is the one read off factorize(mu) at quick effort."""
+    fallbacks = spy_cached(monkeypatch)
+    p, q = 10**12 + 39, 10**12 + 61
+    assert _has_square_factor(3 * 5 * 7 * p * q, EFFORT_QUICK) is None
+    assert _has_square_factor(3 * 5 * 7 * p * p, EFFORT_QUICK) is True
+    assert fallbacks == [p * q, p * p]
+    sieved = prime_sieve(EFFORT_QUICK.trial_bound)
+    rng = random.Random(3101)
+    reached = 0
+    for _ in range(60):
+        mu = rng.randrange(10**12, 10**15) | 1
+        del fallbacks[:]
+        assert _has_square_factor(mu, EFFORT_QUICK) == factorize_flag(mu, EFFORT_QUICK), mu
+        if fallbacks:
+            assert fallbacks == [mu // prod(p for p in sieved if mu % p == 0)], mu
+            reached += 1
+    assert reached > 20

@@ -76,7 +76,7 @@ def test_orbit_sequence_validates_recursion():
     (2, (3,), (4,), "orbit sequence seeded incorrectly"),
     (2, (2, 3), (4, 4), "c recursion broken at index 2"),
     (2, (2, 2), (4, 5), "ell recursion broken at index 2"),
-    (1, (1, 0), (1, 0), "c_2 not positive"),
+    (1, (1, 0), (1, 0), "c not positive at index 2"),
 ])
 def test_orbit_sequence_guards_fire_on_forged_fields(nu, c, ell, message):
     """Each check of an OrbitSequence fires on fields that break it alone;

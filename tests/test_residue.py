@@ -189,12 +189,12 @@ def test_residue_certificate_finite_scope():
 
 
 def test_residue_certificate_failure_reports_smallest_prime():
-    with pytest.raises(CertificateFailure, match=r"nu = 20 is not a certified non-residue "
+    with pytest.raises(CertificateFailure, match=r"no non-residue certificate for nu = 20 "
                        r"modulo the Fermat prime 5 \(Jacobi symbol 0\)") as info:
         residue_certificate(20)
     assert info.value.prime == 5
     assert info.value.jacobi_value == 0
-    with pytest.raises(CertificateFailure, match=r"nu = 8 is not a certified non-residue "
+    with pytest.raises(CertificateFailure, match=r"no non-residue certificate for nu = 8 "
                        r"modulo the Fermat prime 17 \(Jacobi symbol 1\)") as info:
         residue_certificate(8)
     assert info.value.prime == 17
@@ -272,5 +272,5 @@ def test_residue_certificate_factors_nothing(monkeypatch):
     p, r = 10**19 + 51, 10**19 + 147
     scopes = [residue_certificate(nu).scope for nu in (12, 28, 78, 12 * (p * r) ** 2)]
     assert scopes == ["universal", "universal", "finite", "universal"]
-    with pytest.raises(CertificateFailure, match="nu = 20 is not a certified non-residue"):
+    with pytest.raises(CertificateFailure, match="no non-residue certificate for nu = 20"):
         residue_certificate(20)

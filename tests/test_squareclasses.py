@@ -192,6 +192,20 @@ def test_quadratic_subfields_builds_the_orbit_and_base_once(monkeypatch):
     assert lattice.galois == FULL_BY_RANK
 
 
+def test_stoll_guard_fires_on_a_forged_rank(monkeypatch):
+    """Where Stoll's rule applies a rank below n breaks the theorem; where
+    it does not, a low rank is the not-full label."""
+    import jrtower.squareclasses
+
+    real = jrtower.squareclasses._echelon
+    monkeypatch.setattr(jrtower.squareclasses, "_echelon",
+                        lambda rows: (real(rows)[0] - 1, []))
+    with pytest.raises(InvariantFailure,
+                       match="Stoll's rule and the rank disagree at nu = 12, n = 2"):
+        quadratic_subfields(12, 2)
+    assert quadratic_subfields(3, 2).galois == NOT_FULL
+
+
 def test_quadratic_subfields_galois_matches_galois_full_check():
     statuses = set()
     for nu in range(2, 400):
@@ -231,6 +245,7 @@ def test_contains_sqrt_present_cases():
     m = contains_sqrt(12, 1, 3)
     assert m.status == PRESENT
     assert m.subset == frozenset({1})
+    assert m and not contains_sqrt(12, 1, 2)  # truthy exactly when present
 
 
 def test_contains_sqrt_absent_needs_full_information():
@@ -241,12 +256,34 @@ def test_contains_sqrt_absent_needs_full_information():
 
 
 def test_contains_sqrt_rejects_bad_d():
-    with pytest.raises(ValueError):
-        contains_sqrt(12, 2, 4)
-    with pytest.raises(ValueError):
-        contains_sqrt(12, 2, 12)
-    with pytest.raises(ValueError):
-        contains_sqrt(12, 2, 1)
+    """d = 1 and below are refused; a d with a square factor is answered
+    (see test_contains_sqrt_answers_for_the_square_free_kernel)."""
+    for d in (1, 0, -3):
+        with pytest.raises(ValueError, match="d must be an integer >= 2"):
+            contains_sqrt(12, 2, d)
+    assert (contains_sqrt(12, 2, 4).status, contains_sqrt(12, 2, 4).subset) == (
+        PRESENT, frozenset())
+    assert (contains_sqrt(12, 2, 12).status, contains_sqrt(12, 2, 12).subset) == (
+        PRESENT, frozenset({1}))
+
+
+def test_contains_sqrt_answers_for_the_square_free_kernel():
+    """Square parts of d cancel in its row: every non-square d gets the
+    answer of its square-free kernel, and every square d is present with
+    the empty subset, over nu = 2..60, levels 1..4 and d = 2..300."""
+    squares = 0
+    for nu in range(2, 61):
+        for n in range(1, 5):
+            answers = {}
+            for d in range(2, 301):
+                m = contains_sqrt(nu, n, d)
+                answers[d] = (m.status, m.subset)
+                if is_square(d):
+                    assert answers[d] == (PRESENT, frozenset()), (nu, n, d)
+                    squares += 1
+                else:
+                    assert answers[d] == answers[kernel_by_trial_division(d)], (nu, n, d)
+    assert squares == 59 * 4 * 16
 
 
 def sqrt2_cert(nu: int):
@@ -298,7 +335,7 @@ def test_sqrt2_certificate_agrees_with_the_lattice():
         v = v2(nu)
         assert all(v2(c) == v for c in constant_terms(nu, 8).c), nu
         for n in range(1, 5):
-            status = contains_sqrt(nu, n, 2, EFFORT_QUICK).status
+            status = contains_sqrt(nu, n, 2).status
             assert status != PRESENT, (nu, n)
 
 
@@ -438,9 +475,7 @@ def test_nu7_constants_independent_through_the_sequence_cap():
     assert contains_sqrt(7, 12, 2).status == ABSENT
 
 
-def test_contains_sqrt_factors_nothing(monkeypatch):
-    """nu = 240 is decided at default effort without factoring d or any
-    c_n: the cube-root lemma checks that d is square-free."""
+def refuse_to_factor(monkeypatch):
     import jrtower.factor
     import jrtower.squareclasses
 
@@ -452,25 +487,31 @@ def test_contains_sqrt_factors_nothing(monkeypatch):
                          (jrtower.factor, "_factorize_cached"),
                          (jrtower.factor, "factorize")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def test_contains_sqrt_factors_nothing(monkeypatch):
+    """nu = 240 is decided without factoring d or any c_n; d = 12 gets
+    the answer of its kernel 3."""
+    refuse_to_factor(monkeypatch)
     m = contains_sqrt(240, 5, 2)
     assert m.status == ABSENT
     assert m.subset is None
     assert contains_sqrt(240, 1, 15).status == PRESENT
     assert contains_sqrt(240, 5, 2 * 3 * 5 * 7 * 10007).status == ABSENT
-    with pytest.raises(ValueError, match="is not square-free"):
-        contains_sqrt(240, 5, 12)
+    assert contains_sqrt(240, 5, 12) == contains_sqrt(240, 5, 3)._replace(d=12)
 
 
-def test_contains_sqrt_square_freeness_by_the_cube_root_lemma():
-    """9pq with two 13-digit primes is caught by its square of 3, which no
-    factorization was needed for; pq alone lies beyond the cube of the
-    largest sieved prime, and the rho budget of quick effort cannot split
-    it, so square-freeness stays undecided."""
+def test_contains_sqrt_decides_d_beyond_any_factoring_budget(monkeypatch):
+    """9pq and pq with two 13-digit primes, and a 27-digit semiprime:
+    pq lies beyond the cube of the largest sieved prime and the rho
+    budget of quick effort cannot split it, yet the elimination answers
+    at once, 9pq with pq's answer."""
+    refuse_to_factor(monkeypatch)
     p, q = 10**12 + 39, 10**12 + 61
-    with pytest.raises(ValueError, match="is not square-free"):
-        contains_sqrt(12, 2, 9 * p * q, EFFORT_QUICK)
-    with pytest.raises(ValueError, match="not decidable within budget"):
-        contains_sqrt(12, 2, p * q, EFFORT_QUICK)
+    assert contains_sqrt(12, 2, p * q).status == ABSENT
+    assert contains_sqrt(12, 2, 9 * p * q) == contains_sqrt(12, 2, p * q)._replace(d=9 * p * q)
+    assert contains_sqrt(12, 2, 9 * 33 * p**2) == (12, 2, 9 * 33 * p**2, PRESENT, frozenset({2}))
+    assert contains_sqrt(12, 3, (10**13 + 37) * (10**13 + 51)).status == ABSENT
 
 
 def test_sqrt2_free_certificate_factors_nothing(monkeypatch):

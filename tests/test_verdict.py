@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -158,6 +159,16 @@ def test_surd_compare_int_exact():
             assert lhs > 0 and b * b * D < lhs * lhs
 
 
+def test_surd_orders_only_as_a_tuple():
+    """A surd is a tuple, so no order operator against an int is numeric:
+    each raises TypeError, and compare_int is the numeric comparison."""
+    s = QuadraticSurd(1, 1, 49, 2)  # (1 + 7) / 2 = 4
+    for compare in (operator.ge, operator.gt, operator.le, operator.lt):
+        with pytest.raises(TypeError):
+            compare(s, 4)
+    assert s.compare_int(4) == 0
+
+
 def test_surd_rational_detection():
     s = QuadraticSurd(3, 0, 5, 2)
     assert s.is_rational
@@ -269,6 +280,13 @@ def test_constructible_decomposition_shape():
     assert not dec.constructible
     dec = constructible_order(17)
     assert dec.constructible and dec.odd_primes == ((17, 1),)
+
+
+def test_constructible_order_on_a_partial_factorization_is_undecided():
+    """Two 13-digit primes stay unsplit at quick effort: no components
+    and constructible None, rather than a guess."""
+    m = (10**12 + 39) * (10**12 + 61)
+    assert constructible_order(m, EFFORT_QUICK) == (m, 0, (), None)
 
 
 def test_constructible_order_guard_fires_when_rule_and_phi_disagree(monkeypatch):
@@ -528,7 +546,7 @@ def test_cyclotomic_inexact_binomial_division_raises(monkeypatch):
         monkeypatch.setattr(verdict, "_times_binomial", times)
         for build in (_cyclotomic, cos_minpoly):
             with pytest.raises(InvariantFailure,
-                               match=r"x\^1 - 1 does not divide the cyclotomic product"):
+                               match=r"the cyclotomic product is not divisible by x\^1 - 1"):
                 build(7)
 
 
