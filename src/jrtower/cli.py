@@ -120,7 +120,7 @@ def _render_verdict(report) -> str:
     for ob in report.obstructions:
         detail = "" if ob.status == "excluded" else f" ({ob.reason})"
         lines.append(f"  Fermat prime {ob.p}: {ob.status}{detail}")
-    alpha, upper = report.alpha_and_upper()
+    alpha, upper = report.alpha, report.jr_upper
     lines.append(f"  alpha = {alpha} = {alpha.decimal(6)}")
     lines.append(
         f"  JR upper bound ceil(alpha) + alpha = {upper} = {upper.decimal(6)}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import intmath
 from .errors import InvariantFailure, ResourceLimitError
 from .intmath import is_prime, is_square, split_two_part
 
@@ -45,6 +46,9 @@ class TowerParams(namedtuple("TowerParams", "nu two_adic_valuation mu is_square"
         if nu < 2:
             raise ValueError("nu must be an integer >= 2")
         _check_decomposition(nu, two_adic_valuation, mu)
+        # The field shadows the function: this is intmath.is_square.
+        if is_square != intmath.is_square(nu):
+            raise InvariantFailure(f"square flag {is_square} is wrong for nu = {nu}")
         return super().__new__(cls, nu, two_adic_valuation, mu, is_square)
 
 
@@ -69,6 +73,8 @@ class OrbitSequence(namedtuple("OrbitSequence", "nu c ell")):
     __slots__ = ()
 
     def __new__(cls, nu, c, ell):
+        if len(ell) != len(c):
+            raise InvariantFailure(f"c and ell differ in length: {len(c)} and {len(ell)}")
         if not c or c[0] != nu or ell[0] != nu**2:
             raise InvariantFailure("orbit sequence seeded incorrectly")
         for k in range(1, len(c)):

@@ -5,11 +5,14 @@ contains Q(sqrt p); if nu is a quadratic non-residue mod p, the orbit of
 0 under t -> t^2 - nu never vanishes mod p and sqrt(p) stays out of the
 whole tower. This module certifies the non-residue inputs. The verdict
 reads each symbol (nu|p) from residue_table, one per-process table for
-each known Fermat prime, and re-checks every -1 by Euler's criterion
-(see verdict._decide). The certificate covers every Fermat prime at once when
-nu = q * s^2 with q in {3, 7}, which two exact tests decide (q | nu,
-and nu / q is a perfect square), with no factoring. jacobi serves
-residue_certificate, fermat_obstruction and nonresidue_37_check.
+each known Fermat prime. The certificate covers every Fermat prime at
+once when nu = q * s^2 with q in {3, 7}, which two exact tests decide
+(q | nu, and nu / q is a perfect square), with no factoring. What
+"certified" means is defined once, here: _euler_guard re-checks each
+symbol -1 by Euler's criterion and _check_kernel checks a universal
+kernel. ResidueCertificate runs both on every record, and
+verdict._decide runs both on its key without building one. jacobi
+serves residue_certificate, fermat_obstruction and nonresidue_37_check.
 """
 
 from __future__ import annotations
@@ -174,19 +177,47 @@ class ResidueCertificate(namedtuple("ResidueCertificate",
     ones are checked; unknown ones exceed 2^(2^33) > nu). The rule is
     two exact tests, q | nu and nu / q a perfect square, so no budget
     can leave it undecided; kernel_basis is that q (else None). scope
-    "finite" covers exactly the checked primes, a tuple of ints.
+    "finite" covers exactly the checked primes, a tuple of ints. Every
+    record re-checks its claims: the kernel of a universal scope by
+    _check_kernel, then the symbol at each checked prime by _euler_guard.
     """
 
     __slots__ = ()
 
     def __new__(cls, nu, scope, checked_primes, kernel_basis):
         if scope == "universal":
-            if kernel_basis not in (3, 7):
-                raise InvariantFailure("universal scope without a 3/7 kernel")
-            quotient, rem = divmod(nu, kernel_basis)
-            if rem != 0 or not is_square(quotient):
-                raise InvariantFailure("kernel does not divide nu into a square")
+            _check_kernel(nu, kernel_basis)
+        for p in checked_primes:
+            _euler_guard(nu, p)
         return super().__new__(cls, nu, scope, checked_primes, kernel_basis)
+
+
+def _check_kernel(nu: int, q: int | None) -> None:
+    """Raise unless q is 3 or 7 and nu = q * s^2: the check of a
+    universal scope."""
+    if q not in (3, 7):
+        raise InvariantFailure("universal scope without a 3/7 kernel")
+    quotient, rem = divmod(nu, q)
+    if rem != 0 or not is_square(quotient):
+        raise InvariantFailure("kernel does not divide nu into a square")
+
+
+def _euler_guard(nu: int, p: int) -> None:
+    """Re-check a symbol (nu|p) = -1 before an exclusion rests on it.
+
+    An exclusion rests on j = -1 alone (see verdict.fermat_obstruction),
+    so that is what the guard re-checks: nu^((p-1)/2) = -1 (mod p),
+    Euler's criterion, a modular power computed apart from both the
+    reciprocity steps of jacobi and the squares of the table. It fails
+    on every wrong -1, so it is stronger than walking the orbit mod p,
+    which fails only on a wrong -1 whose orbit happens to reach 0 (13 is
+    a square mod 17, yet its orbit never vanishes there). Every p that
+    the package passes comes from known_fermat_primes(), so it is prime.
+    """
+    if pow(nu, (p - 1) // 2, p) != p - 1:
+        raise InvariantFailure(
+            f"Euler's criterion disagrees with jacobi({nu}, {p}) = -1"
+        )
 
 
 @lru_cache(maxsize=1)
@@ -209,7 +240,9 @@ def residue_certificate(nu: int) -> ResidueCertificate:
     failure = _first_failure(tuple(jacobi(nu, p) for p in _fermat_primes_above_3()))
     if failure is not None:
         raise CertificateFailure(nu, *failure)
-    return _residue_certificate(nu, _kernel_basis(nu))
+    kernel_basis = _kernel_basis(nu)
+    scope = "finite" if kernel_basis is None else "universal"
+    return ResidueCertificate(nu, scope, _fermat_primes_above_3(), kernel_basis)
 
 
 def _kernel_basis(nu: int) -> int | None:
@@ -219,14 +252,6 @@ def _kernel_basis(nu: int) -> int | None:
         if rem == 0 and is_square(quotient):
             return q
     return None
-
-
-def _residue_certificate(nu: int, kernel_basis: int | None) -> ResidueCertificate:
-    """residue_certificate for a nu >= 2 whose symbols at every known
-    Fermat prime p > 3 the caller has found to be -1, given
-    _kernel_basis(nu); the record re-checks a universal kernel."""
-    scope = "finite" if kernel_basis is None else "universal"
-    return ResidueCertificate(nu, scope, _fermat_primes_above_3(), kernel_basis)
 
 
 def _first_failure(symbols: tuple[int, ...]) -> tuple[int, int] | None:

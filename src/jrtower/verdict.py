@@ -41,10 +41,11 @@ from .orbit import (
     iterate_poly,
 )
 from .residue import (
+    _check_kernel,
+    _euler_guard,
     _fermat_primes_above_3,
     _first_failure,
     _kernel_basis,
-    _residue_certificate,
     fermat_symbols,
     jacobi,
     known_fermat_primes,
@@ -524,7 +525,7 @@ def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
     jacobi(nu, p) = -1, from which p divides no c_n: p | c_1 = nu
     would make the symbol 0, and p | c_n with n >= 2 would give
     c_{n-1}^2 = nu (mod p), so nu would be a square mod p. The symbol
-    is checked again by Euler's criterion (see _euler_guard).
+    is checked again by Euler's criterion (see residue._euler_guard).
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
@@ -547,24 +548,6 @@ def _obstruction_chain(nu: int, p: int, j: int) -> FermatObstruction:
 def _inconclusive_reason(p: int, j: int) -> str:
     """Why the chain for p stops at a symbol j = (nu|p) of 0 or 1."""
     return f"p = {p} divides nu" if j == 0 else f"nu is a quadratic residue mod {p}"
-
-
-def _euler_guard(nu: int, p: int) -> None:
-    """Re-check a symbol (nu|p) = -1 before an exclusion rests on it.
-
-    An exclusion rests on j = -1 alone (see fermat_obstruction), so
-    that is what the guard re-checks: nu^((p-1)/2) = -1 (mod p), Euler's
-    criterion, a modular power computed apart from both the reciprocity
-    steps of jacobi and the squares of the table. It fails on every
-    wrong -1, so it is stronger than walking the orbit mod p, which
-    fails only on a wrong -1 whose orbit happens to reach 0 (13 is a
-    square mod 17, yet its orbit never vanishes there). p comes from
-    known_fermat_primes(), so it is prime.
-    """
-    if pow(nu, (p - 1) // 2, p) != p - 1:
-        raise InvariantFailure(
-            f"Euler's criterion disagrees with jacobi({nu}, {p}) = -1"
-        )
 
 
 @lru_cache(maxsize=8)
@@ -658,12 +641,12 @@ def _decide(nu: int, effort: Effort) -> tuple:
     mu_not_squarefree, kernel_basis), kernel_basis None unless every
     symbol is -1 and nu is 3 or 7 times a square.
 
-    The guards of the records the key stands for run here, once each:
-    the 2-adic split nu = 2^v * mu of TowerParams, the sqrt(2) fixed
-    point mod 2^(v+1) of sqrt2_free_certificate, the kernel check of a
-    universal ResidueCertificate (the one record built here), and
-    Euler's criterion on each -1 symbol of a strict nu, on which its
-    obstruction chain rests.
+    The guards of the records the key stands for run here, once each,
+    and no record is built: the 2-adic split nu = 2^v * mu of
+    TowerParams, the sqrt(2) fixed point mod 2^(v+1) of
+    sqrt2_free_certificate, and the two checks of a ResidueCertificate,
+    Euler's criterion on each -1 symbol, on which an obstruction chain
+    rests, and the kernel check of a universal scope.
     """
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
@@ -672,14 +655,13 @@ def _decide(nu: int, effort: Effort) -> tuple:
     strict = not is_square(nu)
     _sqrt2_reason(nu, v, mu, not strict)
     symbols = fermat_symbols(nu)
+    for p, j in zip(_fermat_primes_above_3(), symbols):
+        if j == -1:
+            _euler_guard(nu, p)
     certified = symbols.count(-1) == len(symbols)
     kernel_basis = _kernel_basis(nu) if certified else None
     if kernel_basis is not None:
-        _residue_certificate(nu, kernel_basis)
-    if strict:
-        for p, j in zip(_fermat_primes_above_3(), symbols):
-            if j == -1:
-                _euler_guard(nu, p)
+        _check_kernel(nu, kernel_basis)
     outcomes = (v >= 2 and v % 2 == 0, mu >= 3, strict, certified)
     return outcomes, symbols, _has_square_factor(mu, effort), kernel_basis
 
@@ -765,12 +747,8 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
     @property
     def jr_upper(self) -> QuadraticSurd:
         """ceil(alpha) + alpha, the upper end of the JR interval."""
-        return self.alpha_and_upper()[1]
-
-    def alpha_and_upper(self) -> tuple[QuadraticSurd, QuadraticSurd]:
-        """alpha and jr_upper, the bound built from the same alpha."""
         alpha = self.alpha
-        return alpha, alpha.shifted(alpha.ceil())
+        return alpha.shifted(alpha.ceil())
 
     @property
     def jr_upper_decimal(self) -> str:
@@ -815,7 +793,6 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
         )
 
     def to_json(self) -> dict:
-        alpha, upper = self.alpha_and_upper()
         return {
             "nu": self.nu,
             "depth": self.depth,
@@ -829,8 +806,8 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
                  "chain": list(ob.chain)}
                 for ob in self.obstructions
             ],
-            "alpha": alpha.to_json(),
-            "jr_upper": upper.to_json(),
+            "alpha": self.alpha.to_json(),
+            "jr_upper": self.jr_upper.to_json(),
             "conclusion": self.conclusion,
             "reasons": list(self.reasons),
             "statements": list(self.statements),
@@ -872,10 +849,9 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     is built. depth is the level the report names.
 
     The report holds depth and the key _decide returns, after the
-    guards _decide runs; only a universal scope builds one more record,
-    the ResidueCertificate that re-checks the kernel. The rest renders
-    on read (see VerdictReport). The one guard left here is the bound's
-    floor 4.
+    guards _decide runs; it is the one record a verdict builds, for
+    every nu. The rest renders on read (see VerdictReport). The one
+    guard left here is the bound's floor 4.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")

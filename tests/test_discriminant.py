@@ -391,3 +391,8 @@ def test_disc_recursion_matches_oracles_for_random_nu():
                 deriv = [k * poly[k] for k in range(1, d + 1)]
                 sign = -1 if d * (d - 1) // 2 % 2 else 1
                 assert sign * sylvester_resultant(poly, deriv) == expected, (nu, n)
+
+
+def test_discriminant_refuses_inputs_outside_its_domain():
+    with pytest.raises(ValueError, match="nu must be an integer >= 2"):
+        disc_xn(1, 2)

@@ -216,3 +216,16 @@ def test_iroot_domain():
         iroot(10, 0)
     with pytest.raises(ValueError):
         iroot(-8, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: intmath.v2(0), r"v2\(0\) is undefined"),
+    (lambda: split_two_part(0), "expected a positive integer"),
+], ids=["v2", "split_two_part"])
+def test_intmath_refuses_inputs_outside_its_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_is_prime_is_false_below_2():
+    assert [is_prime(n) for n in (-7, -1, 0, 1)] == [False] * 4

@@ -165,11 +165,23 @@ def forged(name: str, fields: dict):
     ("ResidueCertificate", {"scope": "universal"}, "universal scope without a 3/7 kernel"),
     ("DiscriminantReport", {"oracle": 4866049},
      "discriminant recursion and resultant oracle disagree at nu = 12, n = 2"),
+    # Fields that a check used to skip: the square flag of nu = 36, an
+    # ell longer or shorter than c, and symbols 0 at 5 on each scope.
+    ("TowerParams", {"nu": 36, "mu": 9}, "square flag False is wrong for nu = 36"),
+    ("OrbitSequence", {"c": (12, 132), "ell": (144, 17424, 999)},
+     "c and ell differ in length: 2 and 3"),
+    ("OrbitSequence", {"c": (12, 132), "ell": (144,)}, "c and ell differ in length: 2 and 1"),
+    ("ResidueCertificate", {"nu": 75, "scope": "universal", "kernel_basis": 3},
+     r"Euler's criterion disagrees with jacobi\(75, 5\) = -1"),
+    ("ResidueCertificate", {"nu": 20}, r"Euler's criterion disagrees with jacobi\(20, 5\) = -1"),
 ])
 def test_copy_and_pickle_run_each_invariant_check(name, fields, message):
-    """A record forged past its checks does not survive a copy or a
-    pickle round trip: both build through __new__."""
+    """A record forged past its checks cannot be built from its fields,
+    and does not survive a copy or a pickle round trip: both build
+    through __new__."""
     record = forged(name, fields)
+    with pytest.raises(InvariantFailure, match=message):
+        type(record)(*record)
     with pytest.raises(InvariantFailure, match=message):
         copy.copy(record)
     with pytest.raises(InvariantFailure, match=message):

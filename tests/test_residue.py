@@ -274,3 +274,13 @@ def test_residue_certificate_factors_nothing(monkeypatch):
     assert scopes == ["universal", "universal", "finite", "universal"]
     with pytest.raises(CertificateFailure, match="no non-residue certificate for nu = 20"):
         residue_certificate(20)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fermat_value(-1), "Fermat index must be >= 0"),
+    (lambda: nonresidue_37_check(7), "7 is not a known Fermat prime greater than 3"),
+    (lambda: residue_certificate(1), "nu must be an integer >= 2"),
+], ids=["fermat_value", "nonresidue_37_check", "residue_certificate"])
+def test_residue_refuses_inputs_outside_its_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

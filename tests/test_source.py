@@ -83,6 +83,24 @@ def readme_library_block() -> str:
     return block.split("```", 1)[0]
 
 
+def test_readme_library_block_gives_the_values_its_comments_state():
+    """Run the block statement by statement; each bare expression's
+    value is compared with the one its comment names."""
+    namespace: dict = {}
+    values = []
+    for statement in ast.parse(readme_library_block()).body:
+        if isinstance(statement, ast.Expr):
+            values.append(eval(compile(ast.Expression(statement.value), "README", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+    conclusion, upper, sign, statements, *rest = values
+    assert (conclusion, upper, sign) == ("theorem-applies", "8", 1)
+    assert statements
+    assert rest == [{3, 33, 11}, "not-full", (0, 1), 3, 4866048, True]
+    assert rest[-1] is True
+
+
 def test_every_definition_has_a_caller():
     """Library code that only tests reach belongs in the tests. A
     definition counts as reached when the package, a benchmark script or

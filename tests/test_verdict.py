@@ -782,11 +782,12 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     assert len(built) == 4 * strict and len(paired) == len(reports)
 
 
-@pytest.mark.parametrize("nu, p", [(13, 17), (8, 17), (52, 17), (20, 5)])
+@pytest.mark.parametrize("nu, p", [(13, 17), (8, 17), (52, 17), (20, 5), (36, 5)])
 def test_jr_verdict_guard_fires_on_a_forged_table_entry(monkeypatch, nu, p):
     """A residue table that reads -1 where (nu|p) is 1 or 0 makes the
     verdict and the hypothesis check raise: Euler's criterion re-checks
-    every -1 of a strict nu in _decide, with no obstruction read."""
+    every -1 in _decide, with no obstruction read, also for a square nu
+    such as 36, whose tower is not strict."""
     from jrtower import residue
 
     real = residue.residue_table
@@ -924,8 +925,8 @@ def test_jr_verdict_split_guard_fires_on_a_forged_split(monkeypatch, split):
 def test_jr_verdict_kernel_guard_fires_on_a_forged_kernel(monkeypatch, kernel, message):
     """nu = 652 passes every clause with a finite scope. A kernel search
     that claims a universal kernel makes the verdict and the hypothesis
-    check raise, through the ResidueCertificate built for a universal
-    scope alone."""
+    check raise, through the kernel check that a universal
+    ResidueCertificate runs, with no certificate built."""
     assert jr_verdict(652, 5).scope == "finite"
     monkeypatch.setattr(verdict, "_kernel_basis", lambda nu: kernel)
     for decide in (jr_verdict, hypothesis_check):
@@ -979,23 +980,18 @@ def spy_on_builds(monkeypatch, classes) -> list[str]:
 
 
 def test_a_verdict_and_a_scan_row_build_one_record(monkeypatch, record_classes):
-    """Each verdict builds its VerdictReport, and a ResidueCertificate
-    only for a universal scope; a scan row reads the report and builds
-    nothing more."""
+    """Each verdict builds its VerdictReport and nothing else, a universal
+    scope included; a scan row reads the report and builds nothing more."""
     built = spy_on_builds(monkeypatch, record_classes)
     universal = 0
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
         for nu in range(2, 401):
-            kernel = any(nu % q == 0 and math.isqrt(nu // q) ** 2 == nu // q for q in (3, 7))
-            scope_universal = kernel and all(jacobi(nu, p) == -1 for p in FERMAT_ABOVE_3)
-            expected = ["ResidueCertificate"] * scope_universal + ["VerdictReport"]
             del built[:]
-            jr_verdict(nu, 5, effort)
-            assert built == expected, nu
+            universal += jr_verdict(nu, 5, effort).scope == "universal"
+            assert built == ["VerdictReport"], nu
             del built[:]
             cli._scan_row(nu, effort)
-            assert built == expected, nu
-            universal += scope_universal
+            assert built == ["VerdictReport"], nu
     assert universal > 5
 
 
@@ -1382,3 +1378,19 @@ def test_nu7_exploration_depth5():
 def test_nu7_exploration_domain():
     with pytest.raises(ValueError):
         nu7_exploration(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuadraticSurd(1, 1, -5), "only real surds are supported"),
+    (lambda: QuadraticSurd(1, -1, 5), "use a negative a rather than a negative b"),
+    (lambda: alpha_surd(1), "nu must be >= 2"),
+    (lambda: constructible_order(2), "m must be >= 3"),
+    (lambda: verdict._cos_minpoly_pow2(1), "e must be >= 2"),
+    (lambda: fermat_obstruction(1, 5), "nu must be an integer >= 2"),
+    (lambda: window_elements_deg2(12, 5, -1), "H must be >= 0"),
+    (lambda: window_elements_deg2(1, 5, 3), "nu must be >= 2"),
+], ids=["surd-D", "surd-b", "alpha_surd", "constructible_order", "cos_minpoly_pow2",
+        "fermat_obstruction", "window-H", "window-nu"])
+def test_verdict_refuses_inputs_outside_its_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -411,3 +411,17 @@ def test_tree_automorphism_validates_bits():
         TreeAutomorphism(2, (0, 1))
     with pytest.raises(ValueError):
         TreeAutomorphism(2, (0, 1, 2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TreeAutomorphism(0, ()), ValueError, "depth must be >= 1"),
+    (lambda: minimal_generators(0), ValueError, "depth must be >= 1"),
+    (lambda: closure_order([minimal_generators(1)[0], minimal_generators(2)[0]]),
+     ValueError, "depth mismatch among generators"),
+    (lambda: closure_order([TreeAutomorphism(5, (0,) * 31)]),
+     ResourceLimitError, f"depth capped at {DEPTH_CAP}"),
+], ids=["TreeAutomorphism", "minimal_generators", "closure_order-mismatch",
+        "closure_order-cap"])
+def test_wreath_refuses_inputs_outside_its_domain(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
