@@ -80,7 +80,6 @@ from .verdict import (
     NESTED_RADICAL_CAP,
     ConstructibilityDecomposition,
     FermatObstruction,
-    HypothesisReport,
     Nu7Report,
     QuadraticSurd,
     VerdictReport,

@@ -91,21 +91,20 @@ def _effort(args) -> Effort:
 
 def _render_verdict(report) -> str:
     lines = [f"JR verdict for nu = {report.nu} (depth {report.depth})"]
-    hypothesis = report.hypothesis
     v, mu = split_two_part(report.nu)
     lines.append(
         f"  decomposition: nu = 2^{v} * {mu}"
         f"{'' if report.strict else ' (perfect square)'}"
     )
-    for name, ok in hypothesis.clauses:
+    for name, ok in report.clauses:
         mark = "pass" if ok else "FAIL"
         lines.append(f"  [{mark}] {name}")
     if report.scope:
         basis = report.kernel_basis
         via = f" via square-free kernel {basis}" if basis else ""
         lines.append(f"  residue scope: {report.scope}{via}")
-    if hypothesis.failed_prime:
-        lines.append(f"  smallest violating Fermat prime: {hypothesis.failed_prime}")
+    if report.failed_prime:
+        lines.append(f"  smallest violating Fermat prime: {report.failed_prime}")
     lines.append(
         f"  tower strict to depth {report.depth}: "
         + ("yes" if report.strict else f"no (c_{report.strict_witness} is a square)")

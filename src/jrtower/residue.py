@@ -11,8 +11,9 @@ once when nu = q * s^2 with q in {3, 7}, which two exact tests decide
 "certified" means is defined once, here: _euler_guard re-checks each
 symbol -1 by Euler's criterion and _check_kernel checks a universal
 kernel. ResidueCertificate runs both on every record, and
-verdict._decide runs both on its key without building one. jacobi
-serves residue_certificate, fermat_obstruction and nonresidue_37_check.
+verdict._decide runs both on the key a VerdictReport holds, without
+building one. jacobi serves residue_certificate, fermat_obstruction and
+nonresidue_37_check.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ class ResidueCertificate(namedtuple("ResidueCertificate",
     can leave it undecided; kernel_basis is that q (else None). scope
     "finite" covers exactly the checked primes, a tuple of ints. Every
     record re-checks its claims: the kernel of a universal scope by
-    _check_kernel, then the symbol at each checked prime by _euler_guard.
+    _check_kernel, that a universal scope checked every known Fermat
+    prime > 3, then the symbol at each checked prime by _euler_guard.
     """
 
     __slots__ = ()
@@ -187,6 +189,10 @@ class ResidueCertificate(namedtuple("ResidueCertificate",
     def __new__(cls, nu, scope, checked_primes, kernel_basis):
         if scope == "universal":
             _check_kernel(nu, kernel_basis)
+            if checked_primes != _fermat_primes_above_3():
+                raise InvariantFailure(
+                    f"universal scope skips a known Fermat prime: checked {checked_primes}"
+                )
         for p in checked_primes:
             _euler_guard(nu, p)
         return super().__new__(cls, nu, scope, checked_primes, kernel_basis)

@@ -567,7 +567,7 @@ def _chain_tail(p: int) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis bundle and the verdict
+# The hypothesis and the verdict
 
 
 # The theorem's shape hypotheses on nu, in the order they are checked
@@ -580,66 +580,18 @@ CLAUSE_NAMES = (
 )
 
 
-class HypothesisReport(namedtuple("HypothesisReport",
-                                  "nu outcomes symbols mu_not_squarefree kernel_basis")):
-    """Clause-by-clause check of the theorem's shape hypotheses on nu:
-    nu and the key that _decide returns for it.
-
-    outcomes holds a bool for each clause of CLAUSE_NAMES, whether it
-    passed, in that order; symbols holds the int (nu|p) for the known
-    Fermat primes p > 3, in order, from the residue tables;
-    mu_not_squarefree is a bool, or None when undecided within the
-    effort; kernel_basis is the universal residue kernel, 3 or 7, else
-    None. The rest renders on read; tower_params(nu) and
-    residue_certificate(nu) build the records.
+def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> VerdictReport:
+    """jr_verdict(nu, effort=effort), whose report renders the clauses,
+    the scope and failed_prime. The LAYERS table of bench/spans.py is
+    the only reader of this name, and it goes when that table drops it.
     """
-
-    __slots__ = ()
-
-    @property
-    def clauses(self) -> tuple[tuple[str, bool], ...]:
-        return tuple(zip(CLAUSE_NAMES, self.outcomes))
-
-    @property
-    def scope(self) -> str | None:
-        """The residue certificate's scope: None when it failed."""
-        if not self.outcomes[3]:
-            return None
-        return "finite" if self.kernel_basis is None else "universal"
-
-    @property
-    def failed_prime(self) -> int | None:
-        """The least Fermat prime p > 3 with (nu|p) != -1, or None."""
-        return None if self.outcomes[3] else _first_failure(self.symbols)[0]
-
-    def to_json(self) -> dict:
-        return {
-            "clauses": [[name, ok] for name, ok in self.clauses],
-            "scope": self.scope,
-            "failed_prime": self.failed_prime,
-            "mu_not_squarefree": self.mu_not_squarefree,
-        }
-
-
-def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> HypothesisReport:
-    """Check nu = 2^(2m) * mu, m >= 1, mu odd >= 3, nu non-square, and
-    the Fermat-prime residue certificate.
-
-    The report holds the key _decide returns, after every guard it
-    runs. Certificate failure is folded into a failed clause (with the
-    smallest violating prime rendered as failed_prime), not an
-    exception. The mu_not_squarefree flag comes from trial division of
-    mu up to effort.trial_bound and the cube-root lemma (see
-    factor._has_square_factor); effort bounds only the factorization
-    it falls back to when mu's rest exceeds trial_bound^3.
-    """
-    return HypothesisReport(nu, *_decide(nu, effort))
+    return jr_verdict(nu, effort=effort)
 
 
 def _decide(nu: int, effort: Effort) -> tuple:
-    """The key of hypothesis_check and jr_verdict: (outcomes, symbols,
-    mu_not_squarefree, kernel_basis), kernel_basis None unless every
-    symbol is -1 and nu is 3 or 7 times a square.
+    """The key of jr_verdict: (outcomes, symbols, mu_not_squarefree,
+    kernel_basis), kernel_basis None unless every symbol is -1 and nu
+    is 3 or 7 times a square.
 
     The guards of the records the key stands for run here, once each,
     and no record is built: the 2-adic split nu = 2^v * mu of
@@ -680,12 +632,18 @@ _KRONECKER_NOTE = (
 class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
                                "mu_not_squarefree kernel_basis")):
     """The JR classification of one nu: its depth and the key that
-    _decide returns, whose fields are HypothesisReport's.
+    _decide returns. outcomes holds a bool for each clause of
+    CLAUSE_NAMES, whether it passed, in that order; symbols holds the
+    int (nu|p) for the known Fermat primes p > 3, in order, from the
+    residue tables; mu_not_squarefree is a bool, or None when undecided
+    within the effort (see factor._has_square_factor); kernel_basis is
+    the universal residue kernel, 3 or 7, else None.
 
     Everything else renders from the key on read: the conclusion, the
-    finite-scope caveat, the hypothesis report, the scope, strictness,
-    the sqrt(2) verdict and reason, the FermatObstruction records, the
-    reasons, alpha, jr_upper and the statements.
+    finite-scope caveat, the clauses, the scope, failed_prime,
+    strictness, the sqrt(2) verdict and reason, the FermatObstruction
+    records, the reasons, alpha, jr_upper and the statements;
+    tower_params(nu) and residue_certificate(nu) build the records.
     """
 
     __slots__ = ()
@@ -710,11 +668,25 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
         return self.conclusive and self.kernel_basis is None
 
     @property
-    def hypothesis(self) -> HypothesisReport:
-        return HypothesisReport(self.nu, self.outcomes, self.symbols,
-                                self.mu_not_squarefree, self.kernel_basis)
+    def hypothesis(self) -> VerdictReport:
+        """The report itself, which renders the hypothesis section."""
+        return self
 
-    scope = HypothesisReport.scope
+    @property
+    def clauses(self) -> tuple[tuple[str, bool], ...]:
+        return tuple(zip(CLAUSE_NAMES, self.outcomes))
+
+    @property
+    def scope(self) -> str | None:
+        """The residue certificate's scope: None when it failed."""
+        if not self.outcomes[3]:
+            return None
+        return "finite" if self.kernel_basis is None else "universal"
+
+    @property
+    def failed_prime(self) -> int | None:
+        """The least Fermat prime p > 3 with (nu|p) != -1, or None."""
+        return None if self.outcomes[3] else _first_failure(self.symbols)[0]
 
     @property
     def strict(self) -> bool:
@@ -796,7 +768,12 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
         return {
             "nu": self.nu,
             "depth": self.depth,
-            "hypothesis": self.hypothesis.to_json(),
+            "hypothesis": {
+                "clauses": [[name, ok] for name, ok in self.clauses],
+                "scope": self.scope,
+                "failed_prime": self.failed_prime,
+                "mu_not_squarefree": self.mu_not_squarefree,
+            },
             "strict": self.strict,
             "strict_witness": self.strict_witness,
             "sqrt2_certified": self.sqrt2_certified,

@@ -29,7 +29,6 @@ RECORDS = {
     "QuadraticSurd": lambda: jr.alpha_surd(12),
     "ConstructibilityDecomposition": lambda: jr.constructible_order(68),
     "FermatObstruction": lambda: jr.fermat_obstruction(12, 5),
-    "HypothesisReport": lambda: jr.hypothesis_check(12),
     "VerdictReport": lambda: jr_verdict(12, 5),
     "Nu7Report": lambda: jr.nu7_exploration(2),
 }
@@ -174,6 +173,14 @@ def forged(name: str, fields: dict):
     ("ResidueCertificate", {"nu": 75, "scope": "universal", "kernel_basis": 3},
      r"Euler's criterion disagrees with jacobi\(75, 5\) = -1"),
     ("ResidueCertificate", {"nu": 20}, r"Euler's criterion disagrees with jacobi\(20, 5\) = -1"),
+    # A universal scope with a kernel that holds, but that skips a known
+    # prime, here 5, which divides 75.
+    ("ResidueCertificate",
+     {"nu": 75, "scope": "universal", "checked_primes": (), "kernel_basis": 3},
+     r"universal scope skips a known Fermat prime: checked \(\)"),
+    ("ResidueCertificate",
+     {"nu": 75, "scope": "universal", "checked_primes": (17, 257), "kernel_basis": 3},
+     r"universal scope skips a known Fermat prime: checked \(17, 257\)"),
 ])
 def test_copy_and_pickle_run_each_invariant_check(name, fields, message):
     """A record forged past its checks cannot be built from its fields,
@@ -212,7 +219,7 @@ def _verdict_path_records():
     for nu in (12, 20, 8):
         report = jr_verdict(nu, 5, EFFORT_QUICK)
         params = tower_params(nu)
-        values += [report, report.hypothesis, params, sqrt2_free_certificate(params),
+        values += [report, params, sqrt2_free_certificate(params),
                    *report.obstructions, report.alpha, report.jr_upper,
                    tower_strict(constant_terms(nu, 5))]
         if report.scope is not None:
@@ -223,7 +230,7 @@ def _verdict_path_records():
 def test_records_on_the_verdict_path_pickle_and_deepcopy():
     values = _verdict_path_records()
     assert {type(v).__name__ for v in values} >= {
-        "VerdictReport", "HypothesisReport", "TowerParams", "ResidueCertificate",
+        "VerdictReport", "TowerParams", "ResidueCertificate",
         "Sqrt2Certificate", "FermatObstruction", "QuadraticSurd", "Strictness",
         "Effort", "Factorization", "TreeAutomorphism"}
     for value in values:

@@ -207,6 +207,10 @@ def test_residue_certificate_validates_claims():
             nu=20, scope="universal", checked_primes=(5, 17, 257, 65537),
             kernel_basis=5,
         )
+    # 75 = 3 * 5^2 has a kernel, but a universal scope must have checked
+    # every known Fermat prime > 3, 65537 included.
+    with pytest.raises(InvariantFailure, match="universal scope skips a known Fermat prime"):
+        ResidueCertificate(nu=75, scope="universal", checked_primes=(5, 17, 257), kernel_basis=3)
 
 
 def test_residue_scope_matches_the_kernel_of_nu():

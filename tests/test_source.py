@@ -235,7 +235,7 @@ def test_every_guard_message_is_matched_by_a_test():
 
     unmatched = [(place, prefix) for place, name, prefix in sites
                  if not any(matches(p, prefix) and own(p, name) for p in patterns.get(name, []))]
-    assert len(sites) >= 34
+    assert len(sites) >= 37
     assert all(prefix for _, _, prefix in sites)
     assert unmatched == []
 

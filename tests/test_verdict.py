@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jrtower
 from jrtower import cli, verdict
 from jrtower.errors import (
     CertificateFailure,
@@ -16,7 +17,7 @@ from jrtower.errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK
+from jrtower.factor import EFFORT_DEFAULT, EFFORT_QUICK, _has_square_factor
 from jrtower.orbit import (
     ITERATE_CAP,
     Strictness,
@@ -36,7 +37,6 @@ from jrtower.verdict import (
     THEOREM_APPLIES,
     WINDOW_CAP,
     FermatObstruction,
-    HypothesisReport,
     QuadraticSurd,
     VerdictReport,
     alpha_surd,
@@ -750,14 +750,14 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     obstruction records and the clause pairs appear only when read."""
     assert "obstructions" not in VerdictReport._fields
     paired = []
-    real_clauses = HypothesisReport.clauses.fget
+    real_clauses = VerdictReport.clauses.fget
 
     def spy_clauses(self):
         paired.append(self.nu)
         return real_clauses(self)
 
     built = spy_on_builds(monkeypatch, [FermatObstruction])
-    monkeypatch.setattr(HypothesisReport, "clauses", property(spy_clauses))
+    monkeypatch.setattr(VerdictReport, "clauses", property(spy_clauses))
     reports = []
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
         for nu in range(2, 401):
@@ -934,6 +934,28 @@ def test_jr_verdict_kernel_guard_fires_on_a_forged_kernel(monkeypatch, kernel, m
             decide(652)
 
 
+def _eager_hypothesis(nu: int, effort) -> dict:
+    """The JSON "hypothesis" section as a separate hypothesis record
+    rendered it, built from the public records: the oracle for the
+    section a report renders from its key."""
+    params = tower_params(nu)
+    v = params.two_adic_valuation
+    try:
+        scope, failed_prime = residue_certificate(nu).scope, None
+    except CertificateFailure as failure:
+        scope, failed_prime = None, failure.prime
+    outcomes = (v >= 2 and v % 2 == 0, params.mu >= 3, not params.is_square,
+                scope is not None)
+    names = ("even positive 2-adic valuation", "odd part at least 3",
+             "nu is not a perfect square", "Fermat-prime non-residue certificate")
+    return {
+        "clauses": [[name, ok] for name, ok in zip(names, outcomes)],
+        "scope": scope,
+        "failed_prime": failed_prime,
+        "mu_not_squarefree": _has_square_factor(params.mu, effort),
+    }
+
+
 @pytest.mark.parametrize("effort, top", [(EFFORT_QUICK, 2000), (EFFORT_DEFAULT, 300)])
 def test_records_rendered_on_read_match_the_eager_builders(effort, top):
     """The hypothesis, residue, sqrt(2) and strictness facts a report
@@ -942,19 +964,15 @@ def test_records_rendered_on_read_match_the_eager_builders(effort, top):
     for nu in range(2, top + 1):
         report = jr_verdict(nu, 5, effort)
         params = tower_params(nu)
-        hypothesis = report.hypothesis
-        assert hypothesis == hypothesis_check(nu, effort), nu
-        v = params.two_adic_valuation
-        assert report.outcomes[:3] == (v >= 2 and v % 2 == 0, params.mu >= 3,
-                                       not params.is_square), nu
-        assert report.scope == hypothesis.scope, nu
+        assert report.hypothesis is report, nu
+        assert hypothesis_check(nu, effort) == report, nu
+        assert report.to_json()["hypothesis"] == _eager_hypothesis(nu, effort), nu
         try:
             cert = residue_certificate(nu)
-        except CertificateFailure as failure:
-            assert (report.scope, hypothesis.failed_prime) == (None, failure.prime), nu
+        except CertificateFailure:
+            assert report.kernel_basis is None, nu
         else:
-            assert (report.scope, report.kernel_basis) == (cert.scope, cert.kernel_basis), nu
-            assert hypothesis.failed_prime is None, nu
+            assert report.kernel_basis == cert.kernel_basis, nu
         sqrt2 = sqrt2_free_certificate(params)
         assert (report.sqrt2_certified, report.sqrt2_reason) == (sqrt2.certified,
                                                                  sqrt2.reason), nu
@@ -1012,8 +1030,7 @@ def test_a_read_builds_only_what_it_prints(monkeypatch, record_classes):
         report.to_json()
         cli._render_verdict(report)
         read.update(built)
-    assert {"HypothesisReport", "FermatObstruction", "QuadraticSurd"} <= read
-    assert not read & {"TowerParams", "ResidueCertificate", "Sqrt2Certificate"}
+    assert read == {"FermatObstruction", "QuadraticSurd"}
 
 
 def test_euler_criterion_and_orbit_walk_agree_with_exclusions():
@@ -1193,16 +1210,15 @@ def test_statements_rendered_on_read_match_the_eager_builder(effort, top, counts
 
 
 def test_the_bound_and_statements_are_not_fields():
-    """Both verdict records hold the decided key alone."""
+    """The one verdict record holds the decided key alone."""
     key = ("outcomes", "symbols", "mu_not_squarefree", "kernel_basis")
     assert VerdictReport._fields == ("nu", "depth", *key)
-    assert HypothesisReport._fields == ("nu", *key)
     for name in ("conclusive", "conclusion", "finite_scope_caveat", "hypothesis",
-                 "scope", "strict", "strict_witness", "sqrt2_certified",
-                 "sqrt2_reason", "alpha", "jr_upper", "statements"):
+                 "clauses", "scope", "failed_prime", "strict", "strict_witness",
+                 "sqrt2_certified", "sqrt2_reason", "alpha", "jr_upper", "statements"):
         assert isinstance(getattr(VerdictReport, name), property), name
-    for name in ("clauses", "scope", "failed_prime"):
-        assert isinstance(getattr(HypothesisReport, name), property), name
+    assert not hasattr(jrtower, "HypothesisReport")
+    assert not hasattr(verdict, "HypothesisReport")
     assert not hasattr(VerdictReport, "sqrt2")
     assert not hasattr(verdict, "_hypothesis_report")
 
