@@ -4,16 +4,17 @@ A Fermat prime p = 2^(2^k) + 1 > 3 satisfies p = 1 (mod 4), so Q(zeta_p)
 contains Q(sqrt p); if nu is a quadratic non-residue mod p, the orbit of
 0 under t -> t^2 - nu never vanishes mod p and sqrt(p) stays out of the
 whole tower. This module certifies the non-residue inputs. The verdict
-reads each symbol (nu|p) from residue_table, one per-process table for
-each known Fermat prime. The certificate covers every Fermat prime at
-once when nu = q * s^2 with q in {3, 7}, which two exact tests decide
-(q | nu, and nu / q is a perfect square), with no factoring. What
-"certified" means is defined once, here: _euler_guard re-checks each
-symbol -1 by Euler's criterion and _check_kernel checks a universal
-kernel. ResidueCertificate runs both on every record, and
-verdict._decide runs both on the key a VerdictReport holds, without
-building one. jacobi serves residue_certificate, fermat_obstruction and
-nonresidue_37_check.
+takes each symbol (nu|p) from fermat_symbols, by Euler's criterion
+nu^((p-1)/2) = -1 (mod p), the fact an exclusion rests on. The
+certificate covers every Fermat prime at once when nu = q * s^2 with q
+in {3, 7}, which two exact tests decide (q | nu, and nu / q is a
+perfect square), with no factoring. What "certified" means is defined
+once, here: each symbol -1 holds by Euler's criterion and _check_kernel
+checks a universal kernel. ResidueCertificate runs _euler_guard and
+_check_kernel on every record, and verdict._decide runs fermat_symbols
+and _check_kernel on the key a VerdictReport holds, without building
+one. jacobi, by reciprocity, is the independent oracle: it serves
+residue_certificate, fermat_obstruction and nonresidue_37_check.
 """
 
 from __future__ import annotations
@@ -66,33 +67,20 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# residue_table(p)[r] holds the index into _SYMBOL of (r|p).
-_SYMBOL = (0, 1, -1)
-
-
-@lru_cache(maxsize=None)
-def residue_table(p: int) -> bytes:
-    """(r|p) for r = 0..p-1 as bytes, for a known Fermat prime p > 3:
-    0 at r = 0, 1 at the quadratic residues, 2 at the non-residues
-    (_SYMBOL[t[r]] is the symbol). Built once per process by squaring
-    1..(p-1)/2 mod p; the four tables take about 66 KB."""
-    if p not in _fermat_primes_above_3():
-        raise ValueError(f"{p} is not a known Fermat prime greater than 3")
-    table = bytearray(b"\x02") * p
-    table[0] = 0
-    for x in range(1, (p + 1) // 2):
-        table[x * x % p] = 1
-    # x and p - x have the same square, and an odd prime has (p-1)/2
-    # residues, so a table with any other count was built wrong.
-    if table[0] != 0 or table.count(1) != (p - 1) // 2:
-        raise InvariantFailure(f"quadratic-residue table mod {p} is malformed")
-    return bytes(table)
-
-
 def fermat_symbols(nu: int) -> tuple[int, ...]:
-    """(nu|p) for the known Fermat primes p > 3, in order, read from
-    the per-process residue tables."""
-    return tuple([_SYMBOL[residue_table(p)[nu % p]] for p in _fermat_primes_above_3()])
+    """(nu|p) for the known Fermat primes p > 3, in order, each by
+    Euler's criterion: nu^((p-1)/2) is 0, 1 or p - 1 modulo a prime p."""
+    symbols = []
+    for p in _fermat_primes_above_3():
+        r = pow(nu, (p - 1) // 2, p)
+        if r == p - 1:
+            symbols.append(-1)
+        elif r > 1:
+            # Only a composite p leaves a power other than 0, 1 and -1.
+            raise InvariantFailure(f"no Legendre symbol modulo {p}: {nu}^{(p - 1) // 2} = {r}")
+        else:
+            symbols.append(r)
+    return tuple(symbols)
 
 
 def fermat_value(index: int) -> int:
@@ -213,12 +201,12 @@ def _euler_guard(nu: int, p: int) -> None:
 
     An exclusion rests on j = -1 alone (see verdict.fermat_obstruction),
     so that is what the guard re-checks: nu^((p-1)/2) = -1 (mod p),
-    Euler's criterion, a modular power computed apart from both the
-    reciprocity steps of jacobi and the squares of the table. It fails
-    on every wrong -1, so it is stronger than walking the orbit mod p,
-    which fails only on a wrong -1 whose orbit happens to reach 0 (13 is
-    a square mod 17, yet its orbit never vanishes there). Every p that
-    the package passes comes from known_fermat_primes(), so it is prime.
+    Euler's criterion, a modular power computed apart from the
+    reciprocity steps of jacobi. It fails on every wrong -1, so it is
+    stronger than walking the orbit mod p, which fails only on a wrong
+    -1 whose orbit happens to reach 0 (13 is a square mod 17, yet its
+    orbit never vanishes there). Every p that the package passes comes
+    from known_fermat_primes(), so it is prime.
     """
     if pow(nu, (p - 1) // 2, p) != p - 1:
         raise InvariantFailure(

@@ -524,8 +524,8 @@ def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
     depth from nu alone (see orbit.Strictness). The chain hinges on
     jacobi(nu, p) = -1, from which p divides no c_n: p | c_1 = nu
     would make the symbol 0, and p | c_n with n >= 2 would give
-    c_{n-1}^2 = nu (mod p), so nu would be a square mod p. The symbol
-    is checked again by Euler's criterion (see residue._euler_guard).
+    c_{n-1}^2 = nu (mod p), so nu would be a square mod p. A -1 from
+    jacobi is checked again by Euler's criterion (see residue._euler_guard).
     """
     if p not in _fermat_primes_above_3():
         raise ValueError(f"p = {p} is not a known Fermat prime greater than 3")
@@ -533,15 +533,18 @@ def fermat_obstruction(nu: int, p: int) -> FermatObstruction:
         raise ValueError("nu must be an integer >= 2")
     if is_square(nu):
         raise PreconditionError(f"tower over nu = {nu} is not strict: c_1 is a square")
-    return _obstruction_chain(nu, p, jacobi(nu, p))
+    j = jacobi(nu, p)
+    if j == -1:
+        _euler_guard(nu, p)
+    return _obstruction_chain(nu, p, j)
 
 
 def _obstruction_chain(nu: int, p: int, j: int) -> FermatObstruction:
     """fermat_obstruction for a strict nu and a Pepin-certified p > 3,
-    given the symbol j = (nu|p), from jacobi or from residue_table."""
+    given the symbol j = (nu|p), from jacobi (checked by its caller) or
+    from residue.fermat_symbols, which is Euler's criterion itself."""
     if j != -1:
         return FermatObstruction(nu, p, INCONCLUSIVE, _inconclusive_reason(p, j))
-    _euler_guard(nu, p)
     return FermatObstruction(nu, p, EXCLUDED)
 
 
@@ -596,9 +599,10 @@ def _decide(nu: int, effort: Effort) -> tuple:
     The guards of the records the key stands for run here, once each,
     and no record is built: the 2-adic split nu = 2^v * mu of
     TowerParams, the sqrt(2) fixed point mod 2^(v+1) of
-    sqrt2_free_certificate, and the two checks of a ResidueCertificate,
-    Euler's criterion on each -1 symbol, on which an obstruction chain
-    rests, and the kernel check of a universal scope.
+    sqrt2_free_certificate, and the two checks of a ResidueCertificate.
+    Each symbol is Euler's criterion (residue.fermat_symbols), which is
+    the check a -1 needs, and the kernel of a universal scope is
+    checked by _check_kernel.
     """
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
@@ -607,9 +611,6 @@ def _decide(nu: int, effort: Effort) -> tuple:
     strict = not is_square(nu)
     _sqrt2_reason(nu, v, mu, not strict)
     symbols = fermat_symbols(nu)
-    for p, j in zip(_fermat_primes_above_3(), symbols):
-        if j == -1:
-            _euler_guard(nu, p)
     certified = symbols.count(-1) == len(symbols)
     kernel_basis = _kernel_basis(nu) if certified else None
     if kernel_basis is not None:
@@ -634,8 +635,8 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
     """The JR classification of one nu: its depth and the key that
     _decide returns. outcomes holds a bool for each clause of
     CLAUSE_NAMES, whether it passed, in that order; symbols holds the
-    int (nu|p) for the known Fermat primes p > 3, in order, from the
-    residue tables; mu_not_squarefree is a bool, or None when undecided
+    int (nu|p) for the known Fermat primes p > 3, in order, by Euler's
+    criterion; mu_not_squarefree is a bool, or None when undecided
     within the effort (see factor._has_square_factor); kernel_basis is
     the universal residue kernel, 3 or 7, else None.
 

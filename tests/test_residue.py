@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrtower import residue
 from jrtower.errors import CertificateFailure, InvariantFailure, ResourceLimitError
@@ -15,13 +17,13 @@ from jrtower.residue import (
     ResidueCertificate,
     fermat_mod_pattern,
     fermat_number,
+    fermat_symbols,
     fermat_value,
     jacobi,
     known_fermat_primes,
     nonresidue_37_check,
     pepin_test,
     residue_certificate,
-    residue_table,
 )
 from jrtower.verdict import THEOREM_APPLIES, jr_verdict
 
@@ -53,25 +55,32 @@ def test_jacobi_multiplicative_in_denominator():
     assert jacobi(5, 1) == 1
 
 
-@pytest.mark.parametrize("p", [5, 17, 257, 65537])
-def test_residue_table_matches_jacobi(p):
-    table = residue_table(p)
-    assert isinstance(table, bytes) and len(table) == p
-    assert all(residue._SYMBOL[table[r]] == jacobi(r, p) for r in range(p))
-    assert residue_table(p) is table  # built once per process
+FERMAT_ABOVE_3 = (5, 17, 257, 65537)
 
 
-def test_residue_table_guard_and_domain(monkeypatch):
-    """A malformed table raises at build time: mod 9, 3^2 = 0 marks 0 a
-    residue; mod 15 the squares of 1..7 hit 5 classes, not 7."""
-    monkeypatch.setattr(residue, "_fermat_primes_above_3", lambda: (5, 9, 15))
-    for n in (9, 15):
-        with pytest.raises(InvariantFailure, match=f"quadratic-residue table mod {n} is malformed"):
-            residue_table.__wrapped__(n)
-    monkeypatch.undo()
-    for n in (3, 7, 65539):
-        with pytest.raises(ValueError):
-            residue_table(n)
+@pytest.mark.parametrize("p", FERMAT_ABOVE_3)
+def test_fermat_symbols_match_jacobi_on_every_residue(p):
+    """Euler's criterion against reciprocity, for every r in 0..65536,
+    which covers every residue class modulo each known Fermat prime."""
+    i = FERMAT_ABOVE_3.index(p)
+    assert all(fermat_symbols(r)[i] == jacobi(r, p) for r in range(65537))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(1, 10**300), st.integers(1, 600))
+def test_fermat_symbols_of_4_to_the_m_times_mu_are_those_of_mu(mu, m):
+    """The key lemma at the symbol level: 4^m is a square prime to each
+    Fermat prime p > 3, so (4^m mu|p) = (mu|p), with no factoring."""
+    assert fermat_symbols(4**m * mu) == tuple(jacobi(mu, p) for p in FERMAT_ABOVE_3)
+
+
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_fermat_symbols_guard_fires_on_a_composite_modulus(monkeypatch, n):
+    """Modulo a prime, nu^((p-1)/2) is 0, 1 or -1; modulo 9, 15 and 21
+    the power of 2 is 7, 8 and 16, so no symbol can be read."""
+    monkeypatch.setattr(residue, "_fermat_primes_above_3", lambda: (5, n))
+    with pytest.raises(InvariantFailure, match=rf"no Legendre symbol modulo {n}: 2\^"):
+        fermat_symbols(2)
 
 
 def test_jacobi_rejects_even_denominator():

@@ -782,32 +782,22 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
     assert len(built) == 4 * strict and len(paired) == len(reports)
 
 
-@pytest.mark.parametrize("nu, p", [(13, 17), (8, 17), (52, 17), (20, 5), (36, 5)])
-def test_jr_verdict_guard_fires_on_a_forged_table_entry(monkeypatch, nu, p):
-    """A residue table that reads -1 where (nu|p) is 1 or 0 makes the
-    verdict and the hypothesis check raise: Euler's criterion re-checks
-    every -1 in _decide, with no obstruction read, also for a square nu
+@pytest.mark.parametrize("nu, n", [(13, 9), (36, 15), (12, 21)])
+def test_jr_verdict_guard_fires_on_a_composite_modulus(monkeypatch, nu, n):
+    """A modulus that is not prime leaves nu^((n-1)/2) outside {0, 1,
+    -1}, so the verdict and the hypothesis check raise when _decide
+    takes the symbols, with no obstruction read, also for a square nu
     such as 36, whose tower is not strict."""
     from jrtower import residue
-
-    real = residue.residue_table
-
-    def forged(q):
-        table = real(q)
-        if q != p:
-            return table
-        r = nu % p
-        return table[:r] + b"\x02" + table[r + 1:]
 
     def unread(self):
         raise AssertionError("the obstructions were read")
 
-    assert jacobi(nu, p) != -1
-    monkeypatch.setattr(residue, "residue_table", forged)
+    assert pow(nu, (n - 1) // 2, n) not in (0, 1, n - 1)
+    monkeypatch.setattr(residue, "_fermat_primes_above_3", lambda: (5, 17, n))
     monkeypatch.setattr(VerdictReport, "obstructions", property(unread))
     for decide in (jr_verdict, hypothesis_check):
-        with pytest.raises(InvariantFailure,
-                           match=rf"Euler's criterion disagrees with jacobi\({nu}, {p}\)"):
+        with pytest.raises(InvariantFailure, match=rf"no Legendre symbol modulo {n}: {nu}\^"):
             decide(nu, effort=EFFORT_QUICK)
 
 
@@ -884,13 +874,14 @@ def test_jr_verdict_builds_no_orbit(monkeypatch, nus, depths):
 
 
 @pytest.mark.parametrize("nu, first_zero", [(13, None), (8, 3)])
-def test_obstruction_chain_guard_fires_on_a_wrong_symbol(nu, first_zero):
-    """nu = 13 and 8 are squares mod 17; claiming jacobi = -1 must raise,
-    whether or not the orbit mod 17 reaches 0."""
+def test_obstruction_chain_guard_fires_on_a_wrong_symbol(monkeypatch, nu, first_zero):
+    """nu = 13 and 8 are squares mod 17; a jacobi that claims -1 makes
+    fermat_obstruction raise, whether or not the orbit mod 17 reaches 0."""
     assert orbit_mod_p(nu, 17) == first_zero
     assert tower_strict(constant_terms(nu, 5)).strict
+    monkeypatch.setattr(verdict, "jacobi", lambda a, n: -1)
     with pytest.raises(InvariantFailure, match="Euler's criterion"):
-        verdict._obstruction_chain(nu, 17, -1)
+        fermat_obstruction(nu, 17)
 
 
 def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
@@ -1084,28 +1075,36 @@ def test_jr_verdict_factors_nothing(monkeypatch):
 
 
 def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
-    """Each symbol (nu|p) is read once, from its residue table: a verdict
-    calls jacobi zero times and reads one table entry per prime."""
+    """Each symbol (nu|p) is taken once, by Euler's criterion: a verdict
+    calls fermat_symbols once, and neither jacobi nor _euler_guard."""
     from jrtower import residue
 
+    symbols = spy_everywhere(monkeypatch, residue, "fermat_symbols")
     calls = spy_everywhere(monkeypatch, residue, "jacobi")
-    reads = []
-    real = residue.residue_table
-
-    class SpyTable:
-        def __init__(self, p):
-            self.p, self.table = p, real(p)
-
-        def __getitem__(self, r):
-            reads.append((self.p, r))
-            return self.table[r]
-
-    monkeypatch.setattr(residue, "residue_table", SpyTable)
+    guards = spy_everywhere(monkeypatch, residue, "_euler_guard")
     for nu in range(2, 401):
-        del reads[:]
+        del symbols[:]
         jr_verdict(nu, 5, EFFORT_QUICK)
-        assert calls == [], nu
-        assert reads == [(p, nu % p) for p in (5, 17, 257, 65537)], nu
+        assert symbols == [(nu,)], nu
+        assert calls == [] and guards == [], nu
+
+
+def test_first_verdict_allocates_under_96_kb():
+    """A fresh process builds no per-prime table for its first verdict:
+    the tracemalloc peak of jr_verdict(12, 5, EFFORT_QUICK) reads about
+    59 KB, under 96 KB, where four residue tables mod 5, 17, 257 and
+    65537 (66 KB) would lift it to about 130 KB."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(jrtower.__file__))
+    probe = ("import tracemalloc; from jrtower import jr_verdict; "
+             "from jrtower.factor import EFFORT_QUICK; tracemalloc.start(); "
+             "jr_verdict(12, 5, EFFORT_QUICK); print(tracemalloc.get_traced_memory()[1])")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 96 * 1024, out
 
 
 def test_hypothesis_check_bundle():
