@@ -54,7 +54,8 @@ class TowerParams(namedtuple("TowerParams", "nu two_adic_valuation mu is_square"
 
 def _check_decomposition(nu: int, v: int, mu: int) -> None:
     """Raise unless nu = 2^v * mu with mu odd: TowerParams' check, which
-    verdict._decide runs on its split of nu without building the record."""
+    verdict.hypothesis_check runs on its split of nu without building
+    the record."""
     if 2**v * mu != nu or mu % 2 == 0:
         raise InvariantFailure("broken 2-adic decomposition")
 

@@ -11,10 +11,11 @@ in {3, 7}, which two exact tests decide (q | nu, and nu / q is a
 perfect square), with no factoring. What "certified" means is defined
 once, here: each symbol -1 holds by Euler's criterion and _check_kernel
 checks a universal kernel. ResidueCertificate runs _euler_guard and
-_check_kernel on every record, and verdict._decide runs fermat_symbols
-and _check_kernel on the key a VerdictReport holds, without building
-one. jacobi, by reciprocity, is the independent oracle: it serves
-residue_certificate, fermat_obstruction and nonresidue_37_check.
+_check_kernel on every record, and verdict.hypothesis_check runs
+fermat_symbols and _check_kernel on the key a VerdictReport holds,
+without building one. jacobi, by reciprocity, is the independent
+oracle: it serves residue_certificate, fermat_obstruction and
+nonresidue_37_check.
 """
 
 from __future__ import annotations

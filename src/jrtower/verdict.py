@@ -583,16 +583,9 @@ CLAUSE_NAMES = (
 )
 
 
-def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> VerdictReport:
-    """jr_verdict(nu, effort=effort), whose report renders the clauses,
-    the scope and failed_prime. The LAYERS table of bench/spans.py is
-    the only reader of this name, and it goes when that table drops it.
-    """
-    return jr_verdict(nu, effort=effort)
-
-
-def _decide(nu: int, effort: Effort) -> tuple:
-    """The key of jr_verdict: (outcomes, symbols, mu_not_squarefree,
+def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> tuple:
+    """Decide the theorem's shape hypotheses on nu (CLAUSE_NAMES) and
+    return the key of jr_verdict: (outcomes, symbols, mu_not_squarefree,
     kernel_basis), kernel_basis None unless every symbol is -1 and nu
     is 3 or 7 times a square.
 
@@ -633,7 +626,7 @@ _KRONECKER_NOTE = (
 class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
                                "mu_not_squarefree kernel_basis")):
     """The JR classification of one nu: its depth and the key that
-    _decide returns. outcomes holds a bool for each clause of
+    hypothesis_check returns. outcomes holds a bool for each clause of
     CLAUSE_NAMES, whether it passed, in that order; symbols holds the
     int (nu|p) for the known Fermat primes p > 3, in order, by Euler's
     criterion; mu_not_squarefree is a bool, or None when undecided
@@ -708,7 +701,7 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
     @property
     def sqrt2_reason(self) -> str | None:
         """Why sqrt2_free_certificate refuses nu, or None. A refused shape
-        is named before the fixed-point guard, which _decide ran."""
+        is named before the fixed-point guard, which hypothesis_check ran."""
         if self.sqrt2_certified:
             return None
         return _sqrt2_reason(self.nu, *split_two_part(self.nu), not self.outcomes[2])
@@ -826,23 +819,26 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
     is built. depth is the level the report names.
 
-    The report holds depth and the key _decide returns, after the
-    guards _decide runs; it is the one record a verdict builds, for
+    The report holds depth and the key hypothesis_check returns, after
+    the guards it runs; it is the one record a verdict builds, for
     every nu. The rest renders on read (see VerdictReport). The one
     guard left here is the bound's floor 4.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
-    key = _decide(nu, effort)
-    # The translates n + alpha are infinitely many totally positive
-    # elements with conjugates inside (0, ceil(alpha) + alpha], the
+    # Looked up as a module global, so that a wrapper installed on
+    # verdict.hypothesis_check (bench/spans.py) times every decision.
+    key = hypothesis_check(nu, effort)
+    # With c = ceil(alpha), the x_n + c are infinitely many distinct
+    # totally positive ring elements with conjugates inside
+    # (c - alpha, c + alpha), since every conjugate of x_n lies in
+    # (-alpha, alpha). So the JR number is at most c + alpha, the
     # jr_upper a report renders on read from alpha_surd(nu), whose
-    # (a, b, D, q) is (1, 1, 1 + 4 nu, 2), and its ceiling c. The floor
-    # 4 is checked here, on the same c from the same _surd_ceil, in
-    # integers and exactly: with s = isqrt(D), c + alpha >= 4 iff
-    # sqrt(D) >= 7 - 2c. The right side is an integer, and
-    # sqrt(D) >= k iff s >= k for an integer k, so that holds iff
-    # 2c + 1 + s >= 8.
+    # (a, b, D, q) is (1, 1, 1 + 4 nu, 2). The floor 4 is checked here,
+    # on the same c from the same _surd_ceil, in integers and exactly:
+    # with s = isqrt(D), c + alpha >= 4 iff sqrt(D) >= 7 - 2c. The right
+    # side is an integer, and sqrt(D) >= k iff s >= k for an integer k,
+    # so that holds iff 2c + 1 + s >= 8.
     D = 1 + 4 * nu
     if 2 * _surd_ceil(1, 1, D, 2) + 1 + isqrt(D) < 8:
         raise InvariantFailure("JR upper bound fell below the floor 4")

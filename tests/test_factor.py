@@ -2,6 +2,8 @@ import random
 from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrtower.factor import (
     COMPLETE,
@@ -340,3 +342,34 @@ def test_square_factor_fallback_factors_the_rest(monkeypatch):
             assert fallbacks == [mu // prod(p for p in sieved if mu % p == 0)], mu
             reached += 1
     assert reached > 20
+
+
+# Prime sizes around the quick trial bound B = 10^4 and its cube: below
+# B, just above it, about B^(3/2) (so that a product of two lies on
+# either side of B^3) and about B^3.
+_PRIME_SIZES = ((2, 10**4), (10**4, 10**5), (5 * 10**5, 2 * 10**6), (10**11, 10**13))
+# The shapes p^2 q, p q r, p^3 and p q, as indices into three drawn primes.
+_SHAPES = ((0, 0, 1), (0, 1, 2), (0, 0, 0), (0, 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(_SHAPES),
+       st.lists(st.one_of(*(st.integers(lo, hi) for lo, hi in _PRIME_SIZES)),
+                min_size=3, max_size=3))
+def test_square_factor_flag_on_structured_n(shape, draws):
+    """n built from known primes: the quick flag is whether a prime
+    repeats, or None, which the docstring allows only when trial division
+    leaves a rest of at least P^3, P the largest sieved prime: no sieved
+    prime repeats and the primes above P multiply to at least P^3."""
+    sympy = pytest.importorskip("sympy")
+    primes = [sympy.nextprime(draws[i] - 1) for i in shape]
+    n = prod(primes)
+    truth = len(set(primes)) < len(primes)
+    flag = _has_square_factor(n, EFFORT_QUICK)
+    if flag is None:
+        top = prime_sieve(EFFORT_QUICK.trial_bound)[-1]
+        sieved = [p for p in primes if p <= top]
+        assert len(set(sieved)) == len(sieved), primes
+        assert prod(p for p in primes if p > top) >= top**3, primes
+    else:
+        assert flag is truth, primes

@@ -956,7 +956,9 @@ def test_records_rendered_on_read_match_the_eager_builders(effort, top):
         report = jr_verdict(nu, 5, effort)
         params = tower_params(nu)
         assert report.hypothesis is report, nu
-        assert hypothesis_check(nu, effort) == report, nu
+        assert hypothesis_check(nu, effort) == (report.outcomes, report.symbols,
+                                                report.mu_not_squarefree,
+                                                report.kernel_basis), nu
         assert report.to_json()["hypothesis"] == _eager_hypothesis(nu, effort), nu
         try:
             cert = residue_certificate(nu)
@@ -1108,16 +1110,19 @@ def test_first_verdict_allocates_under_96_kb():
 
 
 def test_hypothesis_check_bundle():
-    hyp = hypothesis_check(12)
-    assert all(hyp.outcomes)
+    outcomes, _, _, kernel_basis = hypothesis_check(12)
+    assert all(outcomes) and kernel_basis == 3
+    hyp = jr_verdict(12)
     assert hyp.scope == "universal"
     assert [ok for _, ok in hyp.clauses] == [True, True, True, True]
-    hyp = hypothesis_check(8)
-    assert not all(hyp.outcomes)
+    outcomes, _, _, kernel_basis = hypothesis_check(8)
+    assert not all(outcomes) and kernel_basis is None
+    hyp = jr_verdict(8)
     assert hyp.failed_prime == 17
     assert [ok for _, ok in hyp.clauses].count(False) == 3
-    hyp = hypothesis_check(20)
-    assert not all(hyp.outcomes)
+    outcomes, _, _, kernel_basis = hypothesis_check(20)
+    assert not all(outcomes) and kernel_basis is None
+    hyp = jr_verdict(20)
     assert hyp.failed_prime == 5
 
 
