@@ -157,7 +157,7 @@ def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
     flags = []
     if report.finite_scope_caveat:
         flags.append("finite-scope-caveat")
-    if report.mu_not_squarefree and report.sqrt2_certified:
+    if report.sqrt2_certified and report.mu_not_squarefree:
         flags.append("mu-not-squarefree")
     if not report.conclusive:
         flags.append(_reason_flags(report.reasons))

@@ -583,11 +583,11 @@ CLAUSE_NAMES = (
 )
 
 
-def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> tuple:
-    """Decide the theorem's shape hypotheses on nu (CLAUSE_NAMES) and
-    return the key of jr_verdict: (outcomes, symbols, mu_not_squarefree,
-    kernel_basis), kernel_basis None unless every symbol is -1 and nu
-    is 3 or 7 times a square.
+def hypothesis_check(nu: int) -> tuple:
+    """Decide the theorem's shape hypotheses on nu (CLAUSE_NAMES) from nu
+    alone, factoring nothing, and return the key of jr_verdict:
+    (outcomes, symbols, kernel_basis), kernel_basis None unless every
+    symbol is -1 and nu is 3 or 7 times a square.
 
     The guards of the records the key stands for run here, once each,
     and no record is built: the 2-adic split nu = 2^v * mu of
@@ -609,7 +609,7 @@ def hypothesis_check(nu: int, effort: Effort = EFFORT_DEFAULT) -> tuple:
     if kernel_basis is not None:
         _check_kernel(nu, kernel_basis)
     outcomes = (v >= 2 and v % 2 == 0, mu >= 3, strict, certified)
-    return outcomes, symbols, _has_square_factor(mu, effort), kernel_basis
+    return outcomes, symbols, kernel_basis
 
 
 # The floor rule used in VerdictReport.statements: every ring of totally
@@ -624,20 +624,20 @@ _KRONECKER_NOTE = (
 
 
 class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
-                               "mu_not_squarefree kernel_basis")):
-    """The JR classification of one nu: its depth and the key that
-    hypothesis_check returns. outcomes holds a bool for each clause of
-    CLAUSE_NAMES, whether it passed, in that order; symbols holds the
-    int (nu|p) for the known Fermat primes p > 3, in order, by Euler's
-    criterion; mu_not_squarefree is a bool, or None when undecided
-    within the effort (see factor._has_square_factor); kernel_basis is
+                               "effort kernel_basis")):
+    """The JR classification of one nu: its depth, the key that
+    hypothesis_check returns and the effort that bounds mu_not_squarefree.
+    outcomes holds a bool for each clause of CLAUSE_NAMES, whether it
+    passed, in that order; symbols holds the int (nu|p) for the known
+    Fermat primes p > 3, in order, by Euler's criterion; kernel_basis is
     the universal residue kernel, 3 or 7, else None.
 
     Everything else renders from the key on read: the conclusion, the
     finite-scope caveat, the clauses, the scope, failed_prime,
-    strictness, the sqrt(2) verdict and reason, the FermatObstruction
-    records, the reasons, alpha, jr_upper and the statements;
-    tower_params(nu) and residue_certificate(nu) build the records.
+    strictness, the sqrt(2) verdict and reason, mu_not_squarefree (the
+    one fact that reads effort), the FermatObstruction records, the
+    reasons, alpha, jr_upper and the statements; tower_params(nu) and
+    residue_certificate(nu) build the records.
     """
 
     __slots__ = ()
@@ -681,6 +681,11 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
     def failed_prime(self) -> int | None:
         """The least Fermat prime p > 3 with (nu|p) != -1, or None."""
         return None if self.outcomes[3] else _first_failure(self.symbols)[0]
+
+    @property
+    def mu_not_squarefree(self) -> bool | None:
+        """Whether mu has a square factor, None if undecided within effort."""
+        return _has_square_factor(split_two_part(self.nu)[1], self.effort)
 
     @property
     def strict(self) -> bool:
@@ -819,16 +824,16 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
     is built. depth is the level the report names.
 
-    The report holds depth and the key hypothesis_check returns, after
-    the guards it runs; it is the one record a verdict builds, for
-    every nu. The rest renders on read (see VerdictReport). The one
-    guard left here is the bound's floor 4.
+    The report holds depth, effort and the key hypothesis_check decides
+    from nu alone; it is the one record a verdict builds. The rest
+    renders on read (see VerdictReport), and effort bounds only
+    mu_not_squarefree. The one guard left here is the bound's floor 4.
     """
     if depth < 1 or depth > SEQUENCE_CAP:
         raise ResourceLimitError(f"depth must be between 1 and {SEQUENCE_CAP}")
     # Looked up as a module global, so that a wrapper installed on
     # verdict.hypothesis_check (bench/spans.py) times every decision.
-    key = hypothesis_check(nu, effort)
+    outcomes, symbols, kernel_basis = hypothesis_check(nu)
     # With c = ceil(alpha), the x_n + c are infinitely many distinct
     # totally positive ring elements with conjugates inside
     # (c - alpha, c + alpha), since every conjugate of x_n lies in
@@ -842,7 +847,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     D = 1 + 4 * nu
     if 2 * _surd_ceil(1, 1, D, 2) + 1 + isqrt(D) < 8:
         raise InvariantFailure("JR upper bound fell below the floor 4")
-    return VerdictReport(nu, depth, *key)
+    return VerdictReport(nu, depth, outcomes, symbols, effort, kernel_basis)
 
 
 # ---------------------------------------------------------------------------

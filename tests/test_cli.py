@@ -363,6 +363,20 @@ def test_scan_csv_matches_golden_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `python -m jrtower.cli scan 2 20000`, the same
+# at quick and at default effort: no row's bytes depend on the effort.
+SCAN_2_20000 = "85be958aa228094eb5bb45b2983378ea4d243872ecb327d60e289bb30901b855"
+
+
+@pytest.mark.parametrize("effort", ["quick", "default"])
+def test_scan_2_20000_matches_its_digest_at_each_effort(effort):
+    src = os.path.dirname(os.path.dirname(jrtower.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "jrtower.cli", "scan", "2", "20000", "--effort", effort],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == SCAN_2_20000
+
+
 # sha256 of the stdout of `scan 2 3000 --effort quick --json`, which
 # `--out F` leaves unchanged, and of the CSV that `scan 2 3000 --effort
 # quick` prints and `--out F` writes, recorded while a scan still held

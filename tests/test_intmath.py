@@ -41,6 +41,12 @@ def test_v2_and_split_two_part():
         assert split_two_part(m << e) == (e, m)
 
 
+def test_split_two_part_at_its_edges():
+    assert split_two_part(1) == (0, 1)
+    with pytest.raises(ValueError):
+        split_two_part(0)
+
+
 def test_iroot_floor_property():
     """iroot(n, k) must be the exact integer floor of the k-th root."""
     rng = random.Random(1003)

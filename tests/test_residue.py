@@ -15,6 +15,7 @@ from jrtower.residue import (
     PROVEN_COMPOSITE,
     PROVEN_PRIME,
     ResidueCertificate,
+    _check_kernel,
     fermat_mod_pattern,
     fermat_number,
     fermat_symbols,
@@ -297,3 +298,13 @@ def test_residue_certificate_factors_nothing(monkeypatch):
 def test_residue_refuses_inputs_outside_its_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("nu, q", [(60, 3), (13, 3)], ids=["not-a-square", "remainder"])
+def test_check_kernel_fails_each_of_its_two_tests_alone(nu, q):
+    """60 = 3 * 20 leaves no remainder but 20 is not a square; 13 = 3 * 4 + 1
+    has a square quotient but a remainder. Each alone fails the check."""
+    quotient, rem = divmod(nu, q)
+    assert (rem == 0) != (math.isqrt(quotient) ** 2 == quotient)
+    with pytest.raises(InvariantFailure, match="kernel does not divide nu into a square"):
+        _check_kernel(nu, q)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jrtower
@@ -785,9 +785,9 @@ def test_jr_verdict_builds_no_obstruction_and_no_clause_pair(monkeypatch):
 @pytest.mark.parametrize("nu, n", [(13, 9), (36, 15), (12, 21)])
 def test_jr_verdict_guard_fires_on_a_composite_modulus(monkeypatch, nu, n):
     """A modulus that is not prime leaves nu^((n-1)/2) outside {0, 1,
-    -1}, so the verdict and the hypothesis check raise when _decide
-    takes the symbols, with no obstruction read, also for a square nu
-    such as 36, whose tower is not strict."""
+    -1}, so the verdict and the hypothesis check raise when
+    hypothesis_check takes the symbols, with no obstruction read, also
+    for a square nu such as 36, whose tower is not strict."""
     from jrtower import residue
 
     def unread(self):
@@ -796,9 +796,10 @@ def test_jr_verdict_guard_fires_on_a_composite_modulus(monkeypatch, nu, n):
     assert pow(nu, (n - 1) // 2, n) not in (0, 1, n - 1)
     monkeypatch.setattr(residue, "_fermat_primes_above_3", lambda: (5, 17, n))
     monkeypatch.setattr(VerdictReport, "obstructions", property(unread))
-    for decide in (jr_verdict, hypothesis_check):
-        with pytest.raises(InvariantFailure, match=rf"no Legendre symbol modulo {n}: {nu}\^"):
-            decide(nu, effort=EFFORT_QUICK)
+    with pytest.raises(InvariantFailure, match=rf"no Legendre symbol modulo {n}: {nu}\^"):
+        jr_verdict(nu, effort=EFFORT_QUICK)
+    with pytest.raises(InvariantFailure, match=rf"no Legendre symbol modulo {n}: {nu}\^"):
+        hypothesis_check(nu)
 
 
 def test_fermat_obstruction_inconclusive_cases():
@@ -956,9 +957,9 @@ def test_records_rendered_on_read_match_the_eager_builders(effort, top):
         report = jr_verdict(nu, 5, effort)
         params = tower_params(nu)
         assert report.hypothesis is report, nu
-        assert hypothesis_check(nu, effort) == (report.outcomes, report.symbols,
-                                                report.mu_not_squarefree,
-                                                report.kernel_basis), nu
+        assert hypothesis_check(nu) == (report.outcomes, report.symbols,
+                                        report.kernel_basis), nu
+        assert report.mu_not_squarefree == _has_square_factor(params.mu, effort), nu
         assert report.to_json()["hypothesis"] == _eager_hypothesis(nu, effort), nu
         try:
             cert = residue_certificate(nu)
@@ -1076,6 +1077,35 @@ def test_jr_verdict_factors_nothing(monkeypatch):
     assert calls == [] and cached == []
 
 
+def test_the_square_free_flag_is_computed_only_when_read(monkeypatch):
+    """Work counts, not time: a verdict calls neither _has_square_factor
+    nor factorize_cached, not even for 4 (10^600 + 1), whose odd part
+    lies past the cube of the quick trial bound. Reading
+    mu_not_squarefree makes the one call, and a scan row reads it only
+    on the sqrt2_certified rows that print it."""
+    from jrtower import factor
+
+    flags = spy_everywhere(monkeypatch, factor, "_has_square_factor")
+    cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
+    factor._factorize_cached.cache_clear()
+    reports = [jr_verdict(nu, 5, effort)
+               for effort in (EFFORT_QUICK, EFFORT_DEFAULT) for nu in range(2, 401)]
+    assert flags == [] and cached == []
+    jr_verdict(4 * (10**600 + 1), 5, EFFORT_QUICK)
+    assert flags == [] and cached == []
+    for report in reports:
+        del flags[:]
+        report.mu_not_squarefree
+        assert flags == [(tower_params(report.nu).mu, report.effort)], report.nu
+    assert cached == []
+    del flags[:]
+    certified = 0
+    for nu in range(2, 2001):
+        cli._scan_row(nu, EFFORT_QUICK)
+        certified += jr_verdict(nu, 5, EFFORT_QUICK).sqrt2_certified
+    assert len(flags) == certified == 312
+
+
 def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
     """Each symbol (nu|p) is taken once, by Euler's criterion: a verdict
     calls fermat_symbols once, and neither jacobi nor _euler_guard."""
@@ -1110,20 +1140,59 @@ def test_first_verdict_allocates_under_96_kb():
 
 
 def test_hypothesis_check_bundle():
-    outcomes, _, _, kernel_basis = hypothesis_check(12)
+    outcomes, _, kernel_basis = hypothesis_check(12)
     assert all(outcomes) and kernel_basis == 3
     hyp = jr_verdict(12)
     assert hyp.scope == "universal"
     assert [ok for _, ok in hyp.clauses] == [True, True, True, True]
-    outcomes, _, _, kernel_basis = hypothesis_check(8)
+    outcomes, _, kernel_basis = hypothesis_check(8)
     assert not all(outcomes) and kernel_basis is None
     hyp = jr_verdict(8)
     assert hyp.failed_prime == 17
     assert [ok for _, ok in hyp.clauses].count(False) == 3
-    outcomes, _, _, kernel_basis = hypothesis_check(20)
+    outcomes, _, kernel_basis = hypothesis_check(20)
     assert not all(outcomes) and kernel_basis is None
     hyp = jr_verdict(20)
     assert hyp.failed_prime == 5
+
+
+@st.composite
+def _nu_with_chosen_symbols(draw):
+    """nu = 2^v * mu of up to 300 digits, built by the Chinese remainder
+    theorem with each (nu|p), p = 5, 17, 257, 65537, drawn from {-1, 0, 1}
+    (-1 most often). 3 is a primitive root mod each such p, so an odd
+    power of 3 is a non-residue and an even one a residue."""
+    v = draw(st.integers(0, 12))
+    symbols = tuple(draw(st.sampled_from((-1, -1, -1, 0, 1))) for _ in FERMAT_ABOVE_3)
+    modulus, residue = 2, 1  # mu is odd
+    for p, j in zip(FERMAT_ABOVE_3, symbols):
+        e = draw(st.integers(0, (p - 3) // 2))
+        target = 0 if j == 0 else pow(3, 2 * e + (j == -1), p) * pow(2, -v, p) % p
+        residue += modulus * ((target - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+    digits = draw(st.integers(0, 286))  # of the multiplier k
+    k = draw(st.integers(10**digits // 10, 10**digits - 1))
+    nu = 2**v * (residue + modulus * k)
+    assume(nu >= 2)
+    return nu, symbols
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_nu_with_chosen_symbols())
+def test_key_lemma_decides_the_verdict(case):
+    """The key lemma, by property: the theorem applies to nu iff v2(nu)
+    is even and at least 2 and (nu|p) = -1 for every known Fermat prime
+    p > 3. The oracle takes each symbol by jacobi, apart from the Euler's
+    criterion the verdict uses."""
+    nu, symbols = case
+    assert tuple(jacobi(nu, p) for p in FERMAT_ABOVE_3) == symbols
+    v = (nu & -nu).bit_length() - 1
+    applies = v >= 2 and v % 2 == 0 and symbols == (-1,) * 4
+    assert (jr_verdict(nu, 5, EFFORT_QUICK).conclusion == THEOREM_APPLIES) == applies
+
+
+def test_jr_verdict_default_depth_is_5():
+    assert jr_verdict(12).depth == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1214,12 +1283,14 @@ def test_statements_rendered_on_read_match_the_eager_builder(effort, top, counts
 
 
 def test_the_bound_and_statements_are_not_fields():
-    """The one verdict record holds the decided key alone."""
-    key = ("outcomes", "symbols", "mu_not_squarefree", "kernel_basis")
-    assert VerdictReport._fields == ("nu", "depth", *key)
+    """The one verdict record holds the decided key and the effort that
+    bounds the square-free flag, which renders on read."""
+    assert VerdictReport._fields == ("nu", "depth", "outcomes", "symbols", "effort",
+                                     "kernel_basis")
     for name in ("conclusive", "conclusion", "finite_scope_caveat", "hypothesis",
-                 "clauses", "scope", "failed_prime", "strict", "strict_witness",
-                 "sqrt2_certified", "sqrt2_reason", "alpha", "jr_upper", "statements"):
+                 "clauses", "scope", "failed_prime", "mu_not_squarefree", "strict",
+                 "strict_witness", "sqrt2_certified", "sqrt2_reason", "alpha", "jr_upper",
+                 "statements"):
         assert isinstance(getattr(VerdictReport, name), property), name
     assert not hasattr(jrtower, "HypothesisReport")
     assert not hasattr(verdict, "HypothesisReport")
@@ -1265,6 +1336,14 @@ def test_jr_verdict_floor_guard_fires_on_a_forged_ceiling(monkeypatch):
     with pytest.raises(InvariantFailure, match="JR upper bound fell below the floor 4"):
         jr_verdict(2)
     assert jr_verdict(3).conclusion == INCONCLUSIVE  # 2 + alpha(3) > 4 still
+
+
+def test_jr_verdict_floor_guard_fires_at_exactly_7(monkeypatch):
+    """At nu = 4, D = 17 and isqrt(D) = 4: a ceiling forced to 1 gives
+    2 * 1 + 1 + 4 = 7, one short of 8, and the verdict raises."""
+    monkeypatch.setattr(verdict, "_surd_ceil", lambda *surd: 1)
+    with pytest.raises(InvariantFailure, match="JR upper bound fell below the floor 4"):
+        jr_verdict(4)
 
 
 def _ceil_alpha_oracle(nu: int) -> int:
