@@ -114,8 +114,13 @@ def _render_verdict(report) -> str:
         + ("certified" if report.sqrt2_certified
            else f"not certified ({report.sqrt2_reason})")
     )
-    if report.sqrt2_certified and report.mu_not_squarefree:
-        lines.append("  note: odd part of nu is not square-free (uncharted territory flag)")
+    if report.sqrt2_certified:
+        flag = report.mu_not_squarefree
+        if flag:
+            lines.append("  note: odd part of nu is not square-free (uncharted territory flag)")
+        elif flag is None:
+            lines.append("  note: square-freeness of the odd part of nu was not decided "
+                         "within the effort")
     for ob in report.obstructions:
         detail = "" if ob.status == "excluded" else f" ({ob.reason})"
         lines.append(f"  Fermat prime {ob.p}: {ob.status}{detail}")
@@ -157,8 +162,10 @@ def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
     flags = []
     if report.finite_scope_caveat:
         flags.append("finite-scope-caveat")
-    if report.sqrt2_certified and report.mu_not_squarefree:
-        flags.append("mu-not-squarefree")
+    if report.sqrt2_certified:
+        flag = report.mu_not_squarefree
+        if flag is not False:
+            flags.append("mu-not-squarefree" if flag else "mu-squarefree-undecided")
     if not report.conclusive:
         flags.append(_reason_flags(report.reasons))
     return (str(nu), report.conclusion, report.scope or "none",

@@ -134,8 +134,8 @@ def _has_square_factor(n: int, effort: Effort) -> bool | None:
     is coprime to rest holds neither case, and is skipped by one gcd.
     Only when the primes run out first, the rest being at least the cube
     of the largest sieved prime, is the rest, which has a square factor
-    iff n has, factored by factorize_cached, and the answer is None if
-    that stays partial.
+    iff n has, factored by factorize_cached: any m^2 it finds answers
+    True, partial or not, a complete split without one False, else None.
     """
     rest = n
     for chunk, block_prod in _prime_blocks(effort.trial_bound):
@@ -149,9 +149,9 @@ def _has_square_factor(n: int, effort: Effort) -> bool | None:
                 if rest % p == 0:
                     return True
     f = factorize_cached(rest, effort)
-    if not f.complete:
-        return None
-    return any(e > 1 for e in f.factors.values())
+    if any(e > 1 for e in f.factors.values()):
+        return True
+    return False if f.complete else None
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:

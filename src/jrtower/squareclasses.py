@@ -262,28 +262,32 @@ class Sqrt2Certificate(namedtuple("Sqrt2Certificate", "nu certified reason")):
 def sqrt2_free_certificate(params: TowerParams) -> Sqrt2Certificate:
     """Certify that sqrt(2) lies in no level of the tower.
 
-    The shape conditions are checked exactly. The proof is 2-adic: with
-    v = v2(nu) >= 1, v2(c_{n+1}) = v2(c_n^2 - nu) = v because
-    v2(c_n^2) = 2v > v, so every c_n has valuation v. For even v every
-    subset product of c's then has even 2-adic valuation, and its
-    square-free kernel is odd, never 2. See _sqrt2_reason for the guard.
+    The shape conditions are checked exactly (_sqrt2_reason). The proof
+    is 2-adic: with v = v2(nu) >= 1, v2(c_{n+1}) = v2(c_n^2 - nu) = v
+    because v2(c_n^2) = 2v > v, so every c_n has valuation v. For even v
+    every subset product of c's then has even 2-adic valuation, and its
+    square-free kernel is odd, never 2.
+
+    Modulo 2^(v+1), v2(c_n) = v reads c_n = 2^v. The base case
+    c_1 = nu = 2^v is checked here, since a TowerParams forged with
+    _replace skips its own split check: a wrong v raises
+    InvariantFailure. The step needs no check: with r = 2^v and v >= 1,
+    r^2 - nu = -nu = 2^v = r (mod 2^(v+1)), so 2^v is a fixed point of
+    t -> t^2 - nu at every depth.
     """
-    reason = _sqrt2_reason(params.nu, params.two_adic_valuation, params.mu,
-                           params.is_square)
-    return Sqrt2Certificate(params.nu, reason is None, reason)
+    nu, v = params.nu, params.two_adic_valuation
+    reason = _sqrt2_reason(v, params.mu, params.is_square)
+    if reason is None and nu % (2 << v) != 1 << v:
+        raise InvariantFailure(
+            f"c_n = 2^{v} (mod 2^{v + 1}) fails at nu = {nu}, "
+            "so kernel 2 is no longer ruled out"
+        )
+    return Sqrt2Certificate(nu, reason is None, reason)
 
 
-def _sqrt2_reason(nu: int, v: int, mu: int, square: bool) -> str | None:
-    """Why sqrt2_free_certificate refuses nu = 2^v * mu, or None when it
-    certifies, after the guard has passed.
-
-    The guard runs the 2-adic induction modulo 2^(v+1), where
-    v2(c_n) = v reads c_n = 2^v. The base case is r = c_1 = nu = 2^v,
-    and the step is r^2 - nu = r: 2^v is a fixed point of
-    t -> t^2 - nu, so the residue of every c_n, at every depth, stays on
-    it. Both take a few operations on (v+1)-bit integers and factor
-    nothing. A wrong v fails the base case and raises InvariantFailure.
-    """
+def _sqrt2_reason(v: int, mu: int, square: bool) -> str | None:
+    """Why sqrt2_free_certificate refuses nu = 2^v * mu, or None when its
+    shape conditions hold."""
     if v == 0:
         return "4 does not divide nu"
     if v % 2 == 1:
@@ -292,11 +296,4 @@ def _sqrt2_reason(nu: int, v: int, mu: int, square: bool) -> str | None:
         return "odd part of nu is 1"
     if square:
         return "nu is a perfect square"
-    modulus = 2 << v
-    r = nu % modulus
-    if r != 1 << v or (r * r - nu) % modulus != r:
-        raise InvariantFailure(
-            f"c_n = 2^{v} (mod 2^{v + 1}) fails at nu = {nu}, "
-            "so kernel 2 is no longer ruled out"
-        )
     return None

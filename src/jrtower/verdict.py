@@ -553,7 +553,6 @@ def _inconclusive_reason(p: int, j: int) -> str:
     return f"p = {p} divides nu" if j == 0 else f"nu is a quadratic residue mod {p}"
 
 
-@lru_cache(maxsize=8)
 def _chain_tail(p: int) -> tuple[str, ...]:
     """The steps of an exclusion chain that depend on p alone."""
     return (
@@ -591,18 +590,18 @@ def hypothesis_check(nu: int) -> tuple:
 
     The guards of the records the key stands for run here, once each,
     and no record is built: the 2-adic split nu = 2^v * mu of
-    TowerParams, the sqrt(2) fixed point mod 2^(v+1) of
-    sqrt2_free_certificate, and the two checks of a ResidueCertificate.
-    Each symbol is Euler's criterion (residue.fermat_symbols), which is
-    the check a -1 needs, and the kernel of a universal scope is
-    checked by _check_kernel.
+    TowerParams and the two checks of a ResidueCertificate. The split
+    check also proves nu = 2^v (mod 2^(v+1)), the base case of
+    sqrt2_free_certificate's guard, whose step is an identity. Each
+    symbol is Euler's criterion (residue.fermat_symbols), which is the
+    check a -1 needs, and the kernel of a universal scope is checked by
+    _check_kernel.
     """
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
     v, mu = split_two_part(nu)
     _check_decomposition(nu, v, mu)
     strict = not is_square(nu)
-    _sqrt2_reason(nu, v, mu, not strict)
     symbols = fermat_symbols(nu)
     certified = symbols.count(-1) == len(symbols)
     kernel_basis = _kernel_basis(nu) if certified else None
@@ -705,11 +704,11 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
 
     @property
     def sqrt2_reason(self) -> str | None:
-        """Why sqrt2_free_certificate refuses nu, or None. A refused shape
-        is named before the fixed-point guard, which hypothesis_check ran."""
+        """Why sqrt2_free_certificate refuses nu, or None. Only a refused
+        shape reads _sqrt2_reason, so no 2-adic guard runs on read."""
         if self.sqrt2_certified:
             return None
-        return _sqrt2_reason(self.nu, *split_two_part(self.nu), not self.outcomes[2])
+        return _sqrt2_reason(*split_two_part(self.nu), not self.outcomes[2])
 
     @property
     def alpha(self) -> QuadraticSurd:

@@ -203,7 +203,6 @@ def closure_order(generators: list[TreeAutomorphism]) -> int:
     return _schreier_order([_leaf_table(g) for g in generators], 1 << depth)
 
 
-@lru_cache(maxsize=2)
 def _full_group(depth: int) -> frozenset[bytes]:
     """Every element of G, listed; only the depth <= 2 brute-force check uses it."""
     gens = [_leaf_table(g) for g in minimal_generators(depth)]

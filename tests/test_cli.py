@@ -59,6 +59,21 @@ def test_lines_and_refusals_no_golden_reaches(capsys):
         1, "", "error: depth must be between 1 and 12\n")
 
 
+def test_an_undecided_square_free_flag_shows(capsys):
+    """nu = 4 p q with p, q of 21 digits is sqrt2_certified, and at quick
+    effort its square-free flag stays None: the human text says so in a
+    note and the scan row in a token of its own, where a False flag
+    prints nothing."""
+    nu = str(4 * (10**20 + 39) * (10**20 + 129))
+    assert jr_verdict(int(nu), 5, EFFORT_QUICK).mu_not_squarefree is None
+    code, out, _ = run(capsys, "verify", nu, "--effort", "quick")
+    assert code == 2
+    assert ("  sqrt(2) exclusion: certified\n  note: square-freeness of the odd part "
+            "of nu was not decided within the effort\n") in out
+    code, out, _ = run(capsys, "scan", nu, nu, "--effort", "quick")
+    assert code == 0
+    assert out.split("\n")[1].split(",")[4].startswith("mu-squarefree-undecided|")
+
 def test_verify_json_document(capsys):
     code, out, _ = run(capsys, "verify", "--json", "12")
     assert code == 0

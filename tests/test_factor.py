@@ -321,6 +321,19 @@ def test_square_factor_flag_falls_back_beyond_the_cube(monkeypatch):
     assert fallbacks == []
 
 
+def test_square_factor_flag_is_true_on_a_square_a_partial_split_found(monkeypatch):
+    """Any m > 1 with m^2 | n proves a square factor, whether or not the
+    rest splits: at quick effort 10000019^2 p q factors to {10000019: 2}
+    with the cofactor p q left, and the flag reads True, not None."""
+    fallbacks = spy_cached(monkeypatch)
+    p, q = 10**20 + 39, 10**20 + 129
+    n = 10000019**2 * p * q
+    f = factorize(n, EFFORT_QUICK)
+    assert dict(f.factors) == {10000019: 2} and f.cofactor == p * q
+    assert _has_square_factor(n, EFFORT_QUICK) is True
+    assert _has_square_factor(p * q, EFFORT_QUICK) is None
+    assert fallbacks == [n, p * q]
+
 def test_square_factor_fallback_factors_the_rest(monkeypatch):
     """The fallback factors what trial division leaves, not n again: each
     sieved prime it stripped once is coprime to the rest, so n has a

@@ -260,6 +260,53 @@ def test_alpha_and_upper_bound_surds():
         assert abs(mpmath.mpf(u.decimal(10)) - expect) < mpmath.mpf(10) ** -9
 
 
+@st.composite
+def _big_surds(draw):
+    """(a, b, D, q) of 50-500 digits each: irrational, rational (b = 0 or
+    D a square), or within 2/q of an integer k, exactly k among them,
+    with a of either sign."""
+    big = st.integers(50, 500).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+    b, D, q = draw(big), draw(big), draw(big)
+    a = draw(big) * draw(st.sampled_from((1, -1)))
+    shape = draw(st.sampled_from(("irrational", "b = 0", "square D", "near k")))
+    if shape == "b = 0":
+        b = 0
+    elif shape == "square D":
+        D = D * D
+    elif shape == "near k":
+        # D = s^2 + t is a square only at t = 0, and a = k q - isqrt(b^2 D)
+        # + delta puts the value at k + (delta + a fraction in [0, 1)) / q,
+        # the fraction 0 iff D is a square.
+        D = D * D + draw(st.integers(0, 3))
+        k = draw(st.integers(-2, 2) | big | big.map(operator.neg))
+        a = k * q - math.isqrt(b * b * D) + draw(st.integers(-1, 1))
+    return a, b, D, q
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_big_surds(), st.integers(0, 30), st.integers(-1, 1))
+def test_big_surds_agree_with_mpmath(surd, k, offset):
+    """ceil, decimal and compare_int at 50-500 digits against mpmath. The
+    value v = (a + sqrt(n)) / q, n = b^2 D, is a multiple of 1/q when n
+    is a square and otherwise lies at least 1 / (q (2 isqrt(n) + 3))
+    from every integer, so mpmath at digits(a) + digits(n) + 40 decimal
+    digits, and 3k more for decimal(k), which scales a by 10^k and n by
+    100^k, decides each answer exactly."""
+    a, b, D, q = surd
+    s = QuadraticSurd(a, b, D, q)
+    n = b * b * D
+    with mpmath.workdps(len(str(abs(a))) + 3 * k + len(str(n)) + 40):
+        v = (a + b * mpmath.sqrt(D)) / q
+        c = int(mpmath.ceil(v))
+        assert s.ceil() == c
+        for target in (c - 1 + offset, c + offset):
+            sign = (v > target) - (v < target)
+            assert s.compare_int(target) == sign, target
+        whole, frac = divmod(int(mpmath.floor(abs(v) * 10**k)), 10**k)
+        point = f".{str(frac).zfill(k)}" if k else ""
+        assert s.decimal(k) == f"{'-' if v < 0 else ''}{whole}{point}"
+
+
 # ---------------------------------------------------------------------------
 # constructibility and cosine minimal polynomials
 
@@ -885,23 +932,13 @@ def test_obstruction_chain_guard_fires_on_a_wrong_symbol(monkeypatch, nu, first_
         fermat_obstruction(nu, 17)
 
 
-def test_jr_verdict_sqrt2_guard_fires_on_a_forged_valuation(monkeypatch):
-    """The sqrt(2) guard still fires inside the verdict and the hypothesis
-    check, on the 2-adic split they read, forged past the split's own check."""
-    real = verdict.split_two_part
-    monkeypatch.setattr(verdict, "split_two_part",
-                        lambda nu: (4, real(nu)[1]) if nu == 12 else real(nu))
-    monkeypatch.setattr(verdict, "_check_decomposition", lambda nu, v, mu: None)
-    for decide in (jr_verdict, hypothesis_check):
-        with pytest.raises(InvariantFailure, match=r"c_n = 2\^4 \(mod 2\^5\) fails at nu = 12"):
-            decide(12)
-
-
-@pytest.mark.parametrize("split", [(2, 5), (0, 12)])
+@pytest.mark.parametrize("split", [(2, 5), (0, 12), (4, 3)])
 def test_jr_verdict_split_guard_fires_on_a_forged_split(monkeypatch, split):
     """TowerParams' 2-adic check runs inside the verdict and the
     hypothesis check, on the split they read, with no TowerParams built:
-    a forged (v, mu) whose product is not nu, or whose mu is even, raises."""
+    a forged (v, mu) whose product is not nu, or whose mu is even, raises.
+    A forged valuation (4, 3) is caught here, before the sqrt(2) guard's
+    base case nu = 2^v (mod 2^(v+1)), which the split check implies."""
     real = verdict.split_two_part
     monkeypatch.setattr(verdict, "split_two_part",
                         lambda nu: split if nu == 12 else real(nu))
@@ -1060,6 +1097,22 @@ def spy_everywhere(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, spy)
     return calls
+
+
+def test_hypothesis_check_runs_no_sqrt2_guard(monkeypatch):
+    """Work counts: the split check proves the sqrt(2) guard's base case
+    and its step is an identity, so the decision never reads
+    _sqrt2_reason; a report reads it only to name a refused shape."""
+    from jrtower import squareclasses
+
+    calls = spy_everywhere(monkeypatch, squareclasses, "_sqrt2_reason")
+    reports = [jr_verdict(nu, 5, EFFORT_QUICK) for nu in range(2, 401)]
+    for nu in range(2, 401):
+        hypothesis_check(nu)
+    assert calls == []
+    named = [r.nu for r in reports if r.sqrt2_reason is not None]
+    assert named == [r.nu for r in reports if not r.sqrt2_certified]
+    assert len(calls) == len(named)
 
 
 def test_jr_verdict_factors_nothing(monkeypatch):
