@@ -17,7 +17,7 @@ import sys
 from functools import lru_cache
 
 from .discriminant import RESULTANT_CAP, discriminant_report
-from .factor import EFFORT_PRESETS, EFFORT_QUICK, Effort
+from .factor import EFFORT_PRESETS, Effort
 from .intmath import split_two_part
 from .orbit import constant_terms, tower_strict, valuation_profile
 from .residue import (
@@ -382,9 +382,7 @@ def _cmd_fermat(args) -> int:
 
 def _cmd_cos(args) -> int:
     poly = cos_minpoly(args.m)
-    # cos_minpoly caps m at COS_M_CAP = 200, and trial division to the quick
-    # bound 10^4 factors every such m completely: no budget changes a byte.
-    decomp = constructible_order(args.m, EFFORT_QUICK)
+    decomp = constructible_order(args.m)
     result = {
         "m": args.m,
         "minpoly_ascending": poly,

@@ -24,7 +24,7 @@ class Effort(namedtuple("Effort", "trial_bound rho_rounds", defaults=(10**6, 10*
         trial division (so a partial cofactor never has a factor this
         small).
     rho_rounds (int): total Pollard-rho iterations allowed across all
-        attempts.
+        attempts, each weighted by its modulus's limb count (see _brent_rho).
     """
 
     __slots__ = ()
@@ -157,9 +157,12 @@ def _has_square_factor(n: int, effort: Effort) -> bool | None:
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     """One deterministic Brent-rho hunt on composite odd n.
 
-    Returns (factor or None, iterations spent). Tries polynomial offsets
+    Returns (factor or None, work spent, at most budget), each iteration
+    costing n's limb count ceil(bits(n)/64). Tries polynomial offsets
     c = 1, 3, 5, ... with starting value 2, batching gcds.
     """
+    weight = -(-n.bit_length() // 64)
+    budget //= weight
     spent = 0
     c = 1
     while spent < budget:
@@ -189,9 +192,9 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if 1 < g < n:
-            return g, spent
+            return g, spent * weight
         c += 2
-    return None, spent
+    return None, spent * weight
 
 
 def factorize(n: int, effort: Effort = EFFORT_DEFAULT) -> Factorization:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
@@ -127,7 +126,6 @@ def is_prime(n: int) -> bool:
     return all(_miller_rabin(n, b) for b in bases)
 
 
-@lru_cache(maxsize=8)
 def prime_sieve(limit: int) -> tuple[int, ...]:
     """All primes <= limit, ascending."""
     if limit < 2:

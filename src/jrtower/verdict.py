@@ -180,8 +180,7 @@ class ConstructibilityDecomposition(namedtuple(
     """m = 2^a * (odd prime powers), with the constructibility verdict.
 
     two_exponent is a; odd_primes is a sorted tuple of (p, e) pairs.
-    constructible is a bool, or None when m's factorization stayed
-    partial.
+    constructible is a bool.
     """
 
     __slots__ = ()
@@ -194,20 +193,20 @@ def _phi_from_factors(two_exponent: int, odd_primes: tuple[tuple[int, int], ...]
     return phi
 
 
-def constructible_order(m: int, effort: Effort = EFFORT_DEFAULT) -> ConstructibilityDecomposition:
+def constructible_order(m: int) -> ConstructibilityDecomposition:
     """Is the regular m-gon (equivalently 2cos(2*pi/m)) constructible?
 
-    Rule: every odd prime factor must be a known Fermat prime appearing
-    to the first power. Cross-checked against phi(m) being a power of
-    two; disagreement raises InvariantFailure.
+    Rule (Gauss-Wantzel): each odd prime of m <= COS_M_CAP, found by trial
+    division, is a known Fermat prime to the first power. Cross-checked
+    against phi(m) being a power of two; disagreement raises InvariantFailure.
     """
     if m < 3:
         raise ValueError("m must be >= 3")
-    f = factorize_cached(m, effort)
-    if not f.complete:
-        return ConstructibilityDecomposition(m, 0, (), None)
-    two_exp = f.factors.get(2, 0)
-    odd = tuple(sorted((p, e) for p, e in f.factors.items() if p != 2))
+    if m > COS_M_CAP:
+        raise ResourceLimitError(f"m capped at {COS_M_CAP}")
+    factors = _trial_factors(m)
+    two_exp = factors.pop(2, 0)
+    odd = tuple(factors.items())
     fermat = known_fermat_primes()
     ok = all(e == 1 and p in fermat for p, e in odd)
     phi = _phi_from_factors(two_exp, odd)
@@ -216,25 +215,31 @@ def constructible_order(m: int, effort: Effort = EFFORT_DEFAULT) -> Constructibi
     return ConstructibilityDecomposition(m, two_exp, odd, ok)
 
 
+def _trial_factors(m: int) -> dict[int, int]:
+    """{p: e} for m >= 1, primes ascending, by trial division by every
+    integer: once p^2 > rest, rest is 1 or m's largest prime."""
+    factors, rest, p = {}, m, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
+        p += 1
+    if rest > 1:
+        factors[rest] = 1
+    return factors
+
+
 def _cyclotomic(m: int) -> list[int]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
 
-    Phi_m(x) = Phi_r(x^(m/r)) with r the radical of m, and
+    Phi_m(x) = Phi_r(x^(m/r)) with r the radical of m (_trial_factors), and
     Phi_r = prod_{d | r} (x^d - 1)^mu(r/d) (Arnold and Monagan, Math.
     Comp. 80 (2011)): multiply by the binomials with mu = +1, then
     divide exactly by those with mu = -1, each step O(deg) in integers.
     """
     divisors = [(1, 1)]  # (d, mu(d)) over the squarefree divisors of m
-    rest, p = m, 2
-    # trial division: once p^2 > rest, rest is 1 or m's largest prime
-    while p * p <= rest:
-        if rest % p == 0:
-            divisors += [(d * p, -mu) for d, mu in divisors]
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        divisors += [(d * rest, -mu) for d, mu in divisors]
+    for p in _trial_factors(m):
+        divisors += [(d * p, -mu) for d, mu in divisors]
     r = divisors[-1][0]
     mu_r = divisors[-1][1]  # mu(r/d) = mu(r) * mu(d) for squarefree r
     poly = [1]

@@ -550,7 +550,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 def test_an_ignored_option_is_a_usage_error(capsys):
     """scan reads no depth, since no row depends on it, and cos no effort,
-    since every m <= COS_M_CAP factors completely at the quick bound."""
+    since trial division factors every m <= COS_M_CAP exactly."""
     for *argv, option, value in [("group", "2", "--effort", "quick"),
                                  ("scan", "4", "8", "--depth", "5"),
                                  ("cos", "12", "--effort", "quick")]:
@@ -616,8 +616,8 @@ def test_scan_json_joins_no_csv_line(capsys):
 
 
 def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch):
-    """Every m <= COS_M_CAP factors completely by trial division to 10^4,
-    so cos never builds the larger sieves of the other presets."""
+    """Every m <= COS_M_CAP factors exactly by trial division up to
+    isqrt(m), so cos builds no sieve block at all."""
     from jrtower import cli, factor, verdict
 
     bounds, decompositions = set(), []
@@ -628,9 +628,9 @@ def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch)
         bounds.add(bound)
         return real_blocks(bound)
 
-    def spy_order(m, effort):
+    def spy_order(m):
         decompositions.append(m)
-        return real_order(m, effort)
+        return real_order(m)
 
     monkeypatch.setattr(factor, "_prime_blocks", spy_blocks)
     monkeypatch.setattr(factor, "_factorize_cached", factor._factorize_cached.__wrapped__)
@@ -640,7 +640,7 @@ def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch)
         decompositions.clear()
         assert run(capsys, "cos", str(m), "--json")[0] == 0
         assert decompositions == [m]
-    assert bounds and max(bounds) <= 10**4
+    assert bounds == set()
 
 
 def test_scan_out_to_a_missing_directory_is_an_error(tmp_path, capsys):

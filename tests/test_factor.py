@@ -129,6 +129,20 @@ def test_factorize_partial_when_the_budget_ends_with_a_piece_pending(monkeypatch
     assert hunts == [n]
 
 
+def test_brent_rho_charges_each_iteration_by_limb_count():
+    """Modulo a 606-digit n (32 limbs of 64 bits) an iteration costs 32:
+    the 639 iterations that split n cost 20448, a budget of 2000 buys
+    62 of them and no split, and the spend never exceeds the budget."""
+    from jrtower import factor
+
+    n = 1000003 * (10**599 + 7)
+    assert factor._brent_rho(n, 10**5) == (1035949, 639 * 32)
+    assert factor._brent_rho(n, 2000) == (None, 62 * 32)
+    for m in (n, 1000003 * 1000033, 100003 * 1000003 * 1100009):
+        for budget in (0, 1, 31, 33, 2000, 10**5):
+            assert factor._brent_rho(m, budget)[1] <= budget, (m, budget)
+
+
 def test_factorize_below_the_sieve_square_needs_no_primality_test(monkeypatch):
     """Below P^2, P the largest sieved prime, trial division proves
     what it leaves prime: p^2 > n once no prime below p divides n."""

@@ -210,10 +210,9 @@ def enumerate_sieve(limit: int) -> tuple[int, ...]:
 
 
 def test_prime_sieve_matches_the_enumerate_read_out():
-    sieve = prime_sieve.__wrapped__  # leave the shared cache alone
     for limit in range(2001):
-        assert sieve(limit) == enumerate_sieve(limit), limit
-    assert sieve(10**6) == enumerate_sieve(10**6)
+        assert prime_sieve(limit) == enumerate_sieve(limit), limit
+    assert prime_sieve(10**6) == enumerate_sieve(10**6)
 
 
 def test_iroot_domain():

@@ -4,6 +4,8 @@ Each mutant is applied to a copy of the package, and the copy must give
 a verdict JSON digest over nu = 2..2000 at quick effort other than the
 golden one (tests/test_cli.py), or raise: a wrong edit to the decision,
 its guards or the text the key renders is noticed by the digest alone.
+The accepted equivalent mutants, which change no answer, must keep the
+golden digest instead.
 """
 
 import ast
@@ -53,6 +55,21 @@ MUTANTS = [
      "self.outcomes[0] or self.outcomes[1]"),
 ]
 
+# (module, function, text, replacement, reason): mutants that change no
+# answer, so no test can kill them. Each passes the whole tier-1 suite.
+EQUIVALENT = [
+    ("verdict.py", "sqrt2_certified", "self.outcomes[0] and self.outcomes[1] and ",
+     "self.outcomes[0] and ", "mu >= 3 follows from an even v >= 2 and a non-square nu"),
+    ("residue.py", "fermat_symbols", "r > 1", "r > 2", "no prime p > 3 leaves r = 2"),
+    ("verdict.py", "_surd_decimal", "a < 0", "a <= 0", "a = 0 fails a * a > n anyway"),
+    ("verdict.py", "sqrt2_reason", "self.outcomes[2]", "self.outcomes[3]",
+     "read only on a square nu once v and mu pass, and a square has no -1 symbol"),
+    ("factor.py", "_has_square_factor", "chunk[-1] ** 3 <= rest", "chunk[-1] ** 3 < rest",
+     "rest = chunk[-1]^3 shares a prime with the block, so the gcd keeps it"),
+    ("factor.py", "_trial_divide", "chunk[-1] * chunk[-1] > n", "chunk[-1] * chunk[-1] >= n",
+     "n = chunk[-1]^2 cannot outlive its chunk, which divides chunk[-1] out"),
+]
+
 
 def mutate(path: Path, function: str, text: str, replacement: str) -> None:
     """Replace text, which must occur once, inside the one def of function."""
@@ -87,3 +104,8 @@ def test_the_unmutated_copy_gives_the_golden_digest(tmp_path):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[f"{m[1]}:{m[2]}" for m in MUTANTS])
 def test_each_mutant_is_killed_by_the_digest(tmp_path, mutant):
     assert digest_of_copy(tmp_path, mutant) != GOLDEN
+
+
+@pytest.mark.parametrize("mutant", EQUIVALENT, ids=[f"{m[1]}:{m[2]}" for m in EQUIVALENT])
+def test_each_equivalent_mutant_keeps_the_digest(tmp_path, mutant):
+    assert digest_of_copy(tmp_path, mutant[:4]) == GOLDEN

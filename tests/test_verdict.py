@@ -329,13 +329,6 @@ def test_constructible_decomposition_shape():
     assert dec.constructible and dec.odd_primes == ((17, 1),)
 
 
-def test_constructible_order_on_a_partial_factorization_is_undecided():
-    """Two 13-digit primes stay unsplit at quick effort: no components
-    and constructible None, rather than a guess."""
-    m = (10**12 + 39) * (10**12 + 61)
-    assert constructible_order(m, EFFORT_QUICK) == (m, 0, (), None)
-
-
 def test_constructible_order_guard_fires_when_rule_and_phi_disagree(monkeypatch):
     """A Fermat-prime list that lost 17 calls the 17-gon not constructible,
     while phi(17) = 16 is a power of two."""
@@ -1537,11 +1530,13 @@ def test_nu7_exploration_domain():
     (lambda: QuadraticSurd(1, -1, 5), "use a negative a rather than a negative b"),
     (lambda: alpha_surd(1), "nu must be >= 2"),
     (lambda: constructible_order(2), "m must be >= 3"),
+    (lambda: constructible_order(COS_M_CAP + 1), "m capped at 200"),
     (lambda: verdict._cos_minpoly_pow2(1), "e must be >= 2"),
     (lambda: fermat_obstruction(1, 5), "nu must be an integer >= 2"),
     (lambda: window_elements_deg2(12, 5, -1), "H must be >= 0"),
     (lambda: window_elements_deg2(1, 5, 3), "nu must be >= 2"),
-], ids=["surd-D", "surd-b", "alpha_surd", "constructible_order", "cos_minpoly_pow2",
+], ids=["surd-D", "surd-b", "alpha_surd", "constructible_order", "constructible_order-cap",
+         "cos_minpoly_pow2",
         "fermat_obstruction", "window-H", "window-nu"])
 def test_verdict_refuses_inputs_outside_its_domain(call, message):
     with pytest.raises(ValueError, match=message):
