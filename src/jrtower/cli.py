@@ -76,9 +76,10 @@ def _document(args, input_doc: dict, result: dict) -> str:
     })
 
 
-def _emit(args, input_doc: dict, result: dict, human) -> None:
-    """Print the JSON document, or else the text that human() builds."""
-    print(_document(args, input_doc, result) if args.json else human())
+def _emit(args, input_doc: dict, result, human) -> None:
+    """Print the JSON document of what result() returns, or else the
+    text that human() builds; only the one printed is built."""
+    print(_document(args, input_doc, result()) if args.json else human())
 
 
 def _effort(args) -> Effort:
@@ -144,7 +145,7 @@ def _render_verdict(report) -> str:
 def _cmd_verify(args) -> int:
     report = jr_verdict(args.nu, depth=args.depth, effort=_effort(args))
     _emit(args, {"nu": args.nu, "depth": args.depth, "effort": args.effort},
-          report.to_json(), lambda: _render_verdict(report))
+          report.to_json, lambda: _render_verdict(report))
     return 0 if report.conclusive else 2
 
 
@@ -285,7 +286,7 @@ def _cmd_disc(args) -> int:
         lines.append("  norm ladder: " + ", ".join(str(x) for x in report.norms))
         return "\n".join(lines)
 
-    _emit(args, {"nu": args.nu, "n": args.n}, result, human)
+    _emit(args, {"nu": args.nu, "n": args.n}, lambda: result, human)
     return 0
 
 
@@ -323,7 +324,7 @@ def _cmd_orbit(args) -> int:
             )
         return "\n".join(lines)
 
-    _emit(args, {"nu": args.nu, "n": args.n}, result, human)
+    _emit(args, {"nu": args.nu, "n": args.n}, lambda: result, human)
     return 0
 
 
@@ -340,7 +341,7 @@ def _cmd_group(args) -> int:
         "agemo_rank": rank,
         "index2_subgroups": count,
     }
-    _emit(args, {"n": args.n}, result, lambda: (
+    _emit(args, {"n": args.n}, lambda: result, lambda: (
         f"iterated wreath product at depth {args.n}: order {order} = 2^{2**args.n - 1}\n"
         f"  minimal generators: {len(gens)}\n"
         f"  rank of G / G^2[G,G]: {rank}\n"
@@ -376,7 +377,7 @@ def _cmd_fermat(args) -> int:
                      + ("yes" if all(all(v.values()) for v in checks.values()) else "NO"))
         return "\n".join(lines)
 
-    _emit(args, {}, result, human)
+    _emit(args, {}, lambda: result, human)
     return 0
 
 
@@ -406,16 +407,15 @@ def _cmd_cos(args) -> int:
             lines.append("  components: " + " * ".join(str(x) for x in result["components"]))
         return "\n".join(lines)
 
-    _emit(args, {"m": args.m}, result, human)
+    _emit(args, {"m": args.m}, lambda: result, human)
     return 0
 
 
 def _cmd_explore7(args) -> int:
-    report = nu7_exploration(args.depth, _effort(args))
+    report = nu7_exploration(args.depth)
     result = {
         "depth": report.depth,
         "constants": list(report.constants),
-        "factor_status": list(report.factor_status),
         "independence": report.independence,
         "rank": report.rank,
         "sqrt2_status": report.sqrt2_status,
@@ -424,20 +424,16 @@ def _cmd_explore7(args) -> int:
 
     def human():
         lines = [f"nu = 7 exploration to depth {report.depth}:"]
-        for i, (c, st) in enumerate(zip(report.constants, report.factor_status), start=1):
-            lines.append(f"  c_{i} = {c} [{st}]")
+        for i, c in enumerate(report.constants, start=1):
+            lines.append(f"  c_{i} = {c}")
         lines.append(f"  2-independence: {report.independence}"
                      + (f" (rank {report.rank})" if report.rank is not None else ""))
         lines.append(f"  sqrt(2) in level {report.depth}: {report.sqrt2_status}")
         lines.append(f"  {report.disclaimer}")
         return "\n".join(lines)
 
-    _emit(args, {"depth": args.depth}, result, human)
-    has_unknown = (
-        report.sqrt2_status == "unknown"
-        or any(st != "complete" for st in report.factor_status)
-    )
-    return 2 if has_unknown else 0
+    _emit(args, {"depth": args.depth}, lambda: result, human)
+    return 2 if report.sqrt2_status == "unknown" else 0
 
 
 def _cmd_window(args) -> int:
@@ -463,14 +459,14 @@ def _cmd_window(args) -> int:
         lines.append(f"  total: {len(elements)}")
         return "\n".join(lines)
 
-    _emit(args, {"nu": args.nu, "t": str(t), "height": args.height}, result, human)
+    _emit(args, {"nu": args.nu, "t": str(t), "height": args.height}, lambda: result, human)
     return 0
 
 
 def _cmd_radical(args) -> int:
     ok = nested_radical_check(args.d)
     result = {"d": args.d, "verified": ok}
-    _emit(args, {"d": args.d}, result, lambda: (
+    _emit(args, {"d": args.d}, lambda: result, lambda: (
         f"2cos(2*pi/2^{args.d + 1}) equals the {args.d - 1}-fold nested radical "
         f"sqrt(2 + sqrt(2 + ...)): verified"
     ))
@@ -524,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
 
     command("explore7", _cmd_explore7, "square-class evidence for the open case nu = 7",
-            depth_opt, effort_opt)
+            depth_opt)
 
     p = command("window", _cmd_window, "degree <= 2 totally positive elements under t")
     p.add_argument("nu", type=int)

@@ -40,10 +40,6 @@ EFFORT_PRESETS = {
     "thorough": EFFORT_THOROUGH,
 }
 
-COMPLETE = "complete"
-PARTIAL = "partial"
-
-
 class Factorization(namedtuple("Factorization", "n factors cofactor", defaults=(None,))):
     """Outcome of factorize(); immutable.
 
@@ -66,10 +62,6 @@ class Factorization(namedtuple("Factorization", "n factors cofactor", defaults=(
     def __getnewargs__(self):
         # The read-only view does not pickle; its dict does.
         return self.n, dict(self.factors), self.cofactor
-
-    @property
-    def status(self) -> str:
-        return COMPLETE if self.cofactor is None else PARTIAL
 
     @property
     def complete(self) -> bool:

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .factor import EFFORT_DEFAULT, Effort, _has_square_factor, factorize_cached
+from .factor import EFFORT_DEFAULT, Effort, _has_square_factor
 from .intmath import is_square, split_two_part
 from .orbit import (
     ITERATE_CAP,
@@ -891,17 +891,16 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
     return out
 
 
-class Nu7Report(namedtuple("Nu7Report", "depth constants factor_status independence "
-                           "rank sqrt2_status disclaimer")):
+class Nu7Report(namedtuple("Nu7Report", "depth constants independence rank "
+                           "sqrt2_status disclaimer")):
     """Numerical evidence for the open case nu = 7 (no theorem applies):
-    c_1..c_depth, the status of each one's factorization, the
-    2-independence status and rank (None when dependent), and the
-    sqrt(2) membership status."""
+    c_1..c_depth, the 2-independence status and rank (None when
+    dependent), and the sqrt(2) membership status."""
 
     __slots__ = ()
 
 
-def nu7_exploration(depth: int, effort: Effort = EFFORT_DEFAULT) -> Nu7Report:
+def nu7_exploration(depth: int) -> Nu7Report:
     """Collect square-class evidence about the tower over nu = 7.
 
     7 is odd, so the even-valuation machinery is silent; this decides
@@ -909,13 +908,11 @@ def nu7_exploration(depth: int, effort: Effort = EFFORT_DEFAULT) -> Nu7Report:
     up, without claiming anything beyond the examined depth.
     """
     seq = constant_terms(7, depth)
-    facts = tuple(factorize_cached(c, effort).status for c in seq.c)
     indep = two_independent(seq.c)
     membership = contains_sqrt(7, depth, 2)
     return Nu7Report(
         depth=depth,
         constants=seq.c,
-        factor_status=facts,
         independence=indep.status,
         rank=indep.rank,
         sqrt2_status=membership.status,

@@ -444,9 +444,10 @@ def test_algebra_json_matches_golden_digest(capsys, command, calls, digest):
 
 
 # sha256 of the concatenated `explore7 --depth D --json` for D = 1..6,
-# recorded while independence and sqrt(2) membership were still decided
-# by factoring every c_n.
-GOLDEN_EXPLORE7 = "39b00968448d6dcd55dcb11a35e6218c7d5bc0a18baea644bbaf32394f8a74a6"
+# recorded once the report had dropped the factoring status of each c_n;
+# every other byte is the one it printed while independence and sqrt(2)
+# membership were still decided by factoring every c_n.
+GOLDEN_EXPLORE7 = "38ca519fc43cab049beae2739ac75c97531509bf9883d36e919fa94533ec014f"
 
 
 def test_explore7_json_matches_golden_digest(capsys):
@@ -480,10 +481,12 @@ def test_verdict_json_matches_golden_digest(nus, effort, digest):
     assert h.hexdigest() == digest
 
 
-# sha256 over "<exit code>\n<stdout>" of each run below, recorded while
-# every command still built its human text under --json as well: the
-# human output of every subcommand but scan (whose CSV is pinned above),
-# then the JSON of the three commands no other golden pins.
+# Per subcommand, sha256 over "<exit code>\n<stdout>" of its runs below,
+# in their order: the human output of every subcommand but scan (whose
+# CSV is pinned above), then the JSON of the three commands no other
+# golden pins. Recorded while every command still built its human text
+# under --json as well, except explore7's, recorded once its report had
+# dropped the factoring status of each c_n.
 _ORBITS = [(nu, n) for nu in (2, 3, 7, 12, 1000) for n in (1, 4, 12)]
 _WINDOWS = [(12, "8", 5), (2, "15/2", 3), (7, "20", 6)]
 GOLDEN_RUNS = (
@@ -500,25 +503,35 @@ GOLDEN_RUNS = (
     + [("fermat", "--json")]
     + [("window", *a, "--json") for a in _WINDOWS]
 )
-GOLDEN_RUNS_DIGEST = "a2b60aa7aa14afde04057e62af53578e42a9bba706169a95cfd717496626b663"
+GOLDEN_RUNS_DIGESTS = {
+    "verify": "c5efa6c6bcbc066eab4c6b67c3ead34a1f3333cdfa553021447ac9327968a440",
+    "disc": "0de84da1d4c3e296f1aca95c67610d475a3745e99815b606ea7c846c16041e4f",
+    "orbit": "c5fd5b1dab26cb0e22602fdf1a973fa6348d8fd7d14093b3ec156ebe808a35ba",
+    "group": "d4a927c9a9fc6e616dd4e3137af31c0b232ba38e330204cd6ecc96533cb4ed80",
+    "fermat": "5854cf5005283d0195aca4952e055bb4c4687f75b380d8eb9b19eb79467d69f8",
+    "cos": "287f873ee32db972f7f7810d13e5a5c05d1e0e865d8597f2453657183e8118eb",
+    "explore7": "26a41a038d687c5f696910b3d224a7f30f953a61b30e752e65ac413c2df0f386",
+    "window": "20ccebbabc15d6b1ca05f6aa45a5a553b34233feffc05cb7a8f0528ce6dafdc1",
+    "radical": "e50bd5235be3bd102fd4121669e8a0abfac249b9f52fd55bce31f67782bed943",
+}
 
 
 def test_every_subcommand_output_matches_golden_digest(capsys):
-    h = hashlib.sha256()
+    hashes = {}
     for argv in GOLDEN_RUNS:
         code, out, _ = run(capsys, *map(str, argv))
-        h.update(f"{code}\n{out}".encode())
-    assert h.hexdigest() == GOLDEN_RUNS_DIGEST
+        hashes.setdefault(argv[0], hashlib.sha256()).update(f"{code}\n{out}".encode())
+    assert {name: h.hexdigest() for name, h in hashes.items()} == GOLDEN_RUNS_DIGESTS
 
 
 def test_explore7_decides_past_the_factoring_budget(capsys):
-    """At depth 8 rho cannot finish c_7 and c_8, yet every class is decided."""
-    code, out, _ = run(capsys, "explore7", "--depth", "8", "--effort", "quick", "--json")
+    """c_12 has 1662 digits, far past what rho could factor, yet gcds
+    decide every class at the greatest depth."""
+    code, out, _ = run(capsys, "explore7", "--depth", "12", "--json")
     result = json.loads(out)["result"]
-    assert result["factor_status"][-1] == "partial"
     assert (result["independence"], result["rank"], result["sqrt2_status"]) == (
-        "independent", "8", "absent")
-    assert code == 2  # a partial factor status still marks the report
+        "independent", "12", "absent")
+    assert code == 0
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():
@@ -541,19 +554,21 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "group": ["--json"],
         "fermat": ["--json"],
         "cos": ["--json"],
-        "explore7": ["--depth", "--effort", "--json"],
+        "explore7": ["--depth", "--json"],
         "window": ["--json"],
         "radical": ["--json"],
     }
-    assert sum(map(len, options.values())) == 17
+    assert sum(map(len, options.values())) == 16
 
 
 def test_an_ignored_option_is_a_usage_error(capsys):
-    """scan reads no depth, since no row depends on it, and cos no effort,
-    since trial division factors every m <= COS_M_CAP exactly."""
+    """scan reads no depth, since no row depends on it, cos no effort,
+    since trial division factors every m <= COS_M_CAP exactly, and
+    explore7 no effort, since gcds decide everything it reports."""
     for *argv, option, value in [("group", "2", "--effort", "quick"),
                                  ("scan", "4", "8", "--depth", "5"),
-                                 ("cos", "12", "--effort", "quick")]:
+                                 ("cos", "12", "--effort", "quick"),
+                                 ("explore7", "--depth", "2", "--effort", "quick")]:
         code, _, err = run(capsys, *argv, option, value)
         assert code == 1
         assert option in err
@@ -592,6 +607,27 @@ def test_json_output_builds_no_human_text(capsys, monkeypatch, argv):
     assert built == [argv[0]]
     assert run(capsys, *argv, "--json")[0] in (0, 2)
     assert built == [argv[0]]
+
+
+def test_human_output_builds_no_json_document(capsys, monkeypatch):
+    """verify's text builds no JSON result, so it reads the square-free
+    flag of nu only where it prints it: 1001 is odd, its sqrt(2)
+    exclusion is not certified and its text shows no flag."""
+    from jrtower import verdict
+
+    calls = []
+    real_flag = verdict._has_square_factor
+
+    def spy_flag(*args):
+        calls.append(args)
+        return real_flag(*args)
+
+    monkeypatch.setattr(verdict, "_has_square_factor", spy_flag)
+    code, out, _ = run(capsys, "verify", "1001")
+    assert code == 2 and "square-free" not in out
+    assert calls == []
+    assert run(capsys, "verify", "1001", "--json")[0] == 2
+    assert len(calls) == 1
 
 
 def test_scan_json_joins_no_csv_line(capsys):

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrtower.factor import (
-    COMPLETE,
     EFFORT_DEFAULT,
     EFFORT_PRESETS,
     EFFORT_QUICK,
     EFFORT_THOROUGH,
     Effort,
     Factorization,
-    PARTIAL,
     _has_square_factor,
     factorize,
     factorize_cached,
@@ -72,7 +70,7 @@ def test_factorize_against_sympy():
 def test_factorize_known_values():
     f = factorize(17412)
     assert f.factors == {2: 2, 3: 1, 1451: 1}
-    assert f.status == COMPLETE
+    assert f.complete
     assert factorize(1757).factors == {7: 1, 251: 1}
     assert factorize(2).factors == {2: 1}
     assert factorize(2**20).factors == {2: 20}
@@ -99,7 +97,6 @@ def test_factorize_partial_on_hard_semiprime():
     p = 10**15 + 37
     q = 10**15 + 91
     f = factorize(p * q, EFFORT_QUICK)
-    assert f.status == PARTIAL
     assert not f.complete
     assert f.cofactor == p * q
     assert f.factors == {}
@@ -173,7 +170,7 @@ def test_factorization_consistency_enforced():
     ok = Factorization(n=10, factors={2: 1, 5: 1})
     assert ok.complete
     part = Factorization(n=30, factors={2: 1}, cofactor=15)
-    assert part.status == PARTIAL
+    assert not part.complete
 
 
 def test_squarefree_kernel_values():
@@ -323,7 +320,7 @@ def test_square_factor_flag_falls_back_beyond_the_cube(monkeypatch):
     fallbacks = spy_cached(monkeypatch)
     p, q = 10**12 + 39, 10**12 + 61
     assert _has_square_factor(p * q, EFFORT_QUICK) is None
-    assert factorize(p * q, EFFORT_QUICK).status == PARTIAL
+    assert not factorize(p * q, EFFORT_QUICK).complete
     assert _has_square_factor(p * p, EFFORT_QUICK) is True
     assert _has_square_factor(1000003 * 1000033, EFFORT_QUICK) is False
     assert fallbacks == [p * q, p * p, 1000003 * 1000033]
@@ -331,7 +328,7 @@ def test_square_factor_flag_falls_back_beyond_the_cube(monkeypatch):
     # where the partial factorization has no answer.
     del fallbacks[:]
     assert _has_square_factor(9 * p * q, EFFORT_QUICK) is True
-    assert factorize(9 * p * q, EFFORT_QUICK).status == PARTIAL
+    assert not factorize(9 * p * q, EFFORT_QUICK).complete
     assert fallbacks == []
 
 

@@ -1506,18 +1506,23 @@ def test_window_ordering_and_domain(monkeypatch):
 def test_nu7_exploration_depth3():
     rep = nu7_exploration(3)
     assert rep.constants == (7, 42, 1757)
-    assert rep.factor_status == ("complete",) * 3
     assert rep.independence == "independent"
     assert rep.rank == 3
     assert rep.sqrt2_status == "absent"
     assert "levels 1..3" in rep.disclaimer
 
 
-def test_nu7_exploration_depth5():
+def test_nu7_exploration_depth5(monkeypatch):
+    """Work counts too: gcds decide what the report holds, so it looks
+    up no factorization of any c_n."""
+    from jrtower import factor
+
+    cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
     rep = nu7_exploration(5)
     assert rep.rank == 5
     assert rep.sqrt2_status == "absent"
     assert rep.constants[4] == 9529828309757
+    assert cached == []
 
 
 def test_nu7_exploration_domain():
