@@ -28,6 +28,8 @@ from .residue import (
     nonresidue_37_check,
 )
 from .verdict import (
+    INCONCLUSIVE,
+    THEOREM_APPLIES,
     constructible_order,
     cos_minpoly,
     jr_verdict,
@@ -160,16 +162,19 @@ def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
     # No field of a row depends on the depth (each verdict decides every
     # level at once), so the default depth stands for all of them.
     report = jr_verdict(nu, effort=effort)
+    # One read of conclusive stands in for finite_scope_caveat and
+    # conclusion, which each read it again.
+    conclusive = report.conclusive
     flags = []
-    if report.finite_scope_caveat:
+    if conclusive and report.kernel_basis is None:
         flags.append("finite-scope-caveat")
     if report.sqrt2_certified:
         flag = report.mu_not_squarefree
         if flag is not False:
             flags.append("mu-not-squarefree" if flag else "mu-squarefree-undecided")
-    if not report.conclusive:
+    if not conclusive:
         flags.append(_reason_flags(report.reasons))
-    return (str(nu), report.conclusion, report.scope or "none",
+    return (str(nu), THEOREM_APPLIES if conclusive else INCONCLUSIVE, report.scope or "none",
             report.jr_upper_decimal, "|".join(flags))
 
 

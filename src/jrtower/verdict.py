@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import cycle
+from math import comb, gcd, isqrt
+from struct import unpack
 
 from .errors import (
     InvariantFailure,
@@ -60,6 +62,8 @@ COS_M_CAP = 200
 NESTED_RADICAL_CAP = 12
 # Bounds both H and the output of window_elements_deg2.
 WINDOW_CAP = 10**6
+# struct's signed codes by size in bytes, for _unpack's one-call read.
+_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 EXCLUDED = "excluded"
 INCONCLUSIVE = "inconclusive"
@@ -233,55 +237,97 @@ def _cyclotomic(m: int) -> list[int]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
 
     Phi_m(x) = Phi_r(x^(m/r)) with r the radical of m (_trial_factors), and
-    Phi_r = prod_{d | r} (x^d - 1)^mu(r/d) (Arnold and Monagan, Math.
-    Comp. 80 (2011)): multiply by the binomials with mu = +1, then
-    divide exactly by those with mu = -1, each step O(deg) in integers.
+    Phi_r = N / D (Arnold and Monagan, Math. Comp. 80 (2011)): N is the
+    product of the k binomials x^d - 1, d | r, with mu(r/d) = +1 and D
+    that of the k' with mu(r/d) = -1. Both are held as their values at
+    X = 2^S, each binomial one shift and one subtraction; one exact
+    divmod gives Q(X) = N(X) / D(X), a nonzero remainder raises, and
+    _unpack reads Q's coefficients off its signed S-bit slots.
+
+    The integer quotient is the polynomial one. N(X) = (D Q)(X), and
+    ||D||_1 <= 2^k' (k' binomials of 1-norm 2), so each coefficient of
+    D Q is at most 2^k' max|Q|, which is checked to be below 2^(S-1).
+    So is each coefficient of N: for r > 1, k = k' and |N_i| <= 2^k <=
+    2^k' max|Q| (Q != 0, as N(X) > 0); for r = 1, N = x - 1. Then
+    E = N - D Q has coefficients below 2^S in size and E(2^S) = 0, so
+    E = 0: its lowest nonzero coefficient would be a multiple of 2^S.
+
+    S (_quotient_bits) makes that check hold for the true Phi_r. As a
+    power series, 1/D = +-prod_d sum_t x^(d t), whose coefficient of
+    x^n counts the solutions of sum_d d t_d = n, at most the
+    C(n + k' - 1, k' - 1) ways to write n as k' ordered parts; with
+    ||N||_1 <= 2^k, |Phi_r| has coefficients at most
+    2^k C(deg + k' - 1, k' - 1).
     """
     divisors = [(1, 1)]  # (d, mu(d)) over the squarefree divisors of m
     for p in _trial_factors(m):
         divisors += [(d * p, -mu) for d, mu in divisors]
-    r = divisors[-1][0]
-    mu_r = divisors[-1][1]  # mu(r/d) = mu(r) * mu(d) for squarefree r
-    poly = [1]
-    for d, mu in divisors:
-        if mu == mu_r:
-            poly = _times_binomial(poly, d)
-    for d, mu in divisors:
-        if mu != mu_r:
-            poly = _over_binomial(poly, d)
+    r, mu_r = divisors[-1]  # mu(r/d) = mu(r) * mu(d) for squarefree r
+    ups = [d for d, mu in divisors if mu == mu_r]
+    downs = [d for d, mu in divisors if mu != mu_r]
+    degree = sum(ups) - sum(downs)
+    width = _quotient_bits(degree, len(ups), len(downs))
+    top = bottom = 1
+    for d in ups:
+        top = (top << d * width) - top
+    for d in downs:
+        bottom = (bottom << d * width) - bottom
+    packed, rest = divmod(top, bottom)
+    if rest:
+        raise InvariantFailure("the cyclotomic product is not divisible by its mu = -1 binomials")
+    poly = _unpack(packed, degree + 1, width)
+    if poly is None or max(map(abs, poly)) << len(downs) >= 1 << (width - 1):
+        raise InvariantFailure("cyclotomic quotient exceeds its Kronecker slot bound")
     stride = m // r
-    out = [0] * (stride * (len(poly) - 1) + 1)
+    out = [0] * (stride * degree + 1)
     out[::stride] = poly
     return out
 
 
-def _times_binomial(poly: list[int], d: int) -> list[int]:
-    """poly * (x^d - 1), ascending coefficients."""
-    out = [0] * d + poly
-    for i, c in enumerate(poly):
-        out[i] -= c
-    return out
-
-
-def _over_binomial(poly: list[int], d: int) -> list[int]:
-    """poly / (x^d - 1), exactly; a nonzero remainder raises.
-
-    The quotient q satisfies q_j = q_(j-d) - poly_j; running that
-    recurrence past the quotient's degree must give zeros.
-    """
-    q = [-c for c in poly]
-    for j in range(d, len(q)):
-        q[j] += q[j - d]
-    n = len(poly) - d
-    if n < 1 or any(q[n:]):
-        raise InvariantFailure(f"the cyclotomic product is not divisible by x^{d} - 1")
-    return q[:n]
+def _quotient_bits(degree: int, ups: int, downs: int) -> int:
+    """Kronecker slot width S for _cyclotomic: the least _slot_width
+    with 2^(S-1) > 2^(ups + downs) C(degree + downs - 1, downs - 1)."""
+    spread = comb(degree + downs - 1, downs - 1) if downs else 1
+    return _slot_width(ups + downs + spread.bit_length() + 1)
 
 
 def _slot_bits(half: int, weight: int) -> int:
-    """Kronecker slot width W for _palindrome_to_cos: the least multiple
-    of 8 with W >= half + bits(weight) + 2, weight = sum |a_k|."""
-    return (half + weight.bit_length() + 9) // 8 * 8
+    """Kronecker slot width W for _palindrome_to_cos: the least
+    _slot_width with W >= half + bits(weight) + 2, weight = sum |a_k|."""
+    return _slot_width(half + weight.bit_length() + 2)
+
+
+def _slot_width(bits: int) -> int:
+    """The least width >= bits that _unpack takes: 8, 16, 32 or 64,
+    whose slots one struct call reads, or past 64 a multiple of 8."""
+    if bits <= 64:
+        return max(8, 1 << (bits - 1).bit_length())
+    return (bits + 7) // 8 * 8
+
+
+def _unpack(packed: int, fields: int, width: int) -> list[int] | None:
+    """The b_0..b_(fields-1) in [-2^(W-1), 2^(W-1)) with packed =
+    sum_j b_j 2^(j W), W = width a multiple of 8; None if there are none.
+
+    Adding 2^(W-1) to every slot makes each a nonnegative W-bit field,
+    and a biased total outside [0, 2^(fields W)) does not fit the slots.
+    Flipping each field's top bit back leaves b_j in W-bit two's
+    complement: one struct call reads them all for W = 8, 16, 32 or 64,
+    int.from_bytes one slot at a time for any other W.
+    """
+    size = width // 8
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
+    biased = packed + bias
+    if biased < 0 or biased.bit_length() > fields * width:
+        return None
+    raw = (biased ^ bias).to_bytes(fields * size, "little")
+    code = _SIGNED_FORMATS.get(size)
+    if code:
+        return list(unpack(f"<{fields}{code}", raw))
+    return [
+        int.from_bytes(raw[i : i + size], "little", signed=True)
+        for i in range(0, fields * size, size)
+    ]
 
 
 def _palindrome_to_cos(coeffs: list[int]) -> list[int]:
@@ -294,14 +340,17 @@ def _palindrome_to_cos(coeffs: list[int]) -> list[int]:
     half = deg(Phi)/2.
 
     The basis change runs on packed ints (Kronecker substitution): a
-    polynomial sum b_j y^j is held as its value at y = 2^W, so the
-    recurrence is one shift and one subtraction and each accumulation
-    one product. The coefficient sizes of V_k sum to the Lucas number
-    L_k <= 2^k (k >= 1), so every output coefficient has
-    |b_j| <= 2^half * sum |a_k| < 2^(W-2) with W from _slot_bits.
-    Adding 2^(W-1) to every slot makes each a nonnegative W-bit field,
-    and one to_bytes call decodes them all; a biased total outside
-    [0, 2^((half+1) W)) has overflowed its slots and raises.
+    polynomial sum b_j y^j is held as its value at y = 2^W. Clenshaw's
+    recurrence b_k = a_k + y b_(k+1) - b_(k+2), for k = half..1 from
+    b_(half+1) = b_(half+2) = 0, gives sum_(k>=0) a_k V_k =
+    2 a_0 + y b_1 - 2 b_2, so the result is a_0 + y b_1 - 2 b_2: a shift,
+    an addition and a subtraction per step, and no product. Each b_k is
+    an exact integer whatever its coefficients, so only the result has
+    to fit the slots. The coefficient sizes of V_k sum to the Lucas
+    number L_k <= 2^k (k >= 1), so every output coefficient has
+    |c_j| <= 2^half * sum |a_k| < 2^(W-2) with W from _slot_bits; a
+    total that _unpack cannot fit into half + 1 slots has overflowed
+    and raises.
     """
     degree = len(coeffs) - 1
     if degree % 2 or coeffs != coeffs[::-1]:
@@ -309,40 +358,67 @@ def _palindrome_to_cos(coeffs: list[int]) -> list[int]:
     half = degree // 2
     a = coeffs[half:]
     width = _slot_bits(half, sum(map(abs, a)))
-    acc = a[0]
-    v_prev, v = 2, 1 << width  # V_0, V_1
-    for c in a[1:]:
-        acc += c * v
-        v_prev, v = v, (v << width) - v_prev
-    size = width // 8
-    fields = half + 1
-    biased = acc + int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
-    if biased < 0 or biased.bit_length() > fields * width:
+    b1 = b2 = 0
+    for c in a[:0:-1]:
+        b1, b2 = c + (b1 << width) - b2, b1
+    out = _unpack(a[0] + (b1 << width) - 2 * b2, half + 1, width)
+    if out is None:
         raise InvariantFailure("cosine coefficients overflow their Kronecker slots")
-    raw = biased.to_bytes(fields * size, "little")
-    offset = 1 << (width - 1)
-    out = [
-        int.from_bytes(raw[i : i + size], "little") - offset
-        for i in range(0, fields * size, size)
-    ]
     if out[-1] != 1:
         raise InvariantFailure("cosine polynomial is not monic")
+    return out
+
+
+def _cos_minpoly_prime(m: int, p: int) -> list[int]:
+    """Minimal polynomial of 2cos(2*pi/m) for m = p or m = 2p, p an odd prime.
+
+    With h = (p - 1)/2, the closed form of Watkins and Zeitlin (Amer.
+    Math. Monthly 100 (1993)) is
+
+        Psi_p(y) = sum_i (-1)^floor((h-i)/2) * C(floor((h+i)/2), i) * y^i,
+
+    the Chebyshev polynomial W_h of the fourth kind in y = 2cos(theta).
+    Phi_2p(x) = Phi_p(-x) and -y = (-x) + 1/(-x), so
+    Psi_2p(y) = (-1)^h Psi_p(-y): coefficient i changes sign iff h - i
+    is odd. That is h + 1 binomials and no cyclotomic polynomial.
+
+    Checked: y = 2 is x = 1, so Psi_m(2) = Phi_m(1), which is p for
+    m = p and Phi_p(-1) = 1 for m = 2p.
+    """
+    h = p // 2
+    # Coefficient h - j, highest first: floor((h+i)/2) = h - ceil(j/2),
+    # and the sign repeats with period 4 in j.
+    signs = cycle((1, -1, -1, 1) if m != p else (1, 1, -1, -1))
+    out = [s * comb(h - (j + 1) // 2, h - j) for s, j in zip(signs, range(h + 1))]
+    value = 0
+    for c in out:
+        value = 2 * value + c
+    if value != (p if m == p else 1):
+        raise InvariantFailure(f"closed-form cosine polynomial has Psi_m(2) != Phi_m(1) at m = {m}")
+    out.reverse()
     return out
 
 
 def cos_minpoly(m: int) -> list[int]:
     """Minimal polynomial (ascending coefficients) of 2cos(2*pi/m).
 
-    Degree phi(m)/2, checked. m is capped at COS_M_CAP; use the nested
+    m = p and m = 2p, p an odd prime, take the closed form of
+    _cos_minpoly_prime; every other m converts Phi_m. Degree phi(m)/2,
+    checked on both routes. m is capped at COS_M_CAP; use the nested
     radical checker for the power-of-two tail beyond it.
     """
     if m < 3:
         raise ValueError("m must be >= 3")
     if m > COS_M_CAP:
         raise ResourceLimitError(f"m capped at {COS_M_CAP}")
-    phi = _cyclotomic(m)
-    out = _palindrome_to_cos(phi)
-    if len(out) - 1 != (len(phi) - 1) // 2:
+    factors = _trial_factors(m)
+    two_exp = factors.pop(2, 0)
+    odd = tuple(factors.items())
+    if two_exp <= 1 and len(odd) == 1 and odd[0][1] == 1:
+        out = _cos_minpoly_prime(m, odd[0][0])
+    else:
+        out = _palindrome_to_cos(_cyclotomic(m))
+    if len(out) - 1 != _phi_from_factors(two_exp, odd) // 2:
         raise InvariantFailure("cosine polynomial has the wrong degree")
     return out
 
@@ -859,8 +935,10 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
 
 
 def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
-    """Degree <= 2 ring elements a + b sqrt(nu) with both conjugates in (0, t).
+    """Elements a + b sqrt(nu) of Z[sqrt(nu)] with both conjugates in (0, t).
 
+    Z[sqrt(nu)] can be smaller than the ring of integers of Q(sqrt(nu)),
+    so this can miss ring elements: 2 + sqrt(3) at nu = 12, for one.
     t may be an int or a Fraction; comparisons are exact. b ranges over
     0..H (the (a, -b) twin gives the same conjugate pair); a is bounded
     by the window itself (conjugates sum to 2a, so 0 < a < t). Returns

@@ -51,6 +51,7 @@ from jrtower.verdict import (
 )
 from jrtower.verdict import (
     _cos_minpoly_pow2,
+    _cos_minpoly_prime,
     _cyclotomic,
     _palindrome_to_cos,
     _radical_numeric_check,
@@ -438,6 +439,50 @@ def test_packed_basis_change_matches_the_recurrence():
     assert _palindrome_to_cos([1]) == [1]
 
 
+def prime_orders(limit: int) -> list[tuple[int, int]]:
+    """(m, p) for every m = p and m = 2p up to limit, p an odd prime."""
+    primes = [p for p in range(3, limit + 1, 2) if totient(p) == p - 1]
+    return [(k * p, p) for p in primes for k in (1, 2) if k * p <= limit]
+
+
+def test_closed_form_matches_the_fourth_kind_recurrence():
+    """Psi_p is W_h, h = (p - 1)/2, with W_0 = 1, W_1 = y + 1 and
+    W_(j+1) = y W_j - W_(j-1); Psi_2p(y) = (-1)^h W_h(-y). The formula
+    and its check at y = 2 hold for every odd p = 2h + 1, prime or not,
+    so this runs h = 1..200."""
+    w_prev, w = [1], [1, 1]
+    for h in range(1, 201):
+        p = 2 * h + 1
+        assert _cos_minpoly_prime(p, p) == w, h
+        assert _cos_minpoly_prime(2 * p, p) == [(-1) ** (h + i) * c for i, c in enumerate(w)], h
+        nxt = [0] + w
+        for i, c in enumerate(w_prev):
+            nxt[i] -= c
+        w_prev, w = w, nxt
+
+
+def test_closed_form_matches_the_cyclotomic_route():
+    """Every m = p or 2p up to COS_M_CAP: the closed form equals the
+    O(h^2) basis change of Phi_m, and cos_minpoly returns it."""
+    pairs = prime_orders(COS_M_CAP)
+    assert len(pairs) == 69
+    for m, p in pairs:
+        expected = chebyshev_basis_change(_cyclotomic(m))
+        assert _cos_minpoly_prime(m, p) == expected, m
+        assert cos_minpoly(m) == expected, m
+
+
+def test_cos_minpoly_matches_sympy_minimal_polynomial():
+    """sympy's minimal_polynomial of 2cos(2 pi/m), on both routes: the
+    p and 2p of the closed form and a sample of the other m up to 60."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    general = [4, 8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 28, 30, 36, 45, 48, 49, 60]
+    for m in [m for m, _ in prime_orders(60)] + general:
+        expected = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / m), x)
+        assert cos_minpoly(m) == sympy.Poly(expected, x).all_coeffs()[::-1], m
+
+
 def test_packed_basis_change_on_random_palindromes():
     """Monic palindromes with signed coefficients up to 2^200, some with
     every coefficient at the bound's size; a non-monic one still raises."""
@@ -454,6 +499,14 @@ def test_packed_basis_change_on_random_palindromes():
         coeffs[0] = coeffs[-1] = 3
         with pytest.raises(InvariantFailure, match="cosine polynomial is not monic"):
             _palindrome_to_cos(coeffs)
+
+
+def test_slot_width_is_the_least_width_unpack_takes():
+    """8, 16, 32 or 64 bits, read by one struct call, or past 64 bits a
+    multiple of 8: the least of these that holds the bits asked for."""
+    widths = [8, 16, 32, 64] + list(range(72, 512, 8))
+    for bits in range(1, 500):
+        assert verdict._slot_width(bits) == min(w for w in widths if w >= bits), bits
 
 
 def test_packed_basis_change_overflow_guard_fires(monkeypatch):
@@ -580,22 +633,59 @@ def test_cos_minpoly_builds_no_prime_sieve(monkeypatch):
 
 
 def test_cyclotomic_inexact_binomial_division_raises(monkeypatch):
-    # Phi_7 = (x^7 - 1) / (x - 1). Multiplying by x^7 alone leaves a
-    # remainder; skipping the product leaves a dividend of lower degree.
-    for times in (lambda poly, d: [0] * d + poly, lambda poly, d: poly):
-        monkeypatch.setattr(verdict, "_times_binomial", times)
-        for build in (_cyclotomic, cos_minpoly):
-            with pytest.raises(InvariantFailure,
-                               match=r"the cyclotomic product is not divisible by x\^1 - 1"):
-                build(7)
+    """Primes that are not coprime break the Moebius product: with 3 and
+    9 given as m's primes, N / D = (x^27 - 1)(x - 1) / ((x^3 - 1)(x^9 - 1))
+    = (x^18 + x^9 + 1) / (x^2 + x + 1), which is 3 at a primitive cube
+    root of unity, so the packed divmod leaves a remainder."""
+    monkeypatch.setattr(verdict, "_trial_factors", lambda m: {3: 1, 9: 1})
+    for build in (_cyclotomic, cos_minpoly):
+        with pytest.raises(InvariantFailure,
+                           match="the cyclotomic product is not divisible by its mu = -1 binomials"):
+            build(27)
+
+
+def test_cyclotomic_quotient_bound_guard_fires(monkeypatch):
+    """The packed quotient is the polynomial one only if 2^k' max|Q| <
+    2^(S-1). At r = 210, D has k' = 8 binomials, so 8-bit slots fail
+    that for any Q; a quotient that fits no slots fails it too."""
+    monkeypatch.setattr(verdict, "_quotient_bits", lambda degree, ups, downs: 8)
+    with pytest.raises(InvariantFailure,
+                       match="cyclotomic quotient exceeds its Kronecker slot bound"):
+        _cyclotomic(210)
+    monkeypatch.undo()
+    monkeypatch.setattr(verdict, "_unpack", lambda packed, fields, width: None)
+    with pytest.raises(InvariantFailure,
+                       match="cyclotomic quotient exceeds its Kronecker slot bound"):
+        cos_minpoly(15)
+
+
+def test_closed_form_guard_fires_on_a_wrong_formula(monkeypatch):
+    """Psi_m(2) = Phi_m(1) catches a wrong binomial and the p and 2p
+    sign patterns swapped (each pattern rotated by one)."""
+    from itertools import cycle
+
+    monkeypatch.setattr(verdict, "comb", lambda n, k: math.comb(n, k) + (k == 1))
+    for m in (7, 14, 199):
+        with pytest.raises(InvariantFailure,
+                           match=rf"closed-form cosine polynomial has Psi_m\(2\) != Phi_m\(1\) at m = {m}"):
+            cos_minpoly(m)
+    monkeypatch.undo()
+    monkeypatch.setattr(verdict, "cycle", lambda signs: cycle(signs[1:] + signs[:1]))
+    for m in (3, 5, 7, 6, 10, 14, 199, 194):
+        with pytest.raises(InvariantFailure,
+                           match=rf"closed-form cosine polynomial has Psi_m\(2\) != Phi_m\(1\) at m = {m}"):
+            cos_minpoly(m)
 
 
 @pytest.mark.parametrize("name,fake,m", [
-    ("_cyclotomic", lambda m: [1, 2, 0, 1], 5),  # not palindromic
-    ("_cyclotomic", lambda m: [1, 0, 1, 1], 5),  # not palindromic
-    ("_cyclotomic", lambda m: [1, 1, 1, 1], 5),  # odd degree
-    ("_cyclotomic", lambda m: [2, 0, 2], 5),  # not monic
+    ("_cyclotomic", lambda m: [1, 2, 0, 1], 15),  # not palindromic
+    ("_cyclotomic", lambda m: [1, 0, 1, 1], 15),  # not palindromic
+    ("_cyclotomic", lambda m: [1, 1, 1, 1], 15),  # odd degree
+    ("_cyclotomic", lambda m: [2, 0, 2], 15),  # not monic
     ("_palindrome_to_cos", lambda coeffs: [1, 1], 16),  # wrong degree
+    ("_cos_minpoly_prime", lambda m, p: [1, 1], 5),  # wrong degree, closed form
+    ("_cos_minpoly_prime", lambda m, p: [1, 1], 14),  # wrong degree, closed form
+    ("comb", lambda n, k: 1, 7),  # closed form off at y = 2
 ])
 def test_cos_minpoly_invariant_failures_fire(monkeypatch, name, fake, m):
     monkeypatch.setattr(verdict, name, fake)
@@ -611,6 +701,9 @@ def test_cos_minpoly_guards_name_what_broke(monkeypatch):
     monkeypatch.setattr(verdict, "_palindrome_to_cos", lambda coeffs: [1, 1])
     with pytest.raises(InvariantFailure, match="cosine polynomial has the wrong degree"):
         cos_minpoly(16)
+    monkeypatch.setattr(verdict, "_cos_minpoly_prime", lambda m, p: [1, 1])
+    with pytest.raises(InvariantFailure, match="cosine polynomial has the wrong degree"):
+        cos_minpoly(7)
 
 
 def test_nested_radical_invariant_failures_fire(monkeypatch):
@@ -1150,6 +1243,27 @@ def test_the_square_free_flag_is_computed_only_when_read(monkeypatch):
         cli._scan_row(nu, EFFORT_QUICK)
         certified += jr_verdict(nu, 5, EFFORT_QUICK).sqrt2_certified
     assert len(flags) == certified == 312
+
+
+def test_a_scan_row_reads_conclusive_once(monkeypatch):
+    """A row's conclusion, caveat flag and reasons rest on one read of
+    conclusive, and match what the report's own properties say."""
+    reads = []
+    real = VerdictReport.conclusive.fget
+
+    def counted(self):
+        reads.append(self.nu)
+        return real(self)
+
+    monkeypatch.setattr(VerdictReport, "conclusive", property(counted))
+    for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
+        for nu in range(2, 301):
+            report = jr_verdict(nu, 5, effort)
+            expected = report.conclusion, report.finite_scope_caveat
+            del reads[:]
+            row = cli._scan_row(nu, effort)
+            assert reads == [nu], nu
+            assert (row[1], "finite-scope-caveat" in row[4].split("|")) == expected, nu
 
 
 def test_jr_verdict_takes_each_jacobi_symbol_once(monkeypatch):
