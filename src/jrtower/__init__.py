@@ -80,7 +80,6 @@ from .verdict import (
     NESTED_RADICAL_CAP,
     ConstructibilityDecomposition,
     FermatObstruction,
-    Nu7Report,
     QuadraticSurd,
     VerdictReport,
     alpha_surd,
@@ -90,7 +89,6 @@ from .verdict import (
     hypothesis_check,
     jr_verdict,
     nested_radical_check,
-    nu7_exploration,
     window_elements_deg2,
 )
 

@@ -27,6 +27,7 @@ from .residue import (
     known_fermat_primes,
     nonresidue_37_check,
 )
+from .squareclasses import DEPENDENT, INDEPENDENT, contains_sqrt
 from .verdict import (
     INCONCLUSIVE,
     THEOREM_APPLIES,
@@ -34,7 +35,6 @@ from .verdict import (
     cos_minpoly,
     jr_verdict,
     nested_radical_check,
-    nu7_exploration,
     window_elements_deg2,
 )
 from .wreath import agemo_rank, count_index2_subgroups, minimal_generators
@@ -307,12 +307,20 @@ def _cmd_orbit(args) -> int:
                 "e": prof.e,
                 "valuations": list(prof.valuations),
             }
+    # One elimination of (c_1..c_n, 2) gives the rank of c_1..c_n and the
+    # membership of sqrt(2); the c's are 2-independent when the rank is n.
+    sqrt2 = contains_sqrt(args.nu, args.n, 2)
+    independence = INDEPENDENT if sqrt2.rank == args.n else DEPENDENT
+    rank = sqrt2.rank if independence == INDEPENDENT else None
     result = {
         "c": list(seq.c),
         "ell": list(seq.ell),
         "strict": strict.strict,
         "strict_witness": strict.witness,
         "valuation_profiles": profiles,
+        "independence": independence,
+        "rank": rank,
+        "sqrt2_status": sqrt2.status,
     }
 
     def human():
@@ -327,6 +335,9 @@ def _cmd_orbit(args) -> int:
                 f"  v_{p}: first index {prof['first_index']}, e = {prof['e']}, "
                 f"profile {prof['valuations']}"
             )
+        lines.append(f"  2-independence: {independence}"
+                     + (f" (rank {rank})" if rank is not None else ""))
+        lines.append(f"  sqrt(2) in level {args.n}: {sqrt2.status}")
         return "\n".join(lines)
 
     _emit(args, {"nu": args.nu, "n": args.n}, lambda: result, human)
@@ -416,31 +427,6 @@ def _cmd_cos(args) -> int:
     return 0
 
 
-def _cmd_explore7(args) -> int:
-    report = nu7_exploration(args.depth)
-    result = {
-        "depth": report.depth,
-        "constants": list(report.constants),
-        "independence": report.independence,
-        "rank": report.rank,
-        "sqrt2_status": report.sqrt2_status,
-        "disclaimer": report.disclaimer,
-    }
-
-    def human():
-        lines = [f"nu = 7 exploration to depth {report.depth}:"]
-        for i, c in enumerate(report.constants, start=1):
-            lines.append(f"  c_{i} = {c}")
-        lines.append(f"  2-independence: {report.independence}"
-                     + (f" (rank {report.rank})" if report.rank is not None else ""))
-        lines.append(f"  sqrt(2) in level {report.depth}: {report.sqrt2_status}")
-        lines.append(f"  {report.disclaimer}")
-        return "\n".join(lines)
-
-    _emit(args, {"depth": args.depth}, lambda: result, human)
-    return 2 if report.sqrt2_status == "unknown" else 0
-
-
 def _cmd_window(args) -> int:
     from fractions import Fraction
 
@@ -485,23 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jrtower", description=__doc__)
     json_opt = argparse.ArgumentParser(add_help=False)
     json_opt.add_argument("--json", action="store_true", help="canonical JSON output")
-    depth_opt = argparse.ArgumentParser(add_help=False)
-    depth_opt.add_argument("--depth", type=int, default=5,
-                           help="tower depth (default 5)")
-    effort_opt = argparse.ArgumentParser(add_help=False)
-    effort_opt.add_argument("--effort", choices=sorted(EFFORT_PRESETS), default="default",
-                            help="factorization budget preset")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *options):
-        p = sub.add_parser(name, parents=[json_opt, *options], help=help)
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[json_opt], help=help)
         p.set_defaults(func=func)
         return p
 
-    p = command("verify", _cmd_verify, "full JR verdict for one nu", depth_opt, effort_opt)
+    def effort_option(p):
+        p.add_argument("--effort", choices=sorted(EFFORT_PRESETS), default="default",
+                       help="factorization budget preset")
+
+    p = command("verify", _cmd_verify, "full JR verdict for one nu")
+    p.add_argument("--depth", type=int, default=5, help="tower depth (default 5)")
+    effort_option(p)
     p.add_argument("nu", type=int)
 
-    p = command("scan", _cmd_scan, "verdict records for a range", effort_opt)
+    p = command("scan", _cmd_scan, "verdict records for a range")
+    effort_option(p)
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
     p.add_argument("--out", help="CSV output file, with a resume journal")
@@ -523,9 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("cos", _cmd_cos, "cosine minimal polynomial and constructibility")
     p.add_argument("m", type=int)
-
-    command("explore7", _cmd_explore7, "square-class evidence for the open case nu = 7",
-            depth_opt)
 
     p = command("window", _cmd_window, "degree <= 2 totally positive elements under t")
     p.add_argument("nu", type=int)

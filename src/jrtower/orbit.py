@@ -9,7 +9,8 @@ t -> t^2 - nu afterwards:
     c_1 = nu,   c_{n+1} = c_n^2 - nu.
 
 The companion sequence ell_n (squared norms of x_n shifted by nu) obeys
-ell_1 = nu^2, ell_n = (ell_{n-1} - nu)^2 and satisfies ell_n = c_n^2.
+ell_1 = nu^2, ell_n = (ell_{n-1} - nu)^2. By induction ell_{n-1} - nu =
+c_{n-1}^2 - nu = c_n, so ell_n = c_n^2, and an OrbitSequence stores c alone.
 """
 
 from __future__ import annotations
@@ -67,29 +68,29 @@ def tower_params(nu: int) -> TowerParams:
     return TowerParams(nu, v, mu, is_square(nu))
 
 
-class OrbitSequence(namedtuple("OrbitSequence", "nu c ell")):
-    """First N orbit constants c_n and companions ell_n, exact: c and
-    ell are tuples of N ints."""
+class OrbitSequence(namedtuple("OrbitSequence", "nu c")):
+    """First N orbit constants c_n, exact: c is a tuple of N ints. The
+    companions ell_n = c_n^2 are computed on read."""
 
     __slots__ = ()
 
-    def __new__(cls, nu, c, ell):
-        if len(ell) != len(c):
-            raise InvariantFailure(f"c and ell differ in length: {len(c)} and {len(ell)}")
-        if not c or c[0] != nu or ell[0] != nu**2:
+    def __new__(cls, nu, c):
+        if not c or c[0] != nu:
             raise InvariantFailure("orbit sequence seeded incorrectly")
         for k in range(1, len(c)):
             if c[k] != c[k - 1] ** 2 - nu:
                 raise InvariantFailure(f"c recursion broken at index {k + 1}")
-            if ell[k] != (ell[k - 1] - nu) ** 2:
-                raise InvariantFailure(f"ell recursion broken at index {k + 1}")
             if c[k] <= 0:
                 raise InvariantFailure(f"c not positive at index {k + 1}")
-        return super().__new__(cls, nu, c, ell)
+        return super().__new__(cls, nu, c)
+
+    @property
+    def ell(self) -> tuple[int, ...]:
+        return tuple(cn * cn for cn in self.c)
 
 
 def constant_terms(nu: int, N: int) -> OrbitSequence:
-    """Compute c_1..c_N and ell_1..ell_N for nu >= 2, N <= SEQUENCE_CAP."""
+    """Compute c_1..c_N for nu >= 2, N <= SEQUENCE_CAP."""
     if nu < 2:
         raise ValueError("nu must be an integer >= 2")
     if N < 1:
@@ -99,10 +100,7 @@ def constant_terms(nu: int, N: int) -> OrbitSequence:
     c = [nu]
     for _ in range(N - 1):
         c.append(c[-1] ** 2 - nu)
-    ell = [nu**2]
-    for _ in range(N - 1):
-        ell.append((ell[-1] - nu) ** 2)
-    return OrbitSequence(nu, tuple(c), tuple(ell))
+    return OrbitSequence(nu, tuple(c))
 
 
 def iterate_poly(nu: int, n: int) -> list[int]:

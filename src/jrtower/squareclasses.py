@@ -203,15 +203,17 @@ def quadratic_subfields(
     return SubfieldLattice(nu, n, kernels, rank, None not in kernels.values(), galois)
 
 
-class SqrtMembership(namedtuple("SqrtMembership", "nu n d status subset",
+class SqrtMembership(namedtuple("SqrtMembership", "nu n d status rank subset",
                                 defaults=(None,))):
     """Whether sqrt(d) lies in tower level n.
 
-    status "present" comes with the canonical witness subset, a
-    frozenset of 1-based indices (smallest size, then lexicographic;
-    empty for a perfect square d), and otherwise subset is None;
-    "absent" is only issued with a full Galois group, whose quadratic
-    subfields are exactly the Q(sqrt c_S); without one it is "unknown".
+    rank is the F_2 rank of the classes of c_1..c_n, so they are
+    2-independent exactly when it is n. status "present" comes with the
+    canonical witness subset, a frozenset of 1-based indices (smallest
+    size, then lexicographic; empty for a perfect square d), and
+    otherwise subset is None; "absent" is only issued with a full Galois
+    group (rank n), whose quadratic subfields are exactly the
+    Q(sqrt c_S); without one it is "unknown".
     """
 
     __slots__ = ()
@@ -225,7 +227,8 @@ def contains_sqrt(nu: int, n: int, d: int) -> SqrtMembership:
 
     d is an integer >= 2. One elimination of [c_1..c_n, d] finds the
     subsets S with d * c_S a square, and the rank of c_1..c_n alone,
-    which says whether the group is full. Square parts of d cancel in
+    which says whether the group is full: the rank of all n + 1 rows,
+    less one when d's row does not vanish. Square parts of d cancel in
     its row, so d gets the answer of its square-free kernel, and a
     perfect square d is present with the empty subset. Nothing is
     factored, so no answer waits on a budget.
@@ -240,10 +243,9 @@ def contains_sqrt(nu: int, n: int, d: int) -> SqrtMembership:
         for k in kernel:
             coset += [s ^ k for s in coset]
         best = min(coset, key=lambda s: (s.bit_count(), _positions(s)))
-        return SqrtMembership(nu, n, d, PRESENT, frozenset(i + 1 for i in _positions(best)))
-    if rank == n + 1:
-        return SqrtMembership(nu, n, d, ABSENT)
-    return SqrtMembership(nu, n, d, UNKNOWN)
+        return SqrtMembership(nu, n, d, PRESENT, rank,
+                              frozenset(i + 1 for i in _positions(best)))
+    return SqrtMembership(nu, n, d, ABSENT if rank == n + 1 else UNKNOWN, rank - 1)
 
 
 class Sqrt2Certificate(namedtuple("Sqrt2Certificate", "nu certified reason")):

@@ -39,7 +39,6 @@ from .orbit import (
     ITERATE_CAP,
     SEQUENCE_CAP,
     _check_decomposition,
-    constant_terms,
     iterate_poly,
 )
 from .residue import (
@@ -52,11 +51,7 @@ from .residue import (
     jacobi,
     known_fermat_primes,
 )
-from .squareclasses import (
-    _sqrt2_reason,
-    contains_sqrt,
-    two_independent,
-)
+from .squareclasses import _sqrt2_reason
 
 COS_M_CAP = 200
 NESTED_RADICAL_CAP = 12
@@ -931,7 +926,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
 
 
 # ---------------------------------------------------------------------------
-# Window enumeration and the nu = 7 exploration
+# Window enumeration
 
 
 def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
@@ -967,35 +962,3 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
             raise ResourceLimitError(f"window output capped at {WINDOW_CAP} pairs")
         out.extend((a, b) for a in range(lo, hi + 1))
     return out
-
-
-class Nu7Report(namedtuple("Nu7Report", "depth constants independence rank "
-                           "sqrt2_status disclaimer")):
-    """Numerical evidence for the open case nu = 7 (no theorem applies):
-    c_1..c_depth, the 2-independence status and rank (None when
-    dependent), and the sqrt(2) membership status."""
-
-    __slots__ = ()
-
-
-def nu7_exploration(depth: int) -> Nu7Report:
-    """Collect square-class evidence about the tower over nu = 7.
-
-    7 is odd, so the even-valuation machinery is silent; this decides
-    whether the constants are 2-independent and whether sqrt(2) shows
-    up, without claiming anything beyond the examined depth.
-    """
-    seq = constant_terms(7, depth)
-    indep = two_independent(seq.c)
-    membership = contains_sqrt(7, depth, 2)
-    return Nu7Report(
-        depth=depth,
-        constants=seq.c,
-        independence=indep.status,
-        rank=indep.rank,
-        sqrt2_status=membership.status,
-        disclaimer=(
-            "evidence only: statements cover levels 1.."
-            f"{depth} and do not extend to the full tower"
-        ),
-    )

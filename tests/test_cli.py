@@ -446,17 +446,55 @@ def test_algebra_json_matches_golden_digest(capsys, command, calls, digest):
 # sha256 of the concatenated `explore7 --depth D --json` for D = 1..6,
 # recorded once the report had dropped the factoring status of each c_n;
 # every other byte is the one it printed while independence and sqrt(2)
-# membership were still decided by factoring every c_n.
+# membership were still decided by factoring every c_n. GOLDEN_EXPLORE7_TEXT
+# is the sha256 over "<exit code>\n<stdout>" of the same runs without
+# --json. `orbit 7 D` now reports these facts, and the documents are
+# rebuilt from its output.
 GOLDEN_EXPLORE7 = "38ca519fc43cab049beae2739ac75c97531509bf9883d36e919fa94533ec014f"
+GOLDEN_EXPLORE7_TEXT = "26a41a038d687c5f696910b3d224a7f30f953a61b30e752e65ac413c2df0f386"
+_ORBIT_FACT_KEYS = ("independence", "rank", "sqrt2_status")
+_ORBIT_FACT_LINES = ("  2-independence: ", "  sqrt(2) in level ")
 
 
-def test_explore7_json_matches_golden_digest(capsys):
-    outputs = []
+def test_orbit_7_rebuilds_the_explore7_documents(capsys):
+    documents, texts = [], hashlib.sha256()
     for depth in range(1, 7):
-        code, out, _ = run(capsys, "explore7", "--depth", str(depth), "--json")
+        disclaimer = (f"evidence only: statements cover levels 1..{depth} "
+                      "and do not extend to the full tower")
+        code, out, _ = run(capsys, "orbit", "7", str(depth), "--json")
         assert code == 0
-        outputs.append(out)
-    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GOLDEN_EXPLORE7
+        result = json.loads(out)["result"]
+        documents.append(canonical_json({
+            "schema": 1,
+            "command": "explore7",
+            "input": {"depth": str(depth)},
+            "result": {"depth": str(depth), "constants": result["c"],
+                       "disclaimer": disclaimer,
+                       **{key: result[key] for key in _ORBIT_FACT_KEYS}},
+        }) + "\n")
+        code, out, _ = run(capsys, "orbit", "7", str(depth))
+        lines = out.splitlines()
+        text = [f"nu = 7 exploration to depth {depth}:"]
+        text += [line.split("   ell_")[0] for line in lines if line.startswith("  c_")]
+        text += [line for line in lines if line.startswith(_ORBIT_FACT_LINES)]
+        text.append(f"  {disclaimer}")
+        texts.update(("\n".join([str(code), *text]) + "\n").encode())
+    assert hashlib.sha256("".join(documents).encode()).hexdigest() == GOLDEN_EXPLORE7
+    assert texts.hexdigest() == GOLDEN_EXPLORE7_TEXT
+
+
+def without_orbit_facts(argv, out: str) -> str:
+    """out of an `orbit` run as it was before it reported the
+    square-class facts: their keys or their lines dropped."""
+    if argv[0] != "orbit":
+        return out
+    if "--json" in argv:
+        document = json.loads(out)
+        for key in _ORBIT_FACT_KEYS:
+            del document["result"][key]
+        return canonical_json(document) + "\n"
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith(_ORBIT_FACT_LINES))
 
 
 # sha256 of the concatenated json.dumps(jr_verdict(nu, 5, effort).to_json(),
@@ -485,8 +523,9 @@ def test_verdict_json_matches_golden_digest(nus, effort, digest):
 # in their order: the human output of every subcommand but scan (whose
 # CSV is pinned above), then the JSON of the three commands no other
 # golden pins. Recorded while every command still built its human text
-# under --json as well, except explore7's, recorded once its report had
-# dropped the factoring status of each c_n.
+# under --json as well, and before orbit reported square-class facts:
+# its runs are hashed without them (explore7's runs, which the orbit
+# facts replace, are rebuilt above).
 _ORBITS = [(nu, n) for nu in (2, 3, 7, 12, 1000) for n in (1, 4, 12)]
 _WINDOWS = [(12, "8", 5), (2, "15/2", 3), (7, "20", 6)]
 GOLDEN_RUNS = (
@@ -496,7 +535,6 @@ GOLDEN_RUNS = (
     + [("group", n) for n in range(1, 5)]
     + [("fermat",)]
     + [("cos", m) for m in range(3, 201)]
-    + [("explore7", "--depth", d) for d in range(1, 7)]
     + [("window", *a) for a in _WINDOWS]
     + [("radical", d) for d in range(2, 13)]
     + [("orbit", *a, "--json") for a in _ORBITS]
@@ -510,7 +548,6 @@ GOLDEN_RUNS_DIGESTS = {
     "group": "d4a927c9a9fc6e616dd4e3137af31c0b232ba38e330204cd6ecc96533cb4ed80",
     "fermat": "5854cf5005283d0195aca4952e055bb4c4687f75b380d8eb9b19eb79467d69f8",
     "cos": "287f873ee32db972f7f7810d13e5a5c05d1e0e865d8597f2453657183e8118eb",
-    "explore7": "26a41a038d687c5f696910b3d224a7f30f953a61b30e752e65ac413c2df0f386",
     "window": "20ccebbabc15d6b1ca05f6aa45a5a553b34233feffc05cb7a8f0528ce6dafdc1",
     "radical": "e50bd5235be3bd102fd4121669e8a0abfac249b9f52fd55bce31f67782bed943",
 }
@@ -520,18 +557,38 @@ def test_every_subcommand_output_matches_golden_digest(capsys):
     hashes = {}
     for argv in GOLDEN_RUNS:
         code, out, _ = run(capsys, *map(str, argv))
+        out = without_orbit_facts(argv, out)
         hashes.setdefault(argv[0], hashlib.sha256()).update(f"{code}\n{out}".encode())
     assert {name: h.hexdigest() for name, h in hashes.items()} == GOLDEN_RUNS_DIGESTS
 
 
-def test_explore7_decides_past_the_factoring_budget(capsys):
-    """c_12 has 1662 digits, far past what rho could factor, yet gcds
-    decide every class at the greatest depth."""
-    code, out, _ = run(capsys, "explore7", "--depth", "12", "--json")
+def test_orbit_decides_past_the_factoring_budget(capsys):
+    """c_12 of nu = 7 has 1662 digits, far past what rho could factor,
+    yet gcds decide every class at the greatest depth."""
+    code, out, _ = run(capsys, "orbit", "7", "12", "--json")
     result = json.loads(out)["result"]
     assert (result["independence"], result["rank"], result["sqrt2_status"]) == (
         "independent", "12", "absent")
     assert code == 0
+
+
+@pytest.mark.parametrize("nu, n, independence, rank, status", [
+    ("5", "3", "dependent", None, "unknown"),
+    ("2", "2", "dependent", None, "present"),
+    ("3", "2", "independent", "2", "present"),
+    ("12", "5", "independent", "5", "absent"),
+], ids=["dependent-unknown", "dependent-present", "independent-present",
+        "independent-absent"])
+def test_orbit_reports_the_square_class_facts(capsys, nu, n, independence, rank, status):
+    """c_1 c_2 = 5 * 20 is a square, so level 3 over 5 is not full and
+    sqrt(2) stays unknown there; nu = 2 has c_n = 2 at every n, and over
+    3, 2 * c_1 c_2 = 36; Stoll's rule makes every level over 12 full."""
+    code, out, _ = run(capsys, "orbit", nu, n)
+    shown = f" (rank {rank})" if rank else ""
+    assert code == 0 and out.endswith(
+        f"  2-independence: {independence}{shown}\n  sqrt(2) in level {n}: {status}\n")
+    result = json.loads(run(capsys, "orbit", nu, n, "--json")[1])["result"]
+    assert [result[key] for key in _ORBIT_FACT_KEYS] == [independence, rank, status]
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():
@@ -554,21 +611,20 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "group": ["--json"],
         "fermat": ["--json"],
         "cos": ["--json"],
-        "explore7": ["--depth", "--json"],
         "window": ["--json"],
         "radical": ["--json"],
     }
-    assert sum(map(len, options.values())) == 16
+    assert sum(map(len, options.values())) == 14
 
 
 def test_an_ignored_option_is_a_usage_error(capsys):
     """scan reads no depth, since no row depends on it, cos no effort,
-    since trial division factors every m <= COS_M_CAP exactly, and
-    explore7 no effort, since gcds decide everything it reports."""
+    since trial division factors every m <= COS_M_CAP exactly, and orbit
+    no depth, since its n is the depth of every fact it reports."""
     for *argv, option, value in [("group", "2", "--effort", "quick"),
                                  ("scan", "4", "8", "--depth", "5"),
                                  ("cos", "12", "--effort", "quick"),
-                                 ("explore7", "--depth", "2", "--effort", "quick")]:
+                                 ("orbit", "7", "4", "--depth", "4")]:
         code, _, err = run(capsys, *argv, option, value)
         assert code == 1
         assert option in err
@@ -588,7 +644,7 @@ def test_scan_json_mode(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "12"), ("disc", "12", "3"),
     ("orbit", "12", "4"), ("group", "2"), ("fermat",), ("cos", "12"),
-    ("explore7", "--depth", "2"), ("window", "12", "8", "5"), ("radical", "4"),
+    ("window", "12", "8", "5"), ("radical", "4"),
 ], ids=lambda argv: argv[0])
 def test_json_output_builds_no_human_text(capsys, monkeypatch, argv):
     from jrtower import cli
@@ -718,7 +774,8 @@ def test_orbit_subcommand(capsys):
 
 # sha256 over "<exit code>\n<stdout>" of `orbit NU N`, then of
 # `orbit NU N --json`, for each (NU, N) of _ORBITS in order, recorded
-# while every valuation profile still built its own orbit.
+# while every valuation profile still built its own orbit, and hashed
+# without the square-class facts that orbit reports since.
 GOLDEN_ORBIT_DIGEST = "dc857412ccc5a1c95e927651c3044e9494f02cd10ba08c05c8d2784718b2c800"
 
 
@@ -727,6 +784,7 @@ def test_orbit_output_matches_golden_digest(capsys):
     for nu, n in _ORBITS:
         for extra in ((), ("--json",)):
             code, out, _ = run(capsys, "orbit", str(nu), str(n), *extra)
+            out = without_orbit_facts(("orbit", *extra), out)
             h.update(f"{code}\n{out}".encode())
     assert h.hexdigest() == GOLDEN_ORBIT_DIGEST
 
@@ -747,6 +805,39 @@ def test_orbit_builds_its_orbit_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "orbit", "1000", "12")
     assert code == 0 and "v_3: first index" in out
     assert calls == [(1000, 12)]
+
+
+def test_orbit_factors_nothing(capsys, monkeypatch):
+    """gcds decide every fact orbit reports, so it looks up no
+    factorization of any c_n."""
+    from jrtower import factor, squareclasses
+
+    def refuse(*args):
+        raise AssertionError("orbit factored")
+
+    for module, name in ((squareclasses, "factorize_cached"), (factor, "factorize_cached"),
+                         (factor, "_factorize_cached"), (factor, "factorize")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run(capsys, "orbit", "7", "12")[0] == 0
+    assert run(capsys, "orbit", "1000", "12", "--json")[0] == 0
+
+
+def test_orbit_eliminates_its_classes_once(capsys, monkeypatch):
+    """2-independence and sqrt(2) membership come from one elimination
+    of (c_1..c_n, 2), so the coprime base is built once."""
+    from jrtower import squareclasses
+
+    calls = []
+    real = squareclasses._coprime_base
+
+    def spy(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(squareclasses, "_coprime_base", spy)
+    code, out, _ = run(capsys, "orbit", "1000", "12")
+    assert code == 0 and "2-independence: independent (rank 12)" in out
+    assert calls == [13]
 
 
 def test_integers_past_4300_digits_are_read_and_printed(capsys):
@@ -826,13 +917,6 @@ def test_radical_subcommand(capsys):
     assert "verified" in out
     code, _, err = run(capsys, "radical", "1")
     assert code == 1
-
-
-def test_explore7_subcommand(capsys):
-    code, out, _ = run(capsys, "explore7", "--depth", "4")
-    assert code == 0
-    assert "c_3 = 1757" in out
-    assert "evidence only" in out
 
 
 def test_domain_errors_exit_1(capsys):

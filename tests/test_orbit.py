@@ -68,22 +68,21 @@ def test_sequence_cap_enforced():
 
 
 def test_orbit_sequence_validates_recursion():
-    with pytest.raises(Exception):
-        OrbitSequence(nu=12, c=(12, 133), ell=(144, 17689))
+    with pytest.raises(InvariantFailure):
+        OrbitSequence(nu=12, c=(12, 133))
 
 
-@pytest.mark.parametrize("nu, c, ell, message", [
-    (2, (3,), (4,), "orbit sequence seeded incorrectly"),
-    (2, (2, 3), (4, 4), "c recursion broken at index 2"),
-    (2, (2, 2), (4, 5), "ell recursion broken at index 2"),
-    (1, (1, 0), (1, 0), "c not positive at index 2"),
+@pytest.mark.parametrize("nu, c, message", [
+    (2, (3,), "orbit sequence seeded incorrectly"),
+    (2, (2, 3), "c recursion broken at index 2"),
+    (1, (1, 0), "c not positive at index 2"),
 ])
-def test_orbit_sequence_guards_fire_on_forged_fields(nu, c, ell, message):
+def test_orbit_sequence_guards_fire_on_forged_fields(nu, c, message):
     """Each check of an OrbitSequence fires on fields that break it alone;
-    nu = 1 (below constant_terms' domain) keeps both recursions and
+    nu = 1 (below constant_terms' domain) keeps the recursion and
     reaches c_2 = 0."""
     with pytest.raises(InvariantFailure, match=message):
-        OrbitSequence(nu, c, ell)
+        OrbitSequence(nu, c)
 
 
 @pytest.mark.parametrize("c, message", [

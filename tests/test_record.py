@@ -30,7 +30,6 @@ RECORDS = {
     "ConstructibilityDecomposition": lambda: jr.constructible_order(68),
     "FermatObstruction": lambda: jr.fermat_obstruction(12, 5),
     "VerdictReport": lambda: jr_verdict(12, 5),
-    "Nu7Report": lambda: jr.nu7_exploration(2),
 }
 
 
@@ -113,7 +112,7 @@ def test_post_init_invariants_still_run():
 
 def test_repr_lists_fields_in_declaration_order():
     assert repr(jr.contains_sqrt(12, 2, 3)) == (
-        "SqrtMembership(nu=12, n=2, d=3, status='present', subset=frozenset({1}))")
+        "SqrtMembership(nu=12, n=2, d=3, status='present', rank=2, subset=frozenset({1}))")
     assert repr(QuadraticSurd(1, 1, 5, 2)) == "QuadraticSurd(a=1, b=1, D=5, q=2)"
     assert repr(Effort()) == "Effort(trial_bound=1000000, rho_rounds=10000000)"
 
@@ -164,12 +163,12 @@ def forged(name: str, fields: dict):
     ("ResidueCertificate", {"scope": "universal"}, "universal scope without a 3/7 kernel"),
     ("DiscriminantReport", {"oracle": 4866049},
      "discriminant recursion and resultant oracle disagree at nu = 12, n = 2"),
-    # Fields that a check used to skip: the square flag of nu = 36, an
-    # ell longer or shorter than c, and symbols 0 at 5 on each scope.
+    # Fields that a check used to skip: the square flag of nu = 36, and
+    # symbols 0 at 5 on each scope. The other two checks of an orbit
+    # run on a copy too: its seed and the sign of each c_n.
     ("TowerParams", {"nu": 36, "mu": 9}, "square flag False is wrong for nu = 36"),
-    ("OrbitSequence", {"c": (12, 132), "ell": (144, 17424, 999)},
-     "c and ell differ in length: 2 and 3"),
-    ("OrbitSequence", {"c": (12, 132), "ell": (144,)}, "c and ell differ in length: 2 and 1"),
+    ("OrbitSequence", {"c": (13, 156)}, "orbit sequence seeded incorrectly"),
+    ("OrbitSequence", {"nu": 1, "c": (1, 0)}, "c not positive at index 2"),
     ("ResidueCertificate", {"nu": 75, "scope": "universal", "kernel_basis": 3},
      r"Euler's criterion disagrees with jacobi\(75, 5\) = -1"),
     ("ResidueCertificate", {"nu": 20}, r"Euler's criterion disagrees with jacobi\(20, 5\) = -1"),

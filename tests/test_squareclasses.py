@@ -510,7 +510,8 @@ def test_contains_sqrt_decides_d_beyond_any_factoring_budget(monkeypatch):
     p, q = 10**12 + 39, 10**12 + 61
     assert contains_sqrt(12, 2, p * q).status == ABSENT
     assert contains_sqrt(12, 2, 9 * p * q) == contains_sqrt(12, 2, p * q)._replace(d=9 * p * q)
-    assert contains_sqrt(12, 2, 9 * 33 * p**2) == (12, 2, 9 * 33 * p**2, PRESENT, frozenset({2}))
+    assert contains_sqrt(12, 2, 9 * 33 * p**2) == (
+        12, 2, 9 * 33 * p**2, PRESENT, 2, frozenset({2}))
     assert contains_sqrt(12, 3, (10**13 + 37) * (10**13 + 51)).status == ABSENT
 
 
@@ -554,6 +555,29 @@ def test_contains_sqrt_matches_brute_force_subset_search():
                 else:
                     assert m.status == (ABSENT if full else UNKNOWN), (nu, n, d)
     assert non_full > 20
+
+
+@pytest.mark.parametrize("d_of", [lambda nu: 2, lambda nu: 4, lambda nu: nu],
+                         ids=["d=2", "square-d", "d=nu"])
+def test_sqrt_membership_rank_counts_the_square_subset_products(d_of):
+    """c_1..c_n have 2^(n - rank) subsets with a square product, the
+    empty one included, whether d's row stays (d = 2, mostly), is zero
+    (d = 4) or vanishes on c_1 = nu; and the rank is n exactly when
+    two_independent finds them independent."""
+    dependent = 0
+    for nu in range(2, 201):
+        for n in range(1, 7):
+            c = constant_terms(nu, n).c
+            products = [1]
+            for cn in c:
+                products += [x * cn for x in products]
+            independence = two_independent(c)
+            dependent += not independence
+            rank = contains_sqrt(nu, n, d_of(nu)).rank
+            assert 1 << (n - rank) == sum(map(is_square, products)), (nu, n)
+            assert (rank == n) == bool(independence), (nu, n)
+            assert independence.rank in (None, rank), (nu, n)
+    assert dependent > 0
 
 
 def test_contains_sqrt_searches_the_whole_solution_coset(monkeypatch):

@@ -46,7 +46,6 @@ from jrtower.verdict import (
     hypothesis_check,
     jr_verdict,
     nested_radical_check,
-    nu7_exploration,
     window_elements_deg2,
 )
 from jrtower.verdict import (
@@ -1611,37 +1610,6 @@ def test_window_ordering_and_domain(monkeypatch):
     monkeypatch.setattr(verdict, "WINDOW_CAP", 7)  # row b = 0 fits, (4, 1) does not
     with pytest.raises(ResourceLimitError, match="pairs"):
         window_elements_deg2(12, 8, 5)
-
-
-# ---------------------------------------------------------------------------
-# the nu = 7 exploration bundle
-
-
-def test_nu7_exploration_depth3():
-    rep = nu7_exploration(3)
-    assert rep.constants == (7, 42, 1757)
-    assert rep.independence == "independent"
-    assert rep.rank == 3
-    assert rep.sqrt2_status == "absent"
-    assert "levels 1..3" in rep.disclaimer
-
-
-def test_nu7_exploration_depth5(monkeypatch):
-    """Work counts too: gcds decide what the report holds, so it looks
-    up no factorization of any c_n."""
-    from jrtower import factor
-
-    cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
-    rep = nu7_exploration(5)
-    assert rep.rank == 5
-    assert rep.sqrt2_status == "absent"
-    assert rep.constants[4] == 9529828309757
-    assert cached == []
-
-
-def test_nu7_exploration_domain():
-    with pytest.raises(ValueError):
-        nu7_exploration(0)
 
 
 @pytest.mark.parametrize("call, message", [
