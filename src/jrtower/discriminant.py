@@ -171,7 +171,7 @@ class DiscriminantReport(namedtuple("DiscriminantReport", "nu n disc oracle norm
                 f"discriminant recursion and resultant oracle disagree at "
                 f"nu = {nu}, n = {n}"
             )
-        return super().__new__(cls, nu, n, disc, oracle, norms)
+        return tuple.__new__(cls, (nu, n, disc, oracle, norms))
 
 
 def discriminant_report(nu: int, n: int) -> DiscriminantReport:

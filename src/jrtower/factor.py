@@ -57,7 +57,7 @@ class Factorization(namedtuple("Factorization", "n factors cofactor", defaults=(
         rebuilt = prod(p**e for p, e in factors.items()) * (cofactor or 1)
         if rebuilt != n:
             raise ValueError(f"inconsistent factorization of {n}")
-        return super().__new__(cls, n, factors, cofactor)
+        return tuple.__new__(cls, (n, factors, cofactor))
 
     def __getnewargs__(self):
         # The read-only view does not pickle; its dict does.

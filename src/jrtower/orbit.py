@@ -50,7 +50,7 @@ class TowerParams(namedtuple("TowerParams", "nu two_adic_valuation mu is_square"
         # The field shadows the function: this is intmath.is_square.
         if is_square != intmath.is_square(nu):
             raise InvariantFailure(f"square flag {is_square} is wrong for nu = {nu}")
-        return super().__new__(cls, nu, two_adic_valuation, mu, is_square)
+        return tuple.__new__(cls, (nu, two_adic_valuation, mu, is_square))
 
 
 def _check_decomposition(nu: int, v: int, mu: int) -> None:
@@ -82,7 +82,7 @@ class OrbitSequence(namedtuple("OrbitSequence", "nu c")):
                 raise InvariantFailure(f"c recursion broken at index {k + 1}")
             if c[k] <= 0:
                 raise InvariantFailure(f"c not positive at index {k + 1}")
-        return super().__new__(cls, nu, c)
+        return tuple.__new__(cls, (nu, c))
 
     @property
     def ell(self) -> tuple[int, ...]:

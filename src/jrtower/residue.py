@@ -47,7 +47,7 @@ class FermatNumber(namedtuple("FermatNumber", "index value primality")):
     def __new__(cls, index, value, primality):
         if value != 2 ** (2**index) + 1:
             raise InvariantFailure("not a Fermat number")
-        return super().__new__(cls, index, value, primality)
+        return tuple.__new__(cls, (index, value, primality))
 
 
 def jacobi(a: int, n: int) -> int:
@@ -184,7 +184,7 @@ class ResidueCertificate(namedtuple("ResidueCertificate",
                 )
         for p in checked_primes:
             _euler_guard(nu, p)
-        return super().__new__(cls, nu, scope, checked_primes, kernel_basis)
+        return tuple.__new__(cls, (nu, scope, checked_primes, kernel_basis))
 
 
 def _check_kernel(nu: int, q: int | None) -> None:

@@ -86,7 +86,7 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "a b D q", defaults=(1,))):
             raise ValueError("only real surds are supported")
         if b < 0:
             raise ValueError("use a negative a rather than a negative b")
-        return super().__new__(cls, a, b, D, q)
+        return tuple.__new__(cls, (a, b, D, q))
 
     @property
     def is_rational(self) -> bool:
@@ -463,88 +463,85 @@ def _radical_symbolic_check(poly: list[int], d: int) -> bool:
     return poly == iterate_poly(2, d - 1)
 
 
-def _radical_numeric_check(poly: list[int], d: int) -> bool:
-    """Fixed-point check that poly annihilates s_{d-1}.
+def _radical_recurrence_check(poly: list[int]) -> bool:
+    """True iff poly, monic of degree h, is 2 T_h(x/2), whose c_j obey
+    4 (j+2)(j+1) c_(j+2) = (j^2 - h^2) c_j (Chebyshev's equation): with
+    c_h = 1 and c_(h+1) = 0 that fixes every c_j, and 2 T_h(2cos(x)/2) =
+    2cos(hx) vanishes at s_(d-1) = 2cos(pi/2^d) for h = 2^(d-1)."""
+    h = len(poly) - 1
+    return not any(poly[h - 1::-2]) and all(
+        4 * (j + 2) * (j + 1) * poly[j + 2] == (j * j - h * h) * poly[j]
+        for j in range(h - 2, -1, -2))
 
-    Runs at needed = bits(W) + bits(len(poly)) + 160 fractional bits,
-    where W = sum_j |c_j| 2^j, and accepts iff the value is below
-    2^-100. 2^needed >= 16 len(poly), so by _radical_value's bound
-    the error is at most 2 len(poly) W ulp < 2^(needed - 159) ulp,
-    below 2^-159 (under 2^-140) for every integer polynomial.
+
+def _radical_numeric_check(poly: list[int], d: int) -> bool:
+    """Fixed-point check that poly annihilates s_{d-1}, made at s'.
+
+    s_(d-1) = 2cos(pi/2^d) and s' = sqrt(2 - s_(d-2)) = 2sin(pi/2^d),
+    the root nearest 0 (below rho = 2^(3-d), as sin x < x), are roots of
+    P_(d-1), Eisenstein at 2: poly has an exact zero at one iff at the
+    other. needed = B + 2 bits(L) + 2d + 160 for L = len(poly) and B =
+    max(0, bits(c_j) + (3-d) j over nonzero c_j), so W' = sum |c_j| rho^j
+    < L 2^B and _radical_value's error 4^(d-1) L (W' + 1) is below 2^-161.
+    Accepts iff the value is below 2^-100: blind to a change of 1 or 2 in
+    c_j once s'^j < 2^-100 (j > 10 at d = 12), which the recurrence sees.
     """
-    weight = 0
-    for c in reversed(poly):
-        weight = (weight << 1) + abs(c)
-    needed = weight.bit_length() + len(poly).bit_length() + 160
+    top = max([0] + [c.bit_length() + (3 - d) * j for j, c in enumerate(poly) if c])
+    needed = top + 2 * len(poly).bit_length() + 2 * d + 160
     return abs(_radical_value(poly, d, needed)) < 1 << (needed - 100)
 
 
 def _radical_value(poly: list[int], d: int, prec: int) -> int:
-    """poly(s_{d-1}) * 2^prec, in integer fixed point.
+    """poly(s') * 2^prec in integer fixed point, s' = sqrt(2 - s_(d-2)).
 
-    s_0 = 0 and s_k = sqrt(2 + s_(k-1)) come from isqrt, rounded
-    down, and t = s^2 from one product. Then poly = E(t) + s * O(t),
-    and each half A(t) = sum_j a_j t^j runs by rectangular splitting
-    (Paterson and Stockmeyer, 1973; Smith, 1989): baby steps T_j ~ t^j
-    for j <= m = isqrt(L/2), L = len(poly); exact block sums
-    B_k = sum_(i<m) a_(km+i) T_i; Horner over the blocks in T_m. That
-    is about 2 sqrt(L/2) full-width products, where Horner in t takes L.
+    s_0 = 0 and s_k = sqrt(2 + s_(k-1)) come from isqrt, rounded down,
+    t = s'^2 = 2 - s_(d-2) from one subtraction, s' from one more isqrt;
+    then poly = E(t) + s' O(t), each half by Horner in t.
 
-    Error bound, in ulp = 2^-prec, for any integers c_j, with
-    D = L - 1 and W = sum_j |c_j| 2^j. Every step floors, so each
-    approximation x~ lies at or below the x it stands for.
-    1. s - s~ <= 2, since sqrt(2 + x) has slope below 1/2 for x >= 0,
-       so the error after k roots is at most half the one before
-       plus 1. Then t - t~ <= (s - s~)(s + s~) + 1 <= 9, as s < 2.
-    2. T_0 = 1 exactly and T_j = floor(T_(j-1) t~), so t^j - T_j
-       <= 4 (t^(j-1) - T_(j-1)) + 9 * 4^(j-1) + 1, as 0 <= t~ <= t
-       < 4; by induction t^j - T_j <= 3j 4^j.
-    3. With x^k - y^k <= k x^(k-1) (x - y) for 0 <= y <= x,
-       t^(i+mk) - T_i T_m^k <= 3(i + mk) 4^(i+mk).
-    4. The B_k are exact, and Horner over them returns
-       sum_k T_m^k B_k - sum_k T_m^k f_k with floor losses
-       0 <= f_k < 1. f_k is 0 unless some a_j with j >= (k+1)m is
-       nonzero, so the losses come to at most (4/3) 4^(J-m)
-       <= |a_J| 4^J / 3 for the top nonzero a_J. As every j <= D/2,
-       |A(t) - A~| <= (3D/2 + 1/3) sum_j |a_j| 4^j.
-    5. For E that sum is W_E, the even-index part of W; for O it is
-       W_O / 2, and |O(t)| <= W_O / 2. s O - floor(s~ O~) =
-       s (O - O~) + (s - s~) O~ + a floor loss below 1 that occurs
-       only when W_O >= 2, so it is at most
-       (3D/2 + 1/3) W_O (1 + 2^-prec) + W_O + W_O / 2.
-    With 2^prec >= 16 L the total is at most (3D/2 + 2) W <= 2 L W.
-    Horner in t is the case m = 1, under the same bound.
+    Error bound, in ulp = 2^-prec, for any integers c_j, d in
+    2..NESTED_RADICAL_CAP and prec >= 2d + 100, with L = len(poly),
+    D = L - 1, rho = 2^(3-d), r = rho^2 and W' = sum_j |c_j| rho^j.
+    1. s_k - s~_k <= 2, as sqrt(2 + x) has slope below 1/2 for x >= 0.
+       So e = t~ - t lies in [0, 2) (0 for d = 2), and t <= t~ <= r,
+       as t = 4 sin^2(pi/2^d) <= (pi^2/16) r.
+    2. s' >= 2^(2-d), as sin x >= 2x/pi on [0, pi/2], so
+       |s' - s~'| <= max(1, e / (2 s')) <= 2^(d-2).
+    3. Horner over A(t) = sum_(i<n) a_i t^i sets acc_j =
+       floor(acc_(j+1) t~) + a_j, whose error against sum_(i>=j) a_i
+       t^(i-j) is at most t~ times the one before, plus e |A_(j+1)(t)|,
+       plus a floor loss below 1 only below the top nonzero index J.
+       Unrolled, with S_A = sum_i |a_i| r^i and i <= D/2, that is at
+       most 2 sum_i i |a_i| r^(i-1) + sum_(j<J) t~^j <= (D/r + 1) S_A
+       + D/2, as t~ <= r <= 1 for d >= 3 and 2^J <= S_A for d = 2.
+    4. S_E = W'_E, the even-index part of W'; S_O = W'_O / rho >= |O(t)|.
+       s' O - floor(s~' O~) is at most s' |O - O~| + |s' - s~'| (|O| +
+       |O - O~| ulp) + 1, with s' <= rho <= 2 and 2^(d-2) / rho = 2 / r.
+    Summed, with 1/r = 4^(d-3), the error is at most
+    (2L/r + 2) W' + 3D/2 + 2 <= 4^(d-1) L (W' + 1).
     """
     s = 0
-    for _ in range(d - 1):
+    for _ in range(d - 2):
         s = isqrt(((2 << prec) + s) << prec)
-    t = s * s >> prec
-    m = isqrt(len(poly) // 2) or 1
-    powers = [1 << prec]
-    for _ in range(m):
-        powers.append(powers[-1] * t >> prec)
-    giant = powers[m]
+    t = (2 << prec) - s
+    root = isqrt(t << prec)
 
-    def split(coeffs: list[int]) -> int:
+    def horner(coeffs: list[int]) -> int:
         acc = 0
-        for k in reversed(range(0, len(coeffs), m)):
-            block = sum(c * p for c, p in zip(coeffs[k : k + m], powers))
-            acc = (acc * giant >> prec) + block
+        for c in reversed(coeffs):
+            acc = (acc * t >> prec) + (c << prec)
         return acc
 
-    return split(poly[0::2]) + (s * split(poly[1::2]) >> prec)
+    return horner(poly[0::2]) + (root * horner(poly[1::2]) >> prec)
 
 
 def nested_radical_check(d: int) -> bool:
     """Verify 2cos(2*pi/2^(d+1)) = s_{d-1}, the d-1 times nested radical.
 
-    The minimal polynomial of the cosine is built exactly. For every d it
-    must be monic of degree 2^(d-1), the degree of s_(d-1) over Q, so no
-    proper multiple of the minimal polynomial passes, and a fixed-point
-    evaluation at proof precision must vanish; for d <= ITERATE_CAP + 1
-    the polynomial must also equal the iterate P_(d-1) of t^2 - 2, i.e.
-    vanish at s_(d-1) in the exact tower ring. Any failure raises
-    InvariantFailure, since the identity is a theorem.
+    The cosine's minimal polynomial, built exactly, must be monic of
+    degree 2^(d-1), that of s_(d-1), so no proper multiple passes; vanish
+    at s', the conjugate nearest 0, at 4d + 163 bits; equal the iterate
+    P_(d-1) of t^2 - 2 for d <= ITERATE_CAP + 1; and obey the Chebyshev
+    recurrence in every coefficient, or InvariantFailure is raised.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -557,6 +554,8 @@ def nested_radical_check(d: int) -> bool:
         raise InvariantFailure(f"numeric radical check failed at d = {d}")
     if d <= ITERATE_CAP + 1 and not _radical_symbolic_check(poly, d):
         raise InvariantFailure(f"symbolic radical check failed at d = {d}")
+    if not _radical_recurrence_check(poly):
+        raise InvariantFailure(f"recurrence radical check failed at d = {d}")
     return True
 
 

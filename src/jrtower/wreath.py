@@ -55,7 +55,7 @@ class TreeAutomorphism(namedtuple("TreeAutomorphism", "depth bits")):
             raise ValueError("portrait must have one bit per internal node")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("portrait bits must be 0 or 1")
-        return super().__new__(cls, depth, bits)
+        return tuple.__new__(cls, (depth, bits))
 
 
 def leaf_permutation(a: TreeAutomorphism) -> tuple[int, ...]:

@@ -54,6 +54,7 @@ from jrtower.verdict import (
     _cyclotomic,
     _palindrome_to_cos,
     _radical_numeric_check,
+    _radical_recurrence_check,
     _radical_symbolic_check,
 )
 
@@ -518,34 +519,34 @@ def test_packed_basis_change_overflow_guard_fires(monkeypatch):
             _palindrome_to_cos([1, middle, 1])
 
 
-def weight(poly: list[int]) -> int:
-    """W = sum_j |c_j| 2^j, the bound on |poly| over [-2, 2]."""
-    return sum(abs(c) << j for j, c in enumerate(poly))
+def conjugate_weight(poly: list[int], d: int) -> Fraction:
+    """W' = sum_j |c_j| rho^j with rho = 2^(3-d), the bound on |poly| over
+    [-rho, rho], exactly."""
+    rho = Fraction(2) ** (3 - d)
+    return sum(abs(c) * rho**j for j, c in enumerate(poly))
 
 
-def horner_radical_value(poly: list[int], d: int, prec: int) -> int:
-    """poly(s_{d-1}) * 2^prec by Horner in t = s^2 over the even and the
-    odd coefficients: the m = 1 case of the rectangular splitting in
-    _radical_value, and the oracle for it."""
-    s = 0
-    for _ in range(d - 1):
-        s = math.isqrt(((2 << prec) + s) << prec)
-    t = s * s >> prec
+def proof_bits(poly: list[int], d: int) -> int:
+    """needed = B + 2 bits(len(poly)) + 2d + 160, B the largest of 0 and
+    bits(c_j) + (3 - d) j over the nonzero c_j."""
+    top = max([0] + [abs(c).bit_length() + (3 - d) * j for j, c in enumerate(poly) if c])
+    return top + 2 * len(poly).bit_length() + 2 * d + 160
 
-    def horner(coeffs: list[int]) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * t >> prec) + (c << prec)
-        return acc
 
-    return horner(poly[0::2]) + (s * horner(poly[1::2]) >> prec)
+def conjugate_point(d: int) -> mpmath.mpf:
+    """s' = sqrt(2 - s_(d-2)) at mpmath's working precision."""
+    s = mpmath.mpf(0)
+    for _ in range(d - 2):
+        s = mpmath.sqrt(2 + s)
+    return mpmath.sqrt(2 - s)
 
 
 def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
-    """One fixed-point pass at exactly `needed` bits, accepting d = 2..12,
+    """One fixed-point pass at exactly `needed` bits, 4d + 163 for the
+    cosine polynomials and so under 256 at d = 12, accepting d = 2..12,
     rejecting a +-1 change to the constant term and to an odd
     coefficient, and rejecting both neighbouring depths' polynomials;
-    mpmath at the same precision, as an oracle, agrees with the value.
+    mpmath at the same precision, at s', agrees with the value.
     """
     used = []
     value = verdict._radical_value
@@ -554,15 +555,14 @@ def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
         used.append(prec)
         return value(poly, d, prec)
 
-    def proof_bits(poly):
-        return weight(poly).bit_length() + len(poly).bit_length() + 160
-
     monkeypatch.setattr(verdict, "_radical_value", recording)
     for d in range(2, NESTED_RADICAL_CAP + 1):
         poly = _cos_minpoly_pow2(d + 1)
         used.clear()
         assert _radical_numeric_check(poly, d)
-        assert used == [proof_bits(poly)], (d, used)
+        assert used == [proof_bits(poly, d)] == [4 * d + 163], (d, used)
+        if d == NESTED_RADICAL_CAP:
+            assert used[0] < 256, used
         wrong = [_cos_minpoly_pow2(d), _cos_minpoly_pow2(d + 2)]
         for i in (0, 1):
             for delta in (1, -1):
@@ -570,24 +570,23 @@ def test_radical_numeric_check_runs_at_its_proof_precision(monkeypatch):
                 changed[i] += delta
                 wrong.append(changed)
         for other in wrong:
+            used.clear()
             assert not _radical_numeric_check(other, d), (d, other)
+            assert used == [proof_bits(other, d)], (d, used)
         for candidate in [poly] + wrong:
-            prec = proof_bits(candidate)
+            prec = proof_bits(candidate, d)
             with mpmath.workprec(prec):
-                s = mpmath.sqrt(2)
-                for _ in range(d - 2):
-                    s = mpmath.sqrt(2 + s)
-                exact = mpmath.polyval(candidate[::-1], s)
+                exact = mpmath.polyval(candidate[::-1], conjugate_point(d))
                 fixed = mpmath.mpf(value(candidate, d, prec)) / 2**prec
                 assert abs(fixed - exact) < mpmath.mpf(2) ** -130, (d, candidate)
 
 
 def test_radical_value_stays_within_its_error_bound():
-    """|value - 2^P poly(s_{d-1})| <= 2 * len(poly) * W ulp, the bound in
-    _radical_value's docstring, for the V_h of d = 2..12 and for random
-    integer polynomials (degree <= 64, |c| < 2^200, some sparse, some
-    with zero odd part or zero top coefficients), by rectangular
-    splitting and by Horner alike; the reference is mpmath at 2P bits."""
+    """|value - 2^P poly(s')| <= 4^(d-1) * len(poly) * (W' + 1) ulp, the
+    bound in _radical_value's docstring, for the V_h of d = 2..12 and for
+    random integer polynomials (degree <= 64, |c| < 2^200, some sparse,
+    some with zero odd part or zero top coefficients); the reference is
+    mpmath at 2P bits."""
     rng = random.Random(1501)
     cases = [(_cos_minpoly_pow2(d + 1), d) for d in range(2, NESTED_RADICAL_CAP + 1)]
     for trial in range(50):
@@ -601,16 +600,42 @@ def test_radical_value_stays_within_its_error_bound():
             poly += [0] * rng.randint(1, 8)
         cases.append((poly, rng.randint(2, NESTED_RADICAL_CAP)))
     for poly, d in cases:
-        prec = weight(poly).bit_length() + len(poly).bit_length() + 160
-        bound = 2 * len(poly) * weight(poly)
+        prec = proof_bits(poly, d)
+        bound = 4 ** (d - 1) * len(poly) * (conjugate_weight(poly, d) + 1)
         with mpmath.workprec(2 * prec):
-            s = mpmath.sqrt(2)
-            for _ in range(d - 2):
-                s = mpmath.sqrt(2 + s)
-            exact = mpmath.polyval(poly[::-1], s) * mpmath.mpf(2) ** prec
-            for evaluate in (verdict._radical_value, horner_radical_value):
-                error = abs(evaluate(poly, d, prec) - exact)
-                assert error <= bound, (evaluate.__name__, d, poly)
+            exact = mpmath.polyval(poly[::-1], conjugate_point(d)) * mpmath.mpf(2) ** prec
+            error = abs(verdict._radical_value(poly, d, prec) - exact)
+            assert error <= mpmath.mpf(bound.numerator) / bound.denominator, (d, poly)
+
+
+def is_eisenstein_at_2(poly: list[int]) -> bool:
+    return poly[-1] % 2 == 1 and all(c % 2 == 0 for c in poly[:-1]) and poly[0] % 4 == 2
+
+
+def test_the_conjugate_nearest_0_is_a_root_of_the_same_eisenstein_polynomial():
+    """The lemma _radical_numeric_check stands on, for d = 2..12: the
+    cosine polynomial (and P_(d-1) = iterate_poly(2, d - 1) for d <= 7) is
+    Eisenstein at 2, so irreducible, and sqrt(2 - s_(d-2)) is its root
+    nearest 0, below rho = 2^(3-d). The roots come from mpmath at 4 times
+    the working precision as +-sqrt(2 + y) over the roots y of
+    P_(d-2), starting from P_0 = x; their product at x = 10 matches
+    the polynomial's value there."""
+    for d in range(2, NESTED_RADICAL_CAP + 1):
+        poly = _cos_minpoly_pow2(d + 1)
+        assert is_eisenstein_at_2(poly), d
+        if d <= ITERATE_CAP + 1:
+            assert is_eisenstein_at_2(iterate_poly(2, d - 1)), d
+        with mpmath.workprec(4 * proof_bits(poly, d)):
+            roots = [mpmath.mpf(0)]
+            for _ in range(d - 1):
+                roots = [sign * mpmath.sqrt(2 + y) for y in roots for sign in (1, -1)]
+            assert len(roots) == len(poly) - 1
+            at_10 = mpmath.polyval(poly[::-1], 10)
+            assert abs(mpmath.fprod(10 - r for r in roots) / at_10 - 1) < mpmath.mpf(2) ** -400, d
+            nearest = min(roots, key=abs)
+            point = conjugate_point(d)
+            assert abs(abs(nearest) - point) < mpmath.mpf(2) ** -400, d
+            assert point < mpmath.mpf(2) ** (3 - d), d
 
 
 def test_cyclotomic_matches_sympy():
@@ -753,6 +778,39 @@ def test_nested_radical_rejects_a_polynomial_that_is_not_monic(monkeypatch):
         with pytest.raises(InvariantFailure,
                            match=rf"radical polynomial is not monic of degree 2\^{d - 1}"):
             nested_radical_check(d)
+
+
+def test_radical_recurrence_check_sees_every_coefficient():
+    """The exact check accepts the cosine polynomial at d = 2..12 and
+    rejects a change of +-1 or +-2 to any coefficient below the leading
+    one: every index for d <= 9, every 29th and the top 40 beyond."""
+    for d in range(2, NESTED_RADICAL_CAP + 1):
+        poly = _cos_minpoly_pow2(d + 1)
+        assert _radical_recurrence_check(poly), d
+        top = len(poly) - 1
+        indices = range(top) if d <= 9 else sorted({*range(0, top, 29), *range(top - 40, top)})
+        for j in indices:
+            for delta in (1, -1, 2, -2):
+                changed = poly[:]
+                changed[j] += delta
+                assert not _radical_recurrence_check(changed), (d, j, delta)
+
+
+@pytest.mark.parametrize("d, j", [(12, 12), (12, 13), (8, 20)])
+def test_nested_radical_rejects_a_high_coefficient_off_by_2(monkeypatch, d, j):
+    """2 s'^j is below 2^-100 here (s' < 2^(2.66-d)), so the numeric
+    check at s' passes the changed polynomial and no symbolic check runs
+    past d = 7: the recurrence is what rejects it."""
+    pow2 = _cos_minpoly_pow2
+
+    def off_by_2(e):
+        poly = pow2(e)
+        poly[j] += 2
+        return poly
+
+    monkeypatch.setattr(verdict, "_cos_minpoly_pow2", off_by_2)
+    with pytest.raises(InvariantFailure, match=f"recurrence radical check failed at d = {d}"):
+        nested_radical_check(d)
 
 
 def test_nested_radical_symbolic_check_builds_one_iterate(monkeypatch):
