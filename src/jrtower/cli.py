@@ -435,11 +435,10 @@ def _cmd_window(args) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"invalid window bound: {args.t!r}", file=sys.stderr)
         return 1
-    elements = window_elements_deg2(args.nu, t, args.height)
+    elements = window_elements_deg2(args.nu, t)
     result = {
         "nu": args.nu,
         "t": str(t),
-        "height": args.height,
         "elements": [[a, b] for a, b in elements],
         "count": len(elements),
     }
@@ -450,7 +449,7 @@ def _cmd_window(args) -> int:
         lines.append(f"  total: {len(elements)}")
         return "\n".join(lines)
 
-    _emit(args, {"nu": args.nu, "t": str(t), "height": args.height}, lambda: result, human)
+    _emit(args, {"nu": args.nu, "t": str(t)}, lambda: result, human)
     return 0
 
 
@@ -514,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("window", _cmd_window, "degree <= 2 totally positive elements under t")
     p.add_argument("nu", type=int)
     p.add_argument("t", help="window bound (integer or fraction like 15/2)")
-    p.add_argument("height", type=int, help="bound on the sqrt coefficient")
 
     p = command("radical", _cmd_radical, "verify the nested-radical cosine identity")
     p.add_argument("d", type=int)

@@ -237,11 +237,7 @@ def factorize(n: int, effort: Effort = EFFORT_DEFAULT) -> Factorization:
 
 
 @lru_cache(maxsize=4096)
-def _factorize_cached(n: int, effort: Effort) -> Factorization:
-    return factorize(n, effort)
-
-
 def factorize_cached(n: int, effort: Effort = EFFORT_DEFAULT) -> Factorization:
     """Memoized factorize; safe because Factorization is treated as read-only."""
-    return _factorize_cached(n, effort)
+    return factorize(n, effort)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import cycle
+from itertools import count, cycle
 from math import comb, gcd, isqrt
 from struct import unpack
 
@@ -55,7 +55,7 @@ from .squareclasses import _sqrt2_reason
 
 COS_M_CAP = 200
 NESTED_RADICAL_CAP = 12
-# Bounds both H and the output of window_elements_deg2.
+# Bounds the output of window_elements_deg2.
 WINDOW_CAP = 10**6
 # struct's signed codes by size in bytes, for _unpack's one-call read.
 _SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -397,10 +397,11 @@ def _cos_minpoly_prime(m: int, p: int) -> list[int]:
 def cos_minpoly(m: int) -> list[int]:
     """Minimal polynomial (ascending coefficients) of 2cos(2*pi/m).
 
-    m = p and m = 2p, p an odd prime, take the closed form of
-    _cos_minpoly_prime; every other m converts Phi_m. Degree phi(m)/2,
-    checked on both routes. m is capped at COS_M_CAP; use the nested
-    radical checker for the power-of-two tail beyond it.
+    m = 2^e takes the closed form of _cos_minpoly_pow2; m = p and m = 2p,
+    p an odd prime, take that of _cos_minpoly_prime; every other m
+    converts Phi_m. Degree phi(m)/2, checked on every route. m is capped
+    at COS_M_CAP; use the nested radical checker for the power-of-two
+    tail beyond it.
     """
     if m < 3:
         raise ValueError("m must be >= 3")
@@ -409,7 +410,9 @@ def cos_minpoly(m: int) -> list[int]:
     factors = _trial_factors(m)
     two_exp = factors.pop(2, 0)
     odd = tuple(factors.items())
-    if two_exp <= 1 and len(odd) == 1 and odd[0][1] == 1:
+    if not odd:
+        out = _cos_minpoly_pow2(two_exp)
+    elif two_exp <= 1 and len(odd) == 1 and odd[0][1] == 1:
         out = _cos_minpoly_prime(m, odd[0][0])
     else:
         out = _palindrome_to_cos(_cyclotomic(m))
@@ -428,9 +431,9 @@ def _cos_minpoly_pow2(e: int) -> list[int]:
 
     Successive coefficients differ by the factor
     -(h-2k)(h-2k-1) / ((k+1)(h-k-1)), and each division is exact, so
-    this takes O(h) integer steps. It skips the divisor ladder, the
-    public cap and the h-step packed Chebyshev recurrence of
-    _palindrome_to_cos.
+    this takes O(h) integer steps. It skips the divisor ladder and the
+    h-step packed Chebyshev recurrence of _palindrome_to_cos, and it
+    has no cap, so nested_radical_check uses it past COS_M_CAP.
     """
     if e < 2:
         raise ValueError("e must be >= 2")
@@ -928,20 +931,18 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
 # Window enumeration
 
 
-def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
+def window_elements_deg2(nu: int, t) -> list[tuple[int, int]]:
     """Elements a + b sqrt(nu) of Z[sqrt(nu)] with both conjugates in (0, t).
 
     Z[sqrt(nu)] can be smaller than the ring of integers of Q(sqrt(nu)),
     so this can miss ring elements: 2 + sqrt(3) at nu = 12, for one.
-    t may be an int or a Fraction; comparisons are exact. b ranges over
-    0..H (the (a, -b) twin gives the same conjugate pair); a is bounded
-    by the window itself (conjugates sum to 2a, so 0 < a < t). Returns
+    t may be an int or a Fraction; comparisons are exact. b >= 0 (the
+    (a, -b) twin gives the same conjugate pair); the window bounds both
+    coordinates: the conjugates sum to 2a, so 0 < a < t, and differ by
+    2b sqrt(nu) < t. Row b's lower end never falls and its upper end never
+    rises as b grows, so the walk stops at the first empty row. Returns
     (a, b) pairs sorted by (b, a), at most WINDOW_CAP of them.
     """
-    if H < 0:
-        raise ValueError("H must be >= 0")
-    if H > WINDOW_CAP:
-        raise ResourceLimitError(f"H capped at {WINDOW_CAP}")
     from fractions import Fraction
 
     t = Fraction(t)
@@ -951,13 +952,14 @@ def window_elements_deg2(nu: int, t, H: int) -> list[tuple[int, int]]:
         raise ValueError("nu must be >= 2")
     p, q = t.numerator, t.denominator
     out = []
-    for b in range(H + 1):
+    for b in count():
         bb = b * b * nu
         # a - b sqrt(nu) > 0 iff a > isqrt(bb); a + b sqrt(nu) < t iff the
         # integer p - a q exceeds q sqrt(bb), i.e. reaches isqrt(bb q^2) + 1.
         lo = isqrt(bb) + 1
         hi = (p - isqrt(bb * q * q) - 1) // q
+        if hi < lo:
+            return out
         if len(out) + hi - lo + 1 > WINDOW_CAP:
             raise ResourceLimitError(f"window output capped at {WINDOW_CAP} pairs")
         out.extend((a, b) for a in range(lo, hi + 1))
-    return out

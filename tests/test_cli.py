@@ -54,7 +54,7 @@ def test_lines_and_refusals_no_golden_reaches(capsys):
     code, out, _ = run(capsys, "disc", "5", "5")
     assert code == 0
     assert "\n  resultant oracle skipped (n > 4)\n" in out
-    assert run(capsys, "window", "12", "abc", "3") == (1, "", "invalid window bound: 'abc'\n")
+    assert run(capsys, "window", "12", "abc") == (1, "", "invalid window bound: 'abc'\n")
     assert run(capsys, "verify", "12", "--depth", "13") == (
         1, "", "error: depth must be between 1 and 12\n")
 
@@ -527,7 +527,7 @@ def test_verdict_json_matches_golden_digest(nus, effort, digest):
 # its runs are hashed without them (explore7's runs, which the orbit
 # facts replace, are rebuilt above).
 _ORBITS = [(nu, n) for nu in (2, 3, 7, 12, 1000) for n in (1, 4, 12)]
-_WINDOWS = [(12, "8", 5), (2, "15/2", 3), (7, "20", 6)]
+_WINDOWS = [(12, "8"), (2, "15/2"), (7, "20")]
 GOLDEN_RUNS = (
     [("verify", nu) for nu in range(2, 201)]
     + [("disc", nu, n) for nu in (2, 3, 5, 6, 7, 12, 48, 240, 8756) for n in range(1, 5)]
@@ -548,7 +548,7 @@ GOLDEN_RUNS_DIGESTS = {
     "group": "d4a927c9a9fc6e616dd4e3137af31c0b232ba38e330204cd6ecc96533cb4ed80",
     "fermat": "5854cf5005283d0195aca4952e055bb4c4687f75b380d8eb9b19eb79467d69f8",
     "cos": "287f873ee32db972f7f7810d13e5a5c05d1e0e865d8597f2453657183e8118eb",
-    "window": "20ccebbabc15d6b1ca05f6aa45a5a553b34233feffc05cb7a8f0528ce6dafdc1",
+    "window": "c54bd4c67e34a732de4b552f2b76cae972fd6be9ce7f18cc09badf8bfdd18fcd",
     "radical": "e50bd5235be3bd102fd4121669e8a0abfac249b9f52fd55bce31f67782bed943",
 }
 
@@ -644,7 +644,7 @@ def test_scan_json_mode(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "12"), ("disc", "12", "3"),
     ("orbit", "12", "4"), ("group", "2"), ("fermat",), ("cos", "12"),
-    ("window", "12", "8", "5"), ("radical", "4"),
+    ("window", "12", "8"), ("radical", "4"),
 ], ids=lambda argv: argv[0])
 def test_json_output_builds_no_human_text(capsys, monkeypatch, argv):
     from jrtower import cli
@@ -710,7 +710,7 @@ def test_scan_json_joins_no_csv_line(capsys):
 def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch):
     """Every m <= COS_M_CAP factors exactly by trial division up to
     isqrt(m), so cos builds no sieve block at all."""
-    from jrtower import cli, factor, verdict
+    from jrtower import cli, factor, squareclasses, verdict
 
     bounds, decompositions = set(), []
     real_blocks = factor._prime_blocks.__wrapped__
@@ -725,7 +725,9 @@ def test_cos_decomposes_m_once_within_the_quick_trial_bound(capsys, monkeypatch)
         return real_order(m)
 
     monkeypatch.setattr(factor, "_prime_blocks", spy_blocks)
-    monkeypatch.setattr(factor, "_factorize_cached", factor._factorize_cached.__wrapped__)
+    unmemoized = factor.factorize_cached.__wrapped__
+    for module in (factor, squareclasses):
+        monkeypatch.setattr(module, "factorize_cached", unmemoized)
     monkeypatch.setattr(cli, "constructible_order", spy_order)
     monkeypatch.setattr(verdict, "constructible_order", spy_order)
     for m in range(3, 201):
@@ -816,7 +818,7 @@ def test_orbit_factors_nothing(capsys, monkeypatch):
         raise AssertionError("orbit factored")
 
     for module, name in ((squareclasses, "factorize_cached"), (factor, "factorize_cached"),
-                         (factor, "_factorize_cached"), (factor, "factorize")):
+                         (factor, "factorize")):
         monkeypatch.setattr(module, name, refuse)
     assert run(capsys, "orbit", "7", "12")[0] == 0
     assert run(capsys, "orbit", "1000", "12", "--json")[0] == 0
@@ -902,11 +904,11 @@ def test_cos_subcommand(capsys):
 
 
 def test_window_subcommand(capsys):
-    code, out, _ = run(capsys, "window", "12", "8", "5")
+    code, out, _ = run(capsys, "window", "12", "8")
     assert code == 0
     assert "(4, 1)" in out
     assert "total: 8" in out
-    code, _, err = run(capsys, "window", "2", "2000000", "0")
+    code, _, err = run(capsys, "window", "2", "2000000")
     assert code == 1
     assert "capped at 1000000 pairs" in err
 

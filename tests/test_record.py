@@ -5,7 +5,7 @@ import pytest
 
 import jrtower as jr
 from jrtower.errors import InvariantFailure
-from jrtower.factor import EFFORT_QUICK, Effort, Factorization, _factorize_cached
+from jrtower.factor import EFFORT_QUICK, Effort, Factorization, factorize_cached
 from jrtower.squareclasses import Sqrt2Certificate, TwoIndependence, quadratic_subfields
 from jrtower.verdict import QuadraticSurd, jr_verdict
 from jrtower.wreath import TreeAutomorphism
@@ -85,12 +85,12 @@ def test_unhashable_field_makes_the_record_unhashable():
 
 def test_effort_is_an_lru_cache_key():
     n = 2**61 - 1
-    _factorize_cached(n, EFFORT_QUICK)
-    hits = _factorize_cached.cache_info().hits
+    factorize_cached(n, EFFORT_QUICK)
+    hits = factorize_cached.cache_info().hits
     rebuilt = Effort(trial_bound=EFFORT_QUICK.trial_bound, rho_rounds=EFFORT_QUICK.rho_rounds)
     assert rebuilt is not EFFORT_QUICK
-    assert _factorize_cached(n, rebuilt) is _factorize_cached(n, EFFORT_QUICK)
-    assert _factorize_cached.cache_info().hits == hits + 2
+    assert factorize_cached(n, rebuilt) is factorize_cached(n, EFFORT_QUICK)
+    assert factorize_cached.cache_info().hits == hits + 2
 
 
 def test_post_init_invariants_still_run():
@@ -242,6 +242,6 @@ def test_records_on_the_verdict_path_pickle_and_deepcopy():
         assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError):
             value.new_attribute = 1
-    f = pickle.loads(pickle.dumps(_factorize_cached(2**61 - 1, EFFORT_QUICK)))
+    f = pickle.loads(pickle.dumps(factorize_cached(2**61 - 1, EFFORT_QUICK)))
     with pytest.raises(TypeError):
         f.factors[3] = 1  # __new__ ran again: still a read-only view

@@ -277,12 +277,14 @@ def test_universal_scope_needs_no_factorization_of_mu(q):
 
 def test_residue_certificate_factors_nothing(monkeypatch):
     import jrtower.factor
+    import jrtower.squareclasses
 
     def refuse(*args):
         raise AssertionError("residue_certificate factored")
 
     monkeypatch.setattr(jrtower.factor, "factorize", refuse)
-    monkeypatch.setattr(jrtower.factor, "_factorize_cached", refuse)
+    monkeypatch.setattr(jrtower.factor, "factorize_cached", refuse)
+    monkeypatch.setattr(jrtower.squareclasses, "factorize_cached", refuse)
     p, r = 10**19 + 51, 10**19 + 147
     scopes = [residue_certificate(nu).scope for nu in (12, 28, 78, 12 * (p * r) ** 2)]
     assert scopes == ["universal", "universal", "finite", "universal"]

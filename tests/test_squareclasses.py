@@ -484,7 +484,6 @@ def refuse_to_factor(monkeypatch):
 
     for module, name in ((jrtower.squareclasses, "factorize_cached"),
                          (jrtower.factor, "factorize_cached"),
-                         (jrtower.factor, "_factorize_cached"),
                          (jrtower.factor, "factorize")):
         monkeypatch.setattr(module, name, refuse)
 
@@ -522,7 +521,8 @@ def test_sqrt2_free_certificate_factors_nothing(monkeypatch):
         raise AssertionError("sqrt2_free_certificate factored")
 
     monkeypatch.setattr(jrtower.factor, "factorize", refuse)
-    monkeypatch.setattr(jrtower.factor, "_factorize_cached", refuse)
+    monkeypatch.setattr(jrtower.factor, "factorize_cached", refuse)
+    monkeypatch.setattr(jrtower.squareclasses, "factorize_cached", refuse)
     for nu in (12, 180, 240, 588, 8, 36):
         sqrt2_cert(nu)
 

@@ -656,6 +656,18 @@ def test_cos_minpoly_builds_no_prime_sieve(monkeypatch):
     assert calls == []
 
 
+def test_cos_minpoly_builds_powers_of_two_by_the_closed_form(monkeypatch):
+    """m = 2^e takes _cos_minpoly_pow2: it builds no Phi_m and makes no
+    Chebyshev change. m = 12 still takes both, so the spies see calls."""
+    cyclotomic = spy_everywhere(monkeypatch, verdict, "_cyclotomic")
+    change = spy_everywhere(monkeypatch, verdict, "_palindrome_to_cos")
+    for e in range(2, 8):
+        assert cos_minpoly(2**e) == _cos_minpoly_pow2(e), e
+    assert cyclotomic == [] and change == []
+    cos_minpoly(12)
+    assert cyclotomic == [(12,)] and len(change) == 1
+
+
 def test_cyclotomic_inexact_binomial_division_raises(monkeypatch):
     """Primes that are not coprime break the Moebius product: with 3 and
     9 given as m's primes, N / D = (x^27 - 1)(x - 1) / ((x^3 - 1)(x^9 - 1))
@@ -706,7 +718,8 @@ def test_closed_form_guard_fires_on_a_wrong_formula(monkeypatch):
     ("_cyclotomic", lambda m: [1, 0, 1, 1], 15),  # not palindromic
     ("_cyclotomic", lambda m: [1, 1, 1, 1], 15),  # odd degree
     ("_cyclotomic", lambda m: [2, 0, 2], 15),  # not monic
-    ("_palindrome_to_cos", lambda coeffs: [1, 1], 16),  # wrong degree
+    ("_palindrome_to_cos", lambda coeffs: [1, 1], 12),  # wrong degree
+    ("_cos_minpoly_pow2", lambda e: [1, 1], 16),  # wrong degree, closed form
     ("_cos_minpoly_prime", lambda m, p: [1, 1], 5),  # wrong degree, closed form
     ("_cos_minpoly_prime", lambda m, p: [1, 1], 14),  # wrong degree, closed form
     ("comb", lambda n, k: 1, 7),  # closed form off at y = 2
@@ -723,6 +736,9 @@ def test_cos_minpoly_guards_name_what_broke(monkeypatch):
                            match="expected a palindromic polynomial of even degree"):
             _palindrome_to_cos(coeffs)
     monkeypatch.setattr(verdict, "_palindrome_to_cos", lambda coeffs: [1, 1])
+    with pytest.raises(InvariantFailure, match="cosine polynomial has the wrong degree"):
+        cos_minpoly(12)
+    monkeypatch.setattr(verdict, "_cos_minpoly_pow2", lambda e: [1, 1])
     with pytest.raises(InvariantFailure, match="cosine polynomial has the wrong degree"):
         cos_minpoly(16)
     monkeypatch.setattr(verdict, "_cos_minpoly_prime", lambda m, p: [1, 1])
@@ -1263,9 +1279,10 @@ def test_jr_verdict_factors_nothing(monkeypatch):
     trial_bound^3 a verdict neither factors nor looks up a factorization."""
     from jrtower import factor
 
+    memo = factor.factorize_cached
     calls = spy_everywhere(monkeypatch, factor, "factorize")
     cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
-    factor._factorize_cached.cache_clear()
+    memo.cache_clear()
     for effort in (EFFORT_QUICK, EFFORT_DEFAULT):
         flags = {jr_verdict(nu, 5, effort).hypothesis.mu_not_squarefree
                  for nu in range(2, 401)}
@@ -1281,9 +1298,10 @@ def test_the_square_free_flag_is_computed_only_when_read(monkeypatch):
     on the sqrt2_certified rows that print it."""
     from jrtower import factor
 
+    memo = factor.factorize_cached
     flags = spy_everywhere(monkeypatch, factor, "_has_square_factor")
     cached = spy_everywhere(monkeypatch, factor, "factorize_cached")
-    factor._factorize_cached.cache_clear()
+    memo.cache_clear()
     reports = [jr_verdict(nu, 5, effort)
                for effort in (EFFORT_QUICK, EFFORT_DEFAULT) for nu in range(2, 401)]
     assert flags == [] and cached == []
@@ -1617,14 +1635,16 @@ def test_jr_verdict_json_roundtrip_types():
 # window enumeration
 
 
-def brute_window(nu: int, t: Fraction, H: int) -> set[tuple[int, int]]:
-    """All a + b*sqrt(nu), 0 <= b <= H, with both conjugates in (0, t)."""
+def brute_window(nu: int, t: Fraction) -> set[tuple[int, int]]:
+    """All a + b*sqrt(nu), b >= 0, with both conjugates in (0, t), from
+    the whole box |a| <= T, 0 <= b <= T with T = ceil(t). The box holds
+    every answer: a is the conjugates' mean and b*sqrt(nu) half their gap."""
     out = set()
+    T = math.ceil(t)
     with mpmath.workdps(60):
         root = mpmath.sqrt(nu)
-        bound = float(t) + float(H * root) + 2
-        for b in range(0, H + 1):
-            for a in range(-int(bound), int(bound) + 1):
+        for b in range(0, T + 1):
+            for a in range(-T, T + 1):
                 lo = a - b * root
                 hi = a + b * root
                 if lo > 0 and hi > 0 and lo < float(t) and hi < float(t):
@@ -1634,10 +1654,9 @@ def brute_window(nu: int, t: Fraction, H: int) -> set[tuple[int, int]]:
 
 
 def test_window_known_enumeration():
-    got = window_elements_deg2(12, 8, 5)
+    got = window_elements_deg2(12, 8)
     assert got == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (4, 1)]
-    assert window_elements_deg2(12, 8, 0) == [(k, 0) for k in range(1, 8)]
-    assert window_elements_deg2(12, Fraction(15, 2), 3) == [
+    assert window_elements_deg2(12, Fraction(15, 2)) == [
         (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (4, 1),
     ]
 
@@ -1648,26 +1667,25 @@ def test_window_matches_brute_force():
     for _ in range(25):
         nu = nonsquares[rng.randrange(len(nonsquares))]
         t = Fraction(rng.randrange(3, 40), rng.randrange(1, 4))
-        H = rng.randrange(0, 5)
-        got = set(window_elements_deg2(nu, t, H))
-        assert got == brute_window(nu, t, H)
+        got = set(window_elements_deg2(nu, t))
+        assert got == brute_window(nu, t)
+    for t in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):  # t <= 1 lists nothing
+        assert window_elements_deg2(2, t) == [] and brute_window(2, t) == set()
 
 
 def test_window_ordering_and_domain(monkeypatch):
-    elems = window_elements_deg2(12, 8, 5)
+    elems = window_elements_deg2(12, 8)
     assert elems == sorted(elems, key=lambda ab: (ab[1], ab[0]))
     with pytest.raises(ValueError):
-        window_elements_deg2(12, 0, 3)
-    with pytest.raises(ResourceLimitError):
-        window_elements_deg2(12, 8, 10**6 + 1)
-    # H is legal, but the output would list 1999999 rationals
+        window_elements_deg2(12, 0)
+    # row b = 0 alone would list 1999999 rationals
     with pytest.raises(ResourceLimitError, match=f"capped at {WINDOW_CAP} pairs"):
-        window_elements_deg2(2, 2 * 10**6, 0)
+        window_elements_deg2(2, 2 * 10**6)
     monkeypatch.setattr(verdict, "WINDOW_CAP", 8)  # the cap holds exactly
-    assert window_elements_deg2(12, 8, 5) == elems
+    assert window_elements_deg2(12, 8) == elems
     monkeypatch.setattr(verdict, "WINDOW_CAP", 7)  # row b = 0 fits, (4, 1) does not
     with pytest.raises(ResourceLimitError, match="pairs"):
-        window_elements_deg2(12, 8, 5)
+        window_elements_deg2(12, 8)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -1678,11 +1696,10 @@ def test_window_ordering_and_domain(monkeypatch):
     (lambda: constructible_order(COS_M_CAP + 1), "m capped at 200"),
     (lambda: verdict._cos_minpoly_pow2(1), "e must be >= 2"),
     (lambda: fermat_obstruction(1, 5), "nu must be an integer >= 2"),
-    (lambda: window_elements_deg2(12, 5, -1), "H must be >= 0"),
-    (lambda: window_elements_deg2(1, 5, 3), "nu must be >= 2"),
+    (lambda: window_elements_deg2(1, 5), "nu must be >= 2"),
 ], ids=["surd-D", "surd-b", "alpha_surd", "constructible_order", "constructible_order-cap",
          "cos_minpoly_pow2",
-        "fermat_obstruction", "window-H", "window-nu"])
+        "fermat_obstruction", "window-nu"])
 def test_verdict_refuses_inputs_outside_its_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
