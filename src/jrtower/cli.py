@@ -93,7 +93,7 @@ def _effort(args) -> Effort:
 
 
 def _render_verdict(report) -> str:
-    lines = [f"JR verdict for nu = {report.nu} (depth {report.depth})"]
+    lines = [f"JR verdict for nu = {report.nu}"]
     v, mu = split_two_part(report.nu)
     lines.append(
         f"  decomposition: nu = 2^{v} * {mu}"
@@ -109,7 +109,7 @@ def _render_verdict(report) -> str:
     if report.failed_prime:
         lines.append(f"  smallest violating Fermat prime: {report.failed_prime}")
     lines.append(
-        f"  tower strict to depth {report.depth}: "
+        "  tower strict at every level: "
         + ("yes" if report.strict else f"no (c_{report.strict_witness} is a square)")
     )
     lines.append(
@@ -145,8 +145,8 @@ def _render_verdict(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    report = jr_verdict(args.nu, depth=args.depth, effort=_effort(args))
-    _emit(args, {"nu": args.nu, "depth": args.depth, "effort": args.effort},
+    report = jr_verdict(args.nu, effort=_effort(args))
+    _emit(args, {"nu": args.nu, "effort": args.effort},
           report.to_json, lambda: _render_verdict(report))
     return 0 if report.conclusive else 2
 
@@ -159,8 +159,6 @@ def _scan_row(nu: int, effort: Effort) -> tuple[str, ...]:
     """The five CSV fields of nu's row. No field holds a comma, so the
     row's CSV line is ",".join(row) and its JSON record zips it with the
     CSV header's names."""
-    # No field of a row depends on the depth (each verdict decides every
-    # level at once), so the default depth stands for all of them.
     report = jr_verdict(nu, effort=effort)
     # One read of conclusive stands in for finite_scope_caveat and
     # conclusion, which each read it again.
@@ -482,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="factorization budget preset")
 
     p = command("verify", _cmd_verify, "full JR verdict for one nu")
-    p.add_argument("--depth", type=int, default=5, help="tower depth (default 5)")
     effort_option(p)
     p.add_argument("nu", type=int)
 
@@ -534,7 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:  # an OSError, but a closed pipe stays silent
         return 1
-    except (OSError, ValueError) as exc:  # ValueError covers the jrtower errors
+    # Of the jrtower errors only ResourceLimitError and PreconditionError
+    # are ValueErrors; a failed invariant is a bug and keeps its traceback.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

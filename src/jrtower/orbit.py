@@ -27,7 +27,7 @@ from .intmath import is_prime, is_square, split_two_part
 ITERATE_CAP = 6
 # Orbit constants square in size each step; c_12 of a two-digit nu
 # already has a few thousand digits. The cap bounds the orbits that are
-# built for display and oracles, and the depth a verdict reports: no
+# built for display and oracles, and the depth `jr_verdict` accepts: no
 # verdict builds an orbit (see Strictness and sqrt2_free_certificate).
 SEQUENCE_CAP = 12
 # Brent's walk mod p takes O(sqrt p) steps for a typical nu and at most

@@ -700,9 +700,9 @@ _KRONECKER_NOTE = (
 )
 
 
-class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
-                               "effort kernel_basis")):
-    """The JR classification of one nu: its depth, the key that
+class VerdictReport(namedtuple("VerdictReport", "nu outcomes symbols effort "
+                               "kernel_basis")):
+    """The JR classification of one nu at every level: the key that
     hypothesis_check returns and the effort that bounds mu_not_squarefree.
     outcomes holds a bool for each clause of CLAUSE_NAMES, whether it
     passed, in that order; symbols holds the int (nu|p) for the known
@@ -843,7 +843,6 @@ class VerdictReport(namedtuple("VerdictReport", "nu depth outcomes symbols "
     def to_json(self) -> dict:
         return {
             "nu": self.nu,
-            "depth": self.depth,
             "hypothesis": {
                 "clauses": [[name, ok] for name, ok in self.clauses],
                 "scope": self.scope,
@@ -899,9 +898,10 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     Its cost does not grow with depth: strictness and the sqrt(2)
     guard hold at every level by short proofs that read nu alone (see
     orbit.Strictness and sqrt2_free_certificate), so no orbit constant
-    is built. depth is the level the report names.
+    is built. depth is range-checked and names nothing: the report
+    decides every level at once.
 
-    The report holds depth, effort and the key hypothesis_check decides
+    The report holds effort and the key hypothesis_check decides
     from nu alone; it is the one record a verdict builds. The rest
     renders on read (see VerdictReport), and effort bounds only
     mu_not_squarefree. The one guard left here is the bound's floor 4.
@@ -924,7 +924,7 @@ def jr_verdict(nu: int, depth: int = 5, effort: Effort = EFFORT_DEFAULT) -> Verd
     D = 1 + 4 * nu
     if 2 * _surd_ceil(1, 1, D, 2) + 1 + isqrt(D) < 8:
         raise InvariantFailure("JR upper bound fell below the floor 4")
-    return VerdictReport(nu, depth, outcomes, symbols, effort, kernel_basis)
+    return VerdictReport(nu, outcomes, symbols, effort, kernel_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ def test_verify_exit_codes(capsys):
 
 
 def test_lines_and_refusals_no_golden_reaches(capsys):
-    """The finite-scope caveat, a skipped resultant oracle, an unreadable
-    window bound and a depth past the cap."""
+    """The finite-scope caveat, a skipped resultant oracle and an
+    unreadable window bound."""
     code, out, _ = run(capsys, "verify", "2132")
     assert code == 0
     assert out.endswith("  caveat: residue certificate covers the known Fermat primes only\n")
@@ -55,8 +55,6 @@ def test_lines_and_refusals_no_golden_reaches(capsys):
     assert code == 0
     assert "\n  resultant oracle skipped (n > 4)\n" in out
     assert run(capsys, "window", "12", "abc") == (1, "", "invalid window bound: 'abc'\n")
-    assert run(capsys, "verify", "12", "--depth", "13") == (
-        1, "", "error: depth must be between 1 and 12\n")
 
 
 def test_an_undecided_square_free_flag_shows(capsys):
@@ -379,11 +377,11 @@ def test_scan_csv_matches_golden_digest(capsys, argv, digest):
 
 
 # sha256 of the stdout of `python -m jrtower.cli scan 2 20000`, the same
-# at quick and at default effort: no row's bytes depend on the effort.
+# at every effort: no row's bytes depend on the effort.
 SCAN_2_20000 = "85be958aa228094eb5bb45b2983378ea4d243872ecb327d60e289bb30901b855"
 
 
-@pytest.mark.parametrize("effort", ["quick", "default"])
+@pytest.mark.parametrize("effort", ["quick", "default", "thorough"])
 def test_scan_2_20000_matches_its_digest_at_each_effort(effort):
     src = os.path.dirname(os.path.dirname(jrtower.__file__))
     out = subprocess.run(
@@ -497,11 +495,22 @@ def without_orbit_facts(argv, out: str) -> str:
                    if not line.startswith(_ORBIT_FACT_LINES))
 
 
-# sha256 of the concatenated json.dumps(jr_verdict(nu, 5, effort).to_json(),
-# sort_keys=True), recorded while an even nu was still factored whole and
-# every obstruction chain recomputed its Jacobi symbol. Unlike the scan
-# CSV, these cover the chain text, the statements and the hypothesis
-# fields.
+def with_depth_5(out):
+    """A verdict's to_json() or `verify` text as it was while a verdict
+    still named its depth, 5 in every run pinned below: the "depth" key
+    or the two lines that named it put back."""
+    if isinstance(out, dict):
+        return {**out, "depth": 5}
+    head, rest = out.split("\n", 1)
+    return f"{head} (depth 5)\n" + rest.replace(
+        "  tower strict at every level: ", "  tower strict to depth 5: ")
+
+
+# sha256 of the concatenated json.dumps(with_depth_5(jr_verdict(nu, 5,
+# effort).to_json()), sort_keys=True), recorded while an even nu was still
+# factored whole and every obstruction chain recomputed its Jacobi symbol.
+# Unlike the scan CSV, these cover the chain text, the statements and the
+# hypothesis fields.
 GOLDEN_VERDICTS = [
     (range(2, 2001), EFFORT_QUICK,
      "2e8c6290a8070ffe94bc899cb018768db28373c88de99ce2335901746f15b579"),
@@ -515,7 +524,8 @@ GOLDEN_VERDICTS = [
 def test_verdict_json_matches_golden_digest(nus, effort, digest):
     h = hashlib.sha256()
     for nu in nus:
-        h.update(json.dumps(jr_verdict(nu, 5, effort).to_json(), sort_keys=True).encode())
+        document = with_depth_5(jr_verdict(nu, 5, effort).to_json())
+        h.update(json.dumps(document, sort_keys=True).encode())
     assert h.hexdigest() == digest
 
 
@@ -523,7 +533,8 @@ def test_verdict_json_matches_golden_digest(nus, effort, digest):
 # in their order: the human output of every subcommand but scan (whose
 # CSV is pinned above), then the JSON of the three commands no other
 # golden pins. Recorded while every command still built its human text
-# under --json as well, and before orbit reported square-class facts:
+# under --json as well, while verify still named a depth (its runs are
+# hashed with it put back) and before orbit reported square-class facts:
 # its runs are hashed without them (explore7's runs, which the orbit
 # facts replace, are rebuilt above).
 _ORBITS = [(nu, n) for nu in (2, 3, 7, 12, 1000) for n in (1, 4, 12)]
@@ -557,7 +568,7 @@ def test_every_subcommand_output_matches_golden_digest(capsys):
     hashes = {}
     for argv in GOLDEN_RUNS:
         code, out, _ = run(capsys, *map(str, argv))
-        out = without_orbit_facts(argv, out)
+        out = with_depth_5(out) if argv[0] == "verify" else without_orbit_facts(argv, out)
         hashes.setdefault(argv[0], hashlib.sha256()).update(f"{code}\n{out}".encode())
     assert {name: h.hexdigest() for name, h in hashes.items()} == GOLDEN_RUNS_DIGESTS
 
@@ -604,7 +615,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, sub in subcommands.items()
     }
     assert options == {
-        "verify": ["--depth", "--effort", "--json"],
+        "verify": ["--effort", "--json"],
         "scan": ["--effort", "--json", "--out", "--workers"],
         "disc": ["--json"],
         "orbit": ["--json"],
@@ -614,14 +625,16 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "window": ["--json"],
         "radical": ["--json"],
     }
-    assert sum(map(len, options.values())) == 14
+    assert sum(map(len, options.values())) == 13
 
 
 def test_an_ignored_option_is_a_usage_error(capsys):
-    """scan reads no depth, since no row depends on it, cos no effort,
-    since trial division factors every m <= COS_M_CAP exactly, and orbit
-    no depth, since its n is the depth of every fact it reports."""
+    """verify and scan read no depth, since a verdict decides every level
+    at once, cos no effort, since trial division factors every
+    m <= COS_M_CAP exactly, and orbit no depth, since its n is the depth
+    of every fact it reports."""
     for *argv, option, value in [("group", "2", "--effort", "quick"),
+                                 ("verify", "12", "--depth", "5"),
                                  ("scan", "4", "8", "--depth", "5"),
                                  ("cos", "12", "--effort", "quick"),
                                  ("orbit", "7", "4", "--depth", "4")]:

@@ -22,8 +22,9 @@ SRC = Path(jrtower.__file__).parent
 GOLDEN = "2e8c6290a8070ffe94bc899cb018768db28373c88de99ce2335901746f15b579"
 
 # Prints the sha256 of the verdict JSON of nu = 2..2000 at quick effort,
-# as test_verdict_json_matches_golden_digest takes it, from the package
-# copy under argv[1].
+# with the depth 5 it was recorded at put back, as
+# test_verdict_json_matches_golden_digest takes it, from the package copy
+# under argv[1].
 _DIGEST = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -31,7 +32,8 @@ from jrtower.factor import EFFORT_QUICK
 from jrtower.verdict import jr_verdict
 h = hashlib.sha256()
 for nu in range(2, 2001):
-    h.update(json.dumps(jr_verdict(nu, 5, EFFORT_QUICK).to_json(), sort_keys=True).encode())
+    document = {**jr_verdict(nu, 5, EFFORT_QUICK).to_json(), "depth": 5}
+    h.update(json.dumps(document, sort_keys=True).encode())
 print(h.hexdigest())
 """
 

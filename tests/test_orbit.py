@@ -322,12 +322,13 @@ def test_valuation_profile_pattern_and_congruence_for_random_nu_and_p():
 @pytest.mark.parametrize("call, message", [
     (lambda: orbit.TowerParams(1, 0, 1, True), "nu must be an integer >= 2"),
     (lambda: constant_terms(1, 3), "nu must be an integer >= 2"),
+    (lambda: constant_terms(12, 0), "need at least one term"),
     (lambda: iterate_poly(1, 2), "nu must be an integer >= 2"),
     (lambda: iterate_poly(2, 0), "n must be >= 1"),
     (lambda: orbit_mod_p(7, 9), "p = 9 is not prime"),
     (lambda: valuation_profile(constant_terms(12, 3), 9), "p = 9 is not prime"),
-], ids=["TowerParams", "constant_terms", "iterate_poly-nu", "iterate_poly-n",
-        "orbit_mod_p", "valuation_profile"])
+], ids=["TowerParams", "constant_terms", "constant_terms-N", "iterate_poly-nu",
+        "iterate_poly-n", "orbit_mod_p", "valuation_profile"])
 def test_orbit_refuses_inputs_outside_its_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()

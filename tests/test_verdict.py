@@ -1073,7 +1073,6 @@ def test_jr_verdict_builds_no_orbit(monkeypatch, nus, depths):
     for depth in depths:
         for nu in nus:
             report = jr_verdict(nu, depth, EFFORT_QUICK)
-            assert report.depth == depth
             assert report.strict == (math.isqrt(nu) ** 2 != nu), nu
             certified += report.sqrt2_certified
     assert spies == [[], [], []]
@@ -1426,10 +1425,6 @@ def test_key_lemma_decides_the_verdict(case):
     assert (jr_verdict(nu, 5, EFFORT_QUICK).conclusion == THEOREM_APPLIES) == applies
 
 
-def test_jr_verdict_default_depth_is_5():
-    assert jr_verdict(12).depth == 5
-
-
 # ---------------------------------------------------------------------------
 # full verdicts
 
@@ -1520,8 +1515,7 @@ def test_statements_rendered_on_read_match_the_eager_builder(effort, top, counts
 def test_the_bound_and_statements_are_not_fields():
     """The one verdict record holds the decided key and the effort that
     bounds the square-free flag, which renders on read."""
-    assert VerdictReport._fields == ("nu", "depth", "outcomes", "symbols", "effort",
-                                     "kernel_basis")
+    assert VerdictReport._fields == ("nu", "outcomes", "symbols", "effort", "kernel_basis")
     for name in ("conclusive", "conclusion", "finite_scope_caveat", "hypothesis",
                  "clauses", "scope", "failed_prime", "mu_not_squarefree", "strict",
                  "strict_witness", "sqrt2_certified", "sqrt2_reason", "alpha", "jr_upper",
@@ -1610,7 +1604,7 @@ def test_ceiling_and_bound_agree_with_an_isqrt_oracle(nu):
     reads nu only, so the other fields are placeholders."""
     c = verdict._surd_ceil(1, 1, 1 + 4 * nu, 2)
     assert c == alpha_surd(nu).ceil() == _ceil_alpha_oracle(nu)
-    report = VerdictReport(nu, 5, (False,) * 4, (0,) * 4, None, None)
+    report = VerdictReport(nu, (False,) * 4, (0,) * 4, None, None)
     assert report.conclusion == INCONCLUSIVE and not report.finite_scope_caveat
     assert report.jr_upper.decimal(6) == _upper_decimal_oracle(nu)
     assert report.jr_upper_decimal == _upper_decimal_oracle(nu)
@@ -1697,9 +1691,10 @@ def test_window_ordering_and_domain(monkeypatch):
     (lambda: verdict._cos_minpoly_pow2(1), "e must be >= 2"),
     (lambda: fermat_obstruction(1, 5), "nu must be an integer >= 2"),
     (lambda: window_elements_deg2(1, 5), "nu must be >= 2"),
+    (lambda: jr_verdict(12, 13), "depth must be between 1 and 12"),
 ], ids=["surd-D", "surd-b", "alpha_surd", "constructible_order", "constructible_order-cap",
          "cos_minpoly_pow2",
-        "fermat_obstruction", "window-nu"])
+        "fermat_obstruction", "window-nu", "jr_verdict-depth"])
 def test_verdict_refuses_inputs_outside_its_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
